@@ -16,7 +16,7 @@ batch statistics and therefore bit-reproducible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def _he_conv(rng, f, c, k, scale=1.0):
 
 
 class _ConvBlock:
-    """conv -> per-channel affine -> relu."""
+    """conv -> per-channel affine -> relu, the last two as one node."""
 
     def __init__(self, rng, c_in, c_out, stride=1, dilation=1, kernel=3):
         self.stride = stride
@@ -97,7 +97,7 @@ class _ConvBlock:
     def __call__(self, x):
         y = tc.conv2d(x, self.w, self.b, stride=self.stride,
                       padding=self.padding, dilation=self.dilation)
-        return tc.relu(tc.add(tc.mul(y, self.gamma), self.beta))
+        return tc.affine_relu(y, self.gamma, self.beta)
 
     def params(self, prefix):
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b,

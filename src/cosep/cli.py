@@ -11,7 +11,9 @@ line on stderr: ``E_CONFIG`` (bad config, exit 2), ``E_MISSING_ARTIFACT``
 (artifact built under a different config, exit 4).
 
 The environment variable COSEP_THREADS bounds numerical worker threads
-(default: hardware parallelism).
+(default: hardware parallelism) through the optional ``threadpoolctl``
+package; without it a note on stderr says the cap has no effect.  A
+value that is not a positive integer is an ``E_CONFIG`` error.
 """
 
 from __future__ import annotations
@@ -551,20 +553,26 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _apply_thread_cap():
-    cap = os.environ.get("COSEP_THREADS")
-    if cap:
-        try:
-            import threadpoolctl
-            threadpoolctl.threadpool_limits(int(cap))
-        except (ImportError, ValueError):
-            pass
+    cap = os.environ.get("COSEP_THREADS", "")
+    if not cap:
+        return
+    if not (cap.isdecimal() and int(cap) > 0):
+        raise CliError("E_CONFIG", f"COSEP_THREADS must be a positive integer, got {cap!r}")
+    n = int(cap)
+    try:
+        import threadpoolctl
+    except ImportError:
+        print(f"note: COSEP_THREADS={n} has no effect: threadpoolctl is not installed",
+              file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(n)
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _apply_thread_cap()
         cfg = load_config(args.config)
         if getattr(args, "preset", None):
             with open(args.config) as fh:

@@ -3,9 +3,19 @@
 Float32 is the working precision for all training; float64 tensors are
 supported so numerical checks can run at full precision.  The op set is
 exactly what the three networks need: elementwise arithmetic with
-broadcasting, reductions, 2-d convolution with dilation, align-corners
-bilinear upsampling, global spatial max pooling, sigmoid / temperature
-softmax, and binary cross entropy.
+broadcasting (``add``, ``mul``, ``relu``, ``affine_relu``), structural
+ops (``reshape``, ``concat``, ``tsum``), 2-d convolution with stride and
+dilation, align-corners bilinear upsampling, global spatial max pooling,
+sigmoid / temperature softmax, and binary cross entropy.
+
+``conv2d`` picks one of two lowerings from the operand shapes alone.  A
+stride-1 convolution whose kernel is wider than 1x1 and which narrows the
+channels (F < C) expands the kernel offsets on the F-wide output side:
+one GEMM of the stacked kernels against the padded input, then shifted
+slice-adds; its input gradient is the transposed convolution of the
+output gradient (Dumoulin & Visin 2016).  Every other convolution
+gathers a C-wide im2col buffer; a 1x1 kernel has a single offset, so
+there is nothing to expand.
 
 A computation graph is recorded only while at least one input has
 ``requires_grad`` set and grad mode is enabled (see ``no_grad``).
@@ -29,6 +39,7 @@ __all__ = [
     "concat",
     "tsum",
     "relu",
+    "affine_relu",
     "sigmoid",
     "softmax_T",
     "conv2d",
@@ -82,16 +93,6 @@ class Tensor:
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._prev: tuple = ()
         self._backward = None
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, requires_grad=False, dtype=np.float32):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad, dtype=dtype)
-
-    @staticmethod
-    def ones(shape, requires_grad=False, dtype=np.float32):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad, dtype=dtype)
 
     # -- introspection ------------------------------------------------
 
@@ -260,11 +261,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make_node(out, (a,), _bw)
 
 
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    return mul(tsum(a), _as_tensor(1.0 / n, a.dtype))
-
-
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0))
 
@@ -273,6 +269,28 @@ def relu(a: Tensor) -> Tensor:
             a._acc(g * (a.data > 0))
 
     return _make_node(out, (a,), _bw)
+
+
+def affine_relu(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """``relu(add(mul(a, gamma), beta))`` as one node.
+
+    ``gamma`` and ``beta`` broadcast over ``a``.  The forward value and all
+    three gradients use the same float32 expressions as the three-op
+    chain, so they are bit-identical to it."""
+    y = np.maximum(a.data * gamma.data + beta.data, 0)
+    out = Tensor(y)
+
+    def _bw(g):
+        # y > 0 exactly where the pre-activation is > 0 (NaN fails both)
+        g = g * (y > 0)
+        if a.requires_grad:
+            a._acc(_unbroadcast(g * gamma.data, a.data.shape).astype(a.dtype, copy=False))
+        if gamma.requires_grad:
+            gamma._acc(_unbroadcast(g * a.data, gamma.data.shape).astype(gamma.dtype, copy=False))
+        if beta.requires_grad:
+            beta._acc(_unbroadcast(g, beta.data.shape).astype(beta.dtype, copy=False))
+
+    return _make_node(out, (a, gamma, beta), _bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -308,13 +326,90 @@ def softmax_T(a: Tensor, T: float) -> Tensor:
 # spatial ops
 # ---------------------------------------------------------------------
 
+def _taps(kh: int, kw: int, dilation: int, stride: int, out_h: int, out_w: int):
+    """Kernel offsets in row-major order, each as the (rows, cols) slices
+    of the padded input that the offset reads for every output position."""
+    return [(slice(iy * dilation, iy * dilation + 1 + stride * (out_h - 1), stride),
+             slice(ix * dilation, ix * dilation + 1 + stride * (out_w - 1), stride))
+            for iy in range(kh) for ix in range(kw)]
+
+
+def _conv_im2col(xp, wd, taps, out_h, out_w):
+    """C-wide lowering: gather every offset of the padded input into one
+    [C*k*k, L] matrix per sample and multiply by the flattened kernels.
+
+    Returns the output [N, F, out_h, out_w] and a function mapping its
+    gradient to (padded-input gradient or None, kernel gradient or None).
+    """
+    N, C, Hp, Wp = xp.shape
+    F, K = wd.shape[0], len(taps)
+    cols = np.empty((N, C, K, out_h, out_w), dtype=xp.dtype)
+    for t, (sy, sx) in enumerate(taps):
+        cols[:, :, t] = xp[:, :, sy, sx]
+    cols_mat = cols.reshape(N, C * K, out_h * out_w)
+    w_mat = wd.reshape(F, C * K)
+    y = np.matmul(w_mat, cols_mat).reshape(N, F, out_h, out_w)
+
+    def grads(g, want_x, want_w):
+        g_mat = g.reshape(N, F, out_h * out_w)
+        gxp = gw = None
+        if want_w:
+            # batched sgemm with a strided transpose avoids tensordot's copies
+            gw = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape)
+        if want_x:
+            gcols = np.matmul(w_mat.T, g_mat).reshape(N, C, K, out_h, out_w)
+            gxp = np.zeros((N, C, Hp, Wp), dtype=xp.dtype)
+            for t, (sy, sx) in enumerate(taps):
+                gxp[:, :, sy, sx] += gcols[:, :, t]
+        return gxp, gw
+
+    return y, grads
+
+
+def _conv_narrow(xp, wd, taps, out_h, out_w):
+    """F-wide lowering for stride 1: one GEMM of the k*k stacked [F, C]
+    kernels against the padded input gives each offset's contribution at
+    every padded position; shifted slice-adds sum them into the output.
+
+    The backward places the output gradient at each offset in one
+    [N, k*k*F, Hp*Wp] buffer; one GEMM against the padded input gives the
+    kernel gradient and one with the stacked kernels transposed gives the
+    padded-input gradient (a transposed convolution).  Same return
+    contract as ``_conv_im2col``.
+    """
+    N, C, Hp, Wp = xp.shape
+    F, K = wd.shape[0], len(taps)
+    xp_mat = xp.reshape(N, C, Hp * Wp)
+    w_stk = wd.reshape(F, C, K).transpose(2, 0, 1).reshape(K * F, C)
+    z = np.matmul(w_stk, xp_mat).reshape(N, K, F, Hp, Wp)
+    y = z[:, 0, :, taps[0][0], taps[0][1]].copy()
+    for t in range(1, K):
+        y += z[:, t, :, taps[t][0], taps[t][1]]
+
+    def grads(g, want_x, want_w):
+        gz = np.zeros((N, K, F, Hp, Wp), dtype=xp.dtype)
+        for t, (sy, sx) in enumerate(taps):
+            gz[:, t, :, sy, sx] = g
+        gz = gz.reshape(N, K * F, Hp * Wp)
+        gxp = gw = None
+        if want_w:
+            gw = np.matmul(gz, xp_mat.transpose(0, 2, 1)).sum(axis=0)  # [K*F, C]
+            gw = gw.reshape(K, F, C).transpose(1, 2, 0).reshape(wd.shape)
+        if want_x:
+            gxp = np.matmul(w_stk.T, gz).reshape(N, C, Hp, Wp)
+        return gxp, gw
+
+    return y, grads
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: int = 0, dilation: int = 1) -> Tensor:
     """Cross-correlation of NCHW input with FCkk kernels.
 
     Odd kernels only.  Output size follows the usual
     (H + 2p - d*(k-1) - 1)/s + 1 arithmetic and must come out a positive
-    integer.
+    integer.  The operand shapes pick the lowering (see the module
+    docstring).
     """
     N, C, H, W = x.data.shape
     F, Cw, kh, kw = w.data.shape
@@ -335,50 +430,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     out_h = num_h // stride + 1
     out_w = num_w // stride + 1
 
-    Hp, Wp = H + 2 * padding, W + 2 * padding
     if padding:
-        xp = np.zeros((N, C, Hp, Wp), dtype=x.dtype)
+        xp = np.zeros((N, C, H + 2 * padding, W + 2 * padding), dtype=x.dtype)
         xp[:, :, padding:padding + H, padding:padding + W] = x.data
     else:
         xp = x.data
-
-    # im2col by kernel offset: cheap strided views gathered into one matrix
-    cols = np.empty((N, C, kh, kw, out_h, out_w), dtype=x.dtype)
-    for iy in range(kh):
-        y0 = iy * dilation
-        for ix in range(kw):
-            x0 = ix * dilation
-            cols[:, :, iy, ix] = xp[:, :, y0:y0 + 1 + stride * (out_h - 1):stride,
-                                    x0:x0 + 1 + stride * (out_w - 1):stride]
-    cols_mat = cols.reshape(N, C * kh * kw, out_h * out_w)
-    w_mat = w.data.reshape(F, C * kh * kw)
-    y = np.matmul(w_mat, cols_mat)  # [N, F, L]
+    lower = _conv_narrow if stride == 1 and F < C and kh * kw > 1 else _conv_im2col
+    y, grads = lower(xp, w.data, _taps(kh, kw, dilation, stride, out_h, out_w), out_h, out_w)
     if b is not None:
-        y = y + b.data.reshape(1, F, 1)
-    out = Tensor(y.reshape(N, F, out_h, out_w))
+        y = y + b.data.reshape(1, F, 1, 1)
+    out = Tensor(y)
 
     inputs = (x, w) if b is None else (x, w, b)
 
     def _bw(g):
-        g_mat = g.reshape(N, F, out_h * out_w)
         if b is not None and b.requires_grad:
-            b._acc(g_mat.sum(axis=(0, 2)).astype(b.dtype, copy=False))
-        if w.requires_grad:
-            # batched sgemm with a strided transpose avoids tensordot's copies
-            gw = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0)
-            w._acc(gw.reshape(w.data.shape).astype(w.dtype, copy=False))
-        if x.requires_grad:
-            gcols = np.matmul(w_mat.T, g_mat).reshape(N, C, kh, kw, out_h, out_w)
-            gxp = np.zeros((N, C, Hp, Wp), dtype=x.dtype)
-            for iy in range(kh):
-                y0 = iy * dilation
-                for ix in range(kw):
-                    x0 = ix * dilation
-                    gxp[:, :, y0:y0 + 1 + stride * (out_h - 1):stride,
-                        x0:x0 + 1 + stride * (out_w - 1):stride] += gcols[:, :, iy, ix]
-            if padding:
-                gxp = gxp[:, :, padding:padding + H, padding:padding + W]
-            x._acc(gxp)
+            b._acc(g.reshape(N, F, -1).sum(axis=(0, 2)).astype(b.dtype, copy=False))
+        gxp, gw = grads(g, x.requires_grad, w.requires_grad)
+        if gw is not None:
+            w._acc(gw.astype(w.dtype, copy=False))
+        if gxp is not None:
+            x._acc(gxp[:, :, padding:padding + H, padding:padding + W])
 
     return _make_node(out, inputs, _bw)
 

@@ -9,8 +9,11 @@ shared channels.
 
 An epoch is one pass over N uniformly sampled clip pairs, N being the
 train-clip count.  Pairs are consumed in fixed order in small batches,
-and both clips of a pair contribute symmetric loss terms by default, so
-runs with identical seeds are bit-identical.
+so runs with identical seeds are bit-identical.  By default the loss is
+symmetric: the frames of both clips of every pair go through the image
+net as one 2N batch, each scored against the shared mixture features,
+and the mean binary cross entropy over all 2N masks equals the average
+of the two one-sided losses.
 """
 
 from __future__ import annotations
@@ -125,7 +128,6 @@ class TrainState:
     sparsity_history: list = field(default_factory=list)
     batch_pairs: int = 8
     symmetric: bool = True
-    distinct_pairs: bool = False
 
     def dump(self) -> dict:
         return {"seed": self.seed, "epoch": self.epoch, "stage": self.stage,
@@ -166,24 +168,27 @@ def _mix_warped(a: PreparedClip, b: PreparedClip, warp_bins: int, cfg: dsp.StftC
 
 
 def _batch_arrays(pairs: list, warp_bins: int, cfg: dsp.StftConfig):
+    """Mixture magnitudes [N, 1, G, T], frames [2N, 3, S, S] and binary
+    targets [2N, 1, G, T]; rows N.. of the last two hold the second clip
+    of each pair."""
     mix = np.stack([_mix_warped(a, b, warp_bins, cfg) for a, b in pairs])[:, None]
-    frames_a = np.stack([a.frame for a, _ in pairs])
-    frames_b = np.stack([b.frame for _, b in pairs])
-    t_a = np.stack([(a.warped_mag >= b.warped_mag).astype(np.float32) for a, b in pairs])[:, None]
-    t_b = np.stack([(b.warped_mag >= a.warped_mag).astype(np.float32) for a, b in pairs])[:, None]
-    return mix, frames_a, frames_b, t_a, t_b
+    sides = list(pairs) + [(b, a) for a, b in pairs]
+    frames = np.stack([a.frame for a, _ in sides])
+    targets = np.stack([(a.warped_mag >= b.warped_mag).astype(np.float32) for a, b in sides])[:, None]
+    return mix, frames, targets
 
 
 def _step_batch(batch, bundle: avnets.ModelBundle, opt: Adam, symmetric: bool) -> float:
-    mix, frames_a, frames_b, t_a, t_b = batch
+    """One optimizer step; without ``symmetric`` only the first clip of
+    each pair is scored."""
+    mix, frames, targets = batch
     feats = avnets.audio_forward(Tensor(mix), bundle)
-    _, _, v_a = avnets.image_forward(Tensor(frames_a), bundle)
-    mask_a = avnets.synthesize_mask(v_a, feats, bundle)
-    loss = tc.bce_loss(mask_a, Tensor(t_a))
+    n = len(mix)
     if symmetric:
-        _, _, v_b = avnets.image_forward(Tensor(frames_b), bundle)
-        mask_b = avnets.synthesize_mask(v_b, feats, bundle)
-        loss = tc.mul(tc.add(loss, tc.bce_loss(mask_b, Tensor(t_b))), Tensor(np.float32(0.5)))
+        feats = tc.concat([feats, feats], axis=0)
+        n *= 2
+    _, _, v = avnets.image_forward(Tensor(frames[:n]), bundle)
+    loss = tc.bce_loss(avnets.synthesize_mask(v, feats, bundle), Tensor(targets[:n]))
     opt.zero_grad()
     tc.backward(loss)
     opt.step()
@@ -249,8 +254,7 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
     checkpoint and restarts the fine-tune stage (its recorded schedule
     must match ``cfg``).
     """
-    state = TrainState(seed=seed, batch_pairs=batch_pairs, symmetric=symmetric,
-                       distinct_pairs=distinct_pairs)
+    state = TrainState(seed=seed, batch_pairs=batch_pairs, symmetric=symmetric)
     cfg_stft = toyworld.manifest_stft(manifest)
     prepared = prepare_split(manifest, "train", warp_bins)
     categories = [p.category for p in prepared]
@@ -276,7 +280,6 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
             with open(log_path, "w") as fh:
                 fh.write("\n".join(",".join(r) for r in log_rows) + "\n")
 
-    start_finetune = 0
     if resume_from is not None:
         loaded, meta = avnets.ModelBundle.load(resume_from)
         recorded = meta.get("schedule")
@@ -308,7 +311,7 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
         bundle.set_mode("softmax", cfg.initial_T)
         opt.lr = cfg.lr / cfg.lr_finetune_divisor
         state.stage = "finetune"
-        for fe in range(start_finetune + 1, cfg.softmax_epochs + 1):
+        for fe in range(1, cfg.softmax_epochs + 1):
             bundle.set_mode("softmax", temperature_at(cfg, fe))
             state.temperature = bundle.temperature
             pair_idx = _sample_pairs(rng, n, n, categories, distinct_pairs)

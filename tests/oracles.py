@@ -55,6 +55,27 @@ def check_gradients(build_loss, leaves, rng, probes=100, h=1e-3, rtol=1e-3):
     return worst
 
 
+def direct_conv2d(x, w, b, stride, padding, dilation):
+    """Float64 cross-correlation by explicit loops over output positions."""
+    N, C, H, W = x.shape
+    F, _, kh, kw = w.shape
+    xp = np.pad(np.asarray(x, dtype=np.float64),
+                ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    span_h = dilation * (kh - 1) + 1
+    span_w = dilation * (kw - 1) + 1
+    out_h = (H + 2 * padding - span_h) // stride + 1
+    out_w = (W + 2 * padding - span_w) // stride + 1
+    y = np.zeros((N, F, out_h, out_w))
+    for n in range(N):
+        for oy in range(out_h):
+            for ox in range(out_w):
+                y0, x0 = oy * stride, ox * stride
+                patch = xp[n, :, y0:y0 + span_h:dilation, x0:x0 + span_w:dilation]
+                for f in range(F):
+                    y[n, f, oy, ox] = np.sum(w[f] * patch) + b[f]
+    return y
+
+
 def inflate_kernel(w, dilation):
     """Zero-inflate a kernel so dilation-d conv equals dilation-1 conv."""
     F, C, kh, kw = w.shape

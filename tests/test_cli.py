@@ -2,6 +2,8 @@
 artifact hashing."""
 
 import json
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -78,6 +80,35 @@ class TestConfigValidation:
         for field in ("dataset.seed", "stft.warp_bins", "model.channels",
                       "schedule.preset", "eval.tau", "eval.pair_seed"):
             assert field in out
+
+
+class TestThreadCap:
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
+    def test_bad_value_rejected(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("COSEP_THREADS", value)
+        rc = cli.main(["make-data", "-c", write_config(tmp_path, tiny_config(tmp_path))])
+        assert rc == cli.EXIT_CODES["E_CONFIG"]
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG:") and "COSEP_THREADS" in err
+        assert not (tmp_path / "data").exists()
+
+    def test_missing_threadpoolctl_is_noted(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COSEP_THREADS", "2")
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+        assert cli.main(["make-data", "-c", write_config(tmp_path, tiny_config(tmp_path))]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "COSEP_THREADS" in lines[0] and "threadpoolctl" in lines[0]
+        assert not lines[0].startswith("E_")
+
+    def test_cap_reaches_threadpoolctl(self, tmp_path, capsys, monkeypatch):
+        limits = []
+        monkeypatch.setenv("COSEP_THREADS", "3")
+        monkeypatch.setitem(sys.modules, "threadpoolctl",
+                            types.SimpleNamespace(threadpool_limits=limits.append))
+        assert cli.main(["make-data", "-c", write_config(tmp_path, tiny_config(tmp_path))]) == 0
+        assert limits == [3]
+        assert capsys.readouterr().err == ""
 
 
 class TestMissingArtifacts:

@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cosep import tensor as tc
 from cosep.tensor import Tensor
 
-from oracles import check_gradients, inflate_kernel, rel_err
+from oracles import check_gradients, direct_conv2d, inflate_kernel, rel_err
 
 
 @pytest.fixture
@@ -21,7 +22,56 @@ def t64(arr, grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad, dtype=np.float64)
 
 
+@st.composite
+def conv_cases(draw):
+    """Random conv geometry; half the draws have F < C (the narrow-side
+    lowering when stride is 1 and k > 1), the other half F >= C."""
+    k = draw(st.sampled_from([1, 3, 5]))
+    stride = draw(st.sampled_from([1, 2]))
+    dilation = draw(st.sampled_from([1, 2]))
+    padding = draw(st.integers(0, dilation * (k - 1) + 1))
+    if draw(st.booleans()):
+        c = draw(st.integers(2, 5))
+        f = draw(st.integers(1, c - 1))
+    else:
+        c = draw(st.integers(1, 4))
+        f = draw(st.integers(c, 5))
+    low = max(1, dilation * (k - 1) + 1 - 2 * padding)
+    h = draw(st.integers(low, low + 5))
+    w = draw(st.integers(low, low + 5))
+    n = draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return dict(shape=(n, c, h, w), f=f, k=k, stride=stride, padding=padding,
+                dilation=dilation, seed=seed)
+
+
 class TestConv2d:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(conv_cases())
+    # narrow side with F > 1 (the decoder shapes), dilated and 5x5; then im2col
+    @example(dict(shape=(2, 6, 5, 5), f=2, k=3, stride=1, padding=1, dilation=1, seed=0))
+    @example(dict(shape=(1, 5, 6, 4), f=3, k=3, stride=1, padding=2, dilation=2, seed=1))
+    @example(dict(shape=(2, 4, 7, 6), f=3, k=5, stride=1, padding=0, dilation=1, seed=2))
+    @example(dict(shape=(1, 3, 6, 6), f=4, k=3, stride=2, padding=1, dilation=1, seed=3))
+    def test_matches_direct_loop_oracle(self, case):
+        rng = np.random.default_rng(case["seed"])
+        n, c, h, w_ = case["shape"]
+        f, k = case["f"], case["k"]
+        geom = dict(stride=case["stride"], padding=case["padding"], dilation=case["dilation"])
+        x = t64(rng.standard_normal((n, c, h, w_)))
+        w = t64(rng.standard_normal((f, c, k, k)))
+        b = t64(rng.standard_normal(f))
+        y = tc.conv2d(x, w, b, **geom).data
+        expected = direct_conv2d(x.data, w.data, b.data, **geom)
+        assert y.shape == expected.shape
+        np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12)
+
+        def loss():
+            y = tc.conv2d(x, w, b, **geom)
+            return tc.tsum(tc.mul(y, y))
+
+        check_gradients(loss, [x, w, b], rng, probes=150)
+
     def test_box_sum_of_ones(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.ones((1, 1, 3, 3)))
@@ -187,6 +237,36 @@ class TestActivations:
             return tc.tsum(tc.mul(tc.sigmoid(x), tc.sigmoid(x)))
 
         check_gradients(loss, [x], rng, probes=72)
+
+    def test_affine_relu_is_bit_identical_to_chain(self, rng):
+        shape = (2, 3, 5, 4)
+        y0 = rng.standard_normal(shape).astype(np.float32)
+        y0[:, 1, 0, 0] = 0.0  # exact zeros at the kink
+        g0 = rng.uniform(0.5, 1.5, size=(1, 3, 1, 1)).astype(np.float32)
+        b0 = (0.3 * rng.standard_normal((1, 3, 1, 1))).astype(np.float32)
+        b0[0, 1] = 0.0
+        weight = Tensor(rng.standard_normal(shape).astype(np.float32))
+        runs = []
+        for fused in (True, False):
+            y, g, b = (Tensor(a.copy(), requires_grad=True) for a in (y0, g0, b0))
+            out = tc.affine_relu(y, g, b) if fused else tc.relu(tc.add(tc.mul(y, g), b))
+            tc.backward(tc.tsum(tc.mul(out, weight)))
+            runs.append((out.data, y.grad, g.grad, b.grad))
+        for fused, chain in zip(*runs):
+            assert fused.dtype == np.float32
+            assert np.array_equal(fused, chain)
+
+    def test_affine_relu_gradients(self, rng):
+        # pre-activations stay at least 0.05 away from the kink
+        y = t64(rng.uniform(0.2, 1.0, size=(2, 3, 4, 4)) * rng.choice([-1.0, 1.0], size=(2, 3, 4, 4)))
+        g = t64(rng.uniform(0.5, 1.5, size=(1, 3, 1, 1)))
+        b = t64(rng.uniform(-0.05, 0.05, size=(1, 3, 1, 1)))
+        weight = Tensor(rng.standard_normal((2, 3, 4, 4)), dtype=np.float64)
+
+        def loss():
+            return tc.tsum(tc.mul(tc.affine_relu(y, g, b), weight))
+
+        check_gradients(loss, [y, g, b], rng, probes=60)
 
     def test_relu_gradients_away_from_kink(self, rng):
         base = rng.uniform(0.2, 1.0, size=(5, 6)) * rng.choice([-1.0, 1.0], size=(5, 6))

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from cosep import avnets
+from cosep import tensor as tc
 from cosep import toyworld as tw
 from cosep import trainer as tr
 from cosep.avnets import AudioNetCfg, ImageNetCfg, ModelBundle
-from cosep.tensor import Adam
+from cosep.tensor import Adam, Tensor
 
 
 MINI_WARP = 32
@@ -115,6 +117,63 @@ class TestTrainStep:
         pair = tw.sample_pair(mini_dataset, np.random.default_rng(3))
         with pytest.raises(tr.TrainingDiverged, match="stage"):
             tr.train_step(pair, bundle, state, opt, mini_dataset, warp_bins=MINI_WARP)
+
+
+class TestStepBatch:
+    """One step at the default architecture on synthetic arrays."""
+
+    @staticmethod
+    def batch(n_pairs=2, seed=0):
+        rng = np.random.default_rng(seed)
+        mix = rng.random((n_pairs, 1, 64, 64)).astype(np.float32)
+        frames = rng.random((2 * n_pairs, 3, 64, 64)).astype(np.float32)
+        targets = (rng.random((2 * n_pairs, 1, 64, 64)) > 0.5).astype(np.float32)
+        return mix, frames, targets
+
+    @staticmethod
+    def side_losses(bundle, batch):
+        mix, frames, targets = batch
+        n = len(mix)
+        with tc.no_grad():
+            feats = avnets.audio_forward(Tensor(mix), bundle)
+            out = []
+            for half in (slice(0, n), slice(n, 2 * n)):
+                _, _, v = avnets.image_forward(Tensor(frames[half]), bundle)
+                mask = avnets.synthesize_mask(v, feats, bundle)
+                out.append(tc.bce_loss(mask, Tensor(targets[half])).item())
+        return out
+
+    def test_symmetric_step_is_one_image_pass(self, monkeypatch):
+        bundle = ModelBundle(ImageNetCfg(), AudioNetCfg(), seed=3)
+        batch = self.batch()
+        loss_a, loss_b = self.side_losses(bundle, batch)
+        calls, nodes = [], []
+        real_forward, real_make_node = avnets.image_forward, tc._make_node
+
+        def counting_forward(*args):
+            calls.append(args[0].shape[0])
+            return real_forward(*args)
+
+        def counting_make_node(out, inputs, fn):
+            out = real_make_node(out, inputs, fn)
+            nodes.append(out._backward is not None)
+            return out
+
+        monkeypatch.setattr(avnets, "image_forward", counting_forward)
+        monkeypatch.setattr(tc, "_make_node", counting_make_node)
+        loss = tr._step_batch(batch, bundle, Adam(bundle.param_list(), lr=1e-3), symmetric=True)
+        assert calls == [4]
+        assert abs(loss - 0.5 * (loss_a + loss_b)) <= 1e-6
+        # audio 27 (stem 2, 4 down x 2, 4 up x 4, head), image 11, feats
+        # concat 1, synthesizer 8, loss 1
+        assert sum(nodes) == 48
+
+    def test_one_sided_step_scores_first_clips(self):
+        bundle = ModelBundle(ImageNetCfg(), AudioNetCfg(), seed=4)
+        batch = self.batch(seed=1)
+        loss_a, _ = self.side_losses(bundle, batch)
+        loss = tr._step_batch(batch, bundle, Adam(bundle.param_list(), lr=1e-3), symmetric=False)
+        assert loss == loss_a
 
 
 class TestRunSchedule:
