@@ -11,6 +11,11 @@ layer over the visually weighted audio channels.
 Batch norm is deliberately absent; a per-channel learnable affine
 follows every convolution instead, which keeps forward passes free of
 batch statistics and therefore bit-reproducible.
+
+Inference runs the image net once per frame: ``infer_images`` is the only
+no-grad image pass, and its maps and vectors feed segmentation, sparsity,
+classification accuracy and the assignment table alike.  Its outputs do
+not depend on how frames are grouped into batches.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .dsp import MaskPlane
 from .tensor import Tensor
 
 MODES = ("sigmoid", "softmax")
+INFER_BATCH = 32   # frames per no-grad image pass
 
 
 @dataclass(frozen=True)
@@ -298,9 +304,9 @@ def synthesize_mask(v: Tensor, feats: Tensor, bundle: ModelBundle) -> Tensor:
     return tc.sigmoid(pre)
 
 
-def audio_only_masks(feats, channels, binary: bool = False) -> list[MaskPlane]:
+def audio_only_masks(feats, channels) -> list[MaskPlane]:
     """Per selected channel, sigmoid(feats_k) as a ratio mask on the warped
-    grid; thresholded at 0.5 (ties to 1) when binary masks are requested."""
+    grid."""
     arr = feats.data if isinstance(feats, Tensor) else np.asarray(feats)
     if arr.ndim == 4:
         if arr.shape[0] != 1:
@@ -312,10 +318,7 @@ def audio_only_masks(feats, channels, binary: bool = False) -> list[MaskPlane]:
         if not 0 <= ch < k:
             raise ValueError(f"channel {ch} out of range for {k} channels")
         ratio = 1.0 / (1.0 + np.exp(-arr[ch].astype(np.float64)))
-        if binary:
-            masks.append(MaskPlane((ratio >= 0.5).astype(np.float32), "binary"))
-        else:
-            masks.append(MaskPlane(ratio.astype(np.float32), "ratio"))
+        masks.append(MaskPlane(ratio.astype(np.float32), "ratio"))
     return masks
 
 
@@ -327,33 +330,51 @@ def frames_to_tensor(frames_u8: np.ndarray) -> Tensor:
     return Tensor(arr.astype(np.float32).transpose(0, 3, 1, 2) / 255.0)
 
 
+def infer_images(frames_u8: np.ndarray, bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray]:
+    """The no-grad image pass: pre-activation maps [N, K, h, w] float32 and
+    activated vectors v [N, K] float64 for one uint8 HWC frame or a
+    sequence of them, run in batches of INFER_BATCH."""
+    frames_u8 = np.asarray(frames_u8)
+    if frames_u8.ndim == 3:
+        frames_u8 = frames_u8[None]
+    maps, vs = [], []
+    with tc.no_grad():
+        for lo in range(0, len(frames_u8), INFER_BATCH):
+            m, _, v = image_forward(frames_to_tensor(frames_u8[lo:lo + INFER_BATCH]), bundle)
+            maps.append(m.data)
+            vs.append(v.data.astype(np.float64))
+    return np.concatenate(maps), np.concatenate(vs)
+
+
 def pixelwise_activation(maps: np.ndarray, mode: str, temperature: float) -> np.ndarray:
-    """Activation applied at every spatial position of [K, h, w] maps."""
+    """Activation over the K channels at every spatial position of
+    [..., K, h, w] maps, in float64."""
     m = maps.astype(np.float64)
     if mode == "sigmoid":
         return 1.0 / (1.0 + np.exp(-m))
     z = m / temperature
-    z -= z.max(axis=0, keepdims=True)
+    z -= z.max(axis=-3, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    return e / e.sum(axis=-3, keepdims=True)
 
 
-def segment(frame_u8: np.ndarray, bundle: ModelBundle, channel: int,
-            tau: float = 0.5) -> np.ndarray:
-    """Image-only segmentation: select one channel map, upsample to the
-    input size, threshold at tau times the map maximum."""
+def segment(maps: np.ndarray, bundle: ModelBundle, channels, tau: float = 0.5) -> np.ndarray:
+    """Image-only segmentation of [N, K, h, w] maps from ``infer_images``,
+    one channel per sample: activate the maps, upsample the selected
+    channel to the input size, threshold at tau times its maximum.
+    Returns bool masks [N, S, S]."""
     if not 0 < tau < 1:
         raise ValueError(f"threshold tau must lie in (0, 1), got {tau}")
-    if not 0 <= channel < bundle.channels:
-        raise ValueError(f"channel {channel} out of range")
+    channels = np.asarray(channels, dtype=np.int64).reshape(-1)
+    if len(channels) != len(maps):
+        raise ValueError(f"{len(channels)} channels for {len(maps)} maps")
+    if np.any((channels < 0) | (channels >= bundle.channels)):
+        raise ValueError(f"channel out of range for {bundle.channels} channels")
     if not bundle.trained:
         warnings.warn("segmenting with an untrained bundle", stacklevel=2)
-    with tc.no_grad():
-        maps = bundle.image.maps(frames_to_tensor(frame_u8))
-    act = pixelwise_activation(maps.data[0], bundle.mode, bundle.temperature)
+    act = pixelwise_activation(maps, bundle.mode, bundle.temperature)
+    picked = act[np.arange(len(channels)), channels][:, None].astype(np.float32)
     size = bundle.image_cfg.input_size
     with tc.no_grad():
-        up = tc.upsample_bilinear(Tensor(act[None, channel:channel + 1].astype(np.float32)),
-                                  size, size)
-    plane = up.data[0, 0]
-    return plane >= tau * plane.max()
+        planes = tc.upsample_bilinear(Tensor(picked), size, size).data[:, 0]
+    return planes >= tau * planes.max(axis=(1, 2), keepdims=True)

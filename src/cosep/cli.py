@@ -150,7 +150,13 @@ def normalize_config(raw: dict) -> dict:
 
     if cfg["dataset"]["categories"] >= cfg["model"]["channels"]:
         raise CliError("E_CONFIG", "dataset.categories must be smaller than model.channels")
+    _check_tau(cfg["eval"]["tau"], "eval.tau")
     return cfg
+
+
+def _check_tau(tau, name: str) -> None:
+    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0 < tau < 1:
+        raise CliError("E_CONFIG", f"{name} must lie in (0, 1), got {tau!r}")
 
 
 def section_hash(cfg: dict, sections) -> str:
@@ -337,13 +343,16 @@ def cmd_assign(cfg: dict, args) -> int:
     manifest = _require_dataset(cfg)
     bundle, _ = _require_bundle(cfg)
     paths = _paths(cfg)
-    table = disentangle.build_table(bundle, manifest, "val")
+    clips = toyworld.load_split(manifest, "val")
+    cats = [c.category for c in clips]
+    _, v = avnets.infer_images([c.frame for c in clips], bundle)
+    table = disentangle.build_table(v, cats, [c.name for c in toyworld.manifest_categories(manifest)])
     asg = disentangle.assign(table)
     table_hash = hashlib.sha256(np.ascontiguousarray(table.values).tobytes()).hexdigest()[:16]
     asg.save(paths["assignment"], extra={"config_hash": artifact_hash(cfg, "assignment"),
                                          "table_hash": table_hash})
     _update_run_manifest(cfg, "assignment", paths["assignment"])
-    acc = disentangle.classification_accuracy(bundle, manifest, "val", asg)
+    acc = disentangle.classification_accuracy(v, cats, asg)
     pairs = ", ".join(f"{n}->{c}" for n, c in zip(asg.categories, asg.category_to_channel))
     print(f"assignment: {pairs}")
     print(f"validation accuracy {acc:.3f}, profit {asg.total_profit:.4f}")
@@ -361,6 +370,8 @@ def cmd_separate(cfg: dict, args) -> int:
         names = [n.strip() for n in args.categories.split(",")]
     elif args.clips:
         ids = [c.strip() for c in args.clips.split(",")]
+        if len(ids) != 2:
+            raise CliError("E_CONFIG", f"--clips needs exactly two clip ids, got {len(ids)}")
         records = {r["id"]: r for split in manifest["splits"].values() for r in split}
         missing = [c for c in ids if c not in records]
         if missing:
@@ -376,8 +387,8 @@ def cmd_separate(cfg: dict, args) -> int:
     if len(names) != 2:
         raise CliError("E_CONFIG", "separate needs exactly two categories")
     cat_ids = _category_ids(manifest, names)
-    result = metrics.separate(wave, cat_ids, bundle, asg, scfg)
-    for name, est in zip(names, result.waveforms):
+    estimates = metrics.separate(wave, cat_ids, bundle, asg, scfg)
+    for name, est in zip(names, estimates):
         out = Path(f"{stem}.{name}.wav")
         dsp.write_wav(out, est, scfg.sample_rate)
         print(f"wrote {out}")
@@ -395,8 +406,11 @@ def cmd_segment(cfg: dict, args) -> int:
     if frame.shape[:2] != (size, size):
         raise CliError("E_CONFIG", f"image must be {size}x{size}, got {frame.shape[1]}x{frame.shape[0]}")
     cat = _category_ids(manifest, [args.category])[0]
+    if args.tau is not None:
+        _check_tau(args.tau, "--tau")
     tau = cfg["eval"]["tau"] if args.tau is None else args.tau
-    mask = avnets.segment(frame, bundle, asg.channel_for(cat), tau=tau)
+    maps, _ = avnets.infer_images(frame, bundle)
+    mask = avnets.segment(maps, bundle, [asg.channel_for(cat)], tau=tau)[0]
     out = Path(f"{args.image}.{args.category}.pgm")
     toyworld.write_pgm(out, mask)
     print(f"wrote {out} ({mask.mean():.1%} coverage)")
@@ -464,17 +478,20 @@ def cmd_report(cfg: dict, args) -> int:
         a = toyworld.load_clip(manifest, ra)
         b = toyworld.load_clip(manifest, rb)
         mix = toyworld.mix_waves(a.wave, b.wave)
-        res = metrics.separate(mix, [a.category, b.category], bundle, asg, scfg)
-        panels = [dsp.stft(w, scfg).magnitude for w in (mix, *res.waveforms)]
+        estimates = metrics.separate(mix, [a.category, b.category], bundle, asg, scfg)
+        panels = [dsp.stft(w, scfg).magnitude for w in (mix, *estimates)]
         img = _spectrogram_strip(panels)
         toyworld.write_pgm(paths["figures"] / f"separation_{i:02d}.pgm", img)
 
     # frame / predicted-mask overlays
-    for i, rec in enumerate(manifest["splits"]["test"][:n_items]):
-        clip = toyworld.load_clip(manifest, rec)
-        pred = avnets.segment(clip.frame, bundle, asg.channel_for(clip.category), tau=e["tau"])
-        toyworld.write_ppm(paths["figures"] / f"segmentation_{i:02d}.ppm",
-                           _overlay(clip.frame, pred, clip.gt_mask))
+    clips = [toyworld.load_clip(manifest, rec) for rec in manifest["splits"]["test"][:n_items]]
+    if clips:
+        maps, _ = avnets.infer_images([c.frame for c in clips], bundle)
+        preds = avnets.segment(maps, bundle, [asg.channel_for(c.category) for c in clips],
+                               tau=e["tau"])
+        for i, (clip, pred) in enumerate(zip(clips, preds)):
+            toyworld.write_ppm(paths["figures"] / f"segmentation_{i:02d}.ppm",
+                               _overlay(clip.frame, pred, clip.gt_mask))
     print(paths["report_table"].read_text())
     print(f"figures -> {paths['figures']}")
     return 0

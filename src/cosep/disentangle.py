@@ -1,6 +1,10 @@
 """Sparsity measurement, category-to-channel assignment, and the
 classification accuracy that validates an assignment.
 
+The table and the accuracy work on arrays: activated visual vectors
+v [N, K] from one ``avnets.infer_images`` pass and the N category ids,
+so a caller forwards a split once and feeds both.
+
 The assignment step turns the per-category mean activation table into an
 injective category -> channel map by maximizing total selected activation
 mass (equivalently minimizing cost = row-max minus entry), solved exactly
@@ -15,10 +19,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import avnets
-from . import toyworld
-from .tensor import no_grad
 
 
 def sparsity(x) -> float:
@@ -162,56 +162,36 @@ def assign(table: ActivationTable) -> Assignment:
 
 
 # ---------------------------------------------------------------------
-# bundle-facing operations
+# operations on activated vectors
 # ---------------------------------------------------------------------
 
-def _batched_v(bundle, clips, batch: int = 32) -> np.ndarray:
-    """Activated visual feature vectors for a list of AVClips."""
-    out = []
-    with no_grad():
-        for lo in range(0, len(clips), batch):
-            frames = np.stack([c.frame for c in clips[lo:lo + batch]])
-            _, _, v = avnets.image_forward(avnets.frames_to_tensor(frames), bundle)
-            out.append(v.data.astype(np.float64))
-    return np.concatenate(out, axis=0)
+def build_table(v, categories, names) -> ActivationTable:
+    """Mean activated visual vector per category, rows normalized.
 
-
-def build_table(bundle, manifest: dict, split: str = "val") -> ActivationTable:
-    """Mean activated visual vector per category, rows normalized."""
-    records = manifest["splits"].get(split, [])
-    if not records:
-        raise ValueError(f"split {split!r} is empty")
-    cats = toyworld.manifest_categories(manifest)
-    clips = [toyworld.load_clip(manifest, r) for r in records]
-    vs = _batched_v(bundle, clips)
-    k = vs.shape[1]
-    sums = np.zeros((len(cats), k))
-    counts = np.zeros(len(cats), dtype=np.int64)
-    for clip, v in zip(clips, vs):
-        sums[clip.category] += v
-        counts[clip.category] += 1
+    ``v`` is [N, K], ``categories`` the N category ids and ``names`` the
+    category names, one table row each."""
+    v = np.asarray(v, dtype=np.float64)
+    if len(v) == 0:
+        raise ValueError("no clips to build the activation table from")
+    sums = np.zeros((len(names), v.shape[1]))
+    for cat, row in zip(categories, v):
+        sums[cat] += row
+    counts = np.bincount(categories, minlength=len(names))
     if np.any(counts == 0):
-        missing = [cats[i].name for i in np.nonzero(counts == 0)[0]]
-        raise ValueError(f"split {split!r} has no clips for categories {missing}")
+        missing = [names[i] for i in np.nonzero(counts == 0)[0]]
+        raise ValueError(f"no clips for categories {missing}")
     means = sums / counts[:, None]
     rows = means / means.sum(axis=1, keepdims=True)
-    return ActivationTable(rows, [c.name for c in cats])
+    return ActivationTable(rows, list(names))
 
 
-def classification_accuracy(bundle, manifest: dict, split: str,
-                            assignment: Assignment) -> float:
+def classification_accuracy(v, categories, assignment: Assignment) -> float:
     """Fraction of clips whose strongest channel is the one assigned to
     their category (argmax ties go to the lowest channel id)."""
-    records = manifest["splits"].get(split, [])
-    if not records:
-        raise ValueError(f"split {split!r} is empty")
-    present = sorted({r["category"] for r in records})
-    if max(present) >= len(assignment.category_to_channel):
+    if len(v) == 0:
+        raise ValueError("no clips to classify")
+    if max(categories) >= len(assignment.category_to_channel):
         raise ValueError("assignment does not cover all categories present")
-    clips = [toyworld.load_clip(manifest, r) for r in records]
-    vs = _batched_v(bundle, clips)
-    hits = 0
-    for clip, v in zip(clips, vs):
-        if int(np.argmax(v)) == assignment.channel_for(clip.category):
-            hits += 1
-    return hits / len(clips)
+    hits = sum(int(np.argmax(row)) == assignment.channel_for(cat)
+               for row, cat in zip(v, categories))
+    return hits / len(v)

@@ -8,13 +8,17 @@ all references (interference), and the out-of-span remainder (artifacts).
 All projection algebra runs in float64; infinite ratios are reported as
 a 120 dB sentinel.
 
-Evaluation mixes test clips pairwise on a seeded schedule, so reports
-are reproducible byte for byte.
+Evaluation loads its split once.  The image-only metrics (IoU, sparsity,
+accuracy) come from one ``avnets.infer_images`` pass over its frames.
+The audio-only metrics come from one mixture loop shared by the network
+and the NMF baseline: it mixes test clips pairwise on a seeded schedule
+and asks a mask function ``(spec, cat_a, cat_b)`` for two masks on the
+linear STFT grid of the mixture ``spec``, one per source; the loop then
+applies them with the mixture phase, inverts, pads or trims to the
+mixture length and scores.  Reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,15 +92,6 @@ def iou(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float:
 # audio-only separation pipeline
 # ---------------------------------------------------------------------
 
-@dataclass
-class SeparationResult:
-    waveforms: list
-    channels: list
-    sdr: list = field(default_factory=list)
-    sir: list = field(default_factory=list)
-    mixture_sdr: list = field(default_factory=list)
-
-
 def _chunked_feats(warped: np.ndarray, bundle) -> np.ndarray:
     """Audio-net features for a [G, F] warped magnitude plane of any
     frame count; time is processed in non-overlapping G-frame windows
@@ -117,41 +112,36 @@ def _chunked_feats(warped: np.ndarray, bundle) -> np.ndarray:
     return out
 
 
-def separate(mixture_wave: np.ndarray, categories, bundle, assignment: Assignment,
-             stft_cfg: dsp.StftConfig, references=None,
-             binary_masks: bool = False) -> SeparationResult:
-    """Audio-only source separation for the two given category ids.
+def network_masks(bundle, assignment: Assignment):
+    """Mask function of the network: log warp -> audio net -> sigmoid of
+    each category's assigned channel -> unwarp to the linear grid."""
+    def masks(spec: dsp.Spectrogram, cat_a: int, cat_b: int):
+        for c in (cat_a, cat_b):
+            if not 0 <= c < len(assignment.category_to_channel):
+                raise ValueError(f"category {c} missing from assignment")
+        feats = _chunked_feats(dsp.log_warp(spec, bundle.audio_cfg.grid).magnitude, bundle)
+        channels = [assignment.channel_for(cat_a), assignment.channel_for(cat_b)]
+        return [dsp.log_unwarp(m, spec.config) for m in avnets.audio_only_masks(feats, channels)]
+    return masks
 
-    stft -> log warp -> audio net -> per-assigned-channel masks ->
-    unwarp -> apply with mixture phase -> istft.  When clean
-    ``references`` are supplied, per-source SDR/SIR plus the unseparated
-    mixture baseline SDR are filled in.
-    """
-    categories = list(categories)
-    for c in categories:
-        if not 0 <= c < len(assignment.category_to_channel):
-            raise ValueError(f"category {c} missing from assignment")
-    channels = [assignment.channel_for(c) for c in categories]
+
+def _estimate(spec: dsp.Spectrogram, mask: dsp.MaskPlane, n_samples: int) -> np.ndarray:
+    """Masked mixture back in the time domain, padded or trimmed to
+    ``n_samples`` (float64)."""
+    est = dsp.istft(dsp.apply_mask(spec, mask))
+    if est.size < n_samples:
+        est = np.pad(est, (0, n_samples - est.size))
+    return est[:n_samples]
+
+
+def separate(mixture_wave: np.ndarray, categories, bundle, assignment: Assignment,
+             stft_cfg: dsp.StftConfig) -> list[np.ndarray]:
+    """Audio-only source separation for the two given category ids;
+    returns the two float32 waveforms, mixture length."""
     mixture_wave = np.asarray(mixture_wave, dtype=np.float32)
     spec = dsp.stft(mixture_wave, stft_cfg)
-    warped = dsp.log_warp(spec, bundle.audio_cfg.grid)
-    feats = _chunked_feats(warped.magnitude, bundle)
-    masks = avnets.audio_only_masks(feats[None], channels, binary=binary_masks)
-    result = SeparationResult(waveforms=[], channels=channels)
-    for mask in masks:
-        linear = dsp.log_unwarp(mask, stft_cfg)
-        est = dsp.istft(dsp.apply_mask(spec, linear))
-        if est.size < mixture_wave.size:
-            est = np.pad(est, (0, mixture_wave.size - est.size))
-        result.waveforms.append(est[:mixture_wave.size].astype(np.float32))
-    if references is not None:
-        for i, est in enumerate(result.waveforms):
-            s, r = sdr_sir(est, references, i)
-            result.sdr.append(s)
-            result.sir.append(r)
-            ms, _ = sdr_sir(mixture_wave, references, i)
-            result.mixture_sdr.append(ms)
-    return result
+    masks = network_masks(bundle, assignment)(spec, *categories)
+    return [_estimate(spec, m, mixture_wave.size).astype(np.float32) for m in masks]
 
 
 # ---------------------------------------------------------------------
@@ -170,96 +160,79 @@ def sample_mixture_pairs(manifest: dict, split: str, seed: int, n_mixtures: int)
     return pairs
 
 
+def _score_mixtures(clips: dict, pairs, cfg: dsp.StftConfig, mask_fn, dtype):
+    """The mixture loop: separate every scheduled pair of ``clips`` (by
+    clip id) with ``mask_fn`` and score the estimates, cast to ``dtype``,
+    against the half-gain sources.  Returns the SDR/SIR means for the
+    summary row, the medians and mean SDR improvement, and per-mixture
+    details."""
+    details = []
+    for rec_a, rec_b in pairs:
+        a, b = clips[rec_a["id"]], clips[rec_b["id"]]
+        mix = toyworld.mix_waves(a.wave, b.wave)
+        refs = [0.5 * a.wave, 0.5 * b.wave]
+        spec = dsp.stft(mix, cfg)
+        scores = [sdr_sir(_estimate(spec, mask, mix.size).astype(dtype), refs, i)
+                  for i, mask in enumerate(mask_fn(spec, a.category, b.category))]
+        details.append({"clips": [rec_a["id"], rec_b["id"]],
+                        "sdr": [float(s) for s, _ in scores], "sir": [float(r) for _, r in scores],
+                        "mixture_sdr": [float(sdr_sir(mix, refs, i)[0]) for i in range(2)]})
+    sdrs = [s for d in details for s in d["sdr"]]
+    sirs = [r for d in details for r in d["sir"]]
+    improvements = [s - m for d in details for s, m in zip(d["sdr"], d["mixture_sdr"])]
+    means = {"SDR": float(np.mean(sdrs)), "SIR": float(np.mean(sirs))}
+    extras = {"median_SDR": float(np.median(sdrs)), "median_SIR": float(np.median(sirs)),
+              "mean_sdr_improvement": float(np.mean(improvements))}
+    return means, extras, details
+
+
+def _load_split(manifest: dict, split: str) -> dict:
+    clips = {clip.clip_id: clip for clip in toyworld.load_split(manifest, split)}
+    if not clips:
+        raise ValueError(f"split {split!r} is empty")
+    return clips
+
+
 def evaluate_network(bundle, assignment: Assignment, manifest: dict,
                      split: str = "test", pair_seed: int = 0, n_mixtures: int = 40,
                      tau: float = 0.5, model_name: str = "model"):
     """Full image-only + audio-only evaluation; returns (summary row,
-    per-item details)."""
+    extras, per-item details)."""
     cfg = toyworld.manifest_stft(manifest)
-    records = manifest["splits"][split]
-    if not records:
-        raise ValueError(f"split {split!r} is empty")
-
-    details: dict = {"segmentation": [], "separation": []}
+    clips = _load_split(manifest, split)
 
     # image-only: segmentation + channel sparsity + classification
-    ious = []
-    spars = []
-    for rec in records:
-        clip = toyworld.load_clip(manifest, rec)
-        pred = avnets.segment(clip.frame, bundle, assignment.channel_for(clip.category), tau=tau)
-        value = iou(pred, clip.gt_mask)
-        ious.append(value)
-        details["segmentation"].append({"clip": rec["id"], "category": clip.category, "iou": value})
-        with no_grad():
-            _, _, v = avnets.image_forward(avnets.frames_to_tensor(clip.frame), bundle)
-        spars.append(sparsity(v.data[0]))
-    accuracy = classification_accuracy(bundle, manifest, split, assignment)
+    cats = [c.category for c in clips.values()]
+    maps, v = avnets.infer_images([c.frame for c in clips.values()], bundle)
+    accuracy = classification_accuracy(v, cats, assignment)
+    preds = avnets.segment(maps, bundle, [assignment.channel_for(c) for c in cats], tau=tau)
+    seg_details = [{"clip": clip.clip_id, "category": clip.category, "iou": iou(pred, clip.gt_mask)}
+                   for pred, clip in zip(preds, clips.values())]
+    ious = [d["iou"] for d in seg_details]
 
     # audio-only: seeded pairwise mixtures
-    sdrs, sirs, improvements = [], [], []
-    for rec_a, rec_b in sample_mixture_pairs(manifest, split, pair_seed, n_mixtures):
-        a = toyworld.load_clip(manifest, rec_a)
-        b = toyworld.load_clip(manifest, rec_b)
-        mix = toyworld.mix_waves(a.wave, b.wave)
-        refs = [0.5 * a.wave, 0.5 * b.wave]
-        res = separate(mix, [a.category, b.category], bundle, assignment, cfg, references=refs)
-        for i in range(2):
-            sdrs.append(res.sdr[i])
-            sirs.append(res.sir[i])
-            improvements.append(res.sdr[i] - res.mixture_sdr[i])
-        details["separation"].append({
-            "clips": [rec_a["id"], rec_b["id"]],
-            "sdr": [float(x) for x in res.sdr], "sir": [float(x) for x in res.sir],
-            "mixture_sdr": [float(x) for x in res.mixture_sdr]})
+    means, extras, sep_details = _score_mixtures(
+        clips, sample_mixture_pairs(manifest, split, pair_seed, n_mixtures), cfg,
+        network_masks(bundle, assignment), np.float32)
 
-    row = {
-        "model": model_name,
-        "sparsity": float(np.mean(spars)),
-        "accuracy": float(accuracy),
-        "SDR": float(np.mean(sdrs)),
-        "SIR": float(np.mean(sirs)),
-        "IoU": float(np.mean(ious)),
-    }
-    extras = {
-        "median_SDR": float(np.median(sdrs)),
-        "median_SIR": float(np.median(sirs)),
-        "median_IoU": float(np.median(ious)),
-        "mean_sdr_improvement": float(np.mean(improvements)),
-    }
-    return row, extras, details
+    row = {"model": model_name, "sparsity": float(np.mean([sparsity(r) for r in v])),
+           "accuracy": float(accuracy), **means, "IoU": float(np.mean(ious))}
+    extras["median_IoU"] = float(np.median(ious))
+    return row, extras, {"segmentation": seg_details, "separation": sep_details}
 
 
 def evaluate_nmf(model: "nmf_mod.NmfModel", manifest: dict, split: str = "test",
                  pair_seed: int = 0, n_mixtures: int = 40, iters: int = 150):
     """Separation-only evaluation of the NMF baseline on the same seeded
     mixture schedule (no image branch: sparsity/accuracy/IoU are blank)."""
-    cfg = toyworld.manifest_stft(manifest)
-    sdrs, sirs, improvements = [], [], []
-    details = []
-    for rec_a, rec_b in sample_mixture_pairs(manifest, split, pair_seed, n_mixtures):
-        a = toyworld.load_clip(manifest, rec_a)
-        b = toyworld.load_clip(manifest, rec_b)
-        mix = toyworld.mix_waves(a.wave, b.wave)
-        refs = [0.5 * a.wave, 0.5 * b.wave]
-        spec = dsp.stft(mix, cfg)
-        m_a, m_b, _ = nmf_mod.nmf_separate(spec.magnitude, model.bases[a.category],
-                                           model.bases[b.category], iters=iters,
-                                           seed=pair_seed)
-        for i, mask in enumerate((m_a, m_b)):
-            est = dsp.istft(dsp.apply_mask(spec, mask))
-            if est.size < mix.size:
-                est = np.pad(est, (0, mix.size - est.size))
-            s, r = sdr_sir(est[:mix.size], refs, i)
-            ms, _ = sdr_sir(mix, refs, i)
-            sdrs.append(s)
-            sirs.append(r)
-            improvements.append(s - ms)
-        details.append({"clips": [rec_a["id"], rec_b["id"]]})
-    row = {"model": "nmf", "sparsity": None, "accuracy": None,
-           "SDR": float(np.mean(sdrs)), "SIR": float(np.mean(sirs)), "IoU": None}
-    extras = {"median_SDR": float(np.median(sdrs)), "median_SIR": float(np.median(sirs)),
-              "mean_sdr_improvement": float(np.mean(improvements))}
+    def masks(spec, cat_a, cat_b):
+        return nmf_mod.nmf_separate(spec.magnitude, model.bases[cat_a], model.bases[cat_b],
+                                    iters=iters, seed=pair_seed)
+
+    means, extras, details = _score_mixtures(
+        _load_split(manifest, split), sample_mixture_pairs(manifest, split, pair_seed, n_mixtures),
+        toyworld.manifest_stft(manifest), masks, np.float64)
+    row = {"model": "nmf", "sparsity": None, "accuracy": None, **means, "IoU": None}
     return row, extras, details
 
 

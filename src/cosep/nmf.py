@@ -4,7 +4,8 @@ Per-category spectral bases are learned from solo training clips with
 multiplicative generalized-KL updates (columns L1-normalized after each
 sweep, with the scale folded into the activations so the divergence is
 untouched).  Separation fixes the concatenated bases, fits activations
-on the mixture magnitude, and emits Wiener-style ratio masks.
+on the mixture magnitude, and emits Wiener-style ratio masks.  Neither
+fit records its divergence; ``kl_divergence`` evaluates any iterate.
 """
 
 from __future__ import annotations
@@ -31,8 +32,23 @@ def _mu_update_w(v, w, h):
     return w * ((v / (w @ h + EPS)) @ h.T) / (h.sum(axis=1, keepdims=True).T + EPS)
 
 
-def nmf_fit(magnitudes, rank: int, iters: int = 200, seed: int = 0):
-    """Factor stacked category magnitudes; returns (W, divergence history).
+def _fit_iterates(v, rank: int, iters: int, seed: int):
+    """The seeded initial (W, H), then (W, H) after each update sweep."""
+    rng = np.random.default_rng(np.random.SeedSequence([0x4E4D46, seed]))
+    w = rng.uniform(0.1, 1.1, size=(v.shape[0], rank))
+    h = rng.uniform(0.1, 1.1, size=(rank, v.shape[1]))
+    yield w, h
+    for _ in range(iters):
+        h = _mu_update_h(v, w, h)
+        w = _mu_update_w(v, w, h)
+        scale = w.sum(axis=0)
+        w /= scale + EPS
+        h *= scale[:, None]
+        yield w, h
+
+
+def nmf_fit(magnitudes, rank: int, iters: int = 200, seed: int = 0) -> np.ndarray:
+    """Factor stacked category magnitudes; returns the bases W.
 
     ``magnitudes`` is one [bins, frames] array or a list of them
     (concatenated along time).  Columns of W are L1-normalized.
@@ -47,25 +63,15 @@ def nmf_fit(magnitudes, rank: int, iters: int = 200, seed: int = 0):
         raise ValueError("magnitudes must be non-negative")
     if not np.any(v > 0):
         raise ValueError("cannot factor an all-zero spectrogram")
-    bins, frames = v.shape
-    rng = np.random.default_rng(np.random.SeedSequence([0x4E4D46, seed]))
-    w = rng.uniform(0.1, 1.1, size=(bins, rank))
-    h = rng.uniform(0.1, 1.1, size=(rank, frames))
-    history = []
-    for _ in range(iters):
-        h = _mu_update_h(v, w, h)
-        w = _mu_update_w(v, w, h)
-        scale = w.sum(axis=0)
-        w /= scale + EPS
-        h *= scale[:, None]
-        history.append(kl_divergence(v, w @ h))
-    return w, history
+    for w, _ in _fit_iterates(v, rank, iters, seed):
+        pass
+    return w
 
 
 def nmf_separate(mixture_mag: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
                  iters: int = 150, seed: int = 0, init_h: np.ndarray | None = None):
-    """Fixed-bases activation fit on the mixture; returns
-    (mask_a, mask_b, divergence history) with Wiener ratio masks."""
+    """Fixed-bases activation fit on the mixture; returns the Wiener ratio
+    masks (mask_a, mask_b)."""
     v = np.asarray(mixture_mag, dtype=np.float64)
     w = np.concatenate([w_a, w_b], axis=1)
     if w.shape[0] != v.shape[0]:
@@ -76,16 +82,14 @@ def nmf_separate(mixture_mag: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
         h = rng.uniform(0.1, 1.1, size=(w.shape[1], v.shape[1]))
     else:
         h = np.asarray(init_h, dtype=np.float64).copy()
-    history = []
     for _ in range(iters):
         h = _mu_update_h(v, w, h)
-        history.append(kl_divergence(v, w @ h))
     va = w[:, :r_a] @ h[:r_a]
     vb = w[:, r_a:] @ h[r_a:]
     total = va + vb + EPS
     mask_a = dsp.MaskPlane(np.clip(va / total, 0, 1).astype(np.float32), "ratio")
     mask_b = dsp.MaskPlane(np.clip(vb / total, 0, 1).astype(np.float32), "ratio")
-    return mask_a, mask_b, history
+    return mask_a, mask_b
 
 
 class NmfModel:
@@ -125,6 +129,5 @@ def fit_category_bases(manifest: dict, split: str = "train", rank: int = 8,
         by_cat.setdefault(clip.category, []).append(dsp.stft(clip.wave, cfg).magnitude)
     model = NmfModel(rank)
     for cat in sorted(by_cat):
-        w, _ = nmf_fit(by_cat[cat], rank, iters=iters, seed=seed + cat)
-        model.bases[cat] = w
+        model.bases[cat] = nmf_fit(by_cat[cat], rank, iters=iters, seed=seed + cat)
     return model

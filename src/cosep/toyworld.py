@@ -327,17 +327,9 @@ def load_clip(manifest: dict, record: dict) -> AVClip:
     return AVClip(record["id"], record["category"], frame, wave, mask)
 
 
-def sample_pair(manifest: dict, rng, split: str = "train",
-                distinct_categories: bool = False) -> tuple[AVClip, AVClip]:
-    """Uniformly sample two clips (optionally of different categories)."""
-    records = manifest["splits"].get(split, [])
-    if len(records) < 2:
-        raise ValueError(f"split {split!r} needs at least 2 clips")
-    while True:
-        i, j = rng.integers(0, len(records), size=2)
-        if distinct_categories and records[i]["category"] == records[j]["category"]:
-            continue
-        return load_clip(manifest, records[i]), load_clip(manifest, records[j])
+def load_split(manifest: dict, split: str) -> list[AVClip]:
+    """Every clip of one split, in manifest order."""
+    return [load_clip(manifest, rec) for rec in manifest["splits"][split]]
 
 
 def mix_waves(a: np.ndarray, b: np.ndarray) -> np.ndarray:

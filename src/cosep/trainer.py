@@ -195,29 +195,13 @@ def _step_batch(batch, bundle: avnets.ModelBundle, opt: Adam, symmetric: bool) -
     return loss.item()
 
 
-def train_step(pair, bundle: avnets.ModelBundle, state: TrainState, opt: Adam,
-               manifest: dict, warp_bins: int = 64) -> float:
-    """One optimizer step on a single (AVClip, AVClip) pair."""
-    cfg = toyworld.manifest_stft(manifest)
-    a, b = (prepare_clip(c, cfg, warp_bins) for c in pair)
-    loss = _step_batch(_batch_arrays([(a, b)], warp_bins, cfg), bundle, opt, state.symmetric)
-    if not np.isfinite(loss):
-        raise TrainingDiverged(f"non-finite loss at state {state.dump()}")
-    return loss
-
-
 # ---------------------------------------------------------------------
 # schedule runner
 # ---------------------------------------------------------------------
 
-def mean_val_sparsity(bundle: avnets.ModelBundle, val_frames: np.ndarray,
-                      batch: int = 64) -> float:
-    values = []
-    with tc.no_grad():
-        for lo in range(0, val_frames.shape[0], batch):
-            _, _, v = avnets.image_forward(Tensor(val_frames[lo:lo + batch]), bundle)
-            values.extend(sparsity(row) for row in v.data)
-    return float(np.mean(values))
+def _val_sparsity(bundle: avnets.ModelBundle, val_frames: np.ndarray) -> float:
+    _, v = avnets.infer_images(val_frames, bundle)
+    return float(np.mean([sparsity(row) for row in v]))
 
 
 def _run_epoch(prepared, pair_idx, bundle, opt, state, cfg_stft, warp_bins) -> float:
@@ -258,7 +242,7 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
     cfg_stft = toyworld.manifest_stft(manifest)
     prepared = prepare_split(manifest, "train", warp_bins)
     categories = [p.category for p in prepared]
-    val_frames = np.stack([p.frame for p in prepare_split(manifest, "val", warp_bins)])
+    val_frames = np.stack([clip.frame for clip in toyworld.load_split(manifest, "val")])
     n = len(prepared)
     rng = np.random.default_rng(np.random.SeedSequence([0x7241, seed]))
     opt = Adam(bundle.param_list(), lr=cfg.lr)
@@ -295,7 +279,7 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
         for _ in range(cfg.sigmoid_epochs):
             pair_idx = _sample_pairs(rng, n, n, categories, distinct_pairs)
             loss = _run_epoch(prepared, pair_idx, bundle, opt, state, cfg_stft, warp_bins)
-            spars = mean_val_sparsity(bundle, val_frames)
+            spars = _val_sparsity(bundle, val_frames)
             state.loss_history.append(loss)
             state.sparsity_history.append(spars)
             state.epoch += 1
@@ -316,7 +300,7 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
             state.temperature = bundle.temperature
             pair_idx = _sample_pairs(rng, n, n, categories, distinct_pairs)
             loss = _run_epoch(prepared, pair_idx, bundle, opt, state, cfg_stft, warp_bins)
-            spars = mean_val_sparsity(bundle, val_frames)
+            spars = _val_sparsity(bundle, val_frames)
             state.loss_history.append(loss)
             state.sparsity_history.append(spars)
             state.epoch += 1

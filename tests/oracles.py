@@ -2,12 +2,17 @@
 
 The gradient checker here never looks at backward rules: it re-evaluates
 the forward pass under central finite differences in float64 and compares
-coordinate by coordinate against whatever backward produced.
+coordinate by coordinate against whatever backward produced.  The
+per-clip image metrics compute evaluation's IoU, sparsity and accuracy one
+clip and one forward at a time; the batched evaluation must equal them
+exactly.
 """
 
 import numpy as np
 
-from cosep import tensor as tc
+from cosep import avnets, tensor as tc, toyworld
+from cosep.disentangle import sparsity
+from cosep.metrics import iou
 
 
 def rel_err(a, b, floor=1e-6):
@@ -99,3 +104,34 @@ def brute_force_assignment(profit):
             best_p = p
             best = perm
     return list(best), best_p
+
+
+def per_clip_image_metrics(bundle, assignment, manifest, split, tau):
+    """Image-only metrics one clip at a time, as evaluation computed them
+    before the batched pass: mean IoU of a batch-1 segmentation, mean
+    sparsity of a batch-1 ``image_forward`` and argmax accuracy.  Returns
+    (IoU, sparsity, accuracy)."""
+    ious, spars, hits = [], [], 0
+    size = bundle.image_cfg.input_size
+    records = manifest["splits"][split]
+    for rec in records:
+        clip = toyworld.load_clip(manifest, rec)
+        channel = assignment.channel_for(clip.category)
+        with tc.no_grad():
+            maps, _, v = avnets.image_forward(avnets.frames_to_tensor(clip.frame), bundle)
+        m = maps.data[0].astype(np.float64)  # [K, h, w]
+        if bundle.mode == "sigmoid":
+            act = 1.0 / (1.0 + np.exp(-m))
+        else:
+            z = m / bundle.temperature
+            z -= z.max(axis=0, keepdims=True)
+            e = np.exp(z)
+            act = e / e.sum(axis=0, keepdims=True)
+        with tc.no_grad():
+            up = tc.upsample_bilinear(tc.Tensor(act[None, channel:channel + 1].astype(np.float32)),
+                                      size, size)
+        plane = up.data[0, 0]
+        ious.append(iou(plane >= tau * plane.max(), clip.gt_mask))
+        spars.append(sparsity(v.data[0]))
+        hits += int(np.argmax(v.data[0])) == channel
+    return float(np.mean(ious)), float(np.mean(spars)), hits / len(records)

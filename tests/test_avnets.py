@@ -5,7 +5,8 @@ import pytest
 
 from cosep import avnets, tensor as tc
 from cosep.avnets import (AudioNetCfg, ImageNetCfg, ModelBundle, audio_forward,
-                          audio_only_masks, image_forward, segment, synthesize_mask)
+                          audio_only_masks, image_forward, infer_images, segment,
+                          synthesize_mask)
 from cosep.tensor import Tensor
 
 
@@ -139,14 +140,11 @@ class TestSynthesizer:
 
 
 class TestAudioOnlyMasks:
-    def test_zero_feats_ratio_and_binary(self):
+    def test_zero_feats_give_half_ratio(self):
         feats = np.zeros((1, 4, 8, 8), dtype=np.float32)
         ratio = audio_only_masks(feats, [1])[0]
         assert ratio.kind == "ratio"
         np.testing.assert_allclose(ratio.values, 0.5, atol=1e-7)
-        binary = audio_only_masks(feats, [1], binary=True)[0]
-        assert binary.kind == "binary"
-        assert np.all(binary.values == 1)  # 0.5 maps to 1 under the >= rule
 
     def test_saturating_feats(self):
         feats = np.full((1, 2, 4, 4), 80.0, dtype=np.float32)
@@ -158,6 +156,28 @@ class TestAudioOnlyMasks:
             audio_only_masks(np.zeros((1, 4, 4, 4)), [4])
 
 
+class TestInferImages:
+    @pytest.mark.parametrize("mode", ["sigmoid", "softmax"])
+    def test_batch_one_equals_full_batch(self, bundle, monkeypatch, mode):
+        frames = np.random.default_rng(12).integers(0, 256, size=(7, 64, 64, 3), dtype=np.uint8)
+        bundle.set_mode(mode, 0.5)
+        try:
+            maps, v = infer_images(frames, bundle)
+            assert maps.dtype == np.float32 and maps.shape == (7, 16, 8, 8)
+            assert v.dtype == np.float64 and v.shape == (7, 16)
+            one = [infer_images(f, bundle) for f in frames]
+            assert np.array_equal(np.concatenate([m for m, _ in one]), maps)
+            assert np.array_equal(np.concatenate([x for _, x in one]), v)
+            monkeypatch.setattr(avnets, "INFER_BATCH", 3)  # batches of 3, 3 and 1
+            chunked = infer_images(frames, bundle)
+            assert np.array_equal(chunked[0], maps) and np.array_equal(chunked[1], v)
+            with tc.no_grad():
+                _, _, ref = image_forward(avnets.frames_to_tensor(frames), bundle)
+            assert np.array_equal(v, ref.data.astype(np.float64))
+        finally:
+            bundle.set_mode("sigmoid")
+
+
 class TestSegment:
     def test_constant_map_gives_full_mask(self):
         b = ModelBundle(ImageNetCfg(), AudioNetCfg(), seed=2)
@@ -166,32 +186,45 @@ class TestSegment:
         b.image.head_b.data[...] = 1.0
         b.trained = True
         frame = np.random.default_rng(10).integers(0, 255, size=(64, 64, 3), dtype=np.uint8)
+        maps, _ = infer_images(frame, b)
         for tau in (0.25, 0.5, 0.9):
-            assert segment(frame, b, channel=3, tau=tau).all()
+            assert segment(maps, b, [3], tau=tau).all()
 
     def test_gaussian_bump_gives_connected_region(self, bundle, monkeypatch):
         yy, xx = np.mgrid[0:8, 0:8]
         bump = np.exp(-((yy - 3.0) ** 2 + (xx - 4.0) ** 2) / 2.0).astype(np.float32)
-        maps = np.zeros((1, 16, 8, 8), dtype=np.float32)
+        maps = np.zeros((2, 16, 8, 8), dtype=np.float32)
         maps[0, 2] = 8 * bump - 4  # negative background, positive peak
-        monkeypatch.setattr(bundle.image, "maps", lambda f: Tensor(maps))
+        maps[1, 5] = (8 * bump - 4).T
         monkeypatch.setattr(bundle, "trained", True)
-        mask = segment(np.zeros((64, 64, 3), dtype=np.uint8), bundle, channel=2, tau=0.5)
+        masks = segment(maps, bundle, [2, 5], tau=0.5)
+        assert masks.shape == (2, 64, 64) and masks.dtype == bool
+        mask = masks[0]
         assert mask[int(3 / 7 * 63), int(4 / 7 * 63)]
         assert 0 < mask.mean() < 0.6
         rows = np.nonzero(mask.any(axis=1))[0]
         assert np.all(np.diff(rows) == 1)  # vertically contiguous blob
+        # each sample uses its own channel, as when segmented alone
+        assert np.array_equal(masks[1], segment(maps[1:], bundle, [5], tau=0.5)[0])
+        assert not np.array_equal(masks[1], mask)
 
     def test_untrained_warns(self, bundle):
-        frame = np.zeros((64, 64, 3), dtype=np.uint8)
+        maps = np.zeros((1, 16, 8, 8), dtype=np.float32)
         with pytest.warns(UserWarning, match="untrained"):
-            segment(frame, bundle, channel=0, tau=0.5)
+            segment(maps, bundle, [0], tau=0.5)
 
     def test_invalid_tau(self, bundle):
-        frame = np.zeros((64, 64, 3), dtype=np.uint8)
+        maps = np.zeros((1, 16, 8, 8), dtype=np.float32)
         for tau in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError, match="tau"):
-                segment(frame, bundle, channel=0, tau=tau)
+                segment(maps, bundle, [0], tau=tau)
+
+    def test_invalid_channels(self, bundle):
+        maps = np.zeros((2, 16, 8, 8), dtype=np.float32)
+        with pytest.raises(ValueError, match="out of range"):
+            segment(maps, bundle, [0, 16], tau=0.5)
+        with pytest.raises(ValueError, match="1 channels for 2 maps"):
+            segment(maps, bundle, [0], tau=0.5)
 
 
 class TestCheckpoint:

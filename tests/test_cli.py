@@ -8,7 +8,9 @@ import types
 import numpy as np
 import pytest
 
-from cosep import cli, dsp, toyworld as tw
+from cosep import avnets, cli, disentangle, dsp, metrics, toyworld as tw
+
+from oracles import per_clip_image_metrics
 
 
 def tiny_config(tmp_path, **schedule_overrides):
@@ -72,6 +74,14 @@ class TestConfigValidation:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["make-data", "-c", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize("tau", [1.5, 0, "half"])
+    def test_eval_tau_outside_unit_interval_rejected(self, tmp_path, capsys, tau):
+        cfg = tiny_config(tmp_path)
+        cfg["eval"]["tau"] = tau
+        assert cli.main(["eval", "-c", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG:") and "eval.tau" in err and len(err.splitlines()) == 1
 
     def test_help_enumerates_config_fields(self, capsys):
         with pytest.raises(SystemExit):
@@ -214,3 +224,75 @@ class TestPipeline:
     def test_unknown_clip_rejected(self, pipeline, capsys):
         _, cfg_path = pipeline
         assert cli.main(["separate", "-c", cfg_path, "--clips", "nope_0001,nope_0002"]) == 2
+
+    def test_separate_needs_two_clip_ids(self, pipeline, capsys):
+        tmp_path, cfg_path = pipeline
+        recs = tw.load_manifest(tmp_path / "data")["splits"]["test"]
+        for ids in ([recs[0]["id"]], [r["id"] for r in recs[:3]]):
+            assert cli.main(["separate", "-c", cfg_path, "--clips", ",".join(ids)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("E_CONFIG:") and "two clip ids" in err
+            assert len(err.splitlines()) == 1
+
+    def test_segment_tau_outside_unit_interval_rejected(self, pipeline, capsys):
+        tmp_path, cfg_path = pipeline
+        manifest = tw.load_manifest(tmp_path / "data")
+        rec = manifest["splits"]["test"][0]
+        name = tw.manifest_categories(manifest)[rec["category"]].name
+        image = tmp_path / "data" / rec["frame"]
+        assert cli.main(["segment", "-c", cfg_path, "--image", str(image),
+                         "--category", name, "--tau", "1.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG:") and "--tau" in err and len(err.splitlines()) == 1
+
+
+def frames_through_maps(monkeypatch):
+    """Record the frames each no-grad ImageNet.maps call receives."""
+    seen = []
+    real = avnets.ImageNet.maps
+
+    def maps(self, frames):
+        out = real(self, frames)
+        if not out.requires_grad:
+            seen.append(frames.data.copy())
+        return out
+
+    monkeypatch.setattr(avnets.ImageNet, "maps", maps)
+    return seen
+
+
+class TestOneImagePass:
+    @staticmethod
+    def loaded(tmp_path, cfg_path):
+        cfg = cli.load_config(cfg_path)
+        manifest = tw.load_manifest(tmp_path / "data")
+        bundle, _ = avnets.ModelBundle.load(tmp_path / "artifacts" / "checkpoint_final.ckpt")
+        asg, _ = disentangle.Assignment.load(tmp_path / "artifacts" / "assignment.json")
+        return cfg, manifest, bundle, asg
+
+    def test_batched_metrics_equal_per_clip_reference(self, pipeline):
+        cfg, manifest, bundle, asg = self.loaded(*pipeline)
+        tau = cfg["eval"]["tau"]
+        row, _, _ = metrics.evaluate_network(bundle, asg, manifest, "test", pair_seed=2,
+                                             n_mixtures=1, tau=tau)
+        ref_iou, ref_sparsity, ref_accuracy = per_clip_image_metrics(
+            bundle, asg, manifest, "test", tau)
+        assert row["IoU"] == ref_iou
+        assert row["sparsity"] == ref_sparsity
+        assert row["accuracy"] == ref_accuracy
+
+    def test_evaluation_forwards_each_test_frame_once(self, pipeline, monkeypatch):
+        _, manifest, bundle, asg = self.loaded(*pipeline)
+        seen = frames_through_maps(monkeypatch)
+        metrics.evaluate_network(bundle, asg, manifest, "test", pair_seed=2, n_mixtures=2)
+        frames = np.stack([c.frame for c in tw.load_split(manifest, "test")])
+        assert np.array_equal(np.concatenate(seen), avnets.frames_to_tensor(frames).data)
+
+    def test_assign_forwards_val_split_once(self, pipeline, monkeypatch):
+        tmp_path, cfg_path = pipeline
+        before = (tmp_path / "artifacts" / "assignment.json").read_text()
+        seen = frames_through_maps(monkeypatch)
+        assert cli.main(["assign", "-c", cfg_path]) == 0
+        frames = np.stack([c.frame for c in tw.load_split(tw.load_manifest(tmp_path / "data"), "val")])
+        assert np.array_equal(np.concatenate(seen), avnets.frames_to_tensor(frames).data)
+        assert (tmp_path / "artifacts" / "assignment.json").read_text() == before

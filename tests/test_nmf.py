@@ -7,19 +7,29 @@ from cosep import dsp, nmf, toyworld as tw
 from cosep.metrics import sdr_sir
 
 
+def fit_history(v, rank, iters, seed):
+    """Divergence after each sweep of the fit nmf_fit runs, and its W."""
+    history = []
+    for w, h in nmf._fit_iterates(v, rank, iters, seed):
+        history.append(nmf.kl_divergence(v, w @ h))
+    assert np.array_equal(w, nmf.nmf_fit(v, rank, iters=iters, seed=seed))
+    return history[1:]
+
+
 class TestFit:
     def test_rank_one_exact_recovery(self):
         rng = np.random.default_rng(1)
         w = rng.random(64) + 0.1
         h = rng.random(40) + 0.1
         v = np.outer(w, h)
-        _, history = nmf.nmf_fit(v, rank=1, iters=200, seed=0)
+        history = fit_history(v, rank=1, iters=200, seed=0)
         assert history[-1] <= 1e-6
 
     def test_divergence_monotone_on_random_data(self):
         rng = np.random.default_rng(2)
         v = rng.random((48, 60)) * 3
-        _, history = nmf.nmf_fit(v, rank=5, iters=120, seed=1)
+        history = fit_history(v, rank=5, iters=120, seed=1)
+        assert len(history) == 120
         for a, b in zip(history, history[1:]):
             assert b <= a + 1e-9 * (1 + abs(a))
 
@@ -33,7 +43,7 @@ class TestFit:
 
     def test_factors_nonnegative_and_normalized(self):
         rng = np.random.default_rng(3)
-        w, _ = nmf.nmf_fit(rng.random((32, 50)), rank=4, iters=60, seed=2)
+        w = nmf.nmf_fit(rng.random((32, 50)), rank=4, iters=60, seed=2)
         assert np.all(w >= 0)
         np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-6)
 
@@ -44,16 +54,25 @@ class TestSeparate:
         v = rng.random((32, 40)) * 2
         w_a = rng.random((32, 3))
         w_b = rng.random((32, 3))
-        _, _, history = nmf.nmf_separate(v, w_a, w_b, iters=80, seed=3)
+        w = np.concatenate([w_a, w_b], axis=1)
+        h0 = rng.uniform(0.1, 1.1, size=(6, 40))
+        h = h0
+        history = []
+        for _ in range(80):  # the activation update nmf_separate iterates
+            h = nmf._mu_update_h(v, w, h)
+            history.append(nmf.kl_divergence(v, w @ h))
         for a, b in zip(history, history[1:]):
             assert b <= a + 1e-9 * (1 + abs(a))
+        m_a, _ = nmf.nmf_separate(v, w_a, w_b, iters=80, init_h=h0)
+        va, vb = w[:, :3] @ h[:3], w[:, 3:] @ h[3:]
+        assert np.array_equal(m_a.values, np.clip(va / (va + vb + nmf.EPS), 0, 1).astype(np.float32))
 
     def test_masks_sum_to_one_where_energy(self):
         rng = np.random.default_rng(5)
         v = rng.random((32, 40)) + 0.05
         w_a = rng.random((32, 4))
         w_b = rng.random((32, 4))
-        m_a, m_b, _ = nmf.nmf_separate(v, w_a, w_b, iters=50, seed=4)
+        m_a, m_b = nmf.nmf_separate(v, w_a, w_b, iters=50, seed=4)
         total = m_a.values.astype(np.float64) + m_b.values.astype(np.float64)
         # reconstruction energy far above the epsilon guard
         assert np.all(np.abs(total - 1.0) <= 1e-3)
@@ -69,8 +88,8 @@ class TestSeparate:
         w_a = rng.random((24, 3))
         w_b = rng.random((24, 3))
         h0 = rng.uniform(0.1, 1.1, size=(6, 30))
-        m1, _, _ = nmf.nmf_separate(v, w_a, w_b, iters=200, init_h=h0)
-        m2, _, _ = nmf.nmf_separate(2 * v, w_a, w_b, iters=200, init_h=2 * h0)
+        m1, _ = nmf.nmf_separate(v, w_a, w_b, iters=200, init_h=h0)
+        m2, _ = nmf.nmf_separate(2 * v, w_a, w_b, iters=200, init_h=2 * h0)
         assert np.max(np.abs(m1.values - m2.values)) <= 1e-6
 
 
@@ -87,7 +106,7 @@ class TestToySeparation:
         assert a.category != b.category
         mix = tw.mix_waves(a.wave, b.wave)
         spec = dsp.stft(mix, cfg)
-        m_a, m_b, _ = nmf.nmf_separate(spec.magnitude, model.bases[a.category],
+        m_a, m_b = nmf.nmf_separate(spec.magnitude, model.bases[a.category],
                                        model.bases[b.category], iters=150, seed=1)
         refs = [0.5 * a.wave, 0.5 * b.wave]
         for idx, mask in enumerate([m_a, m_b]):

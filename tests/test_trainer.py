@@ -99,14 +99,41 @@ class TestTemperatureSchedule:
         assert tr.ScheduleConfig.from_json(cfg.to_json()) == cfg
 
 
+class TestSamplePairs:
+    @staticmethod
+    def categories(dataset):
+        return [rec["category"] for rec in dataset["splits"]["train"]]
+
+    def test_pair_sampling_reproducible(self, mini_dataset):
+        cats = self.categories(mini_dataset)
+        draws = [tr._sample_pairs(np.random.default_rng(5), len(cats), 40, cats, distinct)
+                 for distinct in (False, False, True, True)]
+        assert draws[0].shape == (40, 2)
+        assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[2], draws[3])
+
+    def test_distinct_category_flag(self, mini_dataset):
+        cats = np.array(self.categories(mini_dataset))
+        pairs = tr._sample_pairs(np.random.default_rng(23), len(cats), 200, cats, False)
+        assert np.any(cats[pairs[:, 0]] == cats[pairs[:, 1]])  # the flag has work to do
+        pairs = tr._sample_pairs(np.random.default_rng(23), len(cats), 200, cats, True)
+        assert np.all(cats[pairs[:, 0]] != cats[pairs[:, 1]])
+
+
 class TestTrainStep:
+    @staticmethod
+    def one_pair(dataset, seed):
+        prepared = tr.prepare_split(dataset, "train", MINI_WARP)
+        cats = [p.category for p in prepared]
+        pair_idx = tr._sample_pairs(np.random.default_rng(seed), len(prepared), 1, cats, False)
+        return prepared, pair_idx
+
     def test_initial_loss_near_ln2(self, mini_dataset):
         bundle = mini_bundle(seed=1)
         opt = Adam(bundle.param_list(), lr=1e-3)
-        state = tr.TrainState(seed=0)
-        rng = np.random.default_rng(2)
-        pair = tw.sample_pair(mini_dataset, rng)
-        loss = tr.train_step(pair, bundle, state, opt, mini_dataset, warp_bins=MINI_WARP)
+        prepared, ((i, j),) = self.one_pair(mini_dataset, 2)
+        batch = tr._batch_arrays([(prepared[i], prepared[j])], MINI_WARP,
+                                 tw.manifest_stft(mini_dataset))
+        loss = tr._step_batch(batch, bundle, opt, symmetric=True)
         assert abs(loss - math.log(2)) <= 0.15
 
     def test_nan_aborts_with_state_dump(self, mini_dataset):
@@ -114,9 +141,10 @@ class TestTrainStep:
         bundle.synth_w.data[0] = np.nan
         opt = Adam(bundle.param_list(), lr=1e-3)
         state = tr.TrainState(seed=0)
-        pair = tw.sample_pair(mini_dataset, np.random.default_rng(3))
+        prepared, pair_idx = self.one_pair(mini_dataset, 3)
         with pytest.raises(tr.TrainingDiverged, match="stage"):
-            tr.train_step(pair, bundle, state, opt, mini_dataset, warp_bins=MINI_WARP)
+            tr._run_epoch(prepared, pair_idx, bundle, opt, state,
+                          tw.manifest_stft(mini_dataset), MINI_WARP)
 
 
 class TestStepBatch:
