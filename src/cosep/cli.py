@@ -10,6 +10,16 @@ line on stderr: ``E_CONFIG`` (bad config, exit 2), ``E_MISSING_ARTIFACT``
 (run the named upstream command first, exit 3), ``E_CONFIG_DRIFT``
 (artifact built under a different config, exit 4).
 
+The schedule is chosen by the config alone: ``schedule.preset`` names a
+preset of ``trainer.PRESETS`` (resolved by ``trainer.preset_schedule``),
+or null with explicit fields.  The schedule is built and validated when
+the config loads, so a bad one fails every command with ``E_CONFIG``.
+``train --resume`` restarts the fine-tune stage from the stage-boundary
+checkpoint; a missing file is ``E_MISSING_ARTIFACT``, an unreadable one
+or a schedule without fine-tune epochs ``E_CONFIG``, and a checkpoint
+written under another configuration ``E_CONFIG_DRIFT``, each before any
+file is written.
+
 The environment variable COSEP_THREADS bounds numerical worker threads
 (default: hardware parallelism) through the optional ``threadpoolctl``
 package; without it a note on stderr says the cap has no effect.  A
@@ -84,7 +94,7 @@ SCHEMA = {
     },
 }
 
-# fields a schedule preset determines; giving them alongside a preset is an error
+# fields every preset determines; an explicit schedule (no preset) must give them
 PRESET_FIELDS = ("softmax_epochs", "initial_T", "decay_rate", "decay_epochs")
 
 
@@ -129,10 +139,7 @@ def normalize_config(raw: dict) -> dict:
     if sched["preset"] is not None:
         if sched["preset"] not in trainer.PRESETS:
             raise CliError("E_CONFIG", f"schedule.preset {sched['preset']!r} unknown")
-        clash = [f for f in PRESET_FIELDS if sched[f] is not None]
-        pinned = trainer.PRESETS[sched["preset"]]
-        if "sigmoid_epochs" in pinned and sched["sigmoid_epochs"] is not None:
-            clash.append("sigmoid_epochs")
+        clash = [f for f in trainer.PRESETS[sched["preset"]] if sched[f] is not None]
         if clash:
             raise CliError("E_CONFIG",
                            f"schedule.preset conflicts with explicit schedule.{clash[0]}")
@@ -140,6 +147,13 @@ def normalize_config(raw: dict) -> dict:
         for f in PRESET_FIELDS:
             if sched[f] is None:
                 raise CliError("E_CONFIG", f"schedule.{f} required when no preset is given")
+    try:
+        schedule_config(cfg)
+    except (TypeError, ValueError) as exc:
+        raise CliError("E_CONFIG", f"schedule: {exc}")
+    pairs = sched["batch_pairs"]
+    if isinstance(pairs, bool) or not isinstance(pairs, int) or pairs < 1:
+        raise CliError("E_CONFIG", f"schedule.batch_pairs must be a positive integer, got {pairs!r}")
 
     if cfg["stft"]["preset"] is None:
         for f in ("sample_rate", "window_size", "hop"):
@@ -187,18 +201,13 @@ def stft_config(cfg: dict) -> dsp.StftConfig:
 
 
 def schedule_config(cfg: dict) -> trainer.ScheduleConfig:
-    sched = cfg["schedule"]
-    if sched["preset"] is not None:
-        fields = dict(trainer.PRESETS[sched["preset"]])
-        if "sigmoid_epochs" not in fields:
-            fields["sigmoid_epochs"] = 15 if sched["sigmoid_epochs"] is None else sched["sigmoid_epochs"]
-    else:
-        fields = {f: sched[f] for f in PRESET_FIELDS}
-        fields["sigmoid_epochs"] = sched["sigmoid_epochs"] or 0
-    fields["decay_epochs"] = tuple(fields.get("decay_epochs") or ())
-    fields["lr"] = sched["lr"]
-    fields["lr_finetune_divisor"] = sched["lr_finetune_divisor"]
-    return trainer.ScheduleConfig(**fields)
+    s = cfg["schedule"]
+    if s["preset"] is not None:
+        return trainer.preset_schedule(s["preset"], s["sigmoid_epochs"], s["lr"],
+                                       s["lr_finetune_divisor"])
+    return trainer.ScheduleConfig(s["sigmoid_epochs"] or 0, lr=s["lr"],
+                                  lr_finetune_divisor=s["lr_finetune_divisor"],
+                                  **{f: s[f] for f in PRESET_FIELDS})
 
 
 def build_bundle(cfg: dict) -> avnets.ModelBundle:
@@ -321,17 +330,21 @@ def cmd_make_data(cfg: dict, args) -> int:
 
 def cmd_train(cfg: dict, args) -> int:
     manifest = _require_dataset(cfg)
+    if args.resume and not Path(args.resume).is_file():
+        raise CliError("E_MISSING_ARTIFACT", f"resume checkpoint {args.resume} missing; run train")
     paths = _paths(cfg)
     paths["artifacts"].mkdir(parents=True, exist_ok=True)
     bundle = build_bundle(cfg)
-    sched = schedule_config(cfg)
-    state = trainer.run_schedule(
-        sched, manifest, bundle, out_dir=paths["artifacts"],
-        seed=cfg["schedule"]["seed"], warp_bins=cfg["stft"]["warp_bins"],
-        batch_pairs=cfg["schedule"]["batch_pairs"], symmetric=cfg["schedule"]["symmetric"],
-        distinct_pairs=cfg["schedule"]["distinct_pairs"], log_path=paths["train_log"],
-        resume_from=args.resume if getattr(args, "resume", None) else None,
-        config_hash=artifact_hash(cfg, "checkpoint"), quiet=not args.verbose)
+    try:
+        state = trainer.run_schedule(
+            schedule_config(cfg), manifest, bundle, out_dir=paths["artifacts"],
+            seed=cfg["schedule"]["seed"], warp_bins=cfg["stft"]["warp_bins"],
+            batch_pairs=cfg["schedule"]["batch_pairs"], symmetric=cfg["schedule"]["symmetric"],
+            distinct_pairs=cfg["schedule"]["distinct_pairs"], log_path=paths["train_log"],
+            resume_from=args.resume or None, config_hash=artifact_hash(cfg, "checkpoint"),
+            quiet=not args.verbose)
+    except trainer.ResumeError as exc:
+        raise CliError("E_CONFIG_DRIFT" if exc.drift else "E_CONFIG", f"--resume: {exc}")
     _update_run_manifest(cfg, "checkpoint", paths["checkpoint"])
     final_t = bundle.temperature if bundle.mode == "softmax" else None
     print(f"trained {state.epoch} epochs; final loss {state.loss_history[-1]:.4f}"
@@ -437,14 +450,15 @@ def cmd_eval(cfg: dict, args) -> int:
     paths = _paths(cfg)
     e = cfg["eval"]
     name = cfg["schedule"]["preset"] or "custom"
-    row, extras, _ = metrics.evaluate_network(bundle, asg, manifest, "test",
+    clips = metrics.split_clips(manifest, "test")
+    row, extras, _ = metrics.evaluate_network(bundle, asg, manifest, "test", clips,
                                               pair_seed=e["pair_seed"], n_mixtures=e["n_mixtures"],
                                               tau=e["tau"], model_name=name)
     rows = [row]
     named_extras = {name: extras}
     if e["include_nmf"]:
         model = _fit_or_load_nmf(cfg, manifest)
-        nrow, nextras, _ = metrics.evaluate_nmf(model, manifest, "test",
+        nrow, nextras, _ = metrics.evaluate_nmf(model, manifest, "test", clips,
                                                 pair_seed=e["pair_seed"],
                                                 n_mixtures=e["n_mixtures"], iters=e["nmf_iters"])
         rows.append(nrow)
@@ -552,7 +566,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     add("make-data", cmd_make_data, "generate the synthetic dataset")
     p_train = add("train", cmd_train, "run the two-stage training schedule")
-    p_train.add_argument("--preset", help="schedule preset override (A-E, softmax-only, ...)")
     p_train.add_argument("--resume", help="resume from the stage-boundary checkpoint")
     p_train.add_argument("--verbose", action="store_true", help="per-epoch progress lines")
     add("assign", cmd_assign, "assign categories to channels on the validation split")
@@ -590,13 +603,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_thread_cap()
-        cfg = load_config(args.config)
-        if getattr(args, "preset", None):
-            with open(args.config) as fh:
-                raw = json.load(fh)
-            raw.setdefault("schedule", {})["preset"] = args.preset
-            cfg = normalize_config(raw)
-        return args.fn(cfg, args)
+        return args.fn(load_config(args.config), args)
     except CliError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.code, 1)

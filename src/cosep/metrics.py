@@ -186,20 +186,22 @@ def _score_mixtures(clips: dict, pairs, cfg: dsp.StftConfig, mask_fn, dtype):
     return means, extras, details
 
 
-def _load_split(manifest: dict, split: str) -> dict:
+def split_clips(manifest: dict, split: str) -> dict:
+    """Every clip of one split by clip id, in manifest order: the
+    ``clips`` argument of the two evaluations."""
     clips = {clip.clip_id: clip for clip in toyworld.load_split(manifest, split)}
     if not clips:
         raise ValueError(f"split {split!r} is empty")
     return clips
 
 
-def evaluate_network(bundle, assignment: Assignment, manifest: dict,
-                     split: str = "test", pair_seed: int = 0, n_mixtures: int = 40,
+def evaluate_network(bundle, assignment: Assignment, manifest: dict, split: str, clips: dict,
+                     pair_seed: int = 0, n_mixtures: int = 40,
                      tau: float = 0.5, model_name: str = "model"):
-    """Full image-only + audio-only evaluation; returns (summary row,
-    extras, per-item details)."""
+    """Full image-only + audio-only evaluation on ``clips``, the
+    ``split_clips`` of ``split``; returns (summary row, extras, per-item
+    details)."""
     cfg = toyworld.manifest_stft(manifest)
-    clips = _load_split(manifest, split)
 
     # image-only: segmentation + channel sparsity + classification
     cats = [c.category for c in clips.values()]
@@ -221,16 +223,17 @@ def evaluate_network(bundle, assignment: Assignment, manifest: dict,
     return row, extras, {"segmentation": seg_details, "separation": sep_details}
 
 
-def evaluate_nmf(model: "nmf_mod.NmfModel", manifest: dict, split: str = "test",
+def evaluate_nmf(model: "nmf_mod.NmfModel", manifest: dict, split: str, clips: dict,
                  pair_seed: int = 0, n_mixtures: int = 40, iters: int = 150):
     """Separation-only evaluation of the NMF baseline on the same seeded
-    mixture schedule (no image branch: sparsity/accuracy/IoU are blank)."""
+    mixture schedule over ``clips``, the ``split_clips`` of ``split`` (no
+    image branch: sparsity/accuracy/IoU are blank)."""
     def masks(spec, cat_a, cat_b):
         return nmf_mod.nmf_separate(spec.magnitude, model.bases[cat_a], model.bases[cat_b],
                                     iters=iters, seed=pair_seed)
 
     means, extras, details = _score_mixtures(
-        _load_split(manifest, split), sample_mixture_pairs(manifest, split, pair_seed, n_mixtures),
+        clips, sample_mixture_pairs(manifest, split, pair_seed, n_mixtures),
         toyworld.manifest_stft(manifest), masks, np.float64)
     row = {"model": "nmf", "sparsity": None, "accuracy": None, **means, "IoU": None}
     return row, extras, details

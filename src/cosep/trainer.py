@@ -5,7 +5,10 @@ Stage one trains with a sigmoid head at the base learning rate; stage
 two switches to temperature softmax, divides the learning rate by the
 fine-tune divisor, and decays the temperature at the configured epochs,
 pushing the pooled visual vector toward one-hot and sparsifying the
-shared channels.
+shared channels.  ``epoch_plan`` spells the schedule out as one
+(stage, mode, temperature, lr) row per epoch, and ``run_schedule`` runs
+every epoch in one loop over that plan; a resumed run enters the same
+loop at the first fine-tune epoch.
 
 An epoch is one pass over N uniformly sampled clip pairs, N being the
 train-clip count.  Pairs are consumed in fixed order in small batches,
@@ -18,7 +21,7 @@ of the two one-sided losses.
 
 from __future__ import annotations
 
-import json
+import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -45,8 +48,11 @@ class ScheduleConfig:
     lr_finetune_divisor: float = 5.0
 
     def __post_init__(self):
-        if self.sigmoid_epochs < 0 or self.softmax_epochs < 0:
-            raise ValueError("epoch counts must be non-negative")
+        epochs = (self.sigmoid_epochs, self.softmax_epochs)
+        if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in epochs):
+            raise ValueError(f"epoch counts must be non-negative integers, got {epochs}")
+        if sum(epochs) == 0:
+            raise ValueError("the schedule needs at least one epoch")
         if not self.initial_T > 0:
             raise ValueError("initial temperature must be positive")
         if not 0 < self.decay_rate < 1:
@@ -61,20 +67,10 @@ class ScheduleConfig:
                 f"decay epochs {decays} must lie within [1, {self.softmax_epochs}]")
         object.__setattr__(self, "decay_epochs", decays)
 
-    @property
-    def final_temperature(self) -> float:
-        return self.initial_T * self.decay_rate ** len(self.decay_epochs)
-
     def to_json(self) -> dict:
         d = asdict(self)
         d["decay_epochs"] = list(self.decay_epochs)
         return d
-
-    @staticmethod
-    def from_json(d: dict) -> "ScheduleConfig":
-        d = dict(d)
-        d["decay_epochs"] = tuple(d.get("decay_epochs", ()))
-        return ScheduleConfig(**d)
 
 
 # Learning-schedule presets: softmax epochs, initial temperature, decay
@@ -98,15 +94,15 @@ PRESETS: dict = {
 }
 
 
-def preset_schedule(name: str, sigmoid_epochs: int = 15, lr: float = 1e-3) -> ScheduleConfig:
-    """ScheduleConfig for a named preset; ``sigmoid_epochs`` applies to
-    presets that do not pin their own."""
+def preset_schedule(name: str, sigmoid_epochs: int | None = None, lr: float = 1e-3,
+                    lr_finetune_divisor: float = 5.0) -> ScheduleConfig:
+    """ScheduleConfig for a named preset; ``sigmoid_epochs`` (default 15)
+    applies to presets that do not pin their own."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     fields = dict(PRESETS[name])
-    fields.setdefault("sigmoid_epochs", sigmoid_epochs)
-    fields.setdefault("lr", lr)
-    return ScheduleConfig(**fields)
+    fields.setdefault("sigmoid_epochs", 15 if sigmoid_epochs is None else sigmoid_epochs)
+    return ScheduleConfig(**fields, lr=lr, lr_finetune_divisor=lr_finetune_divisor)
 
 
 def temperature_at(cfg: ScheduleConfig, finetune_epoch: int) -> float:
@@ -116,6 +112,16 @@ def temperature_at(cfg: ScheduleConfig, finetune_epoch: int) -> float:
         raise ValueError("epoch must be non-negative")
     n = sum(1 for e in cfg.decay_epochs if e <= finetune_epoch)
     return cfg.initial_T * cfg.decay_rate ** n
+
+
+def epoch_plan(cfg: ScheduleConfig) -> list[tuple[str, str, float | None, float]]:
+    """(stage, mode, temperature, lr) of every epoch in order.  Sigmoid
+    epochs carry no temperature; fine-tune epoch e (1-based) runs at
+    ``temperature_at(cfg, e)`` and the divided learning rate."""
+    fine_lr = cfg.lr / cfg.lr_finetune_divisor
+    return ([("training", "sigmoid", None, cfg.lr)] * cfg.sigmoid_epochs
+            + [("finetune", "softmax", temperature_at(cfg, e), fine_lr)
+               for e in range(1, cfg.softmax_epochs + 1)])
 
 
 @dataclass
@@ -225,6 +231,15 @@ def _sample_pairs(rng, n_clips: int, n_pairs: int, categories, distinct: bool) -
     return idx
 
 
+class ResumeError(ValueError):
+    """The resume checkpoint cannot continue this schedule; ``drift`` is
+    set when it was written under a different configuration."""
+
+    def __init__(self, message: str, drift: bool = False):
+        super().__init__(message)
+        self.drift = drift
+
+
 def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle,
                  out_dir=None, seed: int = 0, warp_bins: int = 64,
                  batch_pairs: int = 8, symmetric: bool = True,
@@ -236,9 +251,24 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
     Checkpoints are written at the stage boundary and at the end when
     ``out_dir`` is given.  ``resume_from`` accepts the stage-boundary
     checkpoint and restarts the fine-tune stage (its recorded schedule
-    must match ``cfg``).
+    must match ``cfg``); it is checked before anything is written and
+    rejected with ``ResumeError``.
     """
     state = TrainState(seed=seed, batch_pairs=batch_pairs, symmetric=symmetric)
+    if resume_from is not None:
+        if cfg.softmax_epochs == 0:
+            raise ResumeError("the schedule has no fine-tune epochs to resume")
+        try:
+            loaded, meta = avnets.ModelBundle.load(resume_from)
+        except (ValueError, struct.error) as exc:
+            raise ResumeError(f"unreadable checkpoint: {exc}") from exc
+        if meta.get("schedule") != cfg.to_json() or (
+                config_hash and meta.get("config_hash") not in ("", config_hash)):
+            raise ResumeError("resume checkpoint was produced under a different configuration",
+                              drift=True)
+        for name, param in bundle.params().items():
+            param.data[...] = loaded.params()[name].data
+        state.epoch = cfg.sigmoid_epochs
     cfg_stft = toyworld.manifest_stft(manifest)
     prepared = prepare_split(manifest, "train", warp_bins)
     categories = [p.category for p in prepared]
@@ -252,65 +282,39 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
 
     log_rows = [("epoch", "stage", "T", "lr", "loss", "sparsity")]
 
-    def log(epoch, stage, temp, lr, loss, spars):
-        log_rows.append((str(epoch), stage, "" if temp is None else f"{temp:.6g}",
-                         f"{lr:.6g}", f"{loss:.6f}", f"{spars:.6f}"))
-        if not quiet:
-            print(f"epoch {epoch:3d} [{stage}] T={temp} lr={lr:.2e} "
-                  f"loss={loss:.4f} sparsity={spars:.4f}")
+    def save(name, stage):
+        if out_dir is not None:
+            bundle.save(out_dir / name, extra_meta={"schedule": cfg.to_json(), "config_hash": config_hash,
+                                                    "completed_stage": stage})
 
-    def flush_log():
+    # One pass per row of the plan.  The boundary checkpoint is taken once
+    # the sigmoid stage is complete: before the first fine-tune epoch, or
+    # at the end of a sigmoid-only schedule; it is recorded in sigmoid mode.
+    plan = epoch_plan(cfg)
+    bundle.set_mode("sigmoid")
+    while True:
+        if state.epoch == cfg.sigmoid_epochs and resume_from is None:
+            save("checkpoint_sigmoid.ckpt", "training")
+        if state.epoch == len(plan):
+            break
+        state.stage, mode, state.temperature, opt.lr = plan[state.epoch]
+        bundle.set_mode(mode, state.temperature)
+        pair_idx = _sample_pairs(rng, n, n, categories, distinct_pairs)
+        loss = _run_epoch(prepared, pair_idx, bundle, opt, state, cfg_stft, warp_bins)
+        spars = _val_sparsity(bundle, val_frames)
+        state.loss_history.append(loss)
+        state.sparsity_history.append(spars)
+        state.epoch += 1
+        temp = state.temperature
+        log_rows.append((str(state.epoch), state.stage, "" if temp is None else f"{temp:.6g}",
+                         f"{opt.lr:.6g}", f"{loss:.6f}", f"{spars:.6f}"))
+        if not quiet:
+            print(f"epoch {state.epoch:3d} [{state.stage}] T={temp} lr={opt.lr:.2e} "
+                  f"loss={loss:.4f} sparsity={spars:.4f}")
         if log_path is not None:
             with open(log_path, "w") as fh:
                 fh.write("\n".join(",".join(r) for r in log_rows) + "\n")
 
-    if resume_from is not None:
-        loaded, meta = avnets.ModelBundle.load(resume_from)
-        recorded = meta.get("schedule")
-        if recorded != cfg.to_json() or (config_hash and meta.get("config_hash") not in ("", config_hash)):
-            raise ValueError("resume checkpoint was produced under a different configuration")
-        for name, param in bundle.params().items():
-            param.data[...] = loaded.params()[name].data
-        state.epoch = cfg.sigmoid_epochs
-    else:
-        # -- stage 1: sigmoid -----------------------------------------
-        bundle.set_mode("sigmoid")
-        state.stage = "training"
-        for _ in range(cfg.sigmoid_epochs):
-            pair_idx = _sample_pairs(rng, n, n, categories, distinct_pairs)
-            loss = _run_epoch(prepared, pair_idx, bundle, opt, state, cfg_stft, warp_bins)
-            spars = _val_sparsity(bundle, val_frames)
-            state.loss_history.append(loss)
-            state.sparsity_history.append(spars)
-            state.epoch += 1
-            log(state.epoch, "training", None, opt.lr, loss, spars)
-            flush_log()
-        if out_dir is not None:
-            bundle.save(out_dir / "checkpoint_sigmoid.ckpt",
-                        extra_meta={"schedule": cfg.to_json(), "config_hash": config_hash,
-                                    "completed_stage": "training"})
-
-    # -- stage 2: annealed softmax ------------------------------------
-    if cfg.softmax_epochs > 0:
-        bundle.set_mode("softmax", cfg.initial_T)
-        opt.lr = cfg.lr / cfg.lr_finetune_divisor
-        state.stage = "finetune"
-        for fe in range(1, cfg.softmax_epochs + 1):
-            bundle.set_mode("softmax", temperature_at(cfg, fe))
-            state.temperature = bundle.temperature
-            pair_idx = _sample_pairs(rng, n, n, categories, distinct_pairs)
-            loss = _run_epoch(prepared, pair_idx, bundle, opt, state, cfg_stft, warp_bins)
-            spars = _val_sparsity(bundle, val_frames)
-            state.loss_history.append(loss)
-            state.sparsity_history.append(spars)
-            state.epoch += 1
-            log(state.epoch, "finetune", bundle.temperature, opt.lr, loss, spars)
-            flush_log()
-
     bundle.trained = True
-    if out_dir is not None:
-        bundle.save(out_dir / "checkpoint_final.ckpt",
-                    extra_meta={"schedule": cfg.to_json(), "config_hash": config_hash,
-                                "completed_stage": state.stage})
-    flush_log()
+    save("checkpoint_final.ckpt", state.stage)
     return state

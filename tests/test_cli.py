@@ -83,6 +83,22 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG:") and "eval.tau" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["make-data", "train", "eval"])
+    @pytest.mark.parametrize("overrides", [
+        {"decay_rate": 1.5},
+        {"decay_epochs": [1, 5]},
+        {"sigmoid_epochs": -1},
+        {"lr": 0},
+        {"batch_pairs": 0},
+        {"sigmoid_epochs": 0, "softmax_epochs": 0, "decay_epochs": []},
+    ], ids=["decay_rate", "decay_epoch", "sigmoid_epochs", "lr", "batch_pairs", "no_epochs"])
+    def test_bad_schedule_rejected_on_load(self, tmp_path, capsys, command, overrides):
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path, **overrides))
+        assert cli.main([command, "-c", cfg_path]) == cli.EXIT_CODES["E_CONFIG"]
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG: schedule") and len(err.splitlines()) == 1
+        assert not (tmp_path / "data").exists() and not (tmp_path / "artifacts").exists()
+
     def test_help_enumerates_config_fields(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["--help"])
@@ -246,6 +262,76 @@ class TestPipeline:
         assert err.startswith("E_CONFIG:") and "--tau" in err and len(err.splitlines()) == 1
 
 
+class TestResumeErrors:
+    """``train --resume`` failures end as one E_* line and leave every
+    artifact as it was."""
+
+    @staticmethod
+    def artifacts(tmp_path):
+        return {f.name: f.read_bytes() for f in (tmp_path / "artifacts").iterdir() if f.is_file()}
+
+    @pytest.mark.parametrize("case,code", [
+        ("missing", "E_MISSING_ARTIFACT"),
+        ("not_a_checkpoint", "E_CONFIG"),
+        ("schedule_drift", "E_CONFIG_DRIFT"),
+        ("no_finetune", "E_CONFIG"),
+    ])
+    def test_bad_resume(self, pipeline, tmp_path, capsys, case, code):
+        src_tmp, cfg_path = pipeline
+        resume = src_tmp / "artifacts" / "checkpoint_sigmoid.ckpt"
+        if case == "missing":
+            resume = tmp_path / "none.ckpt"
+        elif case == "not_a_checkpoint":
+            resume = tmp_path / "notes.txt"
+            resume.write_text("not a checkpoint\n")
+        elif case == "schedule_drift":
+            cfg_path = write_config(tmp_path, tiny_config(src_tmp, lr=5e-3))
+        else:
+            cfg_path = write_config(tmp_path, tiny_config(src_tmp, softmax_epochs=0, decay_epochs=[]))
+        before = self.artifacts(src_tmp)
+        assert cli.main(["train", "-c", cfg_path, "--resume", str(resume)]) == cli.EXIT_CODES[code]
+        err = capsys.readouterr().err
+        assert err.startswith(f"{code}:") and len(err.splitlines()) == 1
+        assert self.artifacts(src_tmp) == before
+
+
+class TestEvalLoadsTestSplitOnce:
+    def test_each_test_clip_loaded_once(self, pipeline, monkeypatch):
+        tmp_path, cfg_path = pipeline
+        test_ids = {r["id"] for r in tw.load_manifest(tmp_path / "data")["splits"]["test"]}
+        loaded = []
+        real = tw.load_clip
+
+        def load_clip(manifest, rec):
+            loaded.append(rec["id"])
+            return real(manifest, rec)
+
+        monkeypatch.setattr(tw, "load_clip", load_clip)
+        assert cli.main(["eval", "-c", cfg_path]) == 0
+        assert sorted(i for i in loaded if i in test_ids) == sorted(test_ids)
+
+
+class TestDeterminism:
+    """The premise of every byte-identity check: the same config run twice
+    from fresh directories gives the same artifacts, byte for byte."""
+
+    def test_pipeline_artifacts_are_byte_identical(self, tmp_path, monkeypatch, capsys):
+        digests = []
+        for run in ("one", "two"):
+            cwd = tmp_path / run
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            cfg = tiny_config(cwd)
+            cfg["dataset"].update(dir="data", artifacts_dir="artifacts")
+            cfg_path = write_config(cwd, cfg)
+            for cmd in ("make-data", "train", "assign", "eval"):
+                assert cli.main([cmd, "-c", cfg_path]) == 0
+            digests.append({name: (cwd / "artifacts" / name).read_bytes()
+                            for name in ("train_log.csv", "checkpoint_final.ckpt",
+                                         "assignment.json", "report.csv")})
+        assert digests[0] == digests[1]
+
+
 def frames_through_maps(monkeypatch):
     """Record the frames each no-grad ImageNet.maps call receives."""
     seen = []
@@ -273,7 +359,8 @@ class TestOneImagePass:
     def test_batched_metrics_equal_per_clip_reference(self, pipeline):
         cfg, manifest, bundle, asg = self.loaded(*pipeline)
         tau = cfg["eval"]["tau"]
-        row, _, _ = metrics.evaluate_network(bundle, asg, manifest, "test", pair_seed=2,
+        row, _, _ = metrics.evaluate_network(bundle, asg, manifest, "test",
+                                             metrics.split_clips(manifest, "test"), pair_seed=2,
                                              n_mixtures=1, tau=tau)
         ref_iou, ref_sparsity, ref_accuracy = per_clip_image_metrics(
             bundle, asg, manifest, "test", tau)
@@ -284,7 +371,8 @@ class TestOneImagePass:
     def test_evaluation_forwards_each_test_frame_once(self, pipeline, monkeypatch):
         _, manifest, bundle, asg = self.loaded(*pipeline)
         seen = frames_through_maps(monkeypatch)
-        metrics.evaluate_network(bundle, asg, manifest, "test", pair_seed=2, n_mixtures=2)
+        metrics.evaluate_network(bundle, asg, manifest, "test",
+                                 metrics.split_clips(manifest, "test"), pair_seed=2, n_mixtures=2)
         frames = np.stack([c.frame for c in tw.load_split(manifest, "test")])
         assert np.array_equal(np.concatenate(seen), avnets.frames_to_tensor(frames).data)
 

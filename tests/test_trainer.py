@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosep import avnets
+from cosep import checkpoint
 from cosep import tensor as tc
 from cosep import toyworld as tw
 from cosep import trainer as tr
@@ -91,12 +93,41 @@ class TestTemperatureSchedule:
             tr.ScheduleConfig(2, 3, decay_rate=1.5)
         with pytest.raises(ValueError, match="temperature"):
             tr.ScheduleConfig(2, 3, initial_T=0.0)
+        with pytest.raises(ValueError, match="at least one epoch"):
+            tr.ScheduleConfig(0, 0)
         with pytest.raises(ValueError, match="unknown preset"):
             tr.preset_schedule("Z")
 
-    def test_schedule_json_roundtrip(self):
-        cfg = tr.preset_schedule("E")
-        assert tr.ScheduleConfig.from_json(cfg.to_json()) == cfg
+
+@st.composite
+def schedules(draw):
+    sigmoid = draw(st.integers(0, 6))
+    softmax = draw(st.integers(0 if sigmoid else 1, 8))
+    decays = draw(st.lists(st.integers(1, softmax), max_size=4).map(sorted)) if softmax else []
+    return tr.ScheduleConfig(
+        sigmoid, softmax, initial_T=draw(st.floats(0.05, 20.0)),
+        decay_rate=draw(st.floats(0.05, 0.95)), decay_epochs=tuple(decays),
+        lr=draw(st.floats(1e-5, 1e-1)), lr_finetune_divisor=draw(st.floats(0.5, 10.0)))
+
+
+class TestEpochPlan:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(schedules())
+    def test_plan_rows_follow_the_schedule(self, cfg):
+        plan = tr.epoch_plan(cfg)
+        assert len(plan) == cfg.sigmoid_epochs + cfg.softmax_epochs
+        for stage, mode, temp, lr in plan[:cfg.sigmoid_epochs]:
+            assert (stage, mode, temp, lr) == ("training", "sigmoid", None, cfg.lr)
+        for e, (stage, mode, temp, lr) in enumerate(plan[cfg.sigmoid_epochs:], start=1):
+            assert (stage, mode) == ("finetune", "softmax")
+            assert temp == tr.temperature_at(cfg, e)
+            assert lr == cfg.lr / cfg.lr_finetune_divisor
+
+    def test_preset_passes_rates_through(self):
+        cfg = tr.preset_schedule("toy-sigmoid-only", lr=4e-3, lr_finetune_divisor=3.0)
+        assert (cfg.sigmoid_epochs, cfg.lr, cfg.lr_finetune_divisor) == (16, 4e-3, 3.0)
+        assert tr.preset_schedule("E").sigmoid_epochs == 15
+        assert tr.preset_schedule("E", sigmoid_epochs=1).sigmoid_epochs == 1
 
 
 class TestSamplePairs:
@@ -278,8 +309,45 @@ class TestRunSchedule:
         tr.run_schedule(cfg, mini_dataset, mini_bundle(seed=10), out_dir=tmp_path, seed=4,
                         warp_bins=MINI_WARP, batch_pairs=4)
         bundle = mini_bundle(seed=99)
+        log = tmp_path / "resumed.csv"
         state = tr.run_schedule(cfg, mini_dataset, bundle, seed=4,
-                                warp_bins=MINI_WARP, batch_pairs=4,
+                                warp_bins=MINI_WARP, batch_pairs=4, log_path=log,
                                 resume_from=tmp_path / "checkpoint_sigmoid.ckpt")
         assert state.stage == "finetune"
         assert bundle.trained
+        assert state.epoch == 5 and len(state.loss_history) == 3
+        rows = [r.split(",")[:2] for r in log.read_text().strip().split("\n")[1:]]
+        assert rows == [["3", "finetune"], ["4", "finetune"], ["5", "finetune"]]
+
+    @pytest.mark.parametrize("sigmoid_epochs,softmax_epochs", [(0, 2), (2, 0), (2, 2)])
+    def test_boundary_checkpoint_and_log_follow_the_plan(self, mini_dataset, tmp_path,
+                                                         sigmoid_epochs, softmax_epochs):
+        cfg = mini_schedule(sigmoid_epochs=sigmoid_epochs, softmax_epochs=softmax_epochs,
+                            decay_epochs=(1,) if softmax_epochs else ())
+        bundle = mini_bundle(seed=11)
+        initial = {k: p.data.copy() for k, p in bundle.params().items()}
+        log = tmp_path / "train.csv"
+        tr.run_schedule(cfg, mini_dataset, bundle, out_dir=tmp_path, seed=5,
+                        warp_bins=MINI_WARP, batch_pairs=8, log_path=log)
+        rows = [r.split(",") for r in log.read_text().strip().split("\n")[1:]]
+        expected = [[str(i), stage, "" if t is None else f"{t:.6g}", f"{lr:.6g}"]
+                    for i, (stage, _, t, lr) in enumerate(tr.epoch_plan(cfg), start=1)]
+        assert [r[:4] for r in rows] == expected
+
+        boundary, meta = checkpoint.load_tensors(tmp_path / "checkpoint_sigmoid.ckpt")
+        assert meta["completed_stage"] == "training" and meta["mode"] == "sigmoid"
+        assert meta["trained"] is False
+        final, _ = checkpoint.load_tensors(tmp_path / "checkpoint_final.ckpt")
+        if sigmoid_epochs == 0:
+            reference = initial       # taken before the first epoch
+        elif softmax_epochs == 0:
+            reference = final         # taken after the last epoch
+        else:                         # taken after the sigmoid stage of the same run
+            sigmoid_only = mini_bundle(seed=11)
+            tr.run_schedule(mini_schedule(sigmoid_epochs=sigmoid_epochs, softmax_epochs=0,
+                                          decay_epochs=()),
+                            mini_dataset, sigmoid_only, seed=5, warp_bins=MINI_WARP, batch_pairs=8)
+            reference = {k: p.data for k, p in sigmoid_only.params().items()}
+            assert any(not np.array_equal(final[k], boundary[k]) for k in final)
+        assert set(boundary) == set(reference)
+        assert all(np.array_equal(boundary[k], reference[k]) for k in boundary)
