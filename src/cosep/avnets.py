@@ -27,7 +27,6 @@ import numpy as np
 
 from . import tensor as tc
 from .checkpoint import load_tensors, save_tensors
-from .dsp import MaskPlane
 from .tensor import Tensor
 
 MODES = ("sigmoid", "softmax")
@@ -42,20 +41,6 @@ class ImageNetCfg:
     input_size: int = 64
     channels: int = 16
     stages: tuple = ((12, 2, 1), (24, 2, 1), (48, 2, 1), (48, 1, 2))
-
-    @property
-    def downsample(self) -> int:
-        d = 1
-        for _, stride, _ in self.stages:
-            d *= stride
-        return d
-
-    @property
-    def map_size(self) -> int:
-        if self.input_size % self.downsample:
-            raise ValueError(
-                f"input size {self.input_size} not divisible by downsample {self.downsample}")
-        return self.input_size // self.downsample
 
 
 @dataclass(frozen=True)
@@ -304,21 +289,15 @@ def synthesize_mask(v: Tensor, feats: Tensor, bundle: ModelBundle) -> Tensor:
     return tc.sigmoid(pre)
 
 
-def audio_only_masks(feats, channels) -> list[MaskPlane]:
-    """Per selected channel, sigmoid(feats_k) as a ratio mask on the warped
-    grid."""
-    arr = feats.data if isinstance(feats, Tensor) else np.asarray(feats)
-    if arr.ndim == 4:
-        if arr.shape[0] != 1:
-            raise ValueError("audio_only_masks expects a single sample")
-        arr = arr[0]
-    k = arr.shape[0]
+def audio_only_masks(feats: np.ndarray, channels) -> list[np.ndarray]:
+    """Per selected channel of [K, G, T] feature planes, sigmoid(feats_k)
+    as a float32 ratio mask on the warped grid."""
+    k = feats.shape[0]
     masks = []
     for ch in channels:
         if not 0 <= ch < k:
             raise ValueError(f"channel {ch} out of range for {k} channels")
-        ratio = 1.0 / (1.0 + np.exp(-arr[ch].astype(np.float64)))
-        masks.append(MaskPlane(ratio.astype(np.float32), "ratio"))
+        masks.append((1.0 / (1.0 + np.exp(-feats[ch].astype(np.float64)))).astype(np.float32))
     return masks
 
 

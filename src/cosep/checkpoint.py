@@ -13,12 +13,16 @@ Layout, all little-endian:
 
 The meta block carries run/model headers (network configs, activation
 mode, temperature, config hashes); plain tensor files write an empty one.
-Writes are deterministic: same content, same bytes.
+Writes are deterministic: same content, same bytes, and atomic: a
+checkpoint is either the old file or the complete new one.  A truncated
+or garbled file fails to load with a ``ValueError`` that names it.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -29,35 +33,59 @@ MAGIC = b"COSEP1\x00"
 
 
 def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
-    """Write named float32 arrays (or Tensors) plus an optional meta dict."""
+    """Write named float32 arrays (or Tensors) plus an optional meta dict.
+
+    The bytes go to a temporary file beside ``path``, which replaces
+    ``path`` only once it is complete, so a failed save leaves any
+    earlier file intact."""
     meta_bytes = json.dumps(meta or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        for name in sorted(tensors):
-            arr = tensors[name]
-            if isinstance(arr, Tensor):
-                arr = arr.data
-            arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<Q", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.astype("<f4", copy=False).tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(meta_bytes)))
+            fh.write(meta_bytes)
+            for name in sorted(tensors):
+                arr = tensors[name]
+                if isinstance(arr, Tensor):
+                    arr = arr.data
+                arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
+                name_b = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(name_b)))
+                fh.write(name_b)
+                fh.write(struct.pack("<Q", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                fh.write(arr.astype("<f4", copy=False).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_tensors(path) -> tuple[dict, dict]:
-    """Read a checkpoint back; returns (name -> float32 array, meta dict)."""
+    """Read a checkpoint back; returns (name -> float32 array, meta dict).
+
+    A file that is not a complete checkpoint raises ``ValueError`` naming
+    ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not a cosep checkpoint (bad magic)")
+    try:
+        return _parse(blob)
+    except (struct.error, ValueError) as exc:
+        raise ValueError(f"{path}: corrupt checkpoint: {exc}") from exc
+
+
+def _parse(blob: bytes) -> tuple[dict, dict]:
     off = len(MAGIC)
     (meta_len,) = struct.unpack_from("<I", blob, off)
     off += 4
     meta = json.loads(blob[off:off + meta_len].decode("utf-8")) if meta_len else {}
+    if not isinstance(meta, dict):
+        raise ValueError("meta block is not a JSON object")
     off += meta_len
     out: dict = {}
     while off < len(blob):
@@ -67,9 +95,13 @@ def load_tensors(path) -> tuple[dict, dict]:
         off += name_len
         (rank,) = struct.unpack_from("<Q", blob, off)
         off += 8
+        if off + 8 * rank > len(blob):
+            raise ValueError(f"dims of {name} run past the end of the file")
         dims = struct.unpack_from(f"<{rank}Q", blob, off)
         off += 8 * rank
-        count = int(np.prod(dims)) if rank else 1
+        count = math.prod(dims)
+        if off + 4 * count > len(blob):
+            raise ValueError(f"payload of {name} is shorter than its {count} values")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(dims)
         off += 4 * count
         out[name] = arr.astype(np.float32).copy()

@@ -8,7 +8,11 @@ command verifies its upstream artifacts against the current config
 before running.  Failures exit nonzero with a single machine-parsable
 line on stderr: ``E_CONFIG`` (bad config, exit 2), ``E_MISSING_ARTIFACT``
 (run the named upstream command first, exit 3), ``E_CONFIG_DRIFT``
-(artifact built under a different config, exit 4).
+(artifact built under a different config, exit 4), ``E_CORRUPT_ARTIFACT``
+(the model checkpoint is truncated or garbled, exit 5; run train again).
+Checkpoints are written atomically, so an interrupted save leaves the
+previous file in place, and an unreadable ``nmf.ckpt`` is refitted like
+a stale one.
 
 The schedule is chosen by the config alone: ``schedule.preset`` names a
 preset of ``trainer.PRESETS`` (resolved by ``trainer.preset_schedule``),
@@ -40,7 +44,7 @@ import numpy as np
 
 from . import __version__, avnets, disentangle, dsp, metrics, nmf, toyworld, trainer
 
-EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4}
+EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4, "E_CORRUPT_ARTIFACT": 5}
 
 # closed config schema: section -> field -> (default, help)
 SCHEMA = {
@@ -162,6 +166,14 @@ def normalize_config(raw: dict) -> dict:
     elif cfg["stft"]["preset"] not in ("toy", "paper"):
         raise CliError("E_CONFIG", f"stft.preset {cfg['stft']['preset']!r} unknown")
 
+    # directories are hashed as normalized paths, so "./data/" and "data"
+    # name the same artifacts; absolute and relative spellings still differ
+    for f in ("dir", "artifacts_dir"):
+        d = cfg["dataset"][f]
+        if not isinstance(d, str) or not d:
+            raise CliError("E_CONFIG", f"dataset.{f} must be a non-empty path string, got {d!r}")
+        cfg["dataset"][f] = os.path.normpath(d)
+
     if cfg["dataset"]["categories"] >= cfg["model"]["channels"]:
         raise CliError("E_CONFIG", "dataset.categories must be smaller than model.channels")
     _check_tau(cfg["eval"]["tau"], "eval.tau")
@@ -277,7 +289,10 @@ def _require_bundle(cfg: dict) -> tuple[avnets.ModelBundle, dict]:
     paths = _paths(cfg)
     if not paths["checkpoint"].exists():
         raise CliError("E_MISSING_ARTIFACT", f"checkpoint {paths['checkpoint']} missing; run train")
-    bundle, meta = avnets.ModelBundle.load(paths["checkpoint"])
+    try:
+        bundle, meta = avnets.ModelBundle.load(paths["checkpoint"])
+    except ValueError as exc:
+        raise CliError("E_CORRUPT_ARTIFACT", str(exc))
     if meta.get("config_hash") != artifact_hash(cfg, "checkpoint"):
         raise CliError("E_CONFIG_DRIFT", "checkpoint was trained under a different config")
     return bundle, meta
@@ -338,8 +353,8 @@ def cmd_train(cfg: dict, args) -> int:
     try:
         state = trainer.run_schedule(
             schedule_config(cfg), manifest, bundle, out_dir=paths["artifacts"],
-            seed=cfg["schedule"]["seed"], warp_bins=cfg["stft"]["warp_bins"],
-            batch_pairs=cfg["schedule"]["batch_pairs"], symmetric=cfg["schedule"]["symmetric"],
+            seed=cfg["schedule"]["seed"], batch_pairs=cfg["schedule"]["batch_pairs"],
+            symmetric=cfg["schedule"]["symmetric"],
             distinct_pairs=cfg["schedule"]["distinct_pairs"], log_path=paths["train_log"],
             resume_from=args.resume or None, config_hash=artifact_hash(cfg, "checkpoint"),
             quiet=not args.verbose)
@@ -434,9 +449,12 @@ def _fit_or_load_nmf(cfg: dict, manifest: dict) -> nmf.NmfModel:
     paths = _paths(cfg)
     expected = artifact_hash(cfg, "dataset")
     if paths["nmf"].exists():
-        model, meta = nmf.NmfModel.load(paths["nmf"])
-        if meta.get("config_hash") == expected and model.rank == cfg["eval"]["nmf_rank"]:
-            return model
+        try:
+            model, meta = nmf.NmfModel.load(paths["nmf"])
+            if meta.get("config_hash") == expected and model.rank == cfg["eval"]["nmf_rank"]:
+                return model
+        except ValueError:
+            pass   # unreadable: refit, as for a stale file
     model = nmf.fit_category_bases(manifest, rank=cfg["eval"]["nmf_rank"],
                                    iters=200, seed=cfg["dataset"]["seed"])
     model.save(paths["nmf"], extra_meta={"config_hash": expected})

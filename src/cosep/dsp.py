@@ -5,6 +5,14 @@ window_size/2 + 1 rows (DC through Nyquist), so inversion is exact; the
 log-frequency warp used for mask learning samples rows 1..window_size/2
 on a geometric grid, leaving DC out of the masking path.  Magnitude and
 phase are stored as float32 planes; FFT work happens in float64.
+
+A ``Spectrogram`` is exactly what ``stft`` returns and ``istft`` inverts:
+linear-grid magnitude and phase.  Everything else is a plain array.
+``log_warp`` maps a [bins, frames] magnitude onto the warped grid, and
+masks are float32 arrays in [0, 1] with the shape of the plane they
+mask: ``ideal_binary_mask`` is the training target on the warped grid,
+``log_unwarp`` brings a warped mask back to the linear grid, and
+``apply_mask`` scales a spectrogram by a linear-grid mask.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ import numpy as np
 __all__ = [
     "StftConfig",
     "Spectrogram",
-    "MaskPlane",
     "TOY_STFT",
     "PAPER_STFT",
     "stft",
@@ -75,15 +82,11 @@ PAPER_STFT = StftConfig(sample_rate=11025, window_size=1022, hop=256)
 
 @dataclass
 class Spectrogram:
-    """Time-frequency grid: magnitude (and optionally phase) planes.
-
-    ``scale`` is "linear" for STFT-native rows and "log" after warping;
-    only linear spectrograms with phase can be inverted.
-    """
+    """Linear-grid magnitude and phase planes [bins, frames], as returned
+    by ``stft`` and inverted by ``istft``."""
 
     magnitude: np.ndarray
-    phase: np.ndarray | None
-    scale: str
+    phase: np.ndarray
     config: StftConfig
 
     def __post_init__(self):
@@ -92,12 +95,9 @@ class Spectrogram:
             raise ValueError("spectrogram planes must be 2-d [bins, frames]")
         if np.any(self.magnitude < 0):
             raise ValueError("spectrogram magnitude must be non-negative")
-        if self.scale not in ("linear", "log"):
-            raise ValueError(f"unknown scale {self.scale!r}")
-        if self.phase is not None:
-            self.phase = np.asarray(self.phase, dtype=np.float32)
-            if self.phase.shape != self.magnitude.shape:
-                raise ValueError("phase plane shape differs from magnitude plane")
+        self.phase = np.asarray(self.phase, dtype=np.float32)
+        if self.phase.shape != self.magnitude.shape:
+            raise ValueError("phase plane shape differs from magnitude plane")
 
     @property
     def bins(self) -> int:
@@ -106,29 +106,6 @@ class Spectrogram:
     @property
     def frames(self) -> int:
         return self.magnitude.shape[1]
-
-
-@dataclass
-class MaskPlane:
-    """bins x frames mask; binary masks hold {0,1}, ratio masks [0,1]."""
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.kind == "binary":
-            if not np.all((self.values == 0) | (self.values == 1)):
-                raise ValueError("binary mask must contain only 0 and 1")
-        elif self.kind == "ratio":
-            if np.any(self.values < 0) or np.any(self.values > 1):
-                raise ValueError("ratio mask values must lie in [0, 1]")
-        else:
-            raise ValueError(f"unknown mask kind {self.kind!r}")
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 # ---------------------------------------------------------------------
@@ -143,16 +120,11 @@ def stft(wave: np.ndarray, cfg: StftConfig) -> Spectrogram:
             f"waveform has {wave.size} samples, needs at least one window ({cfg.window_size})")
     frames = np.lib.stride_tricks.sliding_window_view(wave, cfg.window_size)[::cfg.hop]
     spec = np.fft.rfft(frames * cfg.window, axis=1).T  # [bins, frames]
-    return Spectrogram(np.abs(spec).astype(np.float32),
-                       np.angle(spec).astype(np.float32), "linear", cfg)
+    return Spectrogram(np.abs(spec).astype(np.float32), np.angle(spec).astype(np.float32), cfg)
 
 
 def istft(spec: Spectrogram) -> np.ndarray:
     """Overlap-add inversion with window-square normalization."""
-    if spec.scale != "linear":
-        raise ValueError("istft requires a linear-scale spectrogram (log_unwarp first)")
-    if spec.phase is None:
-        raise ValueError("istft requires a phase plane")
     cfg = spec.config
     if spec.bins != cfg.n_bins:
         raise ValueError(f"expected {cfg.n_bins} linear bins, got {spec.bins}")
@@ -193,7 +165,9 @@ def warp_matrix(n_bins: int, out_bins: int) -> np.ndarray:
     if m is None:
         pos = warp_positions(n_bins, out_bins)
         lo = np.minimum(pos.astype(np.int64), n_bins - 2)
-        frac = pos - lo
+        # rounding can put the top position past the last row; a weight
+        # above 1 would leave a tiny negative one beside it
+        frac = np.minimum(pos - lo, 1.0)
         m = np.zeros((out_bins, n_bins), dtype=np.float32)
         m[np.arange(out_bins), lo] = 1 - frac
         m[np.arange(out_bins), lo + 1] = frac
@@ -210,7 +184,7 @@ def unwarp_matrix(n_bins: int, out_bins: int) -> np.ndarray:
         rows = np.arange(1, n_bins)
         b = (out_bins - 1) * np.log(rows) / np.log(top)
         lo = np.minimum(b.astype(np.int64), out_bins - 2)
-        frac = b - lo
+        frac = np.minimum(b - lo, 1.0)
         m = np.zeros((n_bins, out_bins), dtype=np.float32)
         m[rows, lo] = 1 - frac
         m[rows, lo + 1] = frac
@@ -219,58 +193,41 @@ def unwarp_matrix(n_bins: int, out_bins: int) -> np.ndarray:
     return m
 
 
-def log_warp(spec: Spectrogram, out_bins: int) -> Spectrogram:
-    """Resample magnitude rows onto a geometric frequency grid."""
-    if spec.scale != "linear":
-        raise ValueError("log_warp expects a linear-scale spectrogram")
-    if out_bins > spec.bins:
-        raise ValueError(f"out_bins {out_bins} exceeds source bins {spec.bins}")
+def log_warp(magnitude: np.ndarray, out_bins: int) -> np.ndarray:
+    """Resample the rows of a [bins, frames] linear-grid plane onto
+    ``out_bins`` geometrically spaced rows."""
+    bins = magnitude.shape[0]
+    if out_bins > bins:
+        raise ValueError(f"out_bins {out_bins} exceeds source bins {bins}")
     if out_bins < 2:
         raise ValueError("out_bins must be >= 2")
-    warped = warp_matrix(spec.bins, out_bins) @ spec.magnitude
-    return Spectrogram(warped, None, "log", spec.config)
+    return warp_matrix(bins, out_bins) @ magnitude
 
 
-def log_unwarp(obj, cfg: StftConfig):
-    """Invert log_warp back onto the full linear grid.
-
-    Accepts a log-scale Spectrogram (returns a linear one, no phase) or a
-    MaskPlane produced on the warped grid (returns a ratio MaskPlane on
-    the linear grid).
-    """
-    if isinstance(obj, Spectrogram):
-        if obj.scale != "log":
-            raise ValueError("log_unwarp expects a log-scale spectrogram")
-        values = unwarp_matrix(cfg.n_bins, obj.bins) @ obj.magnitude
-        return Spectrogram(np.maximum(values, 0), None, "linear", cfg)
-    if isinstance(obj, MaskPlane):
-        values = unwarp_matrix(cfg.n_bins, obj.values.shape[0]) @ obj.values
-        return MaskPlane(np.clip(values, 0.0, 1.0), "ratio")
-    raise TypeError(f"cannot unwarp {type(obj).__name__}")
+def log_unwarp(mask: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """Bring a [G, frames] mask on the warped grid back onto the full
+    linear grid of ``cfg``, clipped to [0, 1]."""
+    return np.clip(unwarp_matrix(cfg.n_bins, mask.shape[0]) @ mask, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------
 # masks
 # ---------------------------------------------------------------------
 
-def ideal_binary_mask(target: Spectrogram, other: Spectrogram) -> MaskPlane:
+def ideal_binary_mask(target_mag: np.ndarray, other_mag: np.ndarray) -> np.ndarray:
     """1 where the target's magnitude dominates (ties go to the target)."""
-    if target.magnitude.shape != other.magnitude.shape or target.scale != other.scale:
-        raise ValueError("ideal_binary_mask requires spectrograms on the same grid")
-    return MaskPlane((target.magnitude >= other.magnitude).astype(np.float32), "binary")
+    if target_mag.shape != other_mag.shape:
+        raise ValueError("ideal_binary_mask requires magnitudes on the same grid")
+    return (target_mag >= other_mag).astype(np.float32)
 
 
-def apply_mask(mixture: Spectrogram, mask: MaskPlane) -> Spectrogram:
-    """Scale magnitudes by the mask; the mixture phase is kept as-is."""
-    if mixture.scale != "linear":
-        raise ValueError("apply_mask operates on the linear grid")
-    if mask.values.shape != mixture.magnitude.shape:
+def apply_mask(mixture: Spectrogram, mask: np.ndarray) -> Spectrogram:
+    """Scale magnitudes by a linear-grid mask; the mixture phase is kept."""
+    if mask.shape != mixture.magnitude.shape:
         raise ValueError(
-            f"mask grid {mask.values.shape} does not match spectrogram "
+            f"mask grid {mask.shape} does not match spectrogram "
             f"{mixture.magnitude.shape}; log_unwarp warped masks first")
-    return Spectrogram(mixture.magnitude * mask.values,
-                       None if mixture.phase is None else mixture.phase.copy(),
-                       "linear", mixture.config)
+    return Spectrogram(mixture.magnitude * mask, mixture.phase, mixture.config)
 
 
 # ---------------------------------------------------------------------

@@ -119,13 +119,13 @@ def network_masks(bundle, assignment: Assignment):
         for c in (cat_a, cat_b):
             if not 0 <= c < len(assignment.category_to_channel):
                 raise ValueError(f"category {c} missing from assignment")
-        feats = _chunked_feats(dsp.log_warp(spec, bundle.audio_cfg.grid).magnitude, bundle)
+        feats = _chunked_feats(dsp.log_warp(spec.magnitude, bundle.audio_cfg.grid), bundle)
         channels = [assignment.channel_for(cat_a), assignment.channel_for(cat_b)]
         return [dsp.log_unwarp(m, spec.config) for m in avnets.audio_only_masks(feats, channels)]
     return masks
 
 
-def _estimate(spec: dsp.Spectrogram, mask: dsp.MaskPlane, n_samples: int) -> np.ndarray:
+def _estimate(spec: dsp.Spectrogram, mask: np.ndarray, n_samples: int) -> np.ndarray:
     """Masked mixture back in the time domain, padded or trimmed to
     ``n_samples`` (float64)."""
     est = dsp.istft(dsp.apply_mask(spec, mask))

@@ -87,9 +87,8 @@ def nmf_separate(mixture_mag: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
     va = w[:, :r_a] @ h[:r_a]
     vb = w[:, r_a:] @ h[r_a:]
     total = va + vb + EPS
-    mask_a = dsp.MaskPlane(np.clip(va / total, 0, 1).astype(np.float32), "ratio")
-    mask_b = dsp.MaskPlane(np.clip(vb / total, 0, 1).astype(np.float32), "ratio")
-    return mask_a, mask_b
+    return (np.clip(va / total, 0, 1).astype(np.float32),
+            np.clip(vb / total, 0, 1).astype(np.float32))
 
 
 class NmfModel:
@@ -116,6 +115,8 @@ class NmfModel:
             raise ValueError(f"{path}: not an NMF checkpoint")
         bases = {int(name.split("_", 1)[1]): arr.astype(np.float64)
                  for name, arr in arrays.items() if name.startswith("nmf/W_")}
+        if sorted(bases) != meta.get("categories"):
+            raise ValueError(f"{path}: bases {sorted(bases)} differ from the recorded categories")
         return cls(meta["rank"], bases), meta
 
 

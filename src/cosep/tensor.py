@@ -47,7 +47,6 @@ __all__ = [
     "spatial_max_pool",
     "bce_loss",
     "backward",
-    "SGD",
     "Adam",
 ]
 
@@ -55,7 +54,7 @@ BCE_EPS = 1e-7
 
 _grad_enabled = True
 
-# bumped once per backward() call; optimizers use it to detect stale grads
+# bumped once per backward() call; Adam uses it to detect stale grads
 _backward_counter = 0
 
 
@@ -127,41 +126,6 @@ class Tensor:
             self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
         else:
             self.grad += g
-
-    # -- operator sugar ------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0, self.dtype))
-
-    def __sub__(self, other):
-        return add(self, -_as_tensor(other, self.dtype))
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def backward(self):
-        backward(self)
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _make_node(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
@@ -573,19 +537,25 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------
-# optimizers
+# optimizer
 # ---------------------------------------------------------------------
 
-class _Optimizer:
-    """Shared bookkeeping: learning rate, step counter, staleness guard."""
+class Adam:
+    """Adam with bias correction; moments kept in the parameter dtype.
+    A ``step`` with no backward pass since the previous one warns and
+    leaves the parameters alone."""
 
-    def __init__(self, params, lr: float):
+    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
         if not lr > 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = float(lr)
         self.step_count = 0
         self._last_backward = _backward_counter
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self):
         for p in self.params:
@@ -597,29 +567,6 @@ class _Optimizer:
             return
         self._last_backward = _backward_counter
         self.step_count += 1
-        self._apply()
-
-    def _apply(self):
-        raise NotImplementedError
-
-
-class SGD(_Optimizer):
-    def _apply(self):
-        for p in self.params:
-            p.data -= p.dtype.type(self.lr) * p.grad
-
-
-class Adam(_Optimizer):
-    """Adam with bias correction; moments kept in the parameter dtype."""
-
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        super().__init__(params, lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-
-    def _apply(self):
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
         c1 = 1 - b1 ** t

@@ -251,10 +251,6 @@ def _clip_rng(seed: int, clip_id: str):
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-def clip_sample_count(cfg: StftConfig = TOY_STFT, n_frames: int = 64) -> int:
-    return cfg.sample_count(n_frames)
-
-
 def generate(root, seed: int, n_categories: int = 8,
              counts: dict | None = None, image_size: int = 64,
              stft_cfg: StftConfig = TOY_STFT, n_frames: int = 64) -> dict:
@@ -265,7 +261,7 @@ def generate(root, seed: int, n_categories: int = 8,
     root = Path(root)
     (root / "clips").mkdir(parents=True, exist_ok=True)
     cats = default_categories(n_categories, stft_cfg)
-    n_samples = clip_sample_count(stft_cfg, n_frames)
+    n_samples = stft_cfg.sample_count(n_frames)
 
     splits: dict = {}
     for split, count in counts.items():

@@ -10,6 +10,11 @@ shared channels.  ``epoch_plan`` spells the schedule out as one
 every epoch in one loop over that plan; a resumed run enters the same
 loop at the first fine-tune epoch.
 
+Each train clip is prepared once: its STFT and its magnitude on the
+warped grid (``dsp.log_warp``).  A pair's mixture is warped the same
+way, and the target of each side is ``dsp.ideal_binary_mask`` of its
+clip against the other clip on the warped grid.
+
 An epoch is one pass over N uniformly sampled clip pairs, N being the
 train-clip count.  Pairs are consumed in fixed order in small batches,
 so runs with identical seeds are bit-identical.  By default the loss is
@@ -21,7 +26,6 @@ of the two one-sided losses.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -148,7 +152,7 @@ class TrainState:
 
 @dataclass
 class PreparedClip:
-    frame: np.ndarray        # [3, S, S] float32 in [0,1]
+    frame: np.ndarray        # [S, S, 3] uint8
     spec: np.ndarray         # complex64 [bins, frames], linear grid
     warped_mag: np.ndarray   # [G, frames] float32
     category: int
@@ -157,9 +161,8 @@ class PreparedClip:
 def prepare_clip(clip: toyworld.AVClip, cfg: dsp.StftConfig, warp_bins: int) -> PreparedClip:
     spec = dsp.stft(clip.wave, cfg)
     z = (spec.magnitude.astype(np.float64) * np.exp(1j * spec.phase.astype(np.float64)))
-    warped = dsp.warp_matrix(cfg.n_bins, warp_bins) @ spec.magnitude
-    frame = clip.frame.astype(np.float32).transpose(2, 0, 1) / 255.0
-    return PreparedClip(frame, z.astype(np.complex64), warped, clip.category)
+    return PreparedClip(clip.frame, z.astype(np.complex64),
+                        dsp.log_warp(spec.magnitude, warp_bins), clip.category)
 
 
 def prepare_split(manifest: dict, split: str, warp_bins: int) -> list[PreparedClip]:
@@ -168,19 +171,19 @@ def prepare_split(manifest: dict, split: str, warp_bins: int) -> list[PreparedCl
             for rec in manifest["splits"][split]]
 
 
-def _mix_warped(a: PreparedClip, b: PreparedClip, warp_bins: int, cfg: dsp.StftConfig) -> np.ndarray:
+def _mix_warped(a: PreparedClip, b: PreparedClip) -> np.ndarray:
     mix = toyworld.MIX_GAIN * (a.spec.astype(np.complex128) + b.spec.astype(np.complex128))
-    return (dsp.warp_matrix(cfg.n_bins, warp_bins) @ np.abs(mix).astype(np.float32))
+    return dsp.log_warp(np.abs(mix).astype(np.float32), a.warped_mag.shape[0])
 
 
-def _batch_arrays(pairs: list, warp_bins: int, cfg: dsp.StftConfig):
+def _batch_arrays(pairs: list):
     """Mixture magnitudes [N, 1, G, T], frames [2N, 3, S, S] and binary
     targets [2N, 1, G, T]; rows N.. of the last two hold the second clip
     of each pair."""
-    mix = np.stack([_mix_warped(a, b, warp_bins, cfg) for a, b in pairs])[:, None]
+    mix = np.stack([_mix_warped(a, b) for a, b in pairs])[:, None]
     sides = list(pairs) + [(b, a) for a, b in pairs]
-    frames = np.stack([a.frame for a, _ in sides])
-    targets = np.stack([(a.warped_mag >= b.warped_mag).astype(np.float32) for a, b in sides])[:, None]
+    frames = avnets.frames_to_tensor(np.stack([a.frame for a, _ in sides])).data
+    targets = np.stack([dsp.ideal_binary_mask(a.warped_mag, b.warped_mag) for a, b in sides])[:, None]
     return mix, frames, targets
 
 
@@ -210,12 +213,12 @@ def _val_sparsity(bundle: avnets.ModelBundle, val_frames: np.ndarray) -> float:
     return float(np.mean([sparsity(row) for row in v]))
 
 
-def _run_epoch(prepared, pair_idx, bundle, opt, state, cfg_stft, warp_bins) -> float:
+def _run_epoch(prepared, pair_idx, bundle, opt, state) -> float:
     losses = []
     for lo in range(0, len(pair_idx), state.batch_pairs):
         chunk = pair_idx[lo:lo + state.batch_pairs]
         pairs = [(prepared[i], prepared[j]) for i, j in chunk]
-        loss = _step_batch(_batch_arrays(pairs, warp_bins, cfg_stft), bundle, opt, state.symmetric)
+        loss = _step_batch(_batch_arrays(pairs), bundle, opt, state.symmetric)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss at state {state.dump()}")
         losses.append(loss)
@@ -241,8 +244,7 @@ class ResumeError(ValueError):
 
 
 def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle,
-                 out_dir=None, seed: int = 0, warp_bins: int = 64,
-                 batch_pairs: int = 8, symmetric: bool = True,
+                 out_dir=None, seed: int = 0, batch_pairs: int = 8, symmetric: bool = True,
                  distinct_pairs: bool = False, log_path=None,
                  resume_from=None, config_hash: str = "",
                  quiet: bool = True) -> TrainState:
@@ -260,7 +262,7 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
             raise ResumeError("the schedule has no fine-tune epochs to resume")
         try:
             loaded, meta = avnets.ModelBundle.load(resume_from)
-        except (ValueError, struct.error) as exc:
+        except ValueError as exc:
             raise ResumeError(f"unreadable checkpoint: {exc}") from exc
         if meta.get("schedule") != cfg.to_json() or (
                 config_hash and meta.get("config_hash") not in ("", config_hash)):
@@ -269,8 +271,7 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
         for name, param in bundle.params().items():
             param.data[...] = loaded.params()[name].data
         state.epoch = cfg.sigmoid_epochs
-    cfg_stft = toyworld.manifest_stft(manifest)
-    prepared = prepare_split(manifest, "train", warp_bins)
+    prepared = prepare_split(manifest, "train", bundle.audio_cfg.grid)
     categories = [p.category for p in prepared]
     val_frames = np.stack([clip.frame for clip in toyworld.load_split(manifest, "val")])
     n = len(prepared)
@@ -300,7 +301,7 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
         state.stage, mode, state.temperature, opt.lr = plan[state.epoch]
         bundle.set_mode(mode, state.temperature)
         pair_idx = _sample_pairs(rng, n, n, categories, distinct_pairs)
-        loss = _run_epoch(prepared, pair_idx, bundle, opt, state, cfg_stft, warp_bins)
+        loss = _run_epoch(prepared, pair_idx, bundle, opt, state)
         spars = _val_sparsity(bundle, val_frames)
         state.loss_history.append(loss)
         state.sparsity_history.append(spars)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cosep import avnets, tensor as tc
+from cosep import avnets, checkpoint, tensor as tc
 from cosep.avnets import (AudioNetCfg, ImageNetCfg, ModelBundle, audio_forward,
                           audio_only_masks, image_forward, infer_images, segment,
                           synthesize_mask)
@@ -141,19 +141,19 @@ class TestSynthesizer:
 
 class TestAudioOnlyMasks:
     def test_zero_feats_give_half_ratio(self):
-        feats = np.zeros((1, 4, 8, 8), dtype=np.float32)
+        feats = np.zeros((4, 8, 8), dtype=np.float32)
         ratio = audio_only_masks(feats, [1])[0]
-        assert ratio.kind == "ratio"
-        np.testing.assert_allclose(ratio.values, 0.5, atol=1e-7)
+        assert ratio.dtype == np.float32 and ratio.shape == (8, 8)
+        np.testing.assert_allclose(ratio, 0.5, atol=1e-7)
 
     def test_saturating_feats(self):
-        feats = np.full((1, 2, 4, 4), 80.0, dtype=np.float32)
+        feats = np.full((2, 4, 4), 80.0, dtype=np.float32)
         mask = audio_only_masks(feats, [0])[0]
-        np.testing.assert_allclose(mask.values, 1.0, atol=1e-6)
+        np.testing.assert_allclose(mask, 1.0, atol=1e-6)
 
     def test_out_of_range_channel(self):
         with pytest.raises(ValueError, match="out of range"):
-            audio_only_masks(np.zeros((1, 4, 4, 4)), [4])
+            audio_only_masks(np.zeros((4, 4, 4)), [4])
 
 
 class TestInferImages:
@@ -249,6 +249,33 @@ class TestCheckpoint:
         bundle.save(p1)
         bundle.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def tiny_bundle():
+        return ModelBundle(ImageNetCfg(input_size=8, channels=2, stages=((2, 2, 1),)),
+                           AudioNetCfg(grid=4, depth=1, channels=2, widths=(2, 2)), seed=0)
+
+    def test_every_truncation_names_the_file(self, tmp_path):
+        path = tmp_path / "tiny.ckpt"
+        self.tiny_bundle().save(path, extra_meta={"config_hash": "cafe"})
+        blob = path.read_bytes()
+        assert 1000 < len(blob) < 8000
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(ValueError, match="cut.ckpt"):
+                ModelBundle.load(cut)
+
+    def test_failed_save_leaves_old_file(self, tmp_path):
+        path = tmp_path / "tiny.ckpt"
+        bundle = self.tiny_bundle()
+        bundle.save(path)
+        before = path.read_bytes()
+        tensors = {**bundle.params(), "zz.bad": "not a number"}   # fails after the others
+        with pytest.raises(ValueError):
+            checkpoint.save_tensors(path, tensors)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["tiny.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

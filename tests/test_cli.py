@@ -295,6 +295,58 @@ class TestResumeErrors:
         assert self.artifacts(src_tmp) == before
 
 
+class TestCorruptArtifacts:
+    def test_truncated_checkpoint_is_one_error_line(self, pipeline, capsys):
+        tmp_path, cfg_path = pipeline
+        art = tmp_path / "artifacts"
+        ckpt = art / "checkpoint_final.ckpt"
+        good, assignment = ckpt.read_bytes(), (art / "assignment.json").read_bytes()
+        try:
+            ckpt.write_bytes(good[:3000])
+            assert cli.main(["assign", "-c", cfg_path]) == cli.EXIT_CODES["E_CORRUPT_ARTIFACT"] == 5
+        finally:
+            ckpt.write_bytes(good)
+        err = capsys.readouterr().err
+        assert err.startswith("E_CORRUPT_ARTIFACT:") and len(err.splitlines()) == 1
+        assert "checkpoint_final.ckpt" in err
+        assert (art / "assignment.json").read_bytes() == assignment
+
+    def test_unreadable_nmf_checkpoint_is_refitted(self, pipeline):
+        tmp_path, cfg_path = pipeline
+        art = tmp_path / "artifacts"
+        assert cli.main(["eval", "-c", cfg_path]) == 0
+        good, report = (art / "nmf.ckpt").read_bytes(), (art / "report.csv").read_bytes()
+        (art / "nmf.ckpt").write_bytes(good[:len(good) // 2])
+        assert cli.main(["eval", "-c", cfg_path]) == 0
+        assert (art / "nmf.ckpt").read_bytes() == good
+        assert (art / "report.csv").read_bytes() == report
+
+
+class TestDirectorySpelling:
+    def test_normalized_spelling_reaches_the_same_artifacts(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tiny_config(tmp_path)
+        cfg["dataset"].update(dir="data", artifacts_dir="artifacts")
+        for cmd in ("make-data", "train"):
+            assert cli.main([cmd, "-c", write_config(tmp_path, cfg)]) == 0
+        cfg["dataset"].update(dir="./data/", artifacts_dir="artifacts/")
+        for cmd in ("assign", "eval"):
+            assert cli.main([cmd, "-c", write_config(tmp_path, cfg)]) == 0
+        assert (tmp_path / "artifacts" / "report.csv").exists()
+        # an absolute spelling of the same directory is another config
+        cfg["dataset"].update(dir=str(tmp_path / "data"), artifacts_dir=str(tmp_path / "artifacts"))
+        assert cli.main(["assign", "-c", write_config(tmp_path, cfg)]) == cli.EXIT_CODES["E_CONFIG_DRIFT"]
+
+    @pytest.mark.parametrize("field,value", [("dir", 5), ("dir", ""), ("artifacts_dir", None),
+                                             ("artifacts_dir", ["artifacts"])])
+    def test_non_string_directory_rejected(self, tmp_path, capsys, field, value):
+        cfg = tiny_config(tmp_path)
+        cfg["dataset"][field] = value
+        assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == cli.EXIT_CODES["E_CONFIG"]
+        err = capsys.readouterr().err
+        assert err.startswith(f"E_CONFIG: dataset.{field}") and len(err.splitlines()) == 1
+
+
 class TestEvalLoadsTestSplitOnce:
     def test_each_test_clip_loaded_once(self, pipeline, monkeypatch):
         tmp_path, cfg_path = pipeline

@@ -65,7 +65,7 @@ class TestSeparate:
             assert b <= a + 1e-9 * (1 + abs(a))
         m_a, _ = nmf.nmf_separate(v, w_a, w_b, iters=80, init_h=h0)
         va, vb = w[:, :3] @ h[:3], w[:, 3:] @ h[3:]
-        assert np.array_equal(m_a.values, np.clip(va / (va + vb + nmf.EPS), 0, 1).astype(np.float32))
+        assert np.array_equal(m_a, np.clip(va / (va + vb + nmf.EPS), 0, 1).astype(np.float32))
 
     def test_masks_sum_to_one_where_energy(self):
         rng = np.random.default_rng(5)
@@ -73,10 +73,10 @@ class TestSeparate:
         w_a = rng.random((32, 4))
         w_b = rng.random((32, 4))
         m_a, m_b = nmf.nmf_separate(v, w_a, w_b, iters=50, seed=4)
-        total = m_a.values.astype(np.float64) + m_b.values.astype(np.float64)
+        total = m_a.astype(np.float64) + m_b.astype(np.float64)
         # reconstruction energy far above the epsilon guard
         assert np.all(np.abs(total - 1.0) <= 1e-3)
-        assert np.all(m_a.values >= 0) and np.all(m_b.values >= 0)
+        assert np.all(m_a >= 0) and np.all(m_b >= 0)
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="bins"):
@@ -90,7 +90,7 @@ class TestSeparate:
         h0 = rng.uniform(0.1, 1.1, size=(6, 30))
         m1, _ = nmf.nmf_separate(v, w_a, w_b, iters=200, init_h=h0)
         m2, _ = nmf.nmf_separate(2 * v, w_a, w_b, iters=200, init_h=2 * h0)
-        assert np.max(np.abs(m1.values - m2.values)) <= 1e-6
+        assert np.max(np.abs(m1 - m2)) <= 1e-6
 
 
 class TestToySeparation:

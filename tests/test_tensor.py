@@ -311,13 +311,6 @@ class TestBackwardAndOptimizers:
         tc.backward(loss)
         np.testing.assert_allclose(w.grad, [2.0, 4.0], rtol=1e-6)
 
-    def test_sgd_step(self):
-        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        opt = tc.SGD([w], lr=0.1)
-        tc.backward(tc.tsum(tc.mul(w, w)))
-        opt.step()
-        np.testing.assert_allclose(w.data, [0.8, 1.6], rtol=1e-6)
-
     def test_backward_rejects_non_scalar(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
@@ -325,7 +318,7 @@ class TestBackwardAndOptimizers:
 
     def test_step_before_backward_warns_and_noops(self):
         w = Tensor(np.array([1.0]), requires_grad=True)
-        opt = tc.SGD([w], lr=0.5)
+        opt = tc.Adam([w], lr=0.5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             opt.step()

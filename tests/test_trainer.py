@@ -162,8 +162,7 @@ class TestTrainStep:
         bundle = mini_bundle(seed=1)
         opt = Adam(bundle.param_list(), lr=1e-3)
         prepared, ((i, j),) = self.one_pair(mini_dataset, 2)
-        batch = tr._batch_arrays([(prepared[i], prepared[j])], MINI_WARP,
-                                 tw.manifest_stft(mini_dataset))
+        batch = tr._batch_arrays([(prepared[i], prepared[j])])
         loss = tr._step_batch(batch, bundle, opt, symmetric=True)
         assert abs(loss - math.log(2)) <= 0.15
 
@@ -174,8 +173,7 @@ class TestTrainStep:
         state = tr.TrainState(seed=0)
         prepared, pair_idx = self.one_pair(mini_dataset, 3)
         with pytest.raises(tr.TrainingDiverged, match="stage"):
-            tr._run_epoch(prepared, pair_idx, bundle, opt, state,
-                          tw.manifest_stft(mini_dataset), MINI_WARP)
+            tr._run_epoch(prepared, pair_idx, bundle, opt, state)
 
 
 class TestStepBatch:
@@ -241,7 +239,7 @@ class TestRunSchedule:
         bundle = mini_bundle(seed=3)
         log = tmp_path / "train.csv"
         state = tr.run_schedule(cfg, mini_dataset, bundle, out_dir=tmp_path, seed=7,
-                                warp_bins=MINI_WARP, batch_pairs=4, log_path=log)
+                                batch_pairs=4, log_path=log)
         assert state.epoch == 5
         assert len(state.loss_history) == 5
         assert all(np.isfinite(state.loss_history))
@@ -262,9 +260,9 @@ class TestRunSchedule:
     def test_seeded_runs_are_identical(self, mini_dataset):
         cfg = mini_schedule()
         s1 = tr.run_schedule(cfg, mini_dataset, mini_bundle(seed=4), seed=11,
-                             warp_bins=MINI_WARP, batch_pairs=4)
+                             batch_pairs=4)
         s2 = tr.run_schedule(cfg, mini_dataset, mini_bundle(seed=4), seed=11,
-                             warp_bins=MINI_WARP, batch_pairs=4)
+                             batch_pairs=4)
         assert s1.loss_history == s2.loss_history
         assert s1.sparsity_history == s2.sparsity_history
 
@@ -272,7 +270,7 @@ class TestRunSchedule:
         cfg = mini_schedule(sigmoid_epochs=0)
         bundle = mini_bundle(seed=5)
         state = tr.run_schedule(cfg, mini_dataset, bundle, seed=1,
-                                warp_bins=MINI_WARP, batch_pairs=4)
+                                batch_pairs=4)
         assert state.epoch == 3
         assert state.stage == "finetune"
 
@@ -280,7 +278,7 @@ class TestRunSchedule:
         cfg = mini_schedule(softmax_epochs=0, decay_epochs=())
         bundle = mini_bundle(seed=6)
         state = tr.run_schedule(cfg, mini_dataset, bundle, seed=1,
-                                warp_bins=MINI_WARP, batch_pairs=4)
+                                batch_pairs=4)
         assert bundle.mode == "sigmoid"
         assert state.stage == "training"
 
@@ -289,7 +287,7 @@ class TestRunSchedule:
             cfg = mini_schedule(softmax_epochs=3, decay_rate=rate, decay_epochs=decays)
             bundle = mini_bundle(seed=8)
             state = tr.run_schedule(cfg, mini_dataset, bundle, seed=2,
-                                    warp_bins=MINI_WARP, batch_pairs=4)
+                                    batch_pairs=4)
             after_sigmoid = state.sparsity_history[cfg.sigmoid_epochs - 1]
             after_finetune = state.sparsity_history[-1]
             assert after_finetune > after_sigmoid
@@ -297,21 +295,21 @@ class TestRunSchedule:
     def test_resume_with_mismatched_schedule_rejected(self, mini_dataset, tmp_path):
         cfg = mini_schedule()
         tr.run_schedule(cfg, mini_dataset, mini_bundle(seed=9), out_dir=tmp_path, seed=3,
-                        warp_bins=MINI_WARP, batch_pairs=4)
+                        batch_pairs=4)
         other = mini_schedule(lr=5e-3)
         with pytest.raises(ValueError, match="different configuration"):
             tr.run_schedule(other, mini_dataset, mini_bundle(seed=9), seed=3,
-                            warp_bins=MINI_WARP, batch_pairs=4,
+                            batch_pairs=4,
                             resume_from=tmp_path / "checkpoint_sigmoid.ckpt")
 
     def test_resume_from_stage_boundary(self, mini_dataset, tmp_path):
         cfg = mini_schedule()
         tr.run_schedule(cfg, mini_dataset, mini_bundle(seed=10), out_dir=tmp_path, seed=4,
-                        warp_bins=MINI_WARP, batch_pairs=4)
+                        batch_pairs=4)
         bundle = mini_bundle(seed=99)
         log = tmp_path / "resumed.csv"
         state = tr.run_schedule(cfg, mini_dataset, bundle, seed=4,
-                                warp_bins=MINI_WARP, batch_pairs=4, log_path=log,
+                                batch_pairs=4, log_path=log,
                                 resume_from=tmp_path / "checkpoint_sigmoid.ckpt")
         assert state.stage == "finetune"
         assert bundle.trained
@@ -328,7 +326,7 @@ class TestRunSchedule:
         initial = {k: p.data.copy() for k, p in bundle.params().items()}
         log = tmp_path / "train.csv"
         tr.run_schedule(cfg, mini_dataset, bundle, out_dir=tmp_path, seed=5,
-                        warp_bins=MINI_WARP, batch_pairs=8, log_path=log)
+                        batch_pairs=8, log_path=log)
         rows = [r.split(",") for r in log.read_text().strip().split("\n")[1:]]
         expected = [[str(i), stage, "" if t is None else f"{t:.6g}", f"{lr:.6g}"]
                     for i, (stage, _, t, lr) in enumerate(tr.epoch_plan(cfg), start=1)]
@@ -346,7 +344,7 @@ class TestRunSchedule:
             sigmoid_only = mini_bundle(seed=11)
             tr.run_schedule(mini_schedule(sigmoid_epochs=sigmoid_epochs, softmax_epochs=0,
                                           decay_epochs=()),
-                            mini_dataset, sigmoid_only, seed=5, warp_bins=MINI_WARP, batch_pairs=8)
+                            mini_dataset, sigmoid_only, seed=5, batch_pairs=8)
             reference = {k: p.data for k, p in sigmoid_only.params().items()}
             assert any(not np.array_equal(final[k], boundary[k]) for k in final)
         assert set(boundary) == set(reference)
