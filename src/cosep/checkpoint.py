@@ -1,4 +1,5 @@
-"""Binary parameter checkpoints.
+"""Binary parameter checkpoints, and the atomic file write that every
+checkpoint, JSON and CSV artifact goes through.
 
 Layout, all little-endian:
 
@@ -32,36 +33,40 @@ from .tensor import Tensor
 MAGIC = b"COSEP1\x00"
 
 
-def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
-    """Write named float32 arrays (or Tensors) plus an optional meta dict.
+def write_atomic(path, data: bytes | str) -> None:
+    """Write ``data`` (text as UTF-8) to ``path`` atomically.
 
-    The bytes go to a temporary file beside ``path``, which replaces
-    ``path`` only once it is complete, so a failed save leaves any
+    The bytes go to a temporary file beside ``path``, which is synced and
+    then replaces ``path``, so a write that fails midway leaves any
     earlier file intact."""
-    meta_bytes = json.dumps(meta or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(meta_bytes)))
-            fh.write(meta_bytes)
-            for name in sorted(tensors):
-                arr = tensors[name]
-                if isinstance(arr, Tensor):
-                    arr = arr.data
-                arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
-                name_b = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(name_b)))
-                fh.write(name_b)
-                fh.write(struct.pack("<Q", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                fh.write(arr.astype("<f4", copy=False).tobytes())
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
+    """Write named float32 arrays (or Tensors) plus an optional meta dict,
+    atomically (``write_atomic``)."""
+    meta_bytes = json.dumps(meta or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    parts = [MAGIC, struct.pack("<I", len(meta_bytes)), meta_bytes]
+    for name in sorted(tensors):
+        arr = tensors[name]
+        if isinstance(arr, Tensor):
+            arr = arr.data
+        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
+        name_b = name.encode("utf-8")
+        parts += [struct.pack("<I", len(name_b)), name_b, struct.pack("<Q", arr.ndim),
+                  struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.astype("<f4", copy=False).tobytes()]
+    write_atomic(path, b"".join(parts))
 
 
 def load_tensors(path) -> tuple[dict, dict]:

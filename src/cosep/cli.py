@@ -3,16 +3,22 @@ separation, segmentation, evaluation, reporting.
 
 Configuration is one JSON file with a closed schema (unknown fields are
 rejected; run ``cosep --help`` for the full field list).  Every artifact
-records a hash over the config sections it depends on, and every
-command verifies its upstream artifacts against the current config
-before running.  Failures exit nonzero with a single machine-parsable
-line on stderr: ``E_CONFIG`` (bad config, exit 2), ``E_MISSING_ARTIFACT``
+records a hash over the config sections it depends on.  Commands read
+their upstream artifacts through one gate, ``_require``, driven by the
+``ARTIFACTS`` table (file, hashed sections, writing command, loader).
+Failures exit nonzero with a single machine-parsable line on stderr:
+``E_CONFIG`` (bad config or input file, exit 2), ``E_MISSING_ARTIFACT``
 (run the named upstream command first, exit 3), ``E_CONFIG_DRIFT``
 (artifact built under a different config, exit 4), ``E_CORRUPT_ARTIFACT``
-(the model checkpoint is truncated or garbled, exit 5; run train again).
-Checkpoints are written atomically, so an interrupted save leaves the
-previous file in place, and an unreadable ``nmf.ckpt`` is refitted like
-a stale one.
+(an artifact that cannot be read or parsed, exit 5; run the command that
+writes it again).  Checkpoints, JSON and CSV artifacts are written
+atomically, so an interrupted write leaves the previous file in place,
+and an unreadable ``nmf.ckpt`` is refitted like a stale one.
+
+``eval`` writes the report CSVs, the per-item scores in
+``eval_details.json`` and the figures under ``figures/``; ``report``
+reads only ``report.csv`` (checked against the config) and prints the
+table beside it, so it needs neither the model nor the dataset.
 
 The schedule is chosen by the config alone: ``schedule.preset`` names a
 preset of ``trainer.PRESETS`` (resolved by ``trainer.preset_schedule``),
@@ -39,10 +45,12 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, avnets, disentangle, dsp, metrics, nmf, toyworld, trainer
+from .checkpoint import write_atomic
 
 EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4, "E_CORRUPT_ARTIFACT": 5}
 
@@ -94,7 +102,7 @@ SCHEMA = {
         "include_nmf": (True, "also fit and evaluate the NMF baseline"),
         "nmf_rank": (8, "NMF bases per category"),
         "nmf_iters": (150, "NMF multiplicative updates at separation time"),
-        "figure_items": (4, "mixtures/frames rendered by the report command"),
+        "figure_items": (4, "mixtures/frames eval renders under figures/ (separation figures: at most n_mixtures)"),
     },
 }
 
@@ -155,9 +163,7 @@ def normalize_config(raw: dict) -> dict:
         schedule_config(cfg)
     except (TypeError, ValueError) as exc:
         raise CliError("E_CONFIG", f"schedule: {exc}")
-    pairs = sched["batch_pairs"]
-    if isinstance(pairs, bool) or not isinstance(pairs, int) or pairs < 1:
-        raise CliError("E_CONFIG", f"schedule.batch_pairs must be a positive integer, got {pairs!r}")
+    _check_int(sched["batch_pairs"], "schedule.batch_pairs", 1)
 
     if cfg["stft"]["preset"] is None:
         for f in ("sample_rate", "window_size", "hop"):
@@ -177,7 +183,14 @@ def normalize_config(raw: dict) -> dict:
     if cfg["dataset"]["categories"] >= cfg["model"]["channels"]:
         raise CliError("E_CONFIG", "dataset.categories must be smaller than model.channels")
     _check_tau(cfg["eval"]["tau"], "eval.tau")
+    for f, least in (("n_mixtures", 1), ("figure_items", 0), ("nmf_rank", 1), ("nmf_iters", 1)):
+        _check_int(cfg["eval"][f], f"eval.{f}", least)
     return cfg
+
+
+def _check_int(value, name: str, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise CliError("E_CONFIG", f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_tau(tau, name: str) -> None:
@@ -189,18 +202,6 @@ def section_hash(cfg: dict, sections) -> str:
     doc = {s: cfg[s] for s in sections}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-HASH_SECTIONS = {
-    "dataset": ("dataset", "stft"),
-    "checkpoint": ("dataset", "stft", "model", "schedule"),
-    "assignment": ("dataset", "stft", "model", "schedule"),
-    "report": ("dataset", "stft", "model", "schedule", "eval"),
-}
-
-
-def artifact_hash(cfg: dict, kind: str) -> str:
-    return section_hash(cfg, HASH_SECTIONS[kind])
 
 
 def stft_config(cfg: dict) -> dsp.StftConfig:
@@ -241,71 +242,97 @@ def build_bundle(cfg: dict) -> avnets.ModelBundle:
 # artifacts
 # ---------------------------------------------------------------------
 
-def _paths(cfg: dict) -> dict:
-    art = Path(cfg["dataset"]["artifacts_dir"])
-    return {
-        "dataset": Path(cfg["dataset"]["dir"]),
-        "manifest": Path(cfg["dataset"]["dir"]) / "manifest.json",
-        "artifacts": art,
-        "checkpoint": art / "checkpoint_final.ckpt",
-        "checkpoint_sigmoid": art / "checkpoint_sigmoid.ckpt",
-        "train_log": art / "train_log.csv",
-        "nmf": art / "nmf.ckpt",
-        "assignment": art / "assignment.json",
-        "report": art / "report.csv",
-        "report_extras": art / "report_extras.csv",
-        "report_table": art / "report_table.txt",
-        "figures": art / "figures",
-        "run_manifest": art / "run_manifest.json",
-    }
+def _load_manifest(path: Path):
+    manifest = toyworld.load_manifest(path.parent)
+    return manifest, {"config_hash": manifest["config_hash"]}
 
 
-def _update_run_manifest(cfg: dict, key: str, path: Path) -> None:
-    paths = _paths(cfg)
-    paths["artifacts"].mkdir(parents=True, exist_ok=True)
-    doc = {"version": __version__, "artifacts": {}, "hashes": {}, "timestamps": {}}
-    if paths["run_manifest"].exists():
-        doc.update(json.loads(paths["run_manifest"].read_text()))
-    doc["version"] = __version__
-    doc["artifacts"][key] = str(path)
-    doc["hashes"][key] = artifact_hash(cfg, key if key in HASH_SECTIONS else "report")
-    doc["timestamps"][key] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    paths["run_manifest"].write_text(json.dumps(doc, sort_keys=True, indent=1))
+def _load_report(path: Path):
+    """The table ``eval`` wrote beside ``report.csv``, and as meta the
+    config hash on the first line of ``report.csv``."""
+    lines = path.read_text().split("\n")
+    if not lines[0].startswith("# config "):
+        raise ValueError("no '# config' line")
+    columns = metrics.REPORT_COLUMNS
+    if (lines[1:2] != [",".join(columns)] or lines[-1]
+            or any(len(line.split(",")) != len(columns) for line in lines[2:-1])):
+        raise ValueError("incomplete report table")
+    return (path.parent / "report_table.txt").read_text(), {"config_hash": lines[0][len("# config "):]}
 
 
-def _require_dataset(cfg: dict) -> dict:
-    paths = _paths(cfg)
-    if not paths["manifest"].exists():
-        raise CliError("E_MISSING_ARTIFACT", f"dataset manifest {paths['manifest']} missing; run make-data")
-    manifest = toyworld.load_manifest(paths["dataset"])
-    recorded = manifest.get("config_hash")
-    if recorded != artifact_hash(cfg, "dataset"):
-        raise CliError("E_CONFIG_DRIFT",
-                       f"dataset at {paths['dataset']} was generated under a different dataset/stft config")
-    return manifest
+class Artifact(NamedTuple):
+    dir_field: str   # the directory is dataset.<dir_field>
+    name: str
+    sections: tuple  # the config sections its recorded hash covers
+    writer: str      # the command that writes it
+    load: Callable   # path -> (object, meta with the recorded config_hash); raises on a bad file
 
 
-def _require_bundle(cfg: dict) -> tuple[avnets.ModelBundle, dict]:
-    paths = _paths(cfg)
-    if not paths["checkpoint"].exists():
-        raise CliError("E_MISSING_ARTIFACT", f"checkpoint {paths['checkpoint']} missing; run train")
+MODEL_SECTIONS = ("dataset", "stft", "model", "schedule")
+
+ARTIFACTS = {
+    "dataset": Artifact("dir", "manifest.json", ("dataset", "stft"), "make-data", _load_manifest),
+    "checkpoint": Artifact("artifacts_dir", "checkpoint_final.ckpt", MODEL_SECTIONS, "train",
+                           avnets.ModelBundle.load),
+    "assignment": Artifact("artifacts_dir", "assignment.json", MODEL_SECTIONS, "assign",
+                           disentangle.Assignment.load),
+    "nmf": Artifact("artifacts_dir", "nmf.ckpt", ("dataset", "stft"), "eval", nmf.NmfModel.load),
+    "report": Artifact("artifacts_dir", "report.csv", MODEL_SECTIONS + ("eval",), "eval", _load_report),
+}
+
+# what reading or parsing a bad file raises: OS errors, bad JSON or
+# checkpoint bytes (ValueError), JSON of the wrong shape (KeyError, TypeError)
+UNREADABLE = (OSError, ValueError, KeyError, TypeError)
+
+
+def _artifacts(cfg: dict, name: str = "") -> Path:
+    return Path(cfg["dataset"]["artifacts_dir"]) / name
+
+
+def artifact_path(cfg: dict, kind: str) -> Path:
+    a = ARTIFACTS[kind]
+    return Path(cfg["dataset"][a.dir_field]) / a.name
+
+
+def artifact_hash(cfg: dict, kind: str) -> str:
+    return section_hash(cfg, ARTIFACTS[kind].sections)
+
+
+def _unreadable(path: Path, exc: Exception, remedy: str) -> CliError:
+    return CliError("E_CORRUPT_ARTIFACT", f"{path} is unreadable ({type(exc).__name__}: {exc}); {remedy}")
+
+
+def _require(cfg: dict, kind: str):
+    """The one artifact gate: load ``kind`` and check it against ``cfg``.
+    A missing file is E_MISSING_ARTIFACT, an unreadable one
+    E_CORRUPT_ARTIFACT, one written under another config E_CONFIG_DRIFT."""
+    a, path = ARTIFACTS[kind], artifact_path(cfg, kind)
+    if not path.exists():
+        raise CliError("E_MISSING_ARTIFACT", f"{path} missing; run {a.writer}")
     try:
-        bundle, meta = avnets.ModelBundle.load(paths["checkpoint"])
-    except ValueError as exc:
-        raise CliError("E_CORRUPT_ARTIFACT", str(exc))
-    if meta.get("config_hash") != artifact_hash(cfg, "checkpoint"):
-        raise CliError("E_CONFIG_DRIFT", "checkpoint was trained under a different config")
-    return bundle, meta
+        obj, meta = a.load(path)
+    except UNREADABLE as exc:
+        raise _unreadable(path, exc, f"run {a.writer} again")
+    if meta.get("config_hash") != artifact_hash(cfg, kind):
+        raise CliError("E_CONFIG_DRIFT", f"{path} was written under a different "
+                                         f"{'/'.join(a.sections)} config; run {a.writer} again")
+    return obj
 
 
-def _require_assignment(cfg: dict) -> disentangle.Assignment:
-    paths = _paths(cfg)
-    if not paths["assignment"].exists():
-        raise CliError("E_MISSING_ARTIFACT", f"assignment {paths['assignment']} missing; run assign")
-    asg, doc = disentangle.Assignment.load(paths["assignment"])
-    if doc.get("config_hash") != artifact_hash(cfg, "assignment"):
-        raise CliError("E_CONFIG_DRIFT", "assignment was computed under a different config")
-    return asg
+def _update_run_manifest(cfg: dict, kind: str) -> None:
+    path = _artifacts(cfg, "run_manifest.json")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    doc = {"version": __version__, "artifacts": {}, "hashes": {}, "timestamps": {}}
+    try:
+        if path.exists():
+            doc.update(json.loads(path.read_text()))
+        doc["version"] = __version__
+        doc["artifacts"][kind] = str(artifact_path(cfg, kind))
+        doc["hashes"][kind] = artifact_hash(cfg, kind)
+        doc["timestamps"][kind] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    except UNREADABLE as exc:
+        raise _unreadable(path, exc, "delete it")
+    write_atomic(path, json.dumps(doc, sort_keys=True, indent=1))
 
 
 def _category_ids(manifest: dict, names) -> list[int]:
@@ -327,40 +354,38 @@ def _category_ids(manifest: dict, names) -> list[int]:
 
 def cmd_make_data(cfg: dict, args) -> int:
     d = cfg["dataset"]
-    paths = _paths(cfg)
     scfg = stft_config(cfg)
-    manifest = toyworld.generate(paths["dataset"], seed=d["seed"], n_categories=d["categories"],
+    manifest = toyworld.generate(d["dir"], seed=d["seed"], n_categories=d["categories"],
                                  counts={"train": d["train"], "val": d["val"], "test": d["test"]},
                                  image_size=cfg["model"]["image_size"], stft_cfg=scfg,
                                  n_frames=cfg["stft"]["n_frames"])
     manifest["config_hash"] = artifact_hash(cfg, "dataset")
-    with open(paths["manifest"], "w") as fh:
-        json.dump({k: v for k, v in manifest.items() if not k.startswith("_")},
-                  fh, sort_keys=True, indent=1)
-    _update_run_manifest(cfg, "dataset", paths["manifest"])
+    write_atomic(artifact_path(cfg, "dataset"),
+                 json.dumps({k: v for k, v in manifest.items() if not k.startswith("_")},
+                            sort_keys=True, indent=1))
+    _update_run_manifest(cfg, "dataset")
     n = sum(len(v) for v in manifest["splits"].values())
-    print(f"dataset: {n} clips, {d['categories']} categories -> {paths['dataset']}")
+    print(f"dataset: {n} clips, {d['categories']} categories -> {d['dir']}")
     return 0
 
 
 def cmd_train(cfg: dict, args) -> int:
-    manifest = _require_dataset(cfg)
+    manifest = _require(cfg, "dataset")
     if args.resume and not Path(args.resume).is_file():
         raise CliError("E_MISSING_ARTIFACT", f"resume checkpoint {args.resume} missing; run train")
-    paths = _paths(cfg)
-    paths["artifacts"].mkdir(parents=True, exist_ok=True)
     bundle = build_bundle(cfg)
     try:
         state = trainer.run_schedule(
-            schedule_config(cfg), manifest, bundle, out_dir=paths["artifacts"],
+            schedule_config(cfg), manifest, bundle, out_dir=_artifacts(cfg),
             seed=cfg["schedule"]["seed"], batch_pairs=cfg["schedule"]["batch_pairs"],
             symmetric=cfg["schedule"]["symmetric"],
-            distinct_pairs=cfg["schedule"]["distinct_pairs"], log_path=paths["train_log"],
+            distinct_pairs=cfg["schedule"]["distinct_pairs"],
+            log_path=_artifacts(cfg, "train_log.csv"),
             resume_from=args.resume or None, config_hash=artifact_hash(cfg, "checkpoint"),
             quiet=not args.verbose)
     except trainer.ResumeError as exc:
         raise CliError("E_CONFIG_DRIFT" if exc.drift else "E_CONFIG", f"--resume: {exc}")
-    _update_run_manifest(cfg, "checkpoint", paths["checkpoint"])
+    _update_run_manifest(cfg, "checkpoint")
     final_t = bundle.temperature if bundle.mode == "softmax" else None
     print(f"trained {state.epoch} epochs; final loss {state.loss_history[-1]:.4f}"
           + (f"; final temperature {final_t:g}" if final_t is not None else ""))
@@ -368,18 +393,17 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_assign(cfg: dict, args) -> int:
-    manifest = _require_dataset(cfg)
-    bundle, _ = _require_bundle(cfg)
-    paths = _paths(cfg)
+    manifest = _require(cfg, "dataset")
+    bundle = _require(cfg, "checkpoint")
     clips = toyworld.load_split(manifest, "val")
     cats = [c.category for c in clips]
     _, v = avnets.infer_images([c.frame for c in clips], bundle)
     table = disentangle.build_table(v, cats, [c.name for c in toyworld.manifest_categories(manifest)])
     asg = disentangle.assign(table)
     table_hash = hashlib.sha256(np.ascontiguousarray(table.values).tobytes()).hexdigest()[:16]
-    asg.save(paths["assignment"], extra={"config_hash": artifact_hash(cfg, "assignment"),
-                                         "table_hash": table_hash})
-    _update_run_manifest(cfg, "assignment", paths["assignment"])
+    asg.save(artifact_path(cfg, "assignment"),
+             extra={"config_hash": artifact_hash(cfg, "assignment"), "table_hash": table_hash})
+    _update_run_manifest(cfg, "assignment")
     acc = disentangle.classification_accuracy(v, cats, asg)
     pairs = ", ".join(f"{n}->{c}" for n, c in zip(asg.categories, asg.category_to_channel))
     print(f"assignment: {pairs}")
@@ -388,12 +412,18 @@ def cmd_assign(cfg: dict, args) -> int:
 
 
 def cmd_separate(cfg: dict, args) -> int:
-    manifest = _require_dataset(cfg)
-    bundle, _ = _require_bundle(cfg)
-    asg = _require_assignment(cfg)
+    manifest = _require(cfg, "dataset")
+    bundle = _require(cfg, "checkpoint")
+    asg = _require(cfg, "assignment")
     scfg = toyworld.manifest_stft(manifest)
     if args.wav:
-        wave, _ = dsp.read_wav(args.wav, expected_rate=scfg.sample_rate)
+        try:
+            wave, _ = dsp.read_wav(args.wav, expected_rate=scfg.sample_rate)
+        except (OSError, ValueError) as exc:
+            raise CliError("E_CONFIG", f"--wav {args.wav}: {exc}")
+        if wave.size < scfg.window_size:
+            raise CliError("E_CONFIG", f"--wav {args.wav}: {wave.size} samples, "
+                                       f"fewer than one window ({scfg.window_size})")
         stem = Path(args.wav)
         names = [n.strip() for n in args.categories.split(",")]
     elif args.clips:
@@ -408,7 +438,7 @@ def cmd_separate(cfg: dict, args) -> int:
         wave = toyworld.mix_waves(clips[0].wave, clips[1].wave)
         cats = toyworld.manifest_categories(manifest)
         names = [cats[c.category].name for c in clips]
-        stem = _paths(cfg)["artifacts"] / f"mix_{ids[0]}_{ids[1]}.wav"
+        stem = _artifacts(cfg, f"mix_{ids[0]}_{ids[1]}.wav")
         dsp.write_wav(stem, wave, scfg.sample_rate)
     else:
         raise CliError("E_CONFIG", "separate needs --wav FILE --categories a,b or --clips id1,id2")
@@ -424,12 +454,15 @@ def cmd_separate(cfg: dict, args) -> int:
 
 
 def cmd_segment(cfg: dict, args) -> int:
-    manifest = _require_dataset(cfg)
-    bundle, _ = _require_bundle(cfg)
-    asg = _require_assignment(cfg)
+    manifest = _require(cfg, "dataset")
+    bundle = _require(cfg, "checkpoint")
+    asg = _require(cfg, "assignment")
     if not args.image or not args.category:
         raise CliError("E_CONFIG", "segment needs --image FILE.ppm --category NAME")
-    frame = toyworld.read_ppm(args.image)
+    try:
+        frame = toyworld.read_ppm(args.image)
+    except (OSError, ValueError) as exc:
+        raise CliError("E_CONFIG", f"--image {args.image}: {exc}")
     size = bundle.image_cfg.input_size
     if frame.shape[:2] != (size, size):
         raise CliError("E_CONFIG", f"image must be {size}x{size}, got {frame.shape[1]}x{frame.shape[0]}")
@@ -446,87 +479,68 @@ def cmd_segment(cfg: dict, args) -> int:
 
 
 def _fit_or_load_nmf(cfg: dict, manifest: dict) -> nmf.NmfModel:
-    paths = _paths(cfg)
-    expected = artifact_hash(cfg, "dataset")
-    if paths["nmf"].exists():
-        try:
-            model, meta = nmf.NmfModel.load(paths["nmf"])
-            if meta.get("config_hash") == expected and model.rank == cfg["eval"]["nmf_rank"]:
-                return model
-        except ValueError:
-            pass   # unreadable: refit, as for a stale file
+    try:
+        model = _require(cfg, "nmf")
+        if model.rank == cfg["eval"]["nmf_rank"]:
+            return model
+    except CliError:
+        pass   # missing, unreadable or stale: refit
     model = nmf.fit_category_bases(manifest, rank=cfg["eval"]["nmf_rank"],
                                    iters=200, seed=cfg["dataset"]["seed"])
-    model.save(paths["nmf"], extra_meta={"config_hash": expected})
+    model.save(artifact_path(cfg, "nmf"), extra_meta={"config_hash": artifact_hash(cfg, "nmf")})
     return model
 
 
 def cmd_eval(cfg: dict, args) -> int:
-    manifest = _require_dataset(cfg)
-    bundle, meta = _require_bundle(cfg)
-    asg = _require_assignment(cfg)
-    paths = _paths(cfg)
+    manifest = _require(cfg, "dataset")
+    bundle = _require(cfg, "checkpoint")
+    asg = _require(cfg, "assignment")
     e = cfg["eval"]
     name = cfg["schedule"]["preset"] or "custom"
     clips = metrics.split_clips(manifest, "test")
-    row, extras, _ = metrics.evaluate_network(bundle, asg, manifest, "test", clips,
-                                              pair_seed=e["pair_seed"], n_mixtures=e["n_mixtures"],
-                                              tau=e["tau"], model_name=name)
-    rows = [row]
-    named_extras = {name: extras}
+    row, extras, details, figures = metrics.evaluate_network(
+        bundle, asg, manifest, "test", clips, pair_seed=e["pair_seed"],
+        n_mixtures=e["n_mixtures"], tau=e["tau"], model_name=name, figure_items=e["figure_items"])
+    rows, named_extras, named_details = [row], {name: extras}, {name: details}
     if e["include_nmf"]:
         model = _fit_or_load_nmf(cfg, manifest)
-        nrow, nextras, _ = metrics.evaluate_nmf(model, manifest, "test", clips,
-                                                pair_seed=e["pair_seed"],
-                                                n_mixtures=e["n_mixtures"], iters=e["nmf_iters"])
+        nrow, nextras, ndetails = metrics.evaluate_nmf(model, manifest, "test", clips,
+                                                       pair_seed=e["pair_seed"],
+                                                       n_mixtures=e["n_mixtures"], iters=e["nmf_iters"])
         rows.append(nrow)
         named_extras["nmf"] = nextras
-    metrics.write_summary_csv(paths["report"], rows,
-                              header_comment=f"config {artifact_hash(cfg, 'report')}")
-    metrics.write_extras_csv(paths["report_extras"], named_extras)
+        named_details["nmf"] = {"separation": ndetails}
+    _write_figures(_artifacts(cfg, "figures"), clips, figures, toyworld.manifest_stft(manifest))
+    write_atomic(_artifacts(cfg, "eval_details.json"),
+                 json.dumps(named_details, sort_keys=True, indent=1))
+    metrics.write_extras_csv(_artifacts(cfg, "report_extras.csv"), named_extras)
     table = metrics.format_table(rows)
-    paths["report_table"].write_text(table + "\n")
-    _update_run_manifest(cfg, "report", paths["report"])
+    write_atomic(_artifacts(cfg, "report_table.txt"), table + "\n")
+    # report.csv last: its hash line is what ``report`` checks
+    metrics.write_summary_csv(artifact_path(cfg, "report"), rows,
+                              header_comment=f"config {artifact_hash(cfg, 'report')}")
+    _update_run_manifest(cfg, "report")
     print(table)
     print(f"mean SDR improvement over mixture: {extras['mean_sdr_improvement']:.2f} dB")
     return 0
 
 
 def cmd_report(cfg: dict, args) -> int:
-    manifest = _require_dataset(cfg)
-    bundle, _ = _require_bundle(cfg)
-    asg = _require_assignment(cfg)
-    paths = _paths(cfg)
-    if not paths["report"].exists():
-        raise CliError("E_MISSING_ARTIFACT", f"report {paths['report']} missing; run eval")
-    paths["figures"].mkdir(parents=True, exist_ok=True)
-    scfg = toyworld.manifest_stft(manifest)
-    e = cfg["eval"]
-    n_items = e["figure_items"]
-
-    # spectrogram triptychs: mixture | estimate A | estimate B
-    pairs = metrics.sample_mixture_pairs(manifest, "test", e["pair_seed"], n_items)
-    for i, (ra, rb) in enumerate(pairs):
-        a = toyworld.load_clip(manifest, ra)
-        b = toyworld.load_clip(manifest, rb)
-        mix = toyworld.mix_waves(a.wave, b.wave)
-        estimates = metrics.separate(mix, [a.category, b.category], bundle, asg, scfg)
-        panels = [dsp.stft(w, scfg).magnitude for w in (mix, *estimates)]
-        img = _spectrogram_strip(panels)
-        toyworld.write_pgm(paths["figures"] / f"separation_{i:02d}.pgm", img)
-
-    # frame / predicted-mask overlays
-    clips = [toyworld.load_clip(manifest, rec) for rec in manifest["splits"]["test"][:n_items]]
-    if clips:
-        maps, _ = avnets.infer_images([c.frame for c in clips], bundle)
-        preds = avnets.segment(maps, bundle, [asg.channel_for(c.category) for c in clips],
-                               tau=e["tau"])
-        for i, (clip, pred) in enumerate(zip(clips, preds)):
-            toyworld.write_ppm(paths["figures"] / f"segmentation_{i:02d}.ppm",
-                               _overlay(clip.frame, pred, clip.gt_mask))
-    print(paths["report_table"].read_text())
-    print(f"figures -> {paths['figures']}")
+    print(_require(cfg, "report"))
+    print(f"figures -> {_artifacts(cfg, 'figures')}")
     return 0
+
+
+def _write_figures(out: Path, clips: dict, figures: dict, stft_cfg: dsp.StftConfig) -> None:
+    """Spectrogram triptychs (mixture | estimate A | estimate B) of the
+    first evaluated mixtures and frame / predicted-mask overlays of the
+    first test clips."""
+    out.mkdir(parents=True, exist_ok=True)
+    for i, waves in enumerate(figures["separation"]):
+        panels = [dsp.stft(w, stft_cfg).magnitude for w in waves]
+        toyworld.write_pgm(out / f"separation_{i:02d}.pgm", _spectrogram_strip(panels))
+    for i, (clip, pred) in enumerate(zip(clips.values(), figures["segmentation"])):
+        toyworld.write_ppm(out / f"segmentation_{i:02d}.ppm", _overlay(clip.frame, pred, clip.gt_mask))
 
 
 def _spectrogram_strip(panels) -> np.ndarray:
@@ -595,8 +609,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--image", help="input PPM frame")
     p_seg.add_argument("--category", help="category name to segment")
     p_seg.add_argument("--tau", type=float, default=None, help="threshold override")
-    add("eval", cmd_eval, "evaluate on the test split and write report CSVs")
-    add("report", cmd_report, "render tables and PPM/PGM figures from the report")
+    add("eval", cmd_eval, "evaluate on the test split; write report CSVs, eval_details.json and figures")
+    add("report", cmd_report, "print the table eval wrote, after checking report.csv against the config")
     return parser
 
 

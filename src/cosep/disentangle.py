@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import write_atomic
+
 
 def sparsity(x) -> float:
     """Population sparseness of a non-negative activation vector:
@@ -91,8 +93,7 @@ class Assignment:
         doc = self.to_json()
         if extra:
             doc.update(extra)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
+        write_atomic(path, json.dumps(doc, sort_keys=True, indent=1))
 
     @staticmethod
     def load(path) -> tuple["Assignment", dict]:

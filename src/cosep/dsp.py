@@ -245,11 +245,16 @@ def write_wav(path, wave_data: np.ndarray, sample_rate: int) -> None:
 
 
 def read_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:
-    with _wavemod.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit mono PCM")
-        rate = fh.getframerate()
-        raw = fh.readframes(fh.getnframes())
+    """16-bit mono PCM samples as float32 in [-1, 1], and the sample rate.
+    A file that is not such a WAV raises ``ValueError``."""
+    try:
+        with _wavemod.open(str(path), "rb") as fh:
+            if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit mono PCM")
+            rate = fh.getframerate()
+            raw = fh.readframes(fh.getnframes())
+    except (_wavemod.Error, EOFError) as exc:
+        raise ValueError(f"{path}: not a WAV file ({exc})") from exc
     if expected_rate is not None and rate != expected_rate:
         raise ValueError(f"{path}: sample rate {rate} does not match configured {expected_rate}")
     wave_data = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32767.0

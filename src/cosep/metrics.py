@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import avnets, dsp, nmf as nmf_mod, toyworld
+from .checkpoint import write_atomic
 from .disentangle import Assignment, classification_accuracy, sparsity
 from .tensor import Tensor, no_grad
 
@@ -160,20 +161,24 @@ def sample_mixture_pairs(manifest: dict, split: str, seed: int, n_mixtures: int)
     return pairs
 
 
-def _score_mixtures(clips: dict, pairs, cfg: dsp.StftConfig, mask_fn, dtype):
+def _score_mixtures(clips: dict, pairs, cfg: dsp.StftConfig, mask_fn, dtype, keep: int = 0):
     """The mixture loop: separate every scheduled pair of ``clips`` (by
     clip id) with ``mask_fn`` and score the estimates, cast to ``dtype``,
     against the half-gain sources.  Returns the SDR/SIR means for the
-    summary row, the medians and mean SDR improvement, and per-mixture
-    details."""
-    details = []
+    summary row, the medians and mean SDR improvement, per-mixture
+    details, and (mixture, estimate A, estimate B) of the first ``keep``
+    mixtures."""
+    details, kept = [], []
     for rec_a, rec_b in pairs:
         a, b = clips[rec_a["id"]], clips[rec_b["id"]]
         mix = toyworld.mix_waves(a.wave, b.wave)
         refs = [0.5 * a.wave, 0.5 * b.wave]
         spec = dsp.stft(mix, cfg)
-        scores = [sdr_sir(_estimate(spec, mask, mix.size).astype(dtype), refs, i)
-                  for i, mask in enumerate(mask_fn(spec, a.category, b.category))]
+        estimates = [_estimate(spec, mask, mix.size).astype(dtype)
+                     for mask in mask_fn(spec, a.category, b.category)]
+        if len(kept) < keep:
+            kept.append((mix, *estimates))
+        scores = [sdr_sir(est, refs, i) for i, est in enumerate(estimates)]
         details.append({"clips": [rec_a["id"], rec_b["id"]],
                         "sdr": [float(s) for s, _ in scores], "sir": [float(r) for _, r in scores],
                         "mixture_sdr": [float(sdr_sir(mix, refs, i)[0]) for i in range(2)]})
@@ -183,7 +188,7 @@ def _score_mixtures(clips: dict, pairs, cfg: dsp.StftConfig, mask_fn, dtype):
     means = {"SDR": float(np.mean(sdrs)), "SIR": float(np.mean(sirs))}
     extras = {"median_SDR": float(np.median(sdrs)), "median_SIR": float(np.median(sirs)),
               "mean_sdr_improvement": float(np.mean(improvements))}
-    return means, extras, details
+    return means, extras, details, kept
 
 
 def split_clips(manifest: dict, split: str) -> dict:
@@ -197,10 +202,13 @@ def split_clips(manifest: dict, split: str) -> dict:
 
 def evaluate_network(bundle, assignment: Assignment, manifest: dict, split: str, clips: dict,
                      pair_seed: int = 0, n_mixtures: int = 40,
-                     tau: float = 0.5, model_name: str = "model"):
+                     tau: float = 0.5, model_name: str = "model", figure_items: int = 0):
     """Full image-only + audio-only evaluation on ``clips``, the
     ``split_clips`` of ``split``; returns (summary row, extras, per-item
-    details)."""
+    details, figure data).  The figure data holds the predicted masks of
+    the first ``figure_items`` clips ("segmentation") and the mixture and
+    two float32 estimates of the first ``figure_items`` mixtures
+    ("separation")."""
     cfg = toyworld.manifest_stft(manifest)
 
     # image-only: segmentation + channel sparsity + classification
@@ -213,14 +221,15 @@ def evaluate_network(bundle, assignment: Assignment, manifest: dict, split: str,
     ious = [d["iou"] for d in seg_details]
 
     # audio-only: seeded pairwise mixtures
-    means, extras, sep_details = _score_mixtures(
+    means, extras, sep_details, kept = _score_mixtures(
         clips, sample_mixture_pairs(manifest, split, pair_seed, n_mixtures), cfg,
-        network_masks(bundle, assignment), np.float32)
+        network_masks(bundle, assignment), np.float32, keep=figure_items)
 
     row = {"model": model_name, "sparsity": float(np.mean([sparsity(r) for r in v])),
            "accuracy": float(accuracy), **means, "IoU": float(np.mean(ious))}
     extras["median_IoU"] = float(np.median(ious))
-    return row, extras, {"segmentation": seg_details, "separation": sep_details}
+    return (row, extras, {"segmentation": seg_details, "separation": sep_details},
+            {"segmentation": preds[:figure_items], "separation": kept})
 
 
 def evaluate_nmf(model: "nmf_mod.NmfModel", manifest: dict, split: str, clips: dict,
@@ -232,7 +241,7 @@ def evaluate_nmf(model: "nmf_mod.NmfModel", manifest: dict, split: str, clips: d
         return nmf_mod.nmf_separate(spec.magnitude, model.bases[cat_a], model.bases[cat_b],
                                     iters=iters, seed=pair_seed)
 
-    means, extras, details = _score_mixtures(
+    means, extras, details, _ = _score_mixtures(
         clips, sample_mixture_pairs(manifest, split, pair_seed, n_mixtures),
         toyworld.manifest_stft(manifest), masks, np.float64)
     row = {"model": "nmf", "sparsity": None, "accuracy": None, **means, "IoU": None}
@@ -254,8 +263,7 @@ def write_summary_csv(path, rows, header_comment: str = "") -> None:
     lines.append(",".join(REPORT_COLUMNS))
     for row in rows:
         lines.append(",".join([str(row["model"])] + [_fmt(row[c]) for c in REPORT_COLUMNS[1:]]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_extras_csv(path, named_extras: dict) -> None:
@@ -264,8 +272,7 @@ def write_extras_csv(path, named_extras: dict) -> None:
     lines = [",".join(["model"] + keys)]
     for name in sorted(named_extras):
         lines.append(",".join([name] + [_fmt(named_extras[name].get(k)) for k in keys]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def format_table(rows) -> str:

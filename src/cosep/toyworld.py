@@ -228,7 +228,7 @@ def _parse_pnm(data: bytes, magic: bytes):
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
         if data[pos:pos + 1] == b"#":
-            while data[pos:pos + 1] != b"\n":
+            while pos < len(data) and data[pos:pos + 1] != b"\n":
                 pos += 1
             continue
         start = pos

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import avnets, dsp, toyworld
 from . import tensor as tc
+from .checkpoint import write_atomic
 from .disentangle import sparsity
 from .tensor import Adam, Tensor
 
@@ -313,8 +314,7 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
             print(f"epoch {state.epoch:3d} [{state.stage}] T={temp} lr={opt.lr:.2e} "
                   f"loss={loss:.4f} sparsity={spars:.4f}")
         if log_path is not None:
-            with open(log_path, "w") as fh:
-                fh.write("\n".join(",".join(r) for r in log_rows) + "\n")
+            write_atomic(log_path, "\n".join(",".join(r) for r in log_rows) + "\n")
 
     bundle.trained = True
     save("checkpoint_final.ckpt", state.stage)

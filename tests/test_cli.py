@@ -2,13 +2,15 @@
 artifact hashing."""
 
 import json
+import shutil
 import sys
 import types
+import wave
 
 import numpy as np
 import pytest
 
-from cosep import avnets, cli, disentangle, dsp, metrics, toyworld as tw
+from cosep import avnets, checkpoint, cli, disentangle, dsp, metrics, toyworld as tw
 
 from oracles import per_clip_image_metrics
 
@@ -97,6 +99,19 @@ class TestConfigValidation:
         assert cli.main([command, "-c", cfg_path]) == cli.EXIT_CODES["E_CONFIG"]
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG: schedule") and len(err.splitlines()) == 1
+        assert not (tmp_path / "data").exists() and not (tmp_path / "artifacts").exists()
+
+    @pytest.mark.parametrize("command", ["make-data", "eval", "report"])
+    @pytest.mark.parametrize("field,value", [
+        ("n_mixtures", 0), ("n_mixtures", True), ("figure_items", -1), ("figure_items", "two"),
+        ("nmf_rank", 0), ("nmf_iters", -1), ("nmf_iters", 1.5),
+    ])
+    def test_bad_eval_rejected_on_load(self, tmp_path, capsys, command, field, value):
+        cfg = tiny_config(tmp_path)
+        cfg["eval"][field] = value
+        assert cli.main([command, "-c", write_config(tmp_path, cfg)]) == cli.EXIT_CODES["E_CONFIG"]
+        err = capsys.readouterr().err
+        assert err.startswith(f"E_CONFIG: eval.{field}") and len(err.splitlines()) == 1
         assert not (tmp_path / "data").exists() and not (tmp_path / "artifacts").exists()
 
     def test_help_enumerates_config_fields(self, capsys):
@@ -378,9 +393,12 @@ class TestDeterminism:
             cfg_path = write_config(cwd, cfg)
             for cmd in ("make-data", "train", "assign", "eval"):
                 assert cli.main([cmd, "-c", cfg_path]) == 0
-            digests.append({name: (cwd / "artifacts" / name).read_bytes()
+            art = cwd / "artifacts"
+            digests.append({name: (art / name).read_bytes()
                             for name in ("train_log.csv", "checkpoint_final.ckpt",
-                                         "assignment.json", "report.csv")})
+                                         "assignment.json", "report.csv", "eval_details.json")})
+            digests[-1].update({f.name: f.read_bytes() for f in (art / "figures").iterdir()})
+        assert "separation_00.pgm" in digests[0] and "segmentation_00.ppm" in digests[0]
         assert digests[0] == digests[1]
 
 
@@ -411,9 +429,9 @@ class TestOneImagePass:
     def test_batched_metrics_equal_per_clip_reference(self, pipeline):
         cfg, manifest, bundle, asg = self.loaded(*pipeline)
         tau = cfg["eval"]["tau"]
-        row, _, _ = metrics.evaluate_network(bundle, asg, manifest, "test",
-                                             metrics.split_clips(manifest, "test"), pair_seed=2,
-                                             n_mixtures=1, tau=tau)
+        row, _, _, _ = metrics.evaluate_network(bundle, asg, manifest, "test",
+                                                metrics.split_clips(manifest, "test"), pair_seed=2,
+                                                n_mixtures=1, tau=tau)
         ref_iou, ref_sparsity, ref_accuracy = per_clip_image_metrics(
             bundle, asg, manifest, "test", tau)
         assert row["IoU"] == ref_iou
@@ -436,3 +454,195 @@ class TestOneImagePass:
         frames = np.stack([c.frame for c in tw.load_split(tw.load_manifest(tmp_path / "data"), "val")])
         assert np.array_equal(np.concatenate(seen), avnets.frames_to_tensor(frames).data)
         assert (tmp_path / "artifacts" / "assignment.json").read_text() == before
+
+
+def one_error_line(capsys, code: str) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith(f"{code}:") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+class TestBadInputFiles:
+    """A bad ``separate --wav`` or ``segment --image`` file is one E_CONFIG
+    line, not a traceback."""
+
+    @staticmethod
+    def write_pcm(path, samples, rate=8000, channels=1, width=2):
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(channels)
+            fh.setsampwidth(width)
+            fh.setframerate(rate)
+            fh.writeframes(b"\x00" * width * channels * samples)
+
+    @pytest.mark.parametrize("case", ["missing", "not_wav", "stereo", "8_bit", "rate", "short"])
+    def test_bad_wav(self, pipeline, tmp_path, capsys, case):
+        _, cfg_path = pipeline
+        path = tmp_path / "in.wav"
+        if case == "not_wav":
+            path.write_text("not a wav\n")
+        elif case == "stereo":
+            self.write_pcm(path, 4096, channels=2)
+        elif case == "8_bit":
+            self.write_pcm(path, 4096, width=1)
+        elif case == "rate":
+            self.write_pcm(path, 4096, rate=16000)
+        elif case == "short":
+            self.write_pcm(path, 100)
+        rc = cli.main(["separate", "-c", cfg_path, "--wav", str(path), "--categories", "0,1"])
+        assert rc == cli.EXIT_CODES["E_CONFIG"]
+        assert str(path) in one_error_line(capsys, "E_CONFIG")
+
+    @pytest.mark.parametrize("case", ["missing", "not_p6", "truncated", "truncated_header"])
+    def test_bad_image(self, pipeline, tmp_path, capsys, case):
+        src_tmp, cfg_path = pipeline
+        rec = tw.load_manifest(src_tmp / "data")["splits"]["test"][0]
+        path = tmp_path / "in.ppm"
+        if case == "not_p6":
+            shutil.copy(src_tmp / "data" / rec["mask"], path)
+        elif case == "truncated":
+            good = (src_tmp / "data" / rec["frame"]).read_bytes()
+            path.write_bytes(good[:len(good) // 2])
+        elif case == "truncated_header":
+            path.write_bytes(b"P6\n64 64\n# cut")
+        rc = cli.main(["segment", "-c", cfg_path, "--image", str(path), "--category", "0"])
+        assert rc == cli.EXIT_CODES["E_CONFIG"]
+        assert str(path) in one_error_line(capsys, "E_CONFIG")
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """make-data -> train -> assign -> eval once, with directories relative
+    to the run directory, so that a copy of it is a run of its own."""
+    base = tmp_path_factory.mktemp("run")
+    cfg = tiny_config(base)
+    cfg["dataset"].update(dir="data", artifacts_dir="artifacts")
+    write_config(base, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(base)
+        for cmd in ("make-data", "train", "assign", "eval"):
+            assert cli.main([cmd, "-c", "cosep.json"]) == 0
+    return base
+
+
+@pytest.fixture
+def run_copy(finished_run, tmp_path, monkeypatch, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    monkeypatch.chdir(run)
+    capsys.readouterr()
+    return run
+
+
+def record_other_config(path):
+    """Rewrite the artifact at ``path`` as if written under another config."""
+    other = "0" * 16
+    if path.suffix == ".json":
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "config_hash": other}))
+    elif path.suffix == ".ckpt":
+        bundle, _ = avnets.ModelBundle.load(path)
+        bundle.save(path, extra_meta={"config_hash": other})
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([f"# config {other}\n"] + lines[1:]))
+
+
+GATED = {  # artifact -> (the command that writes it, a command that reads it)
+    "data/manifest.json": ("make-data", "eval"),
+    "artifacts/checkpoint_final.ckpt": ("train", "eval"),
+    "artifacts/assignment.json": ("assign", "eval"),
+    "artifacts/report.csv": ("eval", "report"),
+}
+CODES = {"missing": "E_MISSING_ARTIFACT", "empty_object": "E_CORRUPT_ARTIFACT",
+         "cut_in_half": "E_CORRUPT_ARTIFACT", "no_config_line": "E_CORRUPT_ARTIFACT",
+         "other_config": "E_CONFIG_DRIFT"}
+
+
+class TestArtifactGate:
+    @pytest.mark.parametrize("name,case", [
+        *[(name, case) for name in GATED
+          for case in ("missing", "empty_object", "cut_in_half", "other_config")],
+        ("artifacts/report.csv", "no_config_line"),
+    ])
+    def test_bad_artifact_is_one_error_line(self, run_copy, capsys, name, case):
+        path = run_copy / name
+        good = path.read_bytes()
+        if case == "missing":
+            path.unlink()
+        elif case == "empty_object":
+            path.write_text("{}")
+        elif case == "cut_in_half":
+            path.write_bytes(good[:len(good) // 2])
+        elif case == "no_config_line":
+            path.write_bytes(good.split(b"\n", 1)[1])
+        else:
+            record_other_config(path)
+        writer, command = GATED[name]
+        report = run_copy / "artifacts" / "report.csv"
+        before = report.read_bytes() if report.exists() else None
+        assert cli.main([command, "-c", "cosep.json"]) == cli.EXIT_CODES[CODES[case]]
+        err = one_error_line(capsys, CODES[case])
+        assert name in err and f"run {writer}" in err
+        assert (report.read_bytes() if report.exists() else None) == before
+
+    def test_report_reads_only_the_report(self, run_copy, capsys):
+        art = run_copy / "artifacts"
+        for name in ("checkpoint_final.ckpt", "checkpoint_sigmoid.ckpt", "assignment.json"):
+            (art / name).unlink()
+        shutil.rmtree(run_copy / "data")
+        assert cli.main(["report", "-c", "cosep.json"]) == 0
+        out = capsys.readouterr().out
+        assert out == (art / "report_table.txt").read_text() + "\nfigures -> artifacts/figures\n"
+
+    def test_report_after_eval_config_change_is_drift(self, run_copy, capsys):
+        cfg = json.loads((run_copy / "cosep.json").read_text())
+        cfg["eval"]["tau"] = 0.4
+        write_config(run_copy, cfg)
+        assert cli.main(["report", "-c", "cosep.json"]) == cli.EXIT_CODES["E_CONFIG_DRIFT"]
+        assert "report.csv" in one_error_line(capsys, "E_CONFIG_DRIFT")
+
+    def test_corrupt_run_manifest_is_one_error_line(self, run_copy, capsys):
+        (run_copy / "artifacts" / "run_manifest.json").write_text('{"artifacts": ')
+        assert cli.main(["assign", "-c", "cosep.json"]) == cli.EXIT_CODES["E_CORRUPT_ARTIFACT"]
+        assert "run_manifest.json" in one_error_line(capsys, "E_CORRUPT_ARTIFACT")
+
+
+class TestEvalOutputs:
+    def test_details_cover_every_item(self, finished_run):
+        cfg = json.loads((finished_run / "cosep.json").read_text())
+        details = json.loads((finished_run / "artifacts" / "eval_details.json").read_text())
+        assert sorted(details) == ["custom", "nmf"]
+        test_ids = [r["id"] for r in tw.load_manifest(finished_run / "data")["splits"]["test"]]
+        assert [d["clip"] for d in details["custom"]["segmentation"]] == test_ids
+        for model in ("custom", "nmf"):
+            mixtures = details[model]["separation"]
+            assert len(mixtures) == cfg["eval"]["n_mixtures"]
+            assert all(set(m) == {"clips", "sdr", "sir", "mixture_sdr"} for m in mixtures)
+
+    def test_eval_renders_the_figures(self, finished_run):
+        n = json.loads((finished_run / "cosep.json").read_text())["eval"]["figure_items"]
+        names = sorted(f.name for f in (finished_run / "artifacts" / "figures").iterdir())
+        assert names == sorted([f"segmentation_{i:02d}.ppm" for i in range(n)]
+                               + [f"separation_{i:02d}.pgm" for i in range(n)])
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", ["write_atomic", "assignment", "summary_csv"])
+    def test_failed_write_leaves_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"old\n")
+
+        def fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint.os, "fsync", fsync)
+        with pytest.raises(OSError, match="disk full"):
+            if writer == "write_atomic":
+                checkpoint.write_atomic(path, "new\n")
+            elif writer == "assignment":
+                disentangle.Assignment([0], [1.0], 1.0, ["a"]).save(path)
+            else:
+                metrics.write_summary_csv(path, [])
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
