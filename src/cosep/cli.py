@@ -10,10 +10,11 @@ Failures exit nonzero with a single machine-parsable line on stderr:
 ``E_CONFIG`` (bad config or input file, exit 2), ``E_MISSING_ARTIFACT``
 (run the named upstream command first, exit 3), ``E_CONFIG_DRIFT``
 (artifact built under a different config, exit 4), ``E_CORRUPT_ARTIFACT``
-(an artifact that cannot be read or parsed, exit 5; run the command that
-writes it again).  Checkpoints, JSON and CSV artifacts are written
-atomically, so an interrupted write leaves the previous file in place,
-and an unreadable ``nmf.ckpt`` is refitted like a stale one.
+(an artifact or dataset clip file that cannot be read or parsed, exit 5;
+run the command that writes it again).  Checkpoints, JSON and CSV
+artifacts are written atomically, so an interrupted write leaves the
+previous file in place, and an unreadable ``nmf.ckpt`` is refitted like
+a stale one.  A command reads ``run_manifest.json`` before it writes.
 
 ``eval`` writes the report CSVs, the per-item scores in
 ``eval_details.json`` and the figures under ``figures/``; ``report``
@@ -24,11 +25,9 @@ The schedule is chosen by the config alone: ``schedule.preset`` names a
 preset of ``trainer.PRESETS`` (resolved by ``trainer.preset_schedule``),
 or null with explicit fields.  The schedule is built and validated when
 the config loads, so a bad one fails every command with ``E_CONFIG``.
-``train --resume`` restarts the fine-tune stage from the stage-boundary
-checkpoint; a missing file is ``E_MISSING_ARTIFACT``, an unreadable one
-or a schedule without fine-tune epochs ``E_CONFIG``, and a checkpoint
-written under another configuration ``E_CONFIG_DRIFT``, each before any
-file is written.
+``train --resume PATH`` restarts the fine-tune stage from the checkpoint
+at PATH, read through the same gate; a schedule without fine-tune epochs
+is ``E_CONFIG``.  Each is checked before any file is written.
 
 The environment variable COSEP_THREADS bounds numerical worker threads
 (default: hardware parallelism) through the optional ``threadpoolctl``
@@ -58,10 +57,10 @@ EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4, "E_CO
 SCHEMA = {
     "dataset": {
         "seed": (7, "dataset generator seed"),
-        "categories": (8, "number of categories C (C < model.channels)"),
-        "train": (400, "train split clip count"),
-        "val": (80, "validation split clip count"),
-        "test": (80, "test split clip count"),
+        "categories": (8, "number of categories C, 2 to 12 (C < model.channels)"),
+        "train": (400, "train split clip count (at least C)"),
+        "val": (80, "validation split clip count (at least C)"),
+        "test": (80, "test split clip count (at least C)"),
         "dir": ("data", "dataset directory (created by make-data)"),
         "artifacts_dir": ("artifacts", "checkpoints/reports directory"),
     },
@@ -79,7 +78,7 @@ SCHEMA = {
         "audio_depth": (4, "down/up convolution pairs in the audio net"),
         "audio_widths": (None, "channel widths, stem first (null: defaults for the depth)"),
         "seed": (0, "weight initialization seed"),
-        "preset": (None, "'paper' switches both nets to the paper-scale architectures"),
+        "preset": (None, "null, or 'paper' to switch both nets to the paper-scale architectures"),
     },
     "schedule": {
         "preset": ("toy-E", "named schedule preset (A-E, softmax-only, sigmoid-only, toy-E, toy-sigmoid-only); null to give explicit fields"),
@@ -180,17 +179,30 @@ def normalize_config(raw: dict) -> dict:
             raise CliError("E_CONFIG", f"dataset.{f} must be a non-empty path string, got {d!r}")
         cfg["dataset"][f] = os.path.normpath(d)
 
-    if cfg["dataset"]["categories"] >= cfg["model"]["channels"]:
+    # clip i has category i mod C, so a split of at least C clips holds
+    # every category: evaluation and distinct-pair sampling need two
+    d = cfg["dataset"]
+    _check_int(d["categories"], "dataset.categories", 2, len(toyworld.COLORS))
+    if d["categories"] >= cfg["model"]["channels"]:
         raise CliError("E_CONFIG", "dataset.categories must be smaller than model.channels")
+    for split in ("train", "val", "test"):
+        _check_int(d[split], f"dataset.{split}", d["categories"])
+    if cfg["model"]["preset"] not in (None, "paper"):
+        raise CliError("E_CONFIG", f"model.preset must be null or 'paper', got {cfg['model']['preset']!r}")
+    for section, f in (("schedule", "symmetric"), ("schedule", "distinct_pairs"), ("eval", "include_nmf")):
+        if not isinstance(cfg[section][f], bool):
+            raise CliError("E_CONFIG", f"{section}.{f} must be true or false, got {cfg[section][f]!r}")
     _check_tau(cfg["eval"]["tau"], "eval.tau")
     for f, least in (("n_mixtures", 1), ("figure_items", 0), ("nmf_rank", 1), ("nmf_iters", 1)):
         _check_int(cfg["eval"][f], f"eval.{f}", least)
     return cfg
 
 
-def _check_int(value, name: str, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise CliError("E_CONFIG", f"{name} must be an integer >= {least}, got {value!r}")
+def _check_int(value, name: str, least: int, most: int | None = None) -> None:
+    if (isinstance(value, bool) or not isinstance(value, int) or value < least
+            or (most is not None and value > most)):
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise CliError("E_CONFIG", f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _check_tau(tau, name: str) -> None:
@@ -302,11 +314,13 @@ def _unreadable(path: Path, exc: Exception, remedy: str) -> CliError:
     return CliError("E_CORRUPT_ARTIFACT", f"{path} is unreadable ({type(exc).__name__}: {exc}); {remedy}")
 
 
-def _require(cfg: dict, kind: str):
-    """The one artifact gate: load ``kind`` and check it against ``cfg``.
-    A missing file is E_MISSING_ARTIFACT, an unreadable one
-    E_CORRUPT_ARTIFACT, one written under another config E_CONFIG_DRIFT."""
-    a, path = ARTIFACTS[kind], artifact_path(cfg, kind)
+def _require(cfg: dict, kind: str, path=None):
+    """The one artifact gate: load ``kind`` from ``path`` (default: its
+    file in ``ARTIFACTS``) and check it against ``cfg``.  A missing file is
+    E_MISSING_ARTIFACT, an unreadable one E_CORRUPT_ARTIFACT, one written
+    under another config E_CONFIG_DRIFT."""
+    a = ARTIFACTS[kind]
+    path = artifact_path(cfg, kind) if path is None else Path(path)
     if not path.exists():
         raise CliError("E_MISSING_ARTIFACT", f"{path} missing; run {a.writer}")
     try:
@@ -319,19 +333,29 @@ def _require(cfg: dict, kind: str):
     return obj
 
 
-def _update_run_manifest(cfg: dict, kind: str) -> None:
+def _read_run_manifest(cfg: dict) -> dict:
+    """``run_manifest.json``, or an empty one; a command that records its
+    artifact there reads it before it writes anything."""
     path = _artifacts(cfg, "run_manifest.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {"version": __version__, "artifacts": {}, "hashes": {}, "timestamps": {}}
     try:
         if path.exists():
             doc.update(json.loads(path.read_text()))
-        doc["version"] = __version__
-        doc["artifacts"][kind] = str(artifact_path(cfg, kind))
-        doc["hashes"][kind] = artifact_hash(cfg, kind)
-        doc["timestamps"][kind] = time.strftime("%Y-%m-%dT%H:%M:%S")
+        if not all(isinstance(doc[k], dict) for k in ("artifacts", "hashes", "timestamps")):
+            raise TypeError("artifacts, hashes and timestamps must be objects")
     except UNREADABLE as exc:
         raise _unreadable(path, exc, "delete it")
+    return doc
+
+
+def _update_run_manifest(cfg: dict, kind: str, doc: dict) -> None:
+    """Record ``kind`` in ``doc`` (from ``_read_run_manifest``) and write it."""
+    doc["version"] = __version__
+    doc["artifacts"][kind] = str(artifact_path(cfg, kind))
+    doc["hashes"][kind] = artifact_hash(cfg, kind)
+    doc["timestamps"][kind] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    path = _artifacts(cfg, "run_manifest.json")
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, json.dumps(doc, sort_keys=True, indent=1))
 
 
@@ -354,6 +378,7 @@ def _category_ids(manifest: dict, names) -> list[int]:
 
 def cmd_make_data(cfg: dict, args) -> int:
     d = cfg["dataset"]
+    run = _read_run_manifest(cfg)
     scfg = stft_config(cfg)
     manifest = toyworld.generate(d["dir"], seed=d["seed"], n_categories=d["categories"],
                                  counts={"train": d["train"], "val": d["val"], "test": d["test"]},
@@ -363,7 +388,7 @@ def cmd_make_data(cfg: dict, args) -> int:
     write_atomic(artifact_path(cfg, "dataset"),
                  json.dumps({k: v for k, v in manifest.items() if not k.startswith("_")},
                             sort_keys=True, indent=1))
-    _update_run_manifest(cfg, "dataset")
+    _update_run_manifest(cfg, "dataset", run)
     n = sum(len(v) for v in manifest["splits"].values())
     print(f"dataset: {n} clips, {d['categories']} categories -> {d['dir']}")
     return 0
@@ -371,21 +396,22 @@ def cmd_make_data(cfg: dict, args) -> int:
 
 def cmd_train(cfg: dict, args) -> int:
     manifest = _require(cfg, "dataset")
-    if args.resume and not Path(args.resume).is_file():
-        raise CliError("E_MISSING_ARTIFACT", f"resume checkpoint {args.resume} missing; run train")
-    bundle = build_bundle(cfg)
-    try:
-        state = trainer.run_schedule(
-            schedule_config(cfg), manifest, bundle, out_dir=_artifacts(cfg),
-            seed=cfg["schedule"]["seed"], batch_pairs=cfg["schedule"]["batch_pairs"],
-            symmetric=cfg["schedule"]["symmetric"],
-            distinct_pairs=cfg["schedule"]["distinct_pairs"],
-            log_path=_artifacts(cfg, "train_log.csv"),
-            resume_from=args.resume or None, config_hash=artifact_hash(cfg, "checkpoint"),
-            quiet=not args.verbose)
-    except trainer.ResumeError as exc:
-        raise CliError("E_CONFIG_DRIFT" if exc.drift else "E_CONFIG", f"--resume: {exc}")
-    _update_run_manifest(cfg, "checkpoint")
+    schedule = schedule_config(cfg)
+    if not args.resume:
+        bundle, start = build_bundle(cfg), None
+    elif schedule.softmax_epochs == 0:
+        raise CliError("E_CONFIG", "--resume: the schedule has no fine-tune epochs to resume")
+    else:
+        bundle, start = _require(cfg, "checkpoint", args.resume), schedule.sigmoid_epochs
+    run = _read_run_manifest(cfg)
+    state = trainer.run_schedule(
+        schedule, manifest, bundle, out_dir=_artifacts(cfg),
+        seed=cfg["schedule"]["seed"], batch_pairs=cfg["schedule"]["batch_pairs"],
+        symmetric=cfg["schedule"]["symmetric"],
+        distinct_pairs=cfg["schedule"]["distinct_pairs"],
+        log_path=_artifacts(cfg, "train_log.csv"), start_epoch=start,
+        config_hash=artifact_hash(cfg, "checkpoint"), quiet=not args.verbose)
+    _update_run_manifest(cfg, "checkpoint", run)
     final_t = bundle.temperature if bundle.mode == "softmax" else None
     print(f"trained {state.epoch} epochs; final loss {state.loss_history[-1]:.4f}"
           + (f"; final temperature {final_t:g}" if final_t is not None else ""))
@@ -395,6 +421,7 @@ def cmd_train(cfg: dict, args) -> int:
 def cmd_assign(cfg: dict, args) -> int:
     manifest = _require(cfg, "dataset")
     bundle = _require(cfg, "checkpoint")
+    run = _read_run_manifest(cfg)
     clips = toyworld.load_split(manifest, "val")
     cats = [c.category for c in clips]
     _, v = avnets.infer_images([c.frame for c in clips], bundle)
@@ -403,7 +430,7 @@ def cmd_assign(cfg: dict, args) -> int:
     table_hash = hashlib.sha256(np.ascontiguousarray(table.values).tobytes()).hexdigest()[:16]
     asg.save(artifact_path(cfg, "assignment"),
              extra={"config_hash": artifact_hash(cfg, "assignment"), "table_hash": table_hash})
-    _update_run_manifest(cfg, "assignment")
+    _update_run_manifest(cfg, "assignment", run)
     acc = disentangle.classification_accuracy(v, cats, asg)
     pairs = ", ".join(f"{n}->{c}" for n, c in zip(asg.categories, asg.category_to_channel))
     print(f"assignment: {pairs}")
@@ -495,6 +522,7 @@ def cmd_eval(cfg: dict, args) -> int:
     manifest = _require(cfg, "dataset")
     bundle = _require(cfg, "checkpoint")
     asg = _require(cfg, "assignment")
+    run = _read_run_manifest(cfg)
     e = cfg["eval"]
     name = cfg["schedule"]["preset"] or "custom"
     clips = metrics.split_clips(manifest, "test")
@@ -519,7 +547,7 @@ def cmd_eval(cfg: dict, args) -> int:
     # report.csv last: its hash line is what ``report`` checks
     metrics.write_summary_csv(artifact_path(cfg, "report"), rows,
                               header_comment=f"config {artifact_hash(cfg, 'report')}")
-    _update_run_manifest(cfg, "report")
+    _update_run_manifest(cfg, "report", run)
     print(table)
     print(f"mean SDR improvement over mixture: {extras['mean_sdr_improvement']:.2f} dB")
     return 0
@@ -534,8 +562,10 @@ def cmd_report(cfg: dict, args) -> int:
 def _write_figures(out: Path, clips: dict, figures: dict, stft_cfg: dsp.StftConfig) -> None:
     """Spectrogram triptychs (mixture | estimate A | estimate B) of the
     first evaluated mixtures and frame / predicted-mask overlays of the
-    first test clips."""
+    first test clips.  The figures of an earlier ``eval`` are removed first."""
     out.mkdir(parents=True, exist_ok=True)
+    for old in [*out.glob("separation_*.pgm"), *out.glob("segmentation_*.ppm")]:
+        old.unlink()
     for i, waves in enumerate(figures["separation"]):
         panels = [dsp.stft(w, stft_cfg).magnitude for w in waves]
         toyworld.write_pgm(out / f"separation_{i:02d}.pgm", _spectrogram_strip(panels))
@@ -635,7 +665,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_thread_cap()
-        return args.fn(load_config(args.config), args)
+        try:
+            return args.fn(load_config(args.config), args)
+        except toyworld.ClipReadError as exc:  # a clip file of the dataset artifact
+            raise _unreadable(exc.path, exc.__cause__, f"run {ARTIFACTS['dataset'].writer} again") from exc
     except CliError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.code, 1)

@@ -315,11 +315,29 @@ def manifest_categories(manifest: dict) -> list[CategorySpec]:
     return [CategorySpec.from_json(d) for d in manifest["categories"]]
 
 
+class ClipReadError(Exception):
+    """A clip file of the dataset could not be read; ``path`` names it."""
+
+    def __init__(self, path: Path, exc: Exception):
+        super().__init__(f"{path}: {type(exc).__name__}: {exc}")
+        self.path = path
+
+
 def load_clip(manifest: dict, record: dict) -> AVClip:
+    """One clip's frame, mask and waveform; a file that is missing or
+    cannot be parsed raises ``ClipReadError``."""
     root = Path(manifest["_root"])
-    frame = read_ppm(root / record["frame"])
-    mask = read_pgm(root / record["mask"]) > 127
-    wave, _ = read_wav(root / record["wav"], expected_rate=manifest["stft"]["sample_rate"])
+    path = root / record["frame"]
+    try:
+        frame = read_ppm(path)
+        path = root / record["mask"]
+        mask = read_pgm(path) > 127
+        path = root / record["wav"]
+        wave, _ = read_wav(path, expected_rate=manifest["stft"]["sample_rate"])
+        if wave.size != manifest["clip_samples"]:
+            raise ValueError(f"{wave.size} samples, the dataset has {manifest['clip_samples']} per clip")
+    except (OSError, ValueError) as exc:
+        raise ClipReadError(path, exc) from exc
     return AVClip(record["id"], record["category"], frame, wave, mask)
 
 

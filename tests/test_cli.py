@@ -114,6 +114,28 @@ class TestConfigValidation:
         assert err.startswith(f"E_CONFIG: eval.{field}") and len(err.splitlines()) == 1
         assert not (tmp_path / "data").exists() and not (tmp_path / "artifacts").exists()
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("dataset", "categories", 1),
+        ("dataset", "categories", 13),
+        ("dataset", "categories", "4"),
+        ("dataset", "train", 3),
+        ("dataset", "val", 2),
+        ("dataset", "test", 1),
+        ("dataset", "test", 6.0),
+        ("model", "preset", "huge"),
+        ("schedule", "symmetric", "no"),
+        ("schedule", "distinct_pairs", "no"),
+        ("eval", "include_nmf", "no"),
+        ("eval", "include_nmf", 1),
+    ])
+    def test_bad_dataset_model_or_flag_rejected_on_load(self, tmp_path, capsys, section, field, value):
+        cfg = tiny_config(tmp_path)
+        cfg["model"]["channels"] = 16  # above every category count drawn here
+        cfg[section][field] = value
+        assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == 2
+        assert one_error_line(capsys, "E_CONFIG").startswith(f"E_CONFIG: {section}.{field} ")
+        assert not (tmp_path / "data").exists()
+
     def test_help_enumerates_config_fields(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["--help"])
@@ -287,7 +309,9 @@ class TestResumeErrors:
 
     @pytest.mark.parametrize("case,code", [
         ("missing", "E_MISSING_ARTIFACT"),
-        ("not_a_checkpoint", "E_CONFIG"),
+        ("not_a_checkpoint", "E_CORRUPT_ARTIFACT"),
+        ("truncated", "E_CORRUPT_ARTIFACT"),
+        ("no_image_cfg", "E_CORRUPT_ARTIFACT"),
         ("schedule_drift", "E_CONFIG_DRIFT"),
         ("no_finetune", "E_CONFIG"),
     ])
@@ -299,6 +323,14 @@ class TestResumeErrors:
         elif case == "not_a_checkpoint":
             resume = tmp_path / "notes.txt"
             resume.write_text("not a checkpoint\n")
+        elif case == "truncated":
+            good, resume = resume.read_bytes(), tmp_path / "cut.ckpt"
+            resume.write_bytes(good[:len(good) // 2])
+        elif case == "no_image_cfg":
+            arrays, meta = checkpoint.load_tensors(resume)
+            del meta["image_cfg"]
+            resume = tmp_path / "no_image_cfg.ckpt"
+            checkpoint.save_tensors(resume, arrays, meta)
         elif case == "schedule_drift":
             cfg_path = write_config(tmp_path, tiny_config(src_tmp, lr=5e-3))
         else:
@@ -307,6 +339,8 @@ class TestResumeErrors:
         assert cli.main(["train", "-c", cfg_path, "--resume", str(resume)]) == cli.EXIT_CODES[code]
         err = capsys.readouterr().err
         assert err.startswith(f"{code}:") and len(err.splitlines()) == 1
+        if code != "E_CONFIG":
+            assert str(resume) in err
         assert self.artifacts(src_tmp) == before
 
 
@@ -604,8 +638,21 @@ class TestArtifactGate:
 
     def test_corrupt_run_manifest_is_one_error_line(self, run_copy, capsys):
         (run_copy / "artifacts" / "run_manifest.json").write_text('{"artifacts": ')
+        assignment = run_copy / "artifacts" / "assignment.json"
+        before = (assignment.read_bytes(), assignment.stat().st_ino)
         assert cli.main(["assign", "-c", "cosep.json"]) == cli.EXIT_CODES["E_CORRUPT_ARTIFACT"]
         assert "run_manifest.json" in one_error_line(capsys, "E_CORRUPT_ARTIFACT")
+        assert (assignment.read_bytes(), assignment.stat().st_ino) == before  # not replaced
+
+    def test_resume_reads_the_boundary_checkpoint(self, run_copy, capsys):
+        art = run_copy / "artifacts"
+        boundary = (art / "checkpoint_sigmoid.ckpt").read_bytes()
+        argv = ["train", "-c", "cosep.json", "--resume", "artifacts/checkpoint_sigmoid.ckpt"]
+        assert cli.main(argv) == 0
+        assert (art / "checkpoint_sigmoid.ckpt").read_bytes() == boundary
+        rows = (art / "train_log.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["2", "finetune"], ["3", "finetune"]]
+        assert cli.main(["assign", "-c", "cosep.json"]) == 0
 
 
 class TestEvalOutputs:
@@ -625,6 +672,42 @@ class TestEvalOutputs:
         names = sorted(f.name for f in (finished_run / "artifacts" / "figures").iterdir())
         assert names == sorted([f"segmentation_{i:02d}.ppm" for i in range(n)]
                                + [f"separation_{i:02d}.pgm" for i in range(n)])
+
+
+    def test_eval_removes_earlier_figures(self, run_copy):
+        cfg = json.loads((run_copy / "cosep.json").read_text())
+        assert cfg["eval"]["figure_items"] == 2
+        cfg["eval"]["figure_items"] = 1
+        write_config(run_copy, cfg)
+        assert cli.main(["eval", "-c", "cosep.json"]) == 0
+        names = sorted(f.name for f in (run_copy / "artifacts" / "figures").iterdir())
+        assert names == ["segmentation_00.ppm", "separation_00.pgm"]
+
+
+class TestCorruptClips:
+    """A dataset clip file that cannot be read is one E_CORRUPT_ARTIFACT
+    line naming it, before the command writes anything."""
+
+    @pytest.mark.parametrize("command,clip", [("train", "train_0001"), ("eval", "test_0001")])
+    @pytest.mark.parametrize("case", ["missing_wav", "truncated_frame", "short_wav"])
+    def test_bad_clip_is_one_error_line(self, run_copy, capsys, command, clip, case):
+        clips = run_copy / "data" / "clips"
+        if case == "missing_wav":
+            name = f"{clip}.wav"
+            (clips / name).unlink()
+        elif case == "truncated_frame":
+            name = f"{clip}.ppm"
+            (clips / name).write_bytes(b"P6\n")
+        else:
+            name = f"{clip}.wav"
+            wave, rate = dsp.read_wav(clips / name)
+            dsp.write_wav(clips / name, wave[:1000], rate)
+        art = run_copy / "artifacts"
+        before = {f: f.read_bytes() for f in art.rglob("*") if f.is_file()}
+        assert cli.main([command, "-c", "cosep.json"]) == cli.EXIT_CODES["E_CORRUPT_ARTIFACT"]
+        err = one_error_line(capsys, "E_CORRUPT_ARTIFACT")
+        assert f"data/clips/{name} is unreadable" in err and err.endswith("run make-data again\n")
+        assert {f: f.read_bytes() for f in art.rglob("*") if f.is_file()} == before
 
 
 class TestAtomicWrites:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cosep import disentangle as dz
 
@@ -101,6 +102,32 @@ class TestAssign:
             mine = sum(rows[i, res.category_to_channel[i]] for i in range(c))
             assert mine == pytest.approx(best, abs=1e-12), f"trial {trial}"
             assert len(set(res.category_to_channel)) == c  # injective
+
+    @staticmethod
+    @st.composite
+    def tables(draw):
+        """Raw C x K activations; integer entries in 0..3 tie often."""
+        c = draw(st.integers(1, 5))
+        k = draw(st.integers(c, 6))
+        entries = draw(st.sampled_from([st.integers(0, 3), st.floats(0.0, 1.0)]))
+        return np.array(draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                                      min_size=c, max_size=c)), dtype=np.float64)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tables())
+    @example(np.ones((3, 4)))
+    @example(np.array([[2.0, 2.0, 1.0], [2.0, 1.0, 2.0], [1.0, 2.0, 2.0]]))
+    @example(np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]))
+    def test_matches_brute_force_on_drawn_tables(self, raw):
+        raw[raw.sum(axis=1) == 0] = 1.0
+        rows = raw / raw.sum(axis=1, keepdims=True)
+        c, k = rows.shape
+        res = dz.assign(dz.ActivationTable(rows, [str(i) for i in range(c)]))
+        _, best = brute_force_assignment(rows)
+        assert res.total_profit == pytest.approx(best, abs=1e-12)
+        assert len(set(res.category_to_channel)) == c  # injective
+        assert all(0 <= ch < k for ch in res.category_to_channel)
+        assert res.per_category_profit == [rows[i, ch] for i, ch in enumerate(res.category_to_channel)]
 
     def test_profit_invariant_under_column_permutation(self):
         rng = np.random.default_rng(5)

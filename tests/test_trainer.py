@@ -292,30 +292,29 @@ class TestRunSchedule:
             after_finetune = state.sparsity_history[-1]
             assert after_finetune > after_sigmoid
 
-    def test_resume_with_mismatched_schedule_rejected(self, mini_dataset, tmp_path):
-        cfg = mini_schedule()
-        tr.run_schedule(cfg, mini_dataset, mini_bundle(seed=9), out_dir=tmp_path, seed=3,
-                        batch_pairs=4)
-        other = mini_schedule(lr=5e-3)
-        with pytest.raises(ValueError, match="different configuration"):
-            tr.run_schedule(other, mini_dataset, mini_bundle(seed=9), seed=3,
-                            batch_pairs=4,
-                            resume_from=tmp_path / "checkpoint_sigmoid.ckpt")
-
     def test_resume_from_stage_boundary(self, mini_dataset, tmp_path):
         cfg = mini_schedule()
         tr.run_schedule(cfg, mini_dataset, mini_bundle(seed=10), out_dir=tmp_path, seed=4,
                         batch_pairs=4)
-        bundle = mini_bundle(seed=99)
+        bundle, _ = ModelBundle.load(tmp_path / "checkpoint_sigmoid.ckpt")
         log = tmp_path / "resumed.csv"
         state = tr.run_schedule(cfg, mini_dataset, bundle, seed=4,
-                                batch_pairs=4, log_path=log,
-                                resume_from=tmp_path / "checkpoint_sigmoid.ckpt")
+                                batch_pairs=4, log_path=log, start_epoch=cfg.sigmoid_epochs)
         assert state.stage == "finetune"
         assert bundle.trained
         assert state.epoch == 5 and len(state.loss_history) == 3
         rows = [r.split(",")[:2] for r in log.read_text().strip().split("\n")[1:]]
         assert rows == [["3", "finetune"], ["4", "finetune"], ["5", "finetune"]]
+
+    @pytest.mark.parametrize("sigmoid_epochs", [0, 1])
+    def test_resume_writes_no_boundary_checkpoint(self, mini_dataset, tmp_path, sigmoid_epochs):
+        cfg = mini_schedule(sigmoid_epochs=sigmoid_epochs, softmax_epochs=1, decay_epochs=())
+        tr.run_schedule(cfg, mini_dataset, mini_bundle(seed=12), out_dir=tmp_path / "first",
+                        seed=6, batch_pairs=8)
+        bundle, _ = ModelBundle.load(tmp_path / "first" / "checkpoint_sigmoid.ckpt")
+        tr.run_schedule(cfg, mini_dataset, bundle, out_dir=tmp_path / "resumed", seed=6,
+                        batch_pairs=8, start_epoch=sigmoid_epochs)
+        assert [p.name for p in (tmp_path / "resumed").iterdir()] == ["checkpoint_final.ckpt"]
 
     @pytest.mark.parametrize("sigmoid_epochs,softmax_epochs", [(0, 2), (2, 0), (2, 2)])
     def test_boundary_checkpoint_and_log_follow_the_plan(self, mini_dataset, tmp_path,
