@@ -179,6 +179,12 @@ def normalize_config(raw: dict) -> dict:
             raise CliError("E_CONFIG", f"dataset.{f} must be a non-empty path string, got {d!r}")
         cfg["dataset"][f] = os.path.normpath(d)
 
+    # warp_bins >= 2: the log-frequency warp needs a bottom and a top row
+    for section, f, least in (("model", "channels", 1), ("model", "image_size", 1),
+                              ("model", "audio_depth", 1), ("model", "seed", 0),
+                              ("stft", "n_frames", 1), ("stft", "warp_bins", 2)):
+        _check_int(cfg[section][f], f"{section}.{f}", least)
+
     # clip i has category i mod C, so a split of at least C clips holds
     # every category: evaluation and distinct-pair sampling need two
     d = cfg["dataset"]

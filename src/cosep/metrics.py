@@ -152,6 +152,8 @@ def separate(mixture_wave: np.ndarray, categories, bundle, assignment: Assignmen
 def sample_mixture_pairs(manifest: dict, split: str, seed: int, n_mixtures: int):
     """Seeded schedule of distinct-category clip pairs for evaluation."""
     records = manifest["splits"][split]
+    if len({rec["category"] for rec in records}) < 2:
+        raise ValueError(f"split {split!r} needs clips of two categories to mix")
     rng = np.random.default_rng(np.random.SeedSequence([0x4D49, seed]))
     pairs = []
     while len(pairs) < n_mixtures:

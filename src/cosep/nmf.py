@@ -6,6 +6,14 @@ sweep, with the scale folded into the activations so the divergence is
 untouched).  Separation fixes the concatenated bases, fits activations
 on the mixture magnitude, and emits Wiener-style ratio masks.  Neither
 fit records its divergence; ``kl_divergence`` evaluates any iterate.
+
+Both updates use the quotient V / (WH + eps), a full [bins, frames]
+float64 plane.  Each fit allocates it once and every update recomputes
+it in place (matmul, add, divide into the one C-ordered buffer), with
+the operands and evaluation order of the plain expressions, so the
+results are bit-identical to them.  V is copied to C order once too:
+STFT magnitudes come F-ordered, and a divide across the two orders cost
+more than the rest of a sweep.
 """
 
 from __future__ import annotations
@@ -24,12 +32,25 @@ def kl_divergence(v: np.ndarray, wh: np.ndarray) -> float:
     return float(np.sum(term - v + wh))
 
 
-def _mu_update_h(v, w, h):
-    return h * (w.T @ (v / (w @ h + EPS))) / (w.T.sum(axis=1, keepdims=True) + EPS)
+def _quotient(v, w, h, q):
+    """V / (WH + eps) computed into the [bins, frames] buffer ``q``."""
+    np.matmul(w, h, out=q)
+    np.add(q, EPS, out=q)
+    return np.divide(v, q, out=q)
 
 
-def _mu_update_w(v, w, h):
-    return w * ((v / (w @ h + EPS)) @ h.T) / (h.sum(axis=1, keepdims=True).T + EPS)
+def _basis_norm(w):
+    """The activation update's denominator: column sums of W, plus eps."""
+    return w.T.sum(axis=1, keepdims=True) + EPS
+
+
+def _mu_update_h(v, w, h, q, w_norm):
+    """Activation update; ``w_norm`` is ``_basis_norm(w)``, ``q`` the buffer."""
+    return h * (w.T @ _quotient(v, w, h, q)) / w_norm
+
+
+def _mu_update_w(v, w, h, q):
+    return w * (_quotient(v, w, h, q) @ h.T) / (h.sum(axis=1, keepdims=True).T + EPS)
 
 
 def _fit_iterates(v, rank: int, iters: int, seed: int):
@@ -38,9 +59,10 @@ def _fit_iterates(v, rank: int, iters: int, seed: int):
     w = rng.uniform(0.1, 1.1, size=(v.shape[0], rank))
     h = rng.uniform(0.1, 1.1, size=(rank, v.shape[1]))
     yield w, h
+    q = np.empty(v.shape)
     for _ in range(iters):
-        h = _mu_update_h(v, w, h)
-        w = _mu_update_w(v, w, h)
+        h = _mu_update_h(v, w, h, q, _basis_norm(w))
+        w = _mu_update_w(v, w, h, q)
         scale = w.sum(axis=0)
         w /= scale + EPS
         h *= scale[:, None]
@@ -56,9 +78,8 @@ def nmf_fit(magnitudes, rank: int, iters: int = 200, seed: int = 0) -> np.ndarra
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     if isinstance(magnitudes, (list, tuple)):
-        v = np.concatenate([np.asarray(m, dtype=np.float64) for m in magnitudes], axis=1)
-    else:
-        v = np.asarray(magnitudes, dtype=np.float64)
+        magnitudes = np.concatenate([np.asarray(m, dtype=np.float64) for m in magnitudes], axis=1)
+    v = np.ascontiguousarray(magnitudes, dtype=np.float64)
     if np.any(v < 0):
         raise ValueError("magnitudes must be non-negative")
     if not np.any(v > 0):
@@ -72,7 +93,7 @@ def nmf_separate(mixture_mag: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
                  iters: int = 150, seed: int = 0, init_h: np.ndarray | None = None):
     """Fixed-bases activation fit on the mixture; returns the Wiener ratio
     masks (mask_a, mask_b)."""
-    v = np.asarray(mixture_mag, dtype=np.float64)
+    v = np.ascontiguousarray(mixture_mag, dtype=np.float64)
     w = np.concatenate([w_a, w_b], axis=1)
     if w.shape[0] != v.shape[0]:
         raise ValueError(f"bases have {w.shape[0]} bins but mixture has {v.shape[0]}")
@@ -82,8 +103,10 @@ def nmf_separate(mixture_mag: np.ndarray, w_a: np.ndarray, w_b: np.ndarray,
         h = rng.uniform(0.1, 1.1, size=(w.shape[1], v.shape[1]))
     else:
         h = np.asarray(init_h, dtype=np.float64).copy()
+    q = np.empty(v.shape)
+    w_norm = _basis_norm(w)
     for _ in range(iters):
-        h = _mu_update_h(v, w, h)
+        h = _mu_update_h(v, w, h, q, w_norm)
     va = w[:, :r_a] @ h[:r_a]
     vb = w[:, r_a:] @ h[r_a:]
     total = va + vb + EPS

@@ -21,6 +21,11 @@ A computation graph is recorded only while at least one input has
 ``requires_grad`` set and grad mode is enabled (see ``no_grad``).
 ``backward`` walks the recorded nodes once, in reverse topological
 order, which makes repeated runs bit-identical on the same machine.
+
+``sigmoid`` is ``scipy.special.expit``, imported on the first call: scipy
+is about half of the package's start-up, and the commands that never run
+a sigmoid (``make-data``, and ``assign``/``eval`` on a softmax
+checkpoint) never load it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "Tensor",
@@ -258,6 +262,8 @@ def affine_relu(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    from scipy.special import expit  # the only scipy use; loaded on first call
+
     y = expit(a.data)
     out = Tensor(y)
 

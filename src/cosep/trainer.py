@@ -229,6 +229,8 @@ def _run_epoch(prepared, pair_idx, bundle, opt, state) -> float:
 def _sample_pairs(rng, n_clips: int, n_pairs: int, categories, distinct: bool) -> np.ndarray:
     idx = rng.integers(0, n_clips, size=(n_pairs, 2))
     if distinct:
+        if len(set(categories)) < 2:
+            raise ValueError("distinct pairs need clips of two categories")
         for row in idx:
             while categories[row[0]] == categories[row[1]]:
                 row[1] = rng.integers(0, n_clips)

@@ -5,14 +5,21 @@ the forward pass under central finite differences in float64 and compares
 coordinate by coordinate against whatever backward produced.  The
 per-clip image metrics compute evaluation's IoU, sparsity and accuracy one
 clip and one forward at a time; the batched evaluation must equal them
-exactly.
+exactly.  The NMF references run the multiplicative updates as plain
+one-expression formulas, each step a fresh array; the buffered updates in
+``nmf`` must equal them bit for bit.  ``deadline`` turns a call that
+would loop forever into a failure.
 """
+
+import contextlib
+import signal
 
 import numpy as np
 
 from cosep import avnets, tensor as tc, toyworld
 from cosep.disentangle import sparsity
 from cosep.metrics import iou
+from cosep.nmf import EPS
 
 
 def rel_err(a, b, floor=1e-6):
@@ -135,3 +142,50 @@ def per_clip_image_metrics(bundle, assignment, manifest, split, tau):
         spars.append(sparsity(v.data[0]))
         hits += int(np.argmax(v.data[0])) == channel
     return float(np.mean(ious)), float(np.mean(spars)), hits / len(records)
+
+
+def nmf_fit_reference(v, rank, iters, seed):
+    """``nmf.nmf_fit``'s bases from the plain update expressions."""
+    rng = np.random.default_rng(np.random.SeedSequence([0x4E4D46, seed]))
+    w = rng.uniform(0.1, 1.1, size=(v.shape[0], rank))
+    h = rng.uniform(0.1, 1.1, size=(rank, v.shape[1]))
+    for _ in range(iters):
+        h = h * (w.T @ (v / (w @ h + EPS))) / (w.T.sum(axis=1, keepdims=True) + EPS)
+        w = w * ((v / (w @ h + EPS)) @ h.T) / (h.sum(axis=1, keepdims=True).T + EPS)
+        scale = w.sum(axis=0)
+        w /= scale + EPS
+        h *= scale[:, None]
+    return w
+
+
+def nmf_separate_reference(v, w_a, w_b, iters, seed=0, init_h=None):
+    """``nmf.nmf_separate``'s masks from the plain update expression."""
+    w = np.concatenate([w_a, w_b], axis=1)
+    if init_h is None:
+        rng = np.random.default_rng(np.random.SeedSequence([0x534550, seed]))
+        h = rng.uniform(0.1, 1.1, size=(w.shape[1], v.shape[1]))
+    else:
+        h = np.array(init_h, dtype=np.float64)
+    for _ in range(iters):
+        h = h * (w.T @ (v / (w @ h + EPS))) / (w.T.sum(axis=1, keepdims=True) + EPS)
+    r_a = w_a.shape[1]
+    va = w[:, :r_a] @ h[:r_a]
+    vb = w[:, r_a:] @ h[r_a:]
+    total = va + vb + EPS
+    return (np.clip(va / total, 0, 1).astype(np.float32),
+            np.clip(vb / total, 0, 1).astype(np.float32))
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -2,7 +2,9 @@
 artifact hashing."""
 
 import json
+import os
 import shutil
+import subprocess
 import sys
 import types
 import wave
@@ -123,6 +125,14 @@ class TestConfigValidation:
         ("dataset", "test", 1),
         ("dataset", "test", 6.0),
         ("model", "preset", "huge"),
+        ("model", "channels", "16"),
+        ("model", "channels", 0),
+        ("model", "image_size", 0),
+        ("model", "audio_depth", 0),
+        ("model", "seed", -1),
+        ("stft", "n_frames", 0),
+        ("stft", "warp_bins", 1),
+        ("stft", "warp_bins", "x"),
         ("schedule", "symmetric", "no"),
         ("schedule", "distinct_pairs", "no"),
         ("eval", "include_nmf", "no"),
@@ -430,7 +440,8 @@ class TestDeterminism:
             art = cwd / "artifacts"
             digests.append({name: (art / name).read_bytes()
                             for name in ("train_log.csv", "checkpoint_final.ckpt",
-                                         "assignment.json", "report.csv", "eval_details.json")})
+                                         "assignment.json", "report.csv", "eval_details.json",
+                                         "nmf.ckpt", "report_extras.csv")})
             digests[-1].update({f.name: f.read_bytes() for f in (art / "figures").iterdir()})
         assert "separation_00.pgm" in digests[0] and "segmentation_00.ppm" in digests[0]
         assert digests[0] == digests[1]
@@ -682,6 +693,45 @@ class TestEvalOutputs:
         assert cli.main(["eval", "-c", "cosep.json"]) == 0
         names = sorted(f.name for f in (run_copy / "artifacts" / "figures").iterdir())
         assert names == ["segmentation_00.ppm", "separation_00.pgm"]
+
+
+SCIPY_PROBE = """
+import json, sys
+from cosep import cli
+for cmd in sys.argv[1:]:
+    assert cli.main([cmd, "-c", "cosep.json"]) == 0, cmd
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after(cwd, *commands):
+    """The scipy modules a fresh interpreter has loaded after importing
+    ``cosep.cli`` and running ``commands`` on ``cwd/cosep.json``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *commands], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+class TestScipyOnlyWithSigmoid:
+    """scipy serves only ``tensor.sigmoid``; commands that run none never
+    pay for its import."""
+
+    def test_import_cli_leaves_scipy_unloaded(self, tmp_path):
+        assert scipy_modules_after(tmp_path) == []
+
+    def test_make_data_leaves_scipy_unloaded(self, tmp_path):
+        write_config(tmp_path, tiny_config(tmp_path))
+        assert scipy_modules_after(tmp_path, "make-data") == []
+        assert (tmp_path / "data" / "manifest.json").exists()
+
+    def test_assign_and_eval_on_softmax_checkpoint_leave_scipy_unloaded(self, run_copy):
+        bundle, _ = avnets.ModelBundle.load(run_copy / "artifacts" / "checkpoint_final.ckpt")
+        assert bundle.mode == "softmax"
+        (run_copy / "artifacts" / "nmf.ckpt").unlink()  # eval fits the bases again
+        assert scipy_modules_after(run_copy, "assign", "eval") == []
+        assert (run_copy / "artifacts" / "nmf.ckpt").exists()
 
 
 class TestCorruptClips:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cosep.metrics import DB_CAP, iou, sdr_sir
+from cosep.metrics import DB_CAP, iou, sample_mixture_pairs, sdr_sir
+
+from oracles import deadline
 
 
 @pytest.fixture
@@ -116,3 +118,9 @@ class TestIoU:
     def test_empty_gt_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             iou(np.ones((4, 4), dtype=bool), np.zeros((4, 4), dtype=bool))
+
+
+def test_one_category_split_rejected_by_pair_sampling():
+    manifest = {"splits": {"test": [{"id": 0, "category": 2}, {"id": 1, "category": 2}]}}
+    with deadline(10), pytest.raises(ValueError, match="two categories"):
+        sample_mixture_pairs(manifest, "test", seed=0, n_mixtures=1)

@@ -1,10 +1,14 @@
-"""NMF baseline: update monotonicity, exact rank-1 recovery, Wiener masks."""
+"""NMF baseline: update monotonicity, exact rank-1 recovery, Wiener masks,
+and the buffered updates against the plain expressions."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cosep import dsp, nmf, toyworld as tw
 from cosep.metrics import sdr_sir
+
+from oracles import nmf_fit_reference, nmf_separate_reference
 
 
 def fit_history(v, rank, iters, seed):
@@ -57,9 +61,10 @@ class TestSeparate:
         w = np.concatenate([w_a, w_b], axis=1)
         h0 = rng.uniform(0.1, 1.1, size=(6, 40))
         h = h0
+        q = np.empty(v.shape)
         history = []
         for _ in range(80):  # the activation update nmf_separate iterates
-            h = nmf._mu_update_h(v, w, h)
+            h = nmf._mu_update_h(v, w, h, q, nmf._basis_norm(w))
             history.append(nmf.kl_divergence(v, w @ h))
         for a, b in zip(history, history[1:]):
             assert b <= a + 1e-9 * (1 + abs(a))
@@ -91,6 +96,41 @@ class TestSeparate:
         m1, _ = nmf.nmf_separate(v, w_a, w_b, iters=200, init_h=h0)
         m2, _ = nmf.nmf_separate(2 * v, w_a, w_b, iters=200, init_h=2 * h0)
         assert np.max(np.abs(m1 - m2)) <= 1e-6
+
+
+@st.composite
+def nmf_problems(draw):
+    """(bins, frames, rank, iters, seed, F-ordered V): a non-negative V
+    with zeros; STFT magnitudes come F-ordered."""
+    return (draw(st.integers(2, 300)), draw(st.integers(1, 300)), draw(st.integers(1, 8)),
+            draw(st.integers(1, 5)), draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()))
+
+
+class TestBufferedUpdates:
+    """The updates computed into one reused quotient buffer equal the
+    plain one-expression updates, bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(nmf_problems())
+    @example((256, 192, 8, 10, 0, True))  # the toy basis fit: 3 clips of 64 frames, rank 8
+    @example((256, 64, 8, 10, 1, True))   # the toy separation: two rank-8 bases, rank 16 in all
+    def test_equal_to_plain_expressions(self, problem):
+        bins, frames, rank, iters, seed, fortran = problem
+        rng = np.random.default_rng(seed)
+        v = rng.random((bins, frames)) * 3
+        v[rng.random(v.shape) < 0.2] = 0.0
+        v[0, 0] = 1.0
+        if fortran:
+            v = np.asfortranarray(v)
+        w = nmf.nmf_fit(v, rank, iters=iters, seed=seed)
+        assert w.tobytes() == nmf_fit_reference(v, rank, iters, seed).tobytes()
+
+        w_a, w_b = rng.random((bins, rank)), rng.random((bins, rank))
+        h0 = rng.uniform(0.1, 1.1, size=(2 * rank, frames))
+        for init_h in (None, h0):
+            masks = nmf.nmf_separate(v, w_a, w_b, iters=iters, seed=seed, init_h=init_h)
+            expected = nmf_separate_reference(v, w_a, w_b, iters, seed=seed, init_h=init_h)
+            assert [m.tobytes() for m in masks] == [m.tobytes() for m in expected]
 
 
 class TestToySeparation:

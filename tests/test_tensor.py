@@ -238,6 +238,13 @@ class TestActivations:
 
         check_gradients(loss, [x], rng, probes=72)
 
+    def test_sigmoid_is_expit_bit_for_bit(self, rng):
+        from scipy.special import expit
+
+        x = (rng.standard_normal(4096) * 30).astype(np.float32)
+        y = tc.sigmoid(Tensor(x)).data
+        assert y.dtype == np.float32 and y.tobytes() == expit(x).tobytes()
+
     def test_affine_relu_is_bit_identical_to_chain(self, rng):
         shape = (2, 3, 5, 4)
         y0 = rng.standard_normal(shape).astype(np.float32)

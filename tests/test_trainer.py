@@ -15,6 +15,8 @@ from cosep import trainer as tr
 from cosep.avnets import AudioNetCfg, ImageNetCfg, ModelBundle
 from cosep.tensor import Adam, Tensor
 
+from oracles import deadline
+
 
 MINI_WARP = 32
 
@@ -148,6 +150,10 @@ class TestSamplePairs:
         assert np.any(cats[pairs[:, 0]] == cats[pairs[:, 1]])  # the flag has work to do
         pairs = tr._sample_pairs(np.random.default_rng(23), len(cats), 200, cats, True)
         assert np.all(cats[pairs[:, 0]] != cats[pairs[:, 1]])
+
+    def test_distinct_pairs_of_one_category_rejected(self):
+        with deadline(10), pytest.raises(ValueError, match="two categories"):
+            tr._sample_pairs(np.random.default_rng(0), 3, 4, [1, 1, 1], True)
 
 
 class TestTrainStep:
