@@ -21,7 +21,7 @@ not depend on how frames are grouped into batches.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,30 +42,31 @@ class ImageNetCfg:
     channels: int = 16
     stages: tuple = ((12, 2, 1), (24, 2, 1), (48, 2, 1), (48, 1, 2))
 
+    def __post_init__(self):
+        object.__setattr__(self, "stages", tuple(tuple(s) for s in self.stages))
+
 
 @dataclass(frozen=True)
 class AudioNetCfg:
     """widths[0] is the full-resolution stem; widths[1:] the encoder
-    stages (grid halves at each)."""
+    stages (grid halves at each).  No widths: the defaults for the depth."""
 
     grid: int = 64
     depth: int = 4
     channels: int = 16
-    widths: tuple = (8, 16, 24, 32, 48)
+    widths: tuple | None = None
 
     def __post_init__(self):
+        widths = self.widths
+        if widths is None:
+            widths = (8, 16, 24, 32, 48) if self.depth == 4 else [min(8 * 2**i, 64) for i in range(self.depth + 1)]
+        object.__setattr__(self, "widths", tuple(widths))
         if len(self.widths) != self.depth + 1:
             raise ValueError(f"need {self.depth + 1} widths for depth {self.depth}")
+        if any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in self.widths):
+            raise ValueError(f"widths must be positive integers, got {list(self.widths)}")
         if self.grid % (1 << self.depth):
             raise ValueError(f"grid {self.grid} not divisible by 2^{self.depth}")
-
-
-# paper-scale presets: 224->14 maps with a trailing dilated stage; 256x256
-# U-Net with 7 down / 7 up convolutions
-PAPER_IMAGE_CFG = ImageNetCfg(input_size=224, channels=32,
-                              stages=((64, 2, 1), (128, 2, 1), (256, 2, 1), (512, 2, 1), (512, 1, 2)))
-PAPER_AUDIO_CFG = AudioNetCfg(grid=256, depth=7, channels=32,
-                              widths=(16, 32, 64, 128, 256, 512, 512, 512))
 
 
 def _he_conv(rng, f, c, k, scale=1.0):
@@ -220,12 +221,8 @@ class ModelBundle:
     def save(self, path, extra_meta: dict | None = None):
         meta = {
             "kind": "bundle",
-            "image_cfg": {"input_size": self.image_cfg.input_size,
-                          "channels": self.image_cfg.channels,
-                          "stages": [list(s) for s in self.image_cfg.stages]},
-            "audio_cfg": {"grid": self.audio_cfg.grid, "depth": self.audio_cfg.depth,
-                          "channels": self.audio_cfg.channels,
-                          "widths": list(self.audio_cfg.widths)},
+            "image_cfg": asdict(self.image_cfg),
+            "audio_cfg": asdict(self.audio_cfg),
             "mode": self.mode,
             "temperature": self.temperature,
             "seed": self.seed,
@@ -240,14 +237,8 @@ class ModelBundle:
         arrays, meta = load_tensors(path)
         if meta.get("kind") != "bundle":
             raise ValueError(f"{path}: not a model bundle checkpoint")
-        icfg = ImageNetCfg(input_size=meta["image_cfg"]["input_size"],
-                           channels=meta["image_cfg"]["channels"],
-                           stages=tuple(tuple(s) for s in meta["image_cfg"]["stages"]))
-        acfg = AudioNetCfg(grid=meta["audio_cfg"]["grid"], depth=meta["audio_cfg"]["depth"],
-                           channels=meta["audio_cfg"]["channels"],
-                           widths=tuple(meta["audio_cfg"]["widths"]))
-        bundle = cls(icfg, acfg, seed=meta.get("seed", 0), mode=meta["mode"],
-                     temperature=meta["temperature"])
+        bundle = cls(ImageNetCfg(**meta["image_cfg"]), AudioNetCfg(**meta["audio_cfg"]),
+                     seed=meta.get("seed", 0), mode=meta["mode"], temperature=meta["temperature"])
         named = bundle.params()
         missing = set(named) - set(arrays)
         if missing:

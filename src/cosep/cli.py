@@ -14,17 +14,30 @@ Failures exit nonzero with a single machine-parsable line on stderr:
 run the command that writes it again).  Checkpoints, JSON and CSV
 artifacts are written atomically, so an interrupted write leaves the
 previous file in place, and an unreadable ``nmf.ckpt`` is refitted like
-a stale one.  A command reads ``run_manifest.json`` before it writes.
+a stale one; ``eval`` scores with the bases read back from it, so a first
+``eval`` and a later one agree.  A command reads ``run_manifest.json`` before it writes.
 
 ``eval`` writes the report CSVs, the per-item scores in
 ``eval_details.json`` and the figures under ``figures/``; ``report``
 reads only ``report.csv`` (checked against the config) and prints the
 table beside it, so it needs neither the model nor the dataset.
 
-The schedule is chosen by the config alone: ``schedule.preset`` names a
-preset of ``trainer.PRESETS`` (resolved by ``trainer.preset_schedule``),
-or null with explicit fields.  The schedule is built and validated when
-the config loads, so a bad one fails every command with ``E_CONFIG``.
+The config resolves once, when it loads (``normalize_config``).  The
+``stft``, ``model`` and ``schedule`` sections each name a preset of
+``PRESETS`` or null, by one rule: a preset pins some fields of its
+section (``stft``: ``sample_rate``, ``window_size``, ``hop``; ``model``
+``"paper"``: ``channels``, ``image_size``, ``audio_depth``,
+``audio_widths``; ``schedule``: the fine-tune fields, and in some presets
+``sigmoid_epochs``), a pinned field given in the file is ``E_CONFIG``, and
+the others keep their values.  The STFT, the two net configs and the
+schedule are built there, once; their constructors' checks are the
+validation.  The audio grid is ``stft.warp_bins``, at most the STFT's bin
+count and equal to ``stft.n_frames`` (training feeds square planes).  So
+a config that cannot train fails every command with one ``E_CONFIG`` line
+before any file is written.  Artifact hashes cover the sections as given,
+not the resolved values; the dataset gate also compares the image size
+the frames were rendered at, which its hash leaves out.
+
 ``train --resume PATH`` restarts the fine-tune stage from the checkpoint
 at PATH, read through the same gate; a schedule without fine-tune epochs
 is ``E_CONFIG``.  Each is checked before any file is written.
@@ -65,24 +78,27 @@ SCHEMA = {
         "artifacts_dir": ("artifacts", "checkpoints/reports directory"),
     },
     "stft": {
-        "preset": ("toy", "'toy' (8 kHz, window 510, hop 128) or 'paper' (11025 Hz, window 1022, hop 256); null to give explicit fields"),
+        "preset": ("toy", "'toy' pins sample_rate 8000, window_size 510, hop 128; 'paper' pins 11025, 1022, 256; null to give the three"),
         "sample_rate": (None, "sample rate in Hz (when preset is null)"),
         "window_size": (None, "even analysis window length in samples"),
         "hop": (None, "hop length in samples"),
-        "warp_bins": (64, "log-frequency grid rows fed to the audio net"),
-        "n_frames": (64, "spectrogram frames per clip (fixes clip length)"),
+        "warp_bins": (64, "log-frequency grid rows: the audio net's grid, at most the STFT's bins"),
+        "n_frames": (64, "spectrogram frames per clip (fixes clip length); must equal warp_bins"),
     },
     "model": {
         "channels": (16, "shared channel count K"),
-        "image_size": (64, "image side in pixels"),
+        "image_size": (64, "image side in pixels; make-data renders frames at this size"),
         "audio_depth": (4, "down/up convolution pairs in the audio net"),
         "audio_widths": (None, "channel widths, stem first (null: defaults for the depth)"),
         "seed": (0, "weight initialization seed"),
-        "preset": (None, "null, or 'paper' to switch both nets to the paper-scale architectures"),
+        "preset": (None, "null, or 'paper': pins channels 32, image_size 224, audio_depth 7, audio_widths "
+                         "(needs stft.warp_bins divisible by 128; the paper uses 256)"),
     },
     "schedule": {
-        "preset": ("toy-E", "named schedule preset (A-E, softmax-only, sigmoid-only, toy-E, toy-sigmoid-only); null to give explicit fields"),
-        "sigmoid_epochs": (None, "sigmoid-stage epochs (only when the preset does not pin it)"),
+        "preset": ("toy-E", "named schedule preset (A-E, softmax-only, sigmoid-only, toy-E, toy-sigmoid-only): pins "
+                            "softmax_epochs, initial_T, decay_rate, decay_epochs, and sigmoid_epochs in softmax-only "
+                            "and toy-*; null to give explicit fields"),
+        "sigmoid_epochs": (None, "sigmoid-stage epochs when the preset does not pin it (null: 15, or 0 with no preset)"),
         "softmax_epochs": (None, "fine-tune epochs (explicit schedules only)"),
         "initial_T": (None, "softmax temperature at fine-tune start"),
         "decay_rate": (None, "temperature decay multiplier in (0,1)"),
@@ -105,8 +121,35 @@ SCHEMA = {
     },
 }
 
-# fields every preset determines; an explicit schedule (no preset) must give them
-PRESET_FIELDS = ("softmax_epochs", "initial_T", "decay_rate", "decay_epochs")
+# section -> preset -> the fields it pins.  A pinned field given in the file
+# (present and not null) conflicts with the preset; the others keep their
+# values.  The paper model: 224 -> 14 image maps with a trailing dilated
+# stage (a stage layout no field sets) and a U-Net of 7 down / 7 up convs.
+# The schedule presets fix the fine-tune stage; final temperatures follow
+# in closed form (A 0.625, B 0.4746->0.475, C 0.090, D 0.0081->0.008,
+# E 0.125, softmax-only 0.090).  The toy-* presets shrink the epoch budget
+# for desk-scale runs while keeping E's annealing endpoint.
+PRESETS = {
+    "stft": {"toy": {"sample_rate": 8000, "window_size": 510, "hop": 128},
+             "paper": {"sample_rate": 11025, "window_size": 1022, "hop": 256}},
+    "model": {"paper": {"channels": 32, "image_size": 224, "audio_depth": 7,
+                        "audio_widths": [16, 32, 64, 128, 256, 512, 512, 512],
+                        "image_stages": ((64, 2, 1), (128, 2, 1), (256, 2, 1), (512, 2, 1), (512, 1, 2))}},
+    "schedule": {
+        "A": {"softmax_epochs": 20, "initial_T": 10.0, "decay_rate": 0.5, "decay_epochs": (4, 8, 12, 16)},
+        "B": {"softmax_epochs": 20, "initial_T": 1.5, "decay_rate": 0.75, "decay_epochs": (4, 8, 12, 16)},
+        "C": {"softmax_epochs": 25, "initial_T": 1.0, "decay_rate": 0.3, "decay_epochs": (4, 8)},
+        "D": {"softmax_epochs": 25, "initial_T": 1.0, "decay_rate": 0.3, "decay_epochs": (3, 6, 9, 12)},
+        "E": {"softmax_epochs": 25, "initial_T": 1.0, "decay_rate": 0.5, "decay_epochs": (5, 10, 15)},
+        "softmax-only": {"softmax_epochs": 25, "initial_T": 1.0, "decay_rate": 0.3,
+                         "decay_epochs": (10, 20), "sigmoid_epochs": 0},
+        "sigmoid-only": {"softmax_epochs": 0, "initial_T": 1.0, "decay_rate": 0.5, "decay_epochs": ()},
+        "toy-E": {"softmax_epochs": 20, "initial_T": 1.0, "decay_rate": 0.5,
+                  "decay_epochs": (5, 10, 15), "sigmoid_epochs": 12},
+        "toy-sigmoid-only": {"softmax_epochs": 0, "initial_T": 1.0, "decay_rate": 0.5,
+                             "decay_epochs": (), "sigmoid_epochs": 16},
+    },
+}
 
 
 class CliError(Exception):
@@ -118,6 +161,14 @@ class CliError(Exception):
 # ---------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------
+
+class Resolved(NamedTuple):
+    """The objects a config resolves to; commands read these."""
+    stft: dsp.StftConfig
+    image: avnets.ImageNetCfg
+    audio: avnets.AudioNetCfg
+    schedule: trainer.ScheduleConfig
+
 
 def load_config(path) -> dict:
     try:
@@ -131,9 +182,13 @@ def load_config(path) -> dict:
 
 
 def normalize_config(raw: dict) -> dict:
+    """The config with every default filled in, plus under ``"resolved"``
+    the objects it resolves to (``Resolved``), each built and checked once.
+    Artifact hashes cover the sections as given, not the resolved values."""
     if not isinstance(raw, dict):
         raise CliError("E_CONFIG", "config root must be a JSON object")
     cfg: dict = {}
+    pinned: dict = {}   # section -> its values with the preset's pins laid over them
     for section, fields in SCHEMA.items():
         given = raw.get(section, {})
         if not isinstance(given, dict):
@@ -142,34 +197,10 @@ def normalize_config(raw: dict) -> dict:
         if unknown:
             raise CliError("E_CONFIG", f"unknown field {section}.{sorted(unknown)[0]}")
         cfg[section] = {name: given.get(name, default) for name, (default, _) in fields.items()}
+        pinned[section] = _pin(section, given, cfg[section]) if "preset" in fields else cfg[section]
     unknown_sections = set(raw) - set(SCHEMA)
     if unknown_sections:
         raise CliError("E_CONFIG", f"unknown section {sorted(unknown_sections)[0]}")
-
-    sched = cfg["schedule"]
-    if sched["preset"] is not None:
-        if sched["preset"] not in trainer.PRESETS:
-            raise CliError("E_CONFIG", f"schedule.preset {sched['preset']!r} unknown")
-        clash = [f for f in trainer.PRESETS[sched["preset"]] if sched[f] is not None]
-        if clash:
-            raise CliError("E_CONFIG",
-                           f"schedule.preset conflicts with explicit schedule.{clash[0]}")
-    else:
-        for f in PRESET_FIELDS:
-            if sched[f] is None:
-                raise CliError("E_CONFIG", f"schedule.{f} required when no preset is given")
-    try:
-        schedule_config(cfg)
-    except (TypeError, ValueError) as exc:
-        raise CliError("E_CONFIG", f"schedule: {exc}")
-    _check_int(sched["batch_pairs"], "schedule.batch_pairs", 1)
-
-    if cfg["stft"]["preset"] is None:
-        for f in ("sample_rate", "window_size", "hop"):
-            if cfg["stft"][f] is None:
-                raise CliError("E_CONFIG", f"stft.{f} required when stft.preset is null")
-    elif cfg["stft"]["preset"] not in ("toy", "paper"):
-        raise CliError("E_CONFIG", f"stft.preset {cfg['stft']['preset']!r} unknown")
 
     # directories are hashed as normalized paths, so "./data/" and "data"
     # name the same artifacts; absolute and relative spellings still differ
@@ -182,26 +213,63 @@ def normalize_config(raw: dict) -> dict:
     # warp_bins >= 2: the log-frequency warp needs a bottom and a top row
     for section, f, least in (("model", "channels", 1), ("model", "image_size", 1),
                               ("model", "audio_depth", 1), ("model", "seed", 0),
-                              ("stft", "n_frames", 1), ("stft", "warp_bins", 2)):
-        _check_int(cfg[section][f], f"{section}.{f}", least)
+                              ("stft", "sample_rate", 1), ("stft", "window_size", 1),
+                              ("stft", "hop", 1), ("stft", "n_frames", 1), ("stft", "warp_bins", 2),
+                              ("schedule", "batch_pairs", 1)):
+        _check_int(pinned[section][f], f"{section}.{f}", least)
+    s, m, sched = pinned["stft"], pinned["model"], pinned["schedule"]
+    stft = _build("stft", dsp.StftConfig, s["sample_rate"], s["window_size"], s["hop"])
+    if s["warp_bins"] > stft.n_bins:
+        raise CliError("E_CONFIG", f"stft.warp_bins {s['warp_bins']} exceeds the {stft.n_bins} bins of the STFT")
+    if s["n_frames"] != s["warp_bins"]:   # training feeds the audio net square planes
+        raise CliError("E_CONFIG", f"stft.n_frames {s['n_frames']} must equal stft.warp_bins {s['warp_bins']}")
+    image = _build("model", avnets.ImageNetCfg, m["image_size"], m["channels"],
+                   m.get("image_stages", avnets.ImageNetCfg.stages))
+    audio = _build("model", avnets.AudioNetCfg, s["warp_bins"], m["audio_depth"], m["channels"],
+                   m["audio_widths"])
+    sig = sched["sigmoid_epochs"]
+    if sig is None:   # a preset that leaves it open runs 15 sigmoid epochs, an explicit schedule none
+        sig = 0 if sched["preset"] is None else 15
+    schedule = _build("schedule", trainer.ScheduleConfig, sig, sched["softmax_epochs"], sched["initial_T"],
+                      sched["decay_rate"], sched["decay_epochs"], sched["lr"], sched["lr_finetune_divisor"])
 
     # clip i has category i mod C, so a split of at least C clips holds
     # every category: evaluation and distinct-pair sampling need two
     d = cfg["dataset"]
     _check_int(d["categories"], "dataset.categories", 2, len(toyworld.COLORS))
-    if d["categories"] >= cfg["model"]["channels"]:
+    if d["categories"] >= image.channels:
         raise CliError("E_CONFIG", "dataset.categories must be smaller than model.channels")
     for split in ("train", "val", "test"):
         _check_int(d[split], f"dataset.{split}", d["categories"])
-    if cfg["model"]["preset"] not in (None, "paper"):
-        raise CliError("E_CONFIG", f"model.preset must be null or 'paper', got {cfg['model']['preset']!r}")
     for section, f in (("schedule", "symmetric"), ("schedule", "distinct_pairs"), ("eval", "include_nmf")):
         if not isinstance(cfg[section][f], bool):
             raise CliError("E_CONFIG", f"{section}.{f} must be true or false, got {cfg[section][f]!r}")
     _check_tau(cfg["eval"]["tau"], "eval.tau")
     for f, least in (("n_mixtures", 1), ("figure_items", 0), ("nmf_rank", 1), ("nmf_iters", 1)):
         _check_int(cfg["eval"][f], f"eval.{f}", least)
+    cfg["resolved"] = Resolved(stft, image, audio, schedule)
     return cfg
+
+
+def _pin(section: str, given: dict, values: dict) -> dict:
+    """``values`` of ``section`` with the fields its preset pins laid over them."""
+    name, presets = values["preset"], PRESETS[section]
+    if name is None:
+        return values
+    if not isinstance(name, str) or name not in presets:
+        raise CliError("E_CONFIG", f"{section}.preset {name!r} unknown; choose from {sorted(presets)} or null")
+    clash = [f for f in presets[name] if given.get(f) is not None]
+    if clash:
+        raise CliError("E_CONFIG", f"{section}.preset {name!r} conflicts with explicit {section}.{clash[0]}")
+    return {**values, **presets[name]}
+
+
+def _build(section: str, make, *args):
+    """``make(*args)``; a value its constructor rejects is one E_CONFIG line."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError) as exc:
+        raise CliError("E_CONFIG", f"{section}: {exc}")
 
 
 def _check_int(value, name: str, least: int, most: int | None = None) -> None:
@@ -222,47 +290,13 @@ def section_hash(cfg: dict, sections) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def stft_config(cfg: dict) -> dsp.StftConfig:
-    s = cfg["stft"]
-    if s["preset"] == "toy":
-        return dsp.TOY_STFT
-    if s["preset"] == "paper":
-        return dsp.PAPER_STFT
-    return dsp.StftConfig(s["sample_rate"], s["window_size"], s["hop"])
-
-
-def schedule_config(cfg: dict) -> trainer.ScheduleConfig:
-    s = cfg["schedule"]
-    if s["preset"] is not None:
-        return trainer.preset_schedule(s["preset"], s["sigmoid_epochs"], s["lr"],
-                                       s["lr_finetune_divisor"])
-    return trainer.ScheduleConfig(s["sigmoid_epochs"] or 0, lr=s["lr"],
-                                  lr_finetune_divisor=s["lr_finetune_divisor"],
-                                  **{f: s[f] for f in PRESET_FIELDS})
-
-
-def build_bundle(cfg: dict) -> avnets.ModelBundle:
-    m = cfg["model"]
-    if m["preset"] == "paper":
-        return avnets.ModelBundle(avnets.PAPER_IMAGE_CFG, avnets.PAPER_AUDIO_CFG, seed=m["seed"])
-    depth = m["audio_depth"]
-    widths = m["audio_widths"]
-    if widths is None:
-        widths = avnets.AudioNetCfg.widths if depth == 4 else tuple(
-            min(8 * 2 ** i, 64) for i in range(depth + 1))
-    icfg = avnets.ImageNetCfg(input_size=m["image_size"], channels=m["channels"])
-    acfg = avnets.AudioNetCfg(grid=cfg["stft"]["warp_bins"], depth=depth,
-                              channels=m["channels"], widths=tuple(widths))
-    return avnets.ModelBundle(icfg, acfg, seed=m["seed"])
-
-
 # ---------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------
 
 def _load_manifest(path: Path):
     manifest = toyworld.load_manifest(path.parent)
-    return manifest, {"config_hash": manifest["config_hash"]}
+    return manifest, {"config_hash": manifest["config_hash"], "image_size": manifest["image_size"]}
 
 
 def _load_report(path: Path):
@@ -336,6 +370,10 @@ def _require(cfg: dict, kind: str, path=None):
     if meta.get("config_hash") != artifact_hash(cfg, kind):
         raise CliError("E_CONFIG_DRIFT", f"{path} was written under a different "
                                          f"{'/'.join(a.sections)} config; run {a.writer} again")
+    # frames are rendered at the model's image size, which the dataset hash leaves out
+    if kind == "dataset" and meta["image_size"] != (size := cfg["resolved"].image.input_size):
+        raise CliError("E_CONFIG_DRIFT", f"{path} holds {meta['image_size']}-pixel frames, but "
+                                         f"model.image_size resolves to {size}; run {a.writer} again")
     return obj
 
 
@@ -384,11 +422,10 @@ def _category_ids(manifest: dict, names) -> list[int]:
 
 def cmd_make_data(cfg: dict, args) -> int:
     d = cfg["dataset"]
-    run = _read_run_manifest(cfg)
-    scfg = stft_config(cfg)
+    run, r = _read_run_manifest(cfg), cfg["resolved"]
     manifest = toyworld.generate(d["dir"], seed=d["seed"], n_categories=d["categories"],
                                  counts={"train": d["train"], "val": d["val"], "test": d["test"]},
-                                 image_size=cfg["model"]["image_size"], stft_cfg=scfg,
+                                 image_size=r.image.input_size, stft_cfg=r.stft,
                                  n_frames=cfg["stft"]["n_frames"])
     manifest["config_hash"] = artifact_hash(cfg, "dataset")
     write_atomic(artifact_path(cfg, "dataset"),
@@ -402,16 +439,16 @@ def cmd_make_data(cfg: dict, args) -> int:
 
 def cmd_train(cfg: dict, args) -> int:
     manifest = _require(cfg, "dataset")
-    schedule = schedule_config(cfg)
+    r = cfg["resolved"]
     if not args.resume:
-        bundle, start = build_bundle(cfg), None
-    elif schedule.softmax_epochs == 0:
+        bundle, start = avnets.ModelBundle(r.image, r.audio, seed=cfg["model"]["seed"]), None
+    elif r.schedule.softmax_epochs == 0:
         raise CliError("E_CONFIG", "--resume: the schedule has no fine-tune epochs to resume")
     else:
-        bundle, start = _require(cfg, "checkpoint", args.resume), schedule.sigmoid_epochs
+        bundle, start = _require(cfg, "checkpoint", args.resume), r.schedule.sigmoid_epochs
     run = _read_run_manifest(cfg)
     state = trainer.run_schedule(
-        schedule, manifest, bundle, out_dir=_artifacts(cfg),
+        r.schedule, manifest, bundle, out_dir=_artifacts(cfg),
         seed=cfg["schedule"]["seed"], batch_pairs=cfg["schedule"]["batch_pairs"],
         symmetric=cfg["schedule"]["symmetric"],
         distinct_pairs=cfg["schedule"]["distinct_pairs"],
@@ -521,7 +558,7 @@ def _fit_or_load_nmf(cfg: dict, manifest: dict) -> nmf.NmfModel:
     model = nmf.fit_category_bases(manifest, rank=cfg["eval"]["nmf_rank"],
                                    iters=200, seed=cfg["dataset"]["seed"])
     model.save(artifact_path(cfg, "nmf"), extra_meta={"config_hash": artifact_hash(cfg, "nmf")})
-    return model
+    return _require(cfg, "nmf")   # the float32 bases the file holds, which a later eval scores with
 
 
 def cmd_eval(cfg: dict, args) -> int:

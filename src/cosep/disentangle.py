@@ -99,9 +99,10 @@ class Assignment:
     def load(path) -> tuple["Assignment", dict]:
         with open(path) as fh:
             doc = json.load(fh)
-        names = list(doc["assignment"].keys())
-        asg = Assignment(doc["category_to_channel"], doc["per_category_profit"],
-                         doc["total_profit"], names)
+        # the file sorts the names; the injective map puts them back in category order
+        name_of = {ch: name for name, ch in doc["assignment"].items()}
+        asg = Assignment(doc["category_to_channel"], doc["per_category_profit"], doc["total_profit"],
+                         [name_of[ch] for ch in doc["category_to_channel"]])
         return asg, doc
 
 

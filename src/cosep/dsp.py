@@ -26,7 +26,6 @@ __all__ = [
     "StftConfig",
     "Spectrogram",
     "TOY_STFT",
-    "PAPER_STFT",
     "stft",
     "istft",
     "log_warp",
@@ -77,7 +76,6 @@ class StftConfig:
 
 
 TOY_STFT = StftConfig(sample_rate=8000, window_size=510, hop=128)
-PAPER_STFT = StftConfig(sample_rate=11025, window_size=1022, hop=256)
 
 
 @dataclass

@@ -42,6 +42,10 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss stops being finite; carries a state dump."""
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     sigmoid_epochs: int
@@ -58,12 +62,14 @@ class ScheduleConfig:
             raise ValueError(f"epoch counts must be non-negative integers, got {epochs}")
         if sum(epochs) == 0:
             raise ValueError("the schedule needs at least one epoch")
-        if not self.initial_T > 0:
-            raise ValueError("initial temperature must be positive")
-        if not 0 < self.decay_rate < 1:
-            raise ValueError("decay rate must lie in (0, 1)")
-        if not self.lr > 0 or not self.lr_finetune_divisor > 0:
-            raise ValueError("learning rate and divisor must be positive")
+        if not (_number(self.initial_T) and self.initial_T > 0):
+            raise ValueError(f"initial temperature must be a positive number, got {self.initial_T!r}")
+        if not (_number(self.decay_rate) and 0 < self.decay_rate < 1):
+            raise ValueError(f"decay rate must lie in (0, 1), got {self.decay_rate!r}")
+        if not all(_number(x) and x > 0 for x in (self.lr, self.lr_finetune_divisor)):
+            raise ValueError("learning rate and divisor must be positive numbers")
+        if not isinstance(self.decay_epochs, (list, tuple)):
+            raise ValueError(f"decay epochs must be a list, got {self.decay_epochs!r}")
         decays = tuple(self.decay_epochs)
         if list(decays) != sorted(decays):
             raise ValueError("decay epochs must be sorted")
@@ -76,38 +82,6 @@ class ScheduleConfig:
         d = asdict(self)
         d["decay_epochs"] = list(self.decay_epochs)
         return d
-
-
-# Learning-schedule presets: softmax epochs, initial temperature, decay
-# rate, decay epochs.  Final temperatures follow in closed form
-# (A 0.625, B 0.4746->0.475, C 0.090, D 0.0081->0.008, E 0.125,
-# softmax-only 0.090).  The toy-* presets shrink the epoch budget for
-# desk-scale runs while keeping E's annealing endpoint.
-PRESETS: dict = {
-    "A": {"softmax_epochs": 20, "initial_T": 10.0, "decay_rate": 0.5, "decay_epochs": (4, 8, 12, 16)},
-    "B": {"softmax_epochs": 20, "initial_T": 1.5, "decay_rate": 0.75, "decay_epochs": (4, 8, 12, 16)},
-    "C": {"softmax_epochs": 25, "initial_T": 1.0, "decay_rate": 0.3, "decay_epochs": (4, 8)},
-    "D": {"softmax_epochs": 25, "initial_T": 1.0, "decay_rate": 0.3, "decay_epochs": (3, 6, 9, 12)},
-    "E": {"softmax_epochs": 25, "initial_T": 1.0, "decay_rate": 0.5, "decay_epochs": (5, 10, 15)},
-    "softmax-only": {"softmax_epochs": 25, "initial_T": 1.0, "decay_rate": 0.3,
-                     "decay_epochs": (10, 20), "sigmoid_epochs": 0},
-    "sigmoid-only": {"softmax_epochs": 0, "initial_T": 1.0, "decay_rate": 0.5, "decay_epochs": ()},
-    "toy-E": {"softmax_epochs": 20, "initial_T": 1.0, "decay_rate": 0.5,
-              "decay_epochs": (5, 10, 15), "sigmoid_epochs": 12},
-    "toy-sigmoid-only": {"softmax_epochs": 0, "initial_T": 1.0, "decay_rate": 0.5,
-                         "decay_epochs": (), "sigmoid_epochs": 16},
-}
-
-
-def preset_schedule(name: str, sigmoid_epochs: int | None = None, lr: float = 1e-3,
-                    lr_finetune_divisor: float = 5.0) -> ScheduleConfig:
-    """ScheduleConfig for a named preset; ``sigmoid_epochs`` (default 15)
-    applies to presets that do not pin their own."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    fields = dict(PRESETS[name])
-    fields.setdefault("sigmoid_epochs", 15 if sigmoid_epochs is None else sigmoid_epochs)
-    return ScheduleConfig(**fields, lr=lr, lr_finetune_divisor=lr_finetune_divisor)
 
 
 def temperature_at(cfg: ScheduleConfig, finetune_epoch: int) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cosep import avnets, checkpoint, tensor as tc
+from cosep import avnets, checkpoint, cli, tensor as tc
 from cosep.avnets import (AudioNetCfg, ImageNetCfg, ModelBundle, audio_forward,
                           audio_only_masks, image_forward, infer_images, segment,
                           synthesize_mask)
@@ -37,7 +37,9 @@ class TestShapes:
         assert feats.shape == (2, 16, 64, 64)
 
     def test_paper_preset_shapes(self):
-        b = ModelBundle(avnets.PAPER_IMAGE_CFG, avnets.PAPER_AUDIO_CFG, seed=0)
+        r = cli.normalize_config({"stft": {"preset": "paper", "warp_bins": 256, "n_frames": 256},
+                                  "model": {"preset": "paper"}})["resolved"]
+        b = ModelBundle(r.image, r.audio, seed=0)
         rng = np.random.default_rng(2)
         maps, phi, v = image_forward(Tensor(rng.random((1, 3, 224, 224)).astype(np.float32)), b)
         assert maps.shape == (1, 32, 14, 14)
@@ -265,6 +267,18 @@ class TestCheckpoint:
             cut.write_bytes(blob[:n])
             with pytest.raises(ValueError, match="cut.ckpt"):
                 ModelBundle.load(cut)
+
+    def test_meta_holds_the_net_configs(self, tmp_path):
+        bundle = self.tiny_bundle()
+        path, again = tmp_path / "tiny.ckpt", tmp_path / "again.ckpt"
+        bundle.save(path)
+        _, meta = checkpoint.load_tensors(path)
+        assert meta["image_cfg"] == {"input_size": 8, "channels": 2, "stages": [[2, 2, 1]]}
+        assert meta["audio_cfg"] == {"grid": 4, "depth": 1, "channels": 2, "widths": [2, 2]}
+        loaded, _ = ModelBundle.load(path)
+        assert (loaded.image_cfg, loaded.audio_cfg) == (bundle.image_cfg, bundle.audio_cfg)
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_failed_save_leaves_old_file(self, tmp_path):
         path = tmp_path / "tiny.ckpt"

@@ -12,7 +12,7 @@ import wave
 import numpy as np
 import pytest
 
-from cosep import avnets, checkpoint, cli, disentangle, dsp, metrics, toyworld as tw
+from cosep import avnets, checkpoint, cli, disentangle, dsp, metrics, trainer, toyworld as tw
 
 from oracles import per_clip_image_metrics
 
@@ -125,6 +125,9 @@ class TestConfigValidation:
         ("dataset", "test", 1),
         ("dataset", "test", 6.0),
         ("model", "preset", "huge"),
+        ("model", "preset", ["paper"]),
+        ("schedule", "preset", ["E"]),
+        ("stft", "preset", "tiny"),
         ("model", "channels", "16"),
         ("model", "channels", 0),
         ("model", "image_size", 0),
@@ -153,6 +156,122 @@ class TestConfigValidation:
         for field in ("dataset.seed", "stft.warp_bins", "model.channels",
                       "schedule.preset", "eval.tau", "eval.pair_seed"):
             assert field in out
+
+
+def resolve(**sections):
+    return cli.normalize_config(sections)["resolved"]
+
+
+PAPER_STFT = {"preset": "paper", "warp_bins": 256, "n_frames": 256}
+
+
+class TestConfigResolution:
+    """Each config resolves once, at load: one preset rule for ``stft``,
+    ``model`` and ``schedule``, each derived object built and checked there."""
+
+    def test_default_config_hashes_are_pinned(self):
+        cfg = cli.normalize_config({})
+        assert {kind: cli.artifact_hash(cfg, kind) for kind in cli.ARTIFACTS} == {
+            "dataset": "1d6123bfdd041448", "nmf": "1d6123bfdd041448",
+            "checkpoint": "5a788c9f6a93e554", "assignment": "5a788c9f6a93e554",
+            "report": "655ca31896526fc1"}
+
+    def test_resolved_values_stay_out_of_the_hashed_sections(self):
+        raw = {"stft": {"preset": "toy"}, "model": {"seed": 2}, "schedule": {"preset": "E"}}
+        cfg = cli.normalize_config(raw)
+        assert cfg["stft"]["sample_rate"] is None and cfg["model"]["audio_widths"] is None
+        assert cfg["schedule"]["softmax_epochs"] is None and cfg["schedule"]["sigmoid_epochs"] is None
+
+    def test_every_section_and_preset_is_covered(self):
+        assert {s: sorted(p) for s, p in cli.PRESETS.items() if s != "schedule"} == {
+            "stft": ["paper", "toy"], "model": ["paper"]}
+        assert all("preset" in cli.SCHEMA[s] for s in cli.PRESETS)
+
+    def test_stft_presets(self):
+        assert resolve(stft={"preset": "toy"}).stft == dsp.TOY_STFT == dsp.StftConfig(8000, 510, 128)
+        assert resolve(stft={"preset": "paper"}).stft == dsp.StftConfig(11025, 1022, 256)
+        assert resolve(stft={"preset": None, "sample_rate": 16000, "window_size": 256,
+                             "hop": 64}).stft == dsp.StftConfig(16000, 256, 64)
+
+    def test_default_model(self):
+        r = resolve()
+        assert r.image == avnets.ImageNetCfg() and r.audio == avnets.AudioNetCfg()
+        r = resolve(model={"audio_depth": 2}, stft={"warp_bins": 32, "n_frames": 32})
+        assert r.audio == avnets.AudioNetCfg(grid=32, depth=2, widths=(8, 16, 32))
+
+    def test_paper_model(self):
+        r = resolve(stft=PAPER_STFT, model={"preset": "paper", "seed": 4})
+        assert r.image == avnets.ImageNetCfg(
+            224, 32, ((64, 2, 1), (128, 2, 1), (256, 2, 1), (512, 2, 1), (512, 1, 2)))
+        assert r.audio == avnets.AudioNetCfg(256, 7, 32, (16, 32, 64, 128, 256, 512, 512, 512))
+        assert r.stft == dsp.StftConfig(11025, 1022, 256)
+
+    @pytest.mark.parametrize("name", sorted(cli.PRESETS["schedule"]))
+    def test_schedule_presets(self, name):
+        pins = cli.PRESETS["schedule"][name]
+        assert resolve(schedule={"preset": name}).schedule == trainer.ScheduleConfig(
+            **{"sigmoid_epochs": 15, **pins})
+        # unpinned fields keep their values
+        given = {"lr": 4e-3, "lr_finetune_divisor": 3.0}
+        if "sigmoid_epochs" not in pins:
+            given["sigmoid_epochs"] = 2
+        sched = resolve(schedule={"preset": name, **given}).schedule
+        assert {f: getattr(sched, f) for f in given} == given
+
+    def test_explicit_schedule_defaults_to_no_sigmoid_epochs(self):
+        sched = resolve(schedule={"preset": None, "softmax_epochs": 2, "initial_T": 1.0,
+                                  "decay_rate": 0.5, "decay_epochs": [1]}).schedule
+        assert sched == trainer.ScheduleConfig(0, 2, 1.0, 0.5, (1,))
+
+    @pytest.mark.parametrize("section,preset,field,value", [
+        ("stft", "toy", "sample_rate", 16000),
+        ("stft", "paper", "hop", 256),
+        ("model", "paper", "channels", 32),
+        ("model", "paper", "image_size", 64),
+        ("model", "paper", "audio_depth", 7),
+        ("model", "paper", "audio_widths", [16, 32, 64, 128, 256, 512, 512, 512]),
+        ("schedule", "E", "softmax_epochs", 25),
+        ("schedule", "toy-E", "sigmoid_epochs", 12),
+    ])
+    def test_pinned_field_given_is_a_conflict(self, tmp_path, capsys, section, preset, field, value):
+        cfg = {"stft": dict(PAPER_STFT)} if section == "model" else {}
+        cfg[section] = {**cfg.get(section, {}), "preset": preset, field: value}
+        assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == 2
+        err = one_error_line(capsys, "E_CONFIG")
+        assert err.startswith(f"E_CONFIG: {section}.preset {preset!r} conflicts with explicit {section}.{field}")
+        # an explicit null is no conflict
+        cfg[section][field] = None
+        cli.normalize_config(cfg)
+
+    @pytest.mark.parametrize("command", ["make-data", "train", "eval"])
+    @pytest.mark.parametrize("stft,model,prefix", [
+        ({"preset": None, "sample_rate": 8000, "window_size": 7, "hop": 4}, {}, "stft: window_size"),
+        ({"preset": None, "sample_rate": "x", "window_size": 510, "hop": 128}, {}, "stft.sample_rate"),
+        ({"preset": None, "window_size": 510, "hop": 128}, {}, "stft.sample_rate"),
+        ({"preset": "toy", "sample_rate": 16000}, {}, "stft.preset 'toy' conflicts"),
+        ({}, {"preset": "paper", "channels": None, "audio_depth": None, "audio_widths": None},
+         "model: grid 32 not divisible"),
+        ({"warp_bins": 48, "n_frames": 48}, {"audio_depth": 5, "audio_widths": None},
+         "model: grid 48 not divisible"),
+        ({}, {"audio_widths": [6, 10]}, "model: need 3 widths"),
+        ({}, {"audio_widths": [6, 10, "x"]}, "model: widths must be positive integers"),
+        ({"n_frames": 40}, {}, "stft.n_frames 40 must equal stft.warp_bins 32"),
+        ({"warp_bins": 512, "n_frames": 512}, {}, "stft.warp_bins 512 exceeds the 256 bins"),
+    ], ids=["odd_window", "sample_rate_x", "no_sample_rate", "toy_with_rate", "paper_model_toy_stft",
+            "depth5_grid48", "widths_length", "widths_type", "frames_not_bins", "bins_above_stft"])
+    def test_config_that_cannot_train_is_one_error_line(self, tmp_path, capsys, command, stft, model, prefix):
+        cfg = tiny_config(tmp_path)
+        cfg["stft"].update(stft)
+        cfg["model"].update(model)
+        assert cli.main([command, "-c", write_config(tmp_path, cfg)]) == cli.EXIT_CODES["E_CONFIG"]
+        assert one_error_line(capsys, "E_CONFIG").startswith(f"E_CONFIG: {prefix}")
+        assert not (tmp_path / "data").exists() and not (tmp_path / "artifacts").exists()
+
+    def test_paper_model_on_default_stft_is_rejected(self, tmp_path, capsys):
+        cfg = {"dataset": {"dir": str(tmp_path / "data")}, "model": {"preset": "paper"}}
+        assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == 2
+        assert one_error_line(capsys, "E_CONFIG").startswith("E_CONFIG: model: grid 64 not divisible by 2^7")
+        assert not (tmp_path / "data").exists()
 
 
 class TestThreadCap:
@@ -666,6 +785,29 @@ class TestArtifactGate:
         assert cli.main(["assign", "-c", "cosep.json"]) == 0
 
 
+class TestDatasetImageSize:
+    """Frames are rendered at the resolved image size, which the dataset
+    hash leaves out; the dataset gate compares it with the manifest."""
+
+    def test_changed_image_size_is_drift(self, run_copy, capsys):
+        cfg = json.loads((run_copy / "cosep.json").read_text())
+        cfg["model"]["image_size"] = 32
+        write_config(run_copy, cfg)
+        before = {f: f.read_bytes() for f in run_copy.rglob("*") if f.is_file()}
+        for command in ("train", "assign", "eval"):
+            assert cli.main([command, "-c", "cosep.json"]) == cli.EXIT_CODES["E_CONFIG_DRIFT"]
+            err = one_error_line(capsys, "E_CONFIG_DRIFT")
+            assert err.startswith("E_CONFIG_DRIFT: data/manifest.json holds 64-pixel frames")
+            assert "resolves to 32" in err and err.rstrip().endswith("run make-data again")
+        assert {f: f.read_bytes() for f in run_copy.rglob("*") if f.is_file()} == before
+
+    def test_model_seed_keeps_the_dataset(self, run_copy):
+        cfg = json.loads((run_copy / "cosep.json").read_text())
+        cfg["model"]["seed"] = 9
+        manifest = cli._require(cli.normalize_config(cfg), "dataset")
+        assert manifest["image_size"] == 64
+
+
 class TestEvalOutputs:
     def test_details_cover_every_item(self, finished_run):
         cfg = json.loads((finished_run / "cosep.json").read_text())
@@ -684,6 +826,15 @@ class TestEvalOutputs:
         assert names == sorted([f"segmentation_{i:02d}.ppm" for i in range(n)]
                                + [f"separation_{i:02d}.pgm" for i in range(n)])
 
+
+    def test_second_eval_is_byte_identical(self, run_copy):
+        """The first eval fits the NMF bases and scores with what nmf.ckpt
+        holds, as every later eval does."""
+        art = run_copy / "artifacts"
+        names = ("eval_details.json", "report.csv", "report_extras.csv", "nmf.ckpt")
+        first = {n: (art / n).read_bytes() for n in names}
+        assert cli.main(["eval", "-c", "cosep.json"]) == 0
+        assert {n: (art / n).read_bytes() for n in names} == first
 
     def test_eval_removes_earlier_figures(self, run_copy):
         cfg = json.loads((run_copy / "cosep.json").read_text())

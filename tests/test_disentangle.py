@@ -1,5 +1,7 @@
 """Sparsity measure and assignment solver (brute-force verified)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -147,3 +149,14 @@ class TestAssign:
         assert loaded.category_to_channel == res.category_to_channel
         assert doc["config_hash"] == "deadbeef"
         assert loaded.total_profit == pytest.approx(res.total_profit)
+
+    def test_load_pairs_each_name_with_its_channel(self, tmp_path):
+        """``save`` sorts the names; ``load`` restores the category order."""
+        path, again = tmp_path / "assignment.json", tmp_path / "again.json"
+        for channels in itertools.permutations(range(4), 3):
+            asg = dz.Assignment(list(channels), [0.5, 0.25, 0.125], 0.875, ["circle", "square", "bars"])
+            asg.save(path, extra={"config_hash": "cafe"})
+            loaded, _ = dz.Assignment.load(path)
+            assert loaded == asg
+            loaded.save(again, extra={"config_hash": "cafe"})
+            assert again.read_bytes() == path.read_bytes()

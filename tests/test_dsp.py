@@ -58,7 +58,7 @@ class TestStft:
         assert row_means[peak] >= 10 * others.mean()
 
     def test_paper_scale_grid(self):
-        cfg = dsp.PAPER_STFT
+        cfg = dsp.StftConfig(11025, 1022, 256)
         wave = np.random.default_rng(0).standard_normal(6 * cfg.sample_rate) * 0.1
         spec = dsp.stft(wave, cfg)
         assert spec.bins == 512  # 1022-sample window: DC..Nyquist
@@ -117,7 +117,7 @@ class TestLogWarp:
         np.testing.assert_allclose(back, 3.0, atol=1e-5)
 
     def test_paper_scale_bin_counts(self):
-        cfg = dsp.PAPER_STFT
+        cfg = dsp.StftConfig(11025, 1022, 256)
         warped = dsp.log_warp(np.ones((cfg.n_bins, 4), dtype=np.float32), 256)
         assert warped.shape == (256, 4)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosep import avnets
+from cosep import avnets, cli
 from cosep import checkpoint
 from cosep import tensor as tc
 from cosep import toyworld as tw
@@ -16,6 +16,11 @@ from cosep.avnets import AudioNetCfg, ImageNetCfg, ModelBundle
 from cosep.tensor import Adam, Tensor
 
 from oracles import deadline
+
+
+def preset_schedule(name, **fields):
+    """The schedule a config with ``schedule.preset`` ``name`` resolves to."""
+    return cli.normalize_config({"schedule": {"preset": name, **fields}})["resolved"].schedule
 
 
 MINI_WARP = 32
@@ -56,7 +61,7 @@ class TestTemperatureSchedule:
             "softmax-only": (1.0, 0.3, (10, 20), 0.090),
         }
         for name, (t0, rate, decays, display) in rows.items():
-            cfg = tr.preset_schedule(name)
+            cfg = preset_schedule(name)
             assert cfg.initial_T == t0 and cfg.decay_rate == rate
             assert cfg.decay_epochs == decays
             final = tr.temperature_at(cfg, cfg.softmax_epochs)
@@ -64,26 +69,26 @@ class TestTemperatureSchedule:
             assert round(final, 3) == display
 
     def test_model_e_epoch_twenty(self):
-        cfg = tr.preset_schedule("E")
+        cfg = preset_schedule("E")
         assert tr.temperature_at(cfg, 20) == 0.125
 
     def test_model_c_epoch_twenty_five(self):
-        cfg = tr.preset_schedule("C")
+        cfg = preset_schedule("C")
         assert abs(tr.temperature_at(cfg, 25) - 0.090) < 1e-12
 
     def test_model_d_closed_form(self):
-        cfg = tr.preset_schedule("D")
+        cfg = preset_schedule("D")
         final = tr.temperature_at(cfg, cfg.softmax_epochs)
         assert final == 1.0 * 0.3 ** 4
         assert round(final, 3) == 0.008
 
     def test_non_increasing_in_epoch(self):
-        cfg = tr.preset_schedule("B")
+        cfg = preset_schedule("B")
         temps = [tr.temperature_at(cfg, e) for e in range(cfg.softmax_epochs + 1)]
         assert all(b <= a for a, b in zip(temps, temps[1:]))
 
     def test_partial_decay_counting(self):
-        cfg = tr.preset_schedule("E")
+        cfg = preset_schedule("E")
         assert tr.temperature_at(cfg, 4) == 1.0
         assert tr.temperature_at(cfg, 5) == 0.5
         assert tr.temperature_at(cfg, 14) == 0.25
@@ -97,8 +102,8 @@ class TestTemperatureSchedule:
             tr.ScheduleConfig(2, 3, initial_T=0.0)
         with pytest.raises(ValueError, match="at least one epoch"):
             tr.ScheduleConfig(0, 0)
-        with pytest.raises(ValueError, match="unknown preset"):
-            tr.preset_schedule("Z")
+        with pytest.raises(cli.CliError, match="schedule.preset 'Z' unknown"):
+            preset_schedule("Z")
 
 
 @st.composite
@@ -126,10 +131,10 @@ class TestEpochPlan:
             assert lr == cfg.lr / cfg.lr_finetune_divisor
 
     def test_preset_passes_rates_through(self):
-        cfg = tr.preset_schedule("toy-sigmoid-only", lr=4e-3, lr_finetune_divisor=3.0)
+        cfg = preset_schedule("toy-sigmoid-only", lr=4e-3, lr_finetune_divisor=3.0)
         assert (cfg.sigmoid_epochs, cfg.lr, cfg.lr_finetune_divisor) == (16, 4e-3, 3.0)
-        assert tr.preset_schedule("E").sigmoid_epochs == 15
-        assert tr.preset_schedule("E", sigmoid_epochs=1).sigmoid_epochs == 1
+        assert preset_schedule("E").sigmoid_epochs == 15
+        assert preset_schedule("E", sigmoid_epochs=1).sigmoid_epochs == 1
 
 
 class TestSamplePairs:
