@@ -38,7 +38,7 @@ def write_atomic(path, data: bytes | str) -> None:
 
     The bytes go to a temporary file beside ``path``, which is synced and
     then replaces ``path``, so a write that fails midway leaves any
-    earlier file intact."""
+    earlier file intact.  The ``OSError`` of a failed write names ``path``."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -48,6 +48,8 @@ def write_atomic(path, data: bytes | str) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -11,11 +11,14 @@ Failures exit nonzero with a single machine-parsable line on stderr:
 (run the named upstream command first, exit 3), ``E_CONFIG_DRIFT``
 (artifact built under a different config, exit 4), ``E_CORRUPT_ARTIFACT``
 (an artifact or dataset clip file that cannot be read or parsed, exit 5;
-run the command that writes it again).  Checkpoints, JSON and CSV
+run the command that writes it again), ``E_IO`` (``E_IO: <path>: <reason>``
+for a file that could not be written, exit 6).  Checkpoints, JSON and CSV
 artifacts are written atomically, so an interrupted write leaves the
-previous file in place, and an unreadable ``nmf.ckpt`` is refitted like
-a stale one; ``eval`` scores with the bases read back from it, so a first
-``eval`` and a later one agree.  A command reads ``run_manifest.json`` before it writes.
+previous file in place; ``manifest.json`` has one writer,
+``toyworld.generate``, so a failed ``make-data`` leaves none.  A command
+reads ``run_manifest.json`` before it writes.  An unreadable ``nmf.ckpt``
+is refitted like a stale one; ``eval`` scores with the bases read back
+from it, so a first ``eval`` and a later one agree.
 
 ``eval`` writes the report CSVs, the per-item scores in
 ``eval_details.json`` and the figures under ``figures/``; ``report``
@@ -64,7 +67,7 @@ import numpy as np
 from . import __version__, avnets, disentangle, dsp, metrics, nmf, toyworld, trainer
 from .checkpoint import write_atomic
 
-EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4, "E_CORRUPT_ARTIFACT": 5}
+EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4, "E_CORRUPT_ARTIFACT": 5, "E_IO": 6}
 
 # closed config schema: section -> field -> (default, help)
 SCHEMA = {
@@ -294,11 +297,6 @@ def section_hash(cfg: dict, sections) -> str:
 # artifacts
 # ---------------------------------------------------------------------
 
-def _load_manifest(path: Path):
-    manifest = toyworld.load_manifest(path.parent)
-    return manifest, {"config_hash": manifest["config_hash"], "image_size": manifest["image_size"]}
-
-
 def _load_report(path: Path):
     """The table ``eval`` wrote beside ``report.csv``, and as meta the
     config hash on the first line of ``report.csv``."""
@@ -323,7 +321,7 @@ class Artifact(NamedTuple):
 MODEL_SECTIONS = ("dataset", "stft", "model", "schedule")
 
 ARTIFACTS = {
-    "dataset": Artifact("dir", "manifest.json", ("dataset", "stft"), "make-data", _load_manifest),
+    "dataset": Artifact("dir", "manifest.json", ("dataset", "stft"), "make-data", toyworld.Dataset.load),
     "checkpoint": Artifact("artifacts_dir", "checkpoint_final.ckpt", MODEL_SECTIONS, "train",
                            avnets.ModelBundle.load),
     "assignment": Artifact("artifacts_dir", "assignment.json", MODEL_SECTIONS, "assign",
@@ -333,8 +331,8 @@ ARTIFACTS = {
 }
 
 # what reading or parsing a bad file raises: OS errors, bad JSON or
-# checkpoint bytes (ValueError), JSON of the wrong shape (KeyError, TypeError)
-UNREADABLE = (OSError, ValueError, KeyError, TypeError)
+# checkpoint bytes (ValueError), JSON of the wrong shape (KeyError, TypeError, AttributeError)
+UNREADABLE = (OSError, ValueError, KeyError, TypeError, AttributeError)
 
 
 def _artifacts(cfg: dict, name: str = "") -> Path:
@@ -371,8 +369,8 @@ def _require(cfg: dict, kind: str, path=None):
         raise CliError("E_CONFIG_DRIFT", f"{path} was written under a different "
                                          f"{'/'.join(a.sections)} config; run {a.writer} again")
     # frames are rendered at the model's image size, which the dataset hash leaves out
-    if kind == "dataset" and meta["image_size"] != (size := cfg["resolved"].image.input_size):
-        raise CliError("E_CONFIG_DRIFT", f"{path} holds {meta['image_size']}-pixel frames, but "
+    if kind == "dataset" and obj.image_size != (size := cfg["resolved"].image.input_size):
+        raise CliError("E_CONFIG_DRIFT", f"{path} holds {obj.image_size}-pixel frames, but "
                                          f"model.image_size resolves to {size}; run {a.writer} again")
     return obj
 
@@ -403,8 +401,8 @@ def _update_run_manifest(cfg: dict, kind: str, doc: dict) -> None:
     write_atomic(path, json.dumps(doc, sort_keys=True, indent=1))
 
 
-def _category_ids(manifest: dict, names) -> list[int]:
-    cats = {c.name: c.id for c in toyworld.manifest_categories(manifest)}
+def _category_ids(dataset: toyworld.Dataset, names) -> list[int]:
+    cats = {c.name: c.id for c in dataset.categories}
     ids = []
     for name in names:
         if name in cats:
@@ -423,22 +421,21 @@ def _category_ids(manifest: dict, names) -> list[int]:
 def cmd_make_data(cfg: dict, args) -> int:
     d = cfg["dataset"]
     run, r = _read_run_manifest(cfg), cfg["resolved"]
-    manifest = toyworld.generate(d["dir"], seed=d["seed"], n_categories=d["categories"],
-                                 counts={"train": d["train"], "val": d["val"], "test": d["test"]},
-                                 image_size=r.image.input_size, stft_cfg=r.stft,
-                                 n_frames=cfg["stft"]["n_frames"])
-    manifest["config_hash"] = artifact_hash(cfg, "dataset")
-    write_atomic(artifact_path(cfg, "dataset"),
-                 json.dumps({k: v for k, v in manifest.items() if not k.startswith("_")},
-                            sort_keys=True, indent=1))
+    try:
+        dataset = toyworld.generate(d["dir"], seed=d["seed"], n_categories=d["categories"],
+                                    counts={"train": d["train"], "val": d["val"], "test": d["test"]},
+                                    image_size=r.image.input_size, stft_cfg=r.stft,
+                                    n_frames=cfg["stft"]["n_frames"],
+                                    config_hash=artifact_hash(cfg, "dataset"))
+    except ValueError as exc:   # a model.image_size too small to render the masks
+        raise CliError("E_CONFIG", f"model.image_size: {exc}")
     _update_run_manifest(cfg, "dataset", run)
-    n = sum(len(v) for v in manifest["splits"].values())
-    print(f"dataset: {n} clips, {d['categories']} categories -> {d['dir']}")
+    print(f"dataset: {sum(map(len, dataset.splits.values()))} clips, {d['categories']} categories -> {d['dir']}")
     return 0
 
 
 def cmd_train(cfg: dict, args) -> int:
-    manifest = _require(cfg, "dataset")
+    dataset = _require(cfg, "dataset")
     r = cfg["resolved"]
     if not args.resume:
         bundle, start = avnets.ModelBundle(r.image, r.audio, seed=cfg["model"]["seed"]), None
@@ -448,7 +445,7 @@ def cmd_train(cfg: dict, args) -> int:
         bundle, start = _require(cfg, "checkpoint", args.resume), r.schedule.sigmoid_epochs
     run = _read_run_manifest(cfg)
     state = trainer.run_schedule(
-        r.schedule, manifest, bundle, out_dir=_artifacts(cfg),
+        r.schedule, dataset, bundle, out_dir=_artifacts(cfg),
         seed=cfg["schedule"]["seed"], batch_pairs=cfg["schedule"]["batch_pairs"],
         symmetric=cfg["schedule"]["symmetric"],
         distinct_pairs=cfg["schedule"]["distinct_pairs"],
@@ -462,13 +459,13 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_assign(cfg: dict, args) -> int:
-    manifest = _require(cfg, "dataset")
+    dataset = _require(cfg, "dataset")
     bundle = _require(cfg, "checkpoint")
     run = _read_run_manifest(cfg)
-    clips = toyworld.load_split(manifest, "val")
+    clips = toyworld.load_split(dataset, "val")
     cats = [c.category for c in clips]
     _, v = avnets.infer_images([c.frame for c in clips], bundle)
-    table = disentangle.build_table(v, cats, [c.name for c in toyworld.manifest_categories(manifest)])
+    table = disentangle.build_table(v, cats, [c.name for c in dataset.categories])
     asg = disentangle.assign(table)
     table_hash = hashlib.sha256(np.ascontiguousarray(table.values).tobytes()).hexdigest()[:16]
     asg.save(artifact_path(cfg, "assignment"),
@@ -482,49 +479,47 @@ def cmd_assign(cfg: dict, args) -> int:
 
 
 def cmd_separate(cfg: dict, args) -> int:
-    manifest = _require(cfg, "dataset")
+    dataset = _require(cfg, "dataset")
     bundle = _require(cfg, "checkpoint")
     asg = _require(cfg, "assignment")
-    scfg = toyworld.manifest_stft(manifest)
     if args.wav:
         try:
-            wave, _ = dsp.read_wav(args.wav, expected_rate=scfg.sample_rate)
+            wave, _ = dsp.read_wav(args.wav, expected_rate=dataset.stft.sample_rate)
         except (OSError, ValueError) as exc:
             raise CliError("E_CONFIG", f"--wav {args.wav}: {exc}")
-        if wave.size < scfg.window_size:
+        if wave.size < dataset.stft.window_size:
             raise CliError("E_CONFIG", f"--wav {args.wav}: {wave.size} samples, "
-                                       f"fewer than one window ({scfg.window_size})")
+                                       f"fewer than one window ({dataset.stft.window_size})")
         stem = Path(args.wav)
         names = [n.strip() for n in args.categories.split(",")]
     elif args.clips:
         ids = [c.strip() for c in args.clips.split(",")]
         if len(ids) != 2:
             raise CliError("E_CONFIG", f"--clips needs exactly two clip ids, got {len(ids)}")
-        records = {r["id"]: r for split in manifest["splits"].values() for r in split}
+        records = {r.id: r for split in dataset.splits.values() for r in split}
         missing = [c for c in ids if c not in records]
         if missing:
             raise CliError("E_CONFIG", f"unknown clip id {missing[0]}")
-        clips = [toyworld.load_clip(manifest, records[c]) for c in ids]
+        clips = [toyworld.load_clip(dataset, records[c]) for c in ids]
         wave = toyworld.mix_waves(clips[0].wave, clips[1].wave)
-        cats = toyworld.manifest_categories(manifest)
-        names = [cats[c.category].name for c in clips]
+        names = [dataset.categories[c.category].name for c in clips]
         stem = _artifacts(cfg, f"mix_{ids[0]}_{ids[1]}.wav")
-        dsp.write_wav(stem, wave, scfg.sample_rate)
+        dsp.write_wav(stem, wave, dataset.stft.sample_rate)
     else:
         raise CliError("E_CONFIG", "separate needs --wav FILE --categories a,b or --clips id1,id2")
     if len(names) != 2:
         raise CliError("E_CONFIG", "separate needs exactly two categories")
-    cat_ids = _category_ids(manifest, names)
-    estimates = metrics.separate(wave, cat_ids, bundle, asg, scfg)
+    cat_ids = _category_ids(dataset, names)
+    estimates = metrics.separate(wave, cat_ids, bundle, asg, dataset.stft)
     for name, est in zip(names, estimates):
         out = Path(f"{stem}.{name}.wav")
-        dsp.write_wav(out, est, scfg.sample_rate)
+        dsp.write_wav(out, est, dataset.stft.sample_rate)
         print(f"wrote {out}")
     return 0
 
 
 def cmd_segment(cfg: dict, args) -> int:
-    manifest = _require(cfg, "dataset")
+    dataset = _require(cfg, "dataset")
     bundle = _require(cfg, "checkpoint")
     asg = _require(cfg, "assignment")
     if not args.image or not args.category:
@@ -536,7 +531,7 @@ def cmd_segment(cfg: dict, args) -> int:
     size = bundle.image_cfg.input_size
     if frame.shape[:2] != (size, size):
         raise CliError("E_CONFIG", f"image must be {size}x{size}, got {frame.shape[1]}x{frame.shape[0]}")
-    cat = _category_ids(manifest, [args.category])[0]
+    cat = _category_ids(dataset, [args.category])[0]
     if args.tau is not None:
         _check_tau(args.tau, "--tau")
     tau = cfg["eval"]["tau"] if args.tau is None else args.tau
@@ -548,40 +543,40 @@ def cmd_segment(cfg: dict, args) -> int:
     return 0
 
 
-def _fit_or_load_nmf(cfg: dict, manifest: dict) -> nmf.NmfModel:
+def _fit_or_load_nmf(cfg: dict, dataset: toyworld.Dataset) -> nmf.NmfModel:
     try:
         model = _require(cfg, "nmf")
         if model.rank == cfg["eval"]["nmf_rank"]:
             return model
     except CliError:
         pass   # missing, unreadable or stale: refit
-    model = nmf.fit_category_bases(manifest, rank=cfg["eval"]["nmf_rank"],
+    model = nmf.fit_category_bases(dataset, rank=cfg["eval"]["nmf_rank"],
                                    iters=200, seed=cfg["dataset"]["seed"])
     model.save(artifact_path(cfg, "nmf"), extra_meta={"config_hash": artifact_hash(cfg, "nmf")})
     return _require(cfg, "nmf")   # the float32 bases the file holds, which a later eval scores with
 
 
 def cmd_eval(cfg: dict, args) -> int:
-    manifest = _require(cfg, "dataset")
+    dataset = _require(cfg, "dataset")
     bundle = _require(cfg, "checkpoint")
     asg = _require(cfg, "assignment")
     run = _read_run_manifest(cfg)
     e = cfg["eval"]
     name = cfg["schedule"]["preset"] or "custom"
-    clips = metrics.split_clips(manifest, "test")
+    clips = toyworld.load_split(dataset, "test")
     row, extras, details, figures = metrics.evaluate_network(
-        bundle, asg, manifest, "test", clips, pair_seed=e["pair_seed"],
+        bundle, asg, clips, dataset.stft, pair_seed=e["pair_seed"],
         n_mixtures=e["n_mixtures"], tau=e["tau"], model_name=name, figure_items=e["figure_items"])
     rows, named_extras, named_details = [row], {name: extras}, {name: details}
     if e["include_nmf"]:
-        model = _fit_or_load_nmf(cfg, manifest)
-        nrow, nextras, ndetails = metrics.evaluate_nmf(model, manifest, "test", clips,
+        model = _fit_or_load_nmf(cfg, dataset)
+        nrow, nextras, ndetails = metrics.evaluate_nmf(model, clips, dataset.stft,
                                                        pair_seed=e["pair_seed"],
                                                        n_mixtures=e["n_mixtures"], iters=e["nmf_iters"])
         rows.append(nrow)
         named_extras["nmf"] = nextras
         named_details["nmf"] = {"separation": ndetails}
-    _write_figures(_artifacts(cfg, "figures"), clips, figures, toyworld.manifest_stft(manifest))
+    _write_figures(_artifacts(cfg, "figures"), clips, figures, dataset.stft)
     write_atomic(_artifacts(cfg, "eval_details.json"),
                  json.dumps(named_details, sort_keys=True, indent=1))
     metrics.write_extras_csv(_artifacts(cfg, "report_extras.csv"), named_extras)
@@ -602,7 +597,7 @@ def cmd_report(cfg: dict, args) -> int:
     return 0
 
 
-def _write_figures(out: Path, clips: dict, figures: dict, stft_cfg: dsp.StftConfig) -> None:
+def _write_figures(out: Path, clips: list, figures: dict, stft_cfg: dsp.StftConfig) -> None:
     """Spectrogram triptychs (mixture | estimate A | estimate B) of the
     first evaluated mixtures and frame / predicted-mask overlays of the
     first test clips.  The figures of an earlier ``eval`` are removed first."""
@@ -612,7 +607,7 @@ def _write_figures(out: Path, clips: dict, figures: dict, stft_cfg: dsp.StftConf
     for i, waves in enumerate(figures["separation"]):
         panels = [dsp.stft(w, stft_cfg).magnitude for w in waves]
         toyworld.write_pgm(out / f"separation_{i:02d}.pgm", _spectrogram_strip(panels))
-    for i, (clip, pred) in enumerate(zip(clips.values(), figures["segmentation"])):
+    for i, (clip, pred) in enumerate(zip(clips, figures["segmentation"])):
         toyworld.write_ppm(out / f"segmentation_{i:02d}.ppm", _overlay(clip.frame, pred, clip.gt_mask))
 
 
@@ -712,6 +707,8 @@ def main(argv=None) -> int:
             return args.fn(load_config(args.config), args)
         except toyworld.ClipReadError as exc:  # a clip file of the dataset artifact
             raise _unreadable(exc.path, exc.__cause__, f"run {ARTIFACTS['dataset'].writer} again") from exc
+        except OSError as exc:   # a file that could not be written
+            raise CliError("E_IO", f"{exc.filename}: {exc.strerror}") from exc
     except CliError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.code, 1)

@@ -46,7 +46,6 @@ class ActivationTable:
 
     values: np.ndarray          # [C, K], float64
     categories: list            # category names, row order
-    normalization: str = "row-sum-1"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)

@@ -8,8 +8,9 @@ all references (interference), and the out-of-span remainder (artifacts).
 All projection algebra runs in float64; infinite ratios are reported as
 a 120 dB sentinel.
 
-Evaluation loads its split once.  The image-only metrics (IoU, sparsity,
-accuracy) come from one ``avnets.infer_images`` pass over its frames.
+Evaluation takes its clips as one loaded list.  The image-only metrics
+(IoU, sparsity, accuracy) come from one ``avnets.infer_images`` pass over
+their frames.
 The audio-only metrics come from one mixture loop shared by the network
 and the NMF baseline: it mixes test clips pairwise on a seeded schedule
 and asks a mask function ``(spec, cat_a, cat_b)`` for two masks on the
@@ -149,30 +150,27 @@ def separate(mixture_wave: np.ndarray, categories, bundle, assignment: Assignmen
 # evaluation suite
 # ---------------------------------------------------------------------
 
-def sample_mixture_pairs(manifest: dict, split: str, seed: int, n_mixtures: int):
-    """Seeded schedule of distinct-category clip pairs for evaluation."""
-    records = manifest["splits"][split]
-    if len({rec["category"] for rec in records}) < 2:
-        raise ValueError(f"split {split!r} needs clips of two categories to mix")
+def sample_mixture_pairs(clips, seed: int, n_mixtures: int):
+    """Seeded schedule of distinct-category pairs of ``clips`` for evaluation."""
+    if len({clip.category for clip in clips}) < 2:
+        raise ValueError("evaluation needs clips of two categories to mix")
     rng = np.random.default_rng(np.random.SeedSequence([0x4D49, seed]))
     pairs = []
     while len(pairs) < n_mixtures:
-        i, j = rng.integers(0, len(records), size=2)
-        if records[i]["category"] != records[j]["category"]:
-            pairs.append((records[i], records[j]))
+        i, j = rng.integers(0, len(clips), size=2)
+        if clips[i].category != clips[j].category:
+            pairs.append((clips[i], clips[j]))
     return pairs
 
 
-def _score_mixtures(clips: dict, pairs, cfg: dsp.StftConfig, mask_fn, dtype, keep: int = 0):
-    """The mixture loop: separate every scheduled pair of ``clips`` (by
-    clip id) with ``mask_fn`` and score the estimates, cast to ``dtype``,
-    against the half-gain sources.  Returns the SDR/SIR means for the
-    summary row, the medians and mean SDR improvement, per-mixture
-    details, and (mixture, estimate A, estimate B) of the first ``keep``
-    mixtures."""
+def _score_mixtures(pairs, cfg: dsp.StftConfig, mask_fn, dtype, keep: int = 0):
+    """The mixture loop: separate every scheduled pair of clips with
+    ``mask_fn`` and score the estimates, cast to ``dtype``, against the
+    half-gain sources.  Returns the SDR/SIR means for the summary row, the
+    medians and mean SDR improvement, per-mixture details, and (mixture,
+    estimate A, estimate B) of the first ``keep`` mixtures."""
     details, kept = [], []
-    for rec_a, rec_b in pairs:
-        a, b = clips[rec_a["id"]], clips[rec_b["id"]]
+    for a, b in pairs:
         mix = toyworld.mix_waves(a.wave, b.wave)
         refs = [0.5 * a.wave, 0.5 * b.wave]
         spec = dsp.stft(mix, cfg)
@@ -181,7 +179,7 @@ def _score_mixtures(clips: dict, pairs, cfg: dsp.StftConfig, mask_fn, dtype, kee
         if len(kept) < keep:
             kept.append((mix, *estimates))
         scores = [sdr_sir(est, refs, i) for i, est in enumerate(estimates)]
-        details.append({"clips": [rec_a["id"], rec_b["id"]],
+        details.append({"clips": [a.clip_id, b.clip_id],
                         "sdr": [float(s) for s, _ in scores], "sir": [float(r) for _, r in scores],
                         "mixture_sdr": [float(sdr_sir(mix, refs, i)[0]) for i in range(2)]})
     sdrs = [s for d in details for s in d["sdr"]]
@@ -193,39 +191,27 @@ def _score_mixtures(clips: dict, pairs, cfg: dsp.StftConfig, mask_fn, dtype, kee
     return means, extras, details, kept
 
 
-def split_clips(manifest: dict, split: str) -> dict:
-    """Every clip of one split by clip id, in manifest order: the
-    ``clips`` argument of the two evaluations."""
-    clips = {clip.clip_id: clip for clip in toyworld.load_split(manifest, split)}
-    if not clips:
-        raise ValueError(f"split {split!r} is empty")
-    return clips
-
-
-def evaluate_network(bundle, assignment: Assignment, manifest: dict, split: str, clips: dict,
+def evaluate_network(bundle, assignment: Assignment, clips, stft_cfg: dsp.StftConfig,
                      pair_seed: int = 0, n_mixtures: int = 40,
                      tau: float = 0.5, model_name: str = "model", figure_items: int = 0):
-    """Full image-only + audio-only evaluation on ``clips``, the
-    ``split_clips`` of ``split``; returns (summary row, extras, per-item
-    details, figure data).  The figure data holds the predicted masks of
-    the first ``figure_items`` clips ("segmentation") and the mixture and
-    two float32 estimates of the first ``figure_items`` mixtures
-    ("separation")."""
-    cfg = toyworld.manifest_stft(manifest)
+    """Full image-only + audio-only evaluation on ``clips`` (``toyworld.AVClip``);
+    returns (summary row, extras, per-item details, figure data): the masks
+    of the first ``figure_items`` clips ("segmentation") and the mixture and
+    two float32 estimates of the first ``figure_items`` mixtures ("separation")."""
+    pairs = sample_mixture_pairs(clips, pair_seed, n_mixtures)
 
     # image-only: segmentation + channel sparsity + classification
-    cats = [c.category for c in clips.values()]
-    maps, v = avnets.infer_images([c.frame for c in clips.values()], bundle)
+    cats = [c.category for c in clips]
+    maps, v = avnets.infer_images([c.frame for c in clips], bundle)
     accuracy = classification_accuracy(v, cats, assignment)
     preds = avnets.segment(maps, bundle, [assignment.channel_for(c) for c in cats], tau=tau)
     seg_details = [{"clip": clip.clip_id, "category": clip.category, "iou": iou(pred, clip.gt_mask)}
-                   for pred, clip in zip(preds, clips.values())]
+                   for pred, clip in zip(preds, clips)]
     ious = [d["iou"] for d in seg_details]
 
     # audio-only: seeded pairwise mixtures
     means, extras, sep_details, kept = _score_mixtures(
-        clips, sample_mixture_pairs(manifest, split, pair_seed, n_mixtures), cfg,
-        network_masks(bundle, assignment), np.float32, keep=figure_items)
+        pairs, stft_cfg, network_masks(bundle, assignment), np.float32, keep=figure_items)
 
     row = {"model": model_name, "sparsity": float(np.mean([sparsity(r) for r in v])),
            "accuracy": float(accuracy), **means, "IoU": float(np.mean(ious))}
@@ -234,18 +220,17 @@ def evaluate_network(bundle, assignment: Assignment, manifest: dict, split: str,
             {"segmentation": preds[:figure_items], "separation": kept})
 
 
-def evaluate_nmf(model: "nmf_mod.NmfModel", manifest: dict, split: str, clips: dict,
+def evaluate_nmf(model: "nmf_mod.NmfModel", clips, stft_cfg: dsp.StftConfig,
                  pair_seed: int = 0, n_mixtures: int = 40, iters: int = 150):
     """Separation-only evaluation of the NMF baseline on the same seeded
-    mixture schedule over ``clips``, the ``split_clips`` of ``split`` (no
-    image branch: sparsity/accuracy/IoU are blank)."""
+    mixture schedule over ``clips`` (no image branch: sparsity/accuracy/IoU
+    are blank)."""
     def masks(spec, cat_a, cat_b):
         return nmf_mod.nmf_separate(spec.magnitude, model.bases[cat_a], model.bases[cat_b],
                                     iters=iters, seed=pair_seed)
 
     means, extras, details, _ = _score_mixtures(
-        clips, sample_mixture_pairs(manifest, split, pair_seed, n_mixtures),
-        toyworld.manifest_stft(manifest), masks, np.float64)
+        sample_mixture_pairs(clips, pair_seed, n_mixtures), stft_cfg, masks, np.float64)
     row = {"model": "nmf", "sparsity": None, "accuracy": None, **means, "IoU": None}
     return row, extras, details
 

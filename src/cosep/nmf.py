@@ -143,14 +143,13 @@ class NmfModel:
         return cls(meta["rank"], bases), meta
 
 
-def fit_category_bases(manifest: dict, split: str = "train", rank: int = 8,
+def fit_category_bases(dataset: toyworld.Dataset, split: str = "train", rank: int = 8,
                        iters: int = 200, seed: int = 0) -> NmfModel:
     """One basis matrix per category from that category's solo clips."""
-    cfg = toyworld.manifest_stft(manifest)
     by_cat: dict = {}
-    for rec in manifest["splits"][split]:
-        clip = toyworld.load_clip(manifest, rec)
-        by_cat.setdefault(clip.category, []).append(dsp.stft(clip.wave, cfg).magnitude)
+    for rec in dataset.splits[split]:
+        clip = toyworld.load_clip(dataset, rec)
+        by_cat.setdefault(clip.category, []).append(dsp.stft(clip.wave, dataset.stft).magnitude)
     model = NmfModel(rank)
     for cat in sorted(by_cat):
         model.bases[cat] = nmf_fit(by_cat[cat], rank, iters=iters, seed=seed + cat)

@@ -9,7 +9,9 @@ jitter.  All per-clip randomness derives from (seed, clip_id), so
 generation is order-independent and regeneration is bit-identical.
 
 Files on disk: binary PPM frames, binary PGM ground-truth masks, 16-bit
-PCM WAV audio, and a JSON manifest tying them together.
+PCM WAV audio, and a JSON manifest tying them together.  ``Dataset`` is
+the manifest's only reader and writer: ``generate`` writes it once, after
+every clip file, and ``Dataset.load`` reads it; other modules take the object.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .dsp import TOY_STFT, StftConfig, write_wav, read_wav
 
 SHAPES = ("circle", "square", "triangle", "cross", "ring", "diamond", "bars", "wedge")
@@ -243,7 +247,7 @@ def _parse_pnm(data: bytes, magic: bytes):
 
 
 # ---------------------------------------------------------------------
-# generation / manifest
+# generation / the dataset handle
 # ---------------------------------------------------------------------
 
 def _clip_rng(seed: int, clip_id: str):
@@ -251,68 +255,88 @@ def _clip_rng(seed: int, clip_id: str):
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
+class ClipRecord(NamedTuple):
+    """One clip of a split: its id, category and files under the dataset root."""
+    id: str
+    category: int
+    frame: str
+    mask: str
+    wav: str
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """A generated dataset: directory, rendering, categories and clip records
+    by split.  ``to_json`` and ``load`` alone know ``manifest.json``'s layout."""
+    root: Path
+    seed: int
+    image_size: int
+    n_frames: int
+    clip_samples: int
+    stft: StftConfig
+    categories: tuple   # CategorySpec
+    splits: dict        # split -> list of ClipRecord, in clip order
+    config_hash: str = ""
+
+    def to_json(self) -> dict:
+        stft = {"sample_rate": self.stft.sample_rate, "window_size": self.stft.window_size, "hop": self.stft.hop}
+        return {"seed": self.seed, "image_size": self.image_size, "n_frames": self.n_frames,
+                "clip_samples": self.clip_samples, "config_hash": self.config_hash, "stft": stft,
+                "categories": [c.to_json() for c in self.categories],
+                "splits": {split: [r._asdict() for r in recs] for split, recs in self.splits.items()}}
+
+    @classmethod
+    def load(cls, path: Path) -> tuple["Dataset", dict]:
+        """The dataset and JSON of the manifest at ``path``; a manifest of the
+        wrong shape raises KeyError, TypeError, ValueError or AttributeError."""
+        doc = json.loads(path.read_text())
+        return cls(path.parent, doc["seed"], doc["image_size"], doc["n_frames"], doc["clip_samples"],
+                   StftConfig(**doc["stft"]),
+                   tuple(CategorySpec.from_json(c) for c in doc["categories"]),
+                   {split: [ClipRecord(**r) for r in recs] for split, recs in doc["splits"].items()},
+                   doc["config_hash"]), doc
+
+
 def generate(root, seed: int, n_categories: int = 8,
              counts: dict | None = None, image_size: int = 64,
-             stft_cfg: StftConfig = TOY_STFT, n_frames: int = 64) -> dict:
-    """Write the dataset under ``root`` and return the manifest dict."""
-    if n_categories < 2:
-        raise ValueError("need at least 2 categories")
+             stft_cfg: StftConfig = TOY_STFT, n_frames: int = 64, config_hash: str = "") -> Dataset:
+    """Write the dataset under ``root`` and return it.  Any earlier manifest
+    goes first and the new one is written last, atomically, so a failed
+    generation leaves none.  A mask covering under 1% or over 60% of its
+    frame raises ``ValueError``; a failed clip write, ``OSError`` naming it."""
+    cats = default_categories(n_categories, stft_cfg)
     counts = counts or {"train": 400, "val": 80, "test": 80}
     root = Path(root)
     (root / "clips").mkdir(parents=True, exist_ok=True)
-    cats = default_categories(n_categories, stft_cfg)
+    (root / "manifest.json").unlink(missing_ok=True)
     n_samples = stft_cfg.sample_count(n_frames)
 
     splits: dict = {}
     for split, count in counts.items():
-        records = []
+        splits[split] = records = []
         for i in range(count):
             clip_id = f"{split}_{i:04d}"
             category = i % n_categories
             rng = _clip_rng(seed, clip_id)
             frame, mask = render_frame(cats[category], image_size, rng)
-            coverage = mask.mean()
-            if not 0.01 <= coverage <= 0.60:
-                raise AssertionError(f"{clip_id}: mask coverage {coverage:.3f} out of range")
+            if not 0.01 <= (coverage := mask.mean()) <= 0.60:
+                raise ValueError(f"{clip_id}: mask coverage {coverage:.3f} lies outside [0.01, 0.60] "
+                                 f"at image size {image_size}")
             wave = synth_wave(cats[category], n_samples, stft_cfg.sample_rate, rng)
-            write_ppm(root / "clips" / f"{clip_id}.ppm", frame)
-            write_pgm(root / "clips" / f"{clip_id}_mask.pgm", mask)
-            write_wav(root / "clips" / f"{clip_id}.wav", wave, stft_cfg.sample_rate)
-            records.append({"id": clip_id, "category": category,
-                            "frame": f"clips/{clip_id}.ppm",
-                            "mask": f"clips/{clip_id}_mask.pgm",
-                            "wav": f"clips/{clip_id}.wav"})
-        splits[split] = records
+            rec = ClipRecord(clip_id, category, f"clips/{clip_id}.ppm", f"clips/{clip_id}_mask.pgm",
+                             f"clips/{clip_id}.wav")
+            path = root / rec.frame
+            try:
+                write_ppm(path, frame)
+                write_pgm(path := root / rec.mask, mask)
+                write_wav(path := root / rec.wav, wave, stft_cfg.sample_rate)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+            records.append(rec)
 
-    manifest = {
-        "seed": seed,
-        "image_size": image_size,
-        "n_frames": n_frames,
-        "clip_samples": n_samples,
-        "stft": {"sample_rate": stft_cfg.sample_rate,
-                 "window_size": stft_cfg.window_size, "hop": stft_cfg.hop},
-        "categories": [c.to_json() for c in cats],
-        "splits": splits,
-    }
-    with open(root / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-    return manifest
-
-
-def load_manifest(root) -> dict:
-    with open(Path(root) / "manifest.json") as fh:
-        manifest = json.load(fh)
-    manifest["_root"] = str(root)
-    return manifest
-
-
-def manifest_stft(manifest: dict) -> StftConfig:
-    s = manifest["stft"]
-    return StftConfig(s["sample_rate"], s["window_size"], s["hop"])
-
-
-def manifest_categories(manifest: dict) -> list[CategorySpec]:
-    return [CategorySpec.from_json(d) for d in manifest["categories"]]
+    dataset = Dataset(root, seed, image_size, n_frames, n_samples, stft_cfg, tuple(cats), splits, config_hash)
+    write_atomic(root / "manifest.json", json.dumps(dataset.to_json(), sort_keys=True, indent=1))
+    return dataset
 
 
 class ClipReadError(Exception):
@@ -323,27 +347,26 @@ class ClipReadError(Exception):
         self.path = path
 
 
-def load_clip(manifest: dict, record: dict) -> AVClip:
+def load_clip(dataset: Dataset, record: ClipRecord) -> AVClip:
     """One clip's frame, mask and waveform; a file that is missing or
     cannot be parsed raises ``ClipReadError``."""
-    root = Path(manifest["_root"])
-    path = root / record["frame"]
+    path = dataset.root / record.frame
     try:
         frame = read_ppm(path)
-        path = root / record["mask"]
+        path = dataset.root / record.mask
         mask = read_pgm(path) > 127
-        path = root / record["wav"]
-        wave, _ = read_wav(path, expected_rate=manifest["stft"]["sample_rate"])
-        if wave.size != manifest["clip_samples"]:
-            raise ValueError(f"{wave.size} samples, the dataset has {manifest['clip_samples']} per clip")
+        path = dataset.root / record.wav
+        wave, _ = read_wav(path, expected_rate=dataset.stft.sample_rate)
+        if wave.size != dataset.clip_samples:
+            raise ValueError(f"{wave.size} samples, the dataset has {dataset.clip_samples} per clip")
     except (OSError, ValueError) as exc:
         raise ClipReadError(path, exc) from exc
-    return AVClip(record["id"], record["category"], frame, wave, mask)
+    return AVClip(record.id, record.category, frame, wave, mask)
 
 
-def load_split(manifest: dict, split: str) -> list[AVClip]:
-    """Every clip of one split, in manifest order."""
-    return [load_clip(manifest, rec) for rec in manifest["splits"][split]]
+def load_split(dataset: Dataset, split: str) -> list[AVClip]:
+    """Every clip of one split, in clip order."""
+    return [load_clip(dataset, rec) for rec in dataset.splits[split]]
 
 
 def mix_waves(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -111,14 +111,11 @@ class TrainState:
     temperature: float | None = None
     loss_history: list = field(default_factory=list)
     sparsity_history: list = field(default_factory=list)
-    batch_pairs: int = 8
-    symmetric: bool = True
 
     def dump(self) -> dict:
         return {"seed": self.seed, "epoch": self.epoch, "stage": self.stage,
                 "temperature": self.temperature,
-                "recent_losses": self.loss_history[-5:],
-                "batch_pairs": self.batch_pairs}
+                "recent_losses": self.loss_history[-5:]}
 
 
 # ---------------------------------------------------------------------
@@ -140,10 +137,9 @@ def prepare_clip(clip: toyworld.AVClip, cfg: dsp.StftConfig, warp_bins: int) -> 
                         dsp.log_warp(spec.magnitude, warp_bins), clip.category)
 
 
-def prepare_split(manifest: dict, split: str, warp_bins: int) -> list[PreparedClip]:
-    cfg = toyworld.manifest_stft(manifest)
-    return [prepare_clip(toyworld.load_clip(manifest, rec), cfg, warp_bins)
-            for rec in manifest["splits"][split]]
+def prepare_split(dataset: toyworld.Dataset, split: str, warp_bins: int) -> list[PreparedClip]:
+    return [prepare_clip(toyworld.load_clip(dataset, rec), dataset.stft, warp_bins)
+            for rec in dataset.splits[split]]
 
 
 def _mix_warped(a: PreparedClip, b: PreparedClip) -> np.ndarray:
@@ -188,14 +184,14 @@ def _val_sparsity(bundle: avnets.ModelBundle, val_frames: np.ndarray) -> float:
     return float(np.mean([sparsity(row) for row in v]))
 
 
-def _run_epoch(prepared, pair_idx, bundle, opt, state) -> float:
+def _run_epoch(prepared, pair_idx, bundle, opt, state, batch_pairs: int, symmetric: bool) -> float:
     losses = []
-    for lo in range(0, len(pair_idx), state.batch_pairs):
-        chunk = pair_idx[lo:lo + state.batch_pairs]
+    for lo in range(0, len(pair_idx), batch_pairs):
+        chunk = pair_idx[lo:lo + batch_pairs]
         pairs = [(prepared[i], prepared[j]) for i, j in chunk]
-        loss = _step_batch(_batch_arrays(pairs), bundle, opt, state.symmetric)
+        loss = _step_batch(_batch_arrays(pairs), bundle, opt, symmetric)
         if not np.isfinite(loss):
-            raise TrainingDiverged(f"non-finite loss at state {state.dump()}")
+            raise TrainingDiverged(f"non-finite loss at state {state.dump()}, batch_pairs {batch_pairs}")
         losses.append(loss)
     return float(np.mean(losses))
 
@@ -211,7 +207,7 @@ def _sample_pairs(rng, n_clips: int, n_pairs: int, categories, distinct: bool) -
     return idx
 
 
-def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle,
+def run_schedule(cfg: ScheduleConfig, dataset: toyworld.Dataset, bundle: avnets.ModelBundle,
                  out_dir=None, seed: int = 0, batch_pairs: int = 8, symmetric: bool = True,
                  distinct_pairs: bool = False, log_path=None,
                  start_epoch: int | None = None, config_hash: str = "",
@@ -223,11 +219,10 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
     ``epoch_plan(cfg)`` with the weights ``bundle`` holds, and writes no
     stage-boundary checkpoint; the caller checks what it loaded.
     """
-    state = TrainState(seed=seed, epoch=start_epoch or 0, batch_pairs=batch_pairs,
-                       symmetric=symmetric)
-    prepared = prepare_split(manifest, "train", bundle.audio_cfg.grid)
+    state = TrainState(seed=seed, epoch=start_epoch or 0)
+    prepared = prepare_split(dataset, "train", bundle.audio_cfg.grid)
     categories = [p.category for p in prepared]
-    val_frames = np.stack([clip.frame for clip in toyworld.load_split(manifest, "val")])
+    val_frames = np.stack([clip.frame for clip in toyworld.load_split(dataset, "val")])
     n = len(prepared)
     rng = np.random.default_rng(np.random.SeedSequence([0x7241, seed]))
     opt = Adam(bundle.param_list(), lr=cfg.lr)
@@ -255,7 +250,7 @@ def run_schedule(cfg: ScheduleConfig, manifest: dict, bundle: avnets.ModelBundle
         state.stage, mode, state.temperature, opt.lr = plan[state.epoch]
         bundle.set_mode(mode, state.temperature)
         pair_idx = _sample_pairs(rng, n, n, categories, distinct_pairs)
-        loss = _run_epoch(prepared, pair_idx, bundle, opt, state)
+        loss = _run_epoch(prepared, pair_idx, bundle, opt, state, batch_pairs, symmetric)
         spars = _val_sparsity(bundle, val_frames)
         state.loss_history.append(loss)
         state.sparsity_history.append(spars)

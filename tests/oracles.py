@@ -16,7 +16,7 @@ import signal
 
 import numpy as np
 
-from cosep import avnets, tensor as tc, toyworld
+from cosep import avnets, tensor as tc
 from cosep.disentangle import sparsity
 from cosep.metrics import iou
 from cosep.nmf import EPS
@@ -113,16 +113,14 @@ def brute_force_assignment(profit):
     return list(best), best_p
 
 
-def per_clip_image_metrics(bundle, assignment, manifest, split, tau):
+def per_clip_image_metrics(bundle, assignment, clips, tau):
     """Image-only metrics one clip at a time, as evaluation computed them
     before the batched pass: mean IoU of a batch-1 segmentation, mean
     sparsity of a batch-1 ``image_forward`` and argmax accuracy.  Returns
     (IoU, sparsity, accuracy)."""
     ious, spars, hits = [], [], 0
     size = bundle.image_cfg.input_size
-    records = manifest["splits"][split]
-    for rec in records:
-        clip = toyworld.load_clip(manifest, rec)
+    for clip in clips:
         channel = assignment.channel_for(clip.category)
         with tc.no_grad():
             maps, _, v = avnets.image_forward(avnets.frames_to_tensor(clip.frame), bundle)
@@ -141,7 +139,7 @@ def per_clip_image_metrics(bundle, assignment, manifest, split, tau):
         ious.append(iou(plane >= tau * plane.max(), clip.gt_mask))
         spars.append(sparsity(v.data[0]))
         hits += int(np.argmax(v.data[0])) == channel
-    return float(np.mean(ious)), float(np.mean(spars)), hits / len(records)
+    return float(np.mean(ious)), float(np.mean(spars)), hits / len(clips)
 
 
 def nmf_fit_reference(v, rank, iters, seed):

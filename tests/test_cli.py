@@ -1,6 +1,7 @@
 """CLI pipeline on a miniature config: happy path, error categories,
 artifact hashing."""
 
+import errno
 import json
 import os
 import shutil
@@ -33,6 +34,11 @@ def tiny_config(tmp_path, **schedule_overrides):
         "eval": {"pair_seed": 2, "n_mixtures": 4, "nmf_rank": 2, "nmf_iters": 40,
                  "figure_items": 2},
     }
+
+
+def dataset_at(tmp_path):
+    """The dataset ``make-data`` wrote under ``tmp_path/data``."""
+    return tw.Dataset.load(tmp_path / "data" / "manifest.json")[0]
 
 
 def write_config(tmp_path, cfg):
@@ -358,20 +364,19 @@ class TestPipeline:
 
     def test_separate_clips_emits_wavs(self, pipeline, capsys):
         tmp_path, cfg_path = pipeline
-        manifest = tw.load_manifest(tmp_path / "data")
-        recs = manifest["splits"]["test"]
-        pair = (recs[0]["id"], recs[1]["id"])
+        recs = dataset_at(tmp_path).splits["test"]
+        pair = (recs[0].id, recs[1].id)
         assert cli.main(["separate", "-c", cfg_path, "--clips", ",".join(pair)]) == 0
         out = capsys.readouterr().out
         assert out.count("wrote") == 2
 
     def test_separate_user_wav_names_outputs_by_category(self, pipeline):
         tmp_path, cfg_path = pipeline
-        manifest = tw.load_manifest(tmp_path / "data")
-        cats = tw.manifest_categories(manifest)
-        recs = manifest["splits"]["test"]
-        a = tw.load_clip(manifest, recs[0])
-        b = tw.load_clip(manifest, recs[1])
+        dataset = dataset_at(tmp_path)
+        cats = dataset.categories
+        recs = dataset.splits["test"]
+        a = tw.load_clip(dataset, recs[0])
+        b = tw.load_clip(dataset, recs[1])
         wav_in = tmp_path / "user_mix.wav"
         dsp.write_wav(wav_in, tw.mix_waves(a.wave, b.wave), 8000)
         names = f"{cats[a.category].name},{cats[b.category].name}"
@@ -385,11 +390,10 @@ class TestPipeline:
 
     def test_segment_emits_mask(self, pipeline, capsys):
         tmp_path, cfg_path = pipeline
-        manifest = tw.load_manifest(tmp_path / "data")
-        rec = manifest["splits"]["test"][0]
-        cats = tw.manifest_categories(manifest)
-        image = tmp_path / "data" / rec["frame"]
-        name = cats[rec["category"]].name
+        dataset = dataset_at(tmp_path)
+        rec = dataset.splits["test"][0]
+        image = tmp_path / "data" / rec.frame
+        name = dataset.categories[rec.category].name
         assert cli.main(["segment", "-c", cfg_path, "--image", str(image),
                          "--category", name]) == 0
         mask = tw.read_pgm(f"{image}.{name}.pgm")
@@ -409,8 +413,8 @@ class TestPipeline:
 
     def test_separate_needs_two_clip_ids(self, pipeline, capsys):
         tmp_path, cfg_path = pipeline
-        recs = tw.load_manifest(tmp_path / "data")["splits"]["test"]
-        for ids in ([recs[0]["id"]], [r["id"] for r in recs[:3]]):
+        recs = dataset_at(tmp_path).splits["test"]
+        for ids in ([recs[0].id], [r.id for r in recs[:3]]):
             assert cli.main(["separate", "-c", cfg_path, "--clips", ",".join(ids)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("E_CONFIG:") and "two clip ids" in err
@@ -418,10 +422,10 @@ class TestPipeline:
 
     def test_segment_tau_outside_unit_interval_rejected(self, pipeline, capsys):
         tmp_path, cfg_path = pipeline
-        manifest = tw.load_manifest(tmp_path / "data")
-        rec = manifest["splits"]["test"][0]
-        name = tw.manifest_categories(manifest)[rec["category"]].name
-        image = tmp_path / "data" / rec["frame"]
+        dataset = dataset_at(tmp_path)
+        rec = dataset.splits["test"][0]
+        name = dataset.categories[rec.category].name
+        image = tmp_path / "data" / rec.frame
         assert cli.main(["segment", "-c", cfg_path, "--image", str(image),
                          "--category", name, "--tau", "1.5"]) == 2
         err = capsys.readouterr().err
@@ -528,13 +532,13 @@ class TestDirectorySpelling:
 class TestEvalLoadsTestSplitOnce:
     def test_each_test_clip_loaded_once(self, pipeline, monkeypatch):
         tmp_path, cfg_path = pipeline
-        test_ids = {r["id"] for r in tw.load_manifest(tmp_path / "data")["splits"]["test"]}
+        test_ids = {r.id for r in dataset_at(tmp_path).splits["test"]}
         loaded = []
         real = tw.load_clip
 
-        def load_clip(manifest, rec):
-            loaded.append(rec["id"])
-            return real(manifest, rec)
+        def load_clip(dataset, rec):
+            loaded.append(rec.id)
+            return real(dataset, rec)
 
         monkeypatch.setattr(tw, "load_clip", load_clip)
         assert cli.main(["eval", "-c", cfg_path]) == 0
@@ -585,29 +589,26 @@ class TestOneImagePass:
     @staticmethod
     def loaded(tmp_path, cfg_path):
         cfg = cli.load_config(cfg_path)
-        manifest = tw.load_manifest(tmp_path / "data")
+        clips = tw.load_split(dataset_at(tmp_path), "test")
         bundle, _ = avnets.ModelBundle.load(tmp_path / "artifacts" / "checkpoint_final.ckpt")
         asg, _ = disentangle.Assignment.load(tmp_path / "artifacts" / "assignment.json")
-        return cfg, manifest, bundle, asg
+        return cfg, clips, bundle, asg
 
     def test_batched_metrics_equal_per_clip_reference(self, pipeline):
-        cfg, manifest, bundle, asg = self.loaded(*pipeline)
+        cfg, clips, bundle, asg = self.loaded(*pipeline)
         tau = cfg["eval"]["tau"]
-        row, _, _, _ = metrics.evaluate_network(bundle, asg, manifest, "test",
-                                                metrics.split_clips(manifest, "test"), pair_seed=2,
+        row, _, _, _ = metrics.evaluate_network(bundle, asg, clips, cfg["resolved"].stft, pair_seed=2,
                                                 n_mixtures=1, tau=tau)
-        ref_iou, ref_sparsity, ref_accuracy = per_clip_image_metrics(
-            bundle, asg, manifest, "test", tau)
+        ref_iou, ref_sparsity, ref_accuracy = per_clip_image_metrics(bundle, asg, clips, tau)
         assert row["IoU"] == ref_iou
         assert row["sparsity"] == ref_sparsity
         assert row["accuracy"] == ref_accuracy
 
     def test_evaluation_forwards_each_test_frame_once(self, pipeline, monkeypatch):
-        _, manifest, bundle, asg = self.loaded(*pipeline)
+        cfg, clips, bundle, asg = self.loaded(*pipeline)
         seen = frames_through_maps(monkeypatch)
-        metrics.evaluate_network(bundle, asg, manifest, "test",
-                                 metrics.split_clips(manifest, "test"), pair_seed=2, n_mixtures=2)
-        frames = np.stack([c.frame for c in tw.load_split(manifest, "test")])
+        metrics.evaluate_network(bundle, asg, clips, cfg["resolved"].stft, pair_seed=2, n_mixtures=2)
+        frames = np.stack([c.frame for c in clips])
         assert np.array_equal(np.concatenate(seen), avnets.frames_to_tensor(frames).data)
 
     def test_assign_forwards_val_split_once(self, pipeline, monkeypatch):
@@ -615,7 +616,7 @@ class TestOneImagePass:
         before = (tmp_path / "artifacts" / "assignment.json").read_text()
         seen = frames_through_maps(monkeypatch)
         assert cli.main(["assign", "-c", cfg_path]) == 0
-        frames = np.stack([c.frame for c in tw.load_split(tw.load_manifest(tmp_path / "data"), "val")])
+        frames = np.stack([c.frame for c in tw.load_split(dataset_at(tmp_path), "val")])
         assert np.array_equal(np.concatenate(seen), avnets.frames_to_tensor(frames).data)
         assert (tmp_path / "artifacts" / "assignment.json").read_text() == before
 
@@ -660,12 +661,12 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("case", ["missing", "not_p6", "truncated", "truncated_header"])
     def test_bad_image(self, pipeline, tmp_path, capsys, case):
         src_tmp, cfg_path = pipeline
-        rec = tw.load_manifest(src_tmp / "data")["splits"]["test"][0]
+        rec = dataset_at(src_tmp).splits["test"][0]
         path = tmp_path / "in.ppm"
         if case == "not_p6":
-            shutil.copy(src_tmp / "data" / rec["mask"], path)
+            shutil.copy(src_tmp / "data" / rec.mask, path)
         elif case == "truncated":
-            good = (src_tmp / "data" / rec["frame"]).read_bytes()
+            good = (src_tmp / "data" / rec.frame).read_bytes()
             path.write_bytes(good[:len(good) // 2])
         elif case == "truncated_header":
             path.write_bytes(b"P6\n64 64\n# cut")
@@ -750,6 +751,12 @@ class TestArtifactGate:
         assert name in err and f"run {writer}" in err
         assert (report.read_bytes() if report.exists() else None) == before
 
+    def test_manifest_splits_of_the_wrong_shape_are_corrupt(self, run_copy, capsys):
+        path = run_copy / "data" / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "splits": []}))
+        assert cli.main(["train", "-c", "cosep.json"]) == cli.EXIT_CODES["E_CORRUPT_ARTIFACT"]
+        assert "data/manifest.json is unreadable" in one_error_line(capsys, "E_CORRUPT_ARTIFACT")
+
     def test_report_reads_only_the_report(self, run_copy, capsys):
         art = run_copy / "artifacts"
         for name in ("checkpoint_final.ckpt", "checkpoint_sigmoid.ckpt", "assignment.json"):
@@ -804,8 +811,8 @@ class TestDatasetImageSize:
     def test_model_seed_keeps_the_dataset(self, run_copy):
         cfg = json.loads((run_copy / "cosep.json").read_text())
         cfg["model"]["seed"] = 9
-        manifest = cli._require(cli.normalize_config(cfg), "dataset")
-        assert manifest["image_size"] == 64
+        dataset = cli._require(cli.normalize_config(cfg), "dataset")
+        assert dataset.image_size == 64
 
 
 class TestEvalOutputs:
@@ -813,7 +820,7 @@ class TestEvalOutputs:
         cfg = json.loads((finished_run / "cosep.json").read_text())
         details = json.loads((finished_run / "artifacts" / "eval_details.json").read_text())
         assert sorted(details) == ["custom", "nmf"]
-        test_ids = [r["id"] for r in tw.load_manifest(finished_run / "data")["splits"]["test"]]
+        test_ids = [r.id for r in dataset_at(finished_run).splits["test"]]
         assert [d["clip"] for d in details["custom"]["segmentation"]] == test_ids
         for model in ("custom", "nmf"):
             mixtures = details[model]["separation"]
@@ -930,3 +937,50 @@ class TestAtomicWrites:
                 metrics.write_summary_csv(path, [])
         assert path.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+class TestMakeDataFailures:
+    """A failed ``make-data`` is one E_* line and leaves no manifest, so the
+    next command asks for ``make-data`` again."""
+
+    @staticmethod
+    def disk_full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    @pytest.mark.parametrize("target,module,name", [("clips/train_0000.wav", tw, "write_wav"),
+                                                    ("manifest.json", checkpoint.os, "fsync")])
+    def test_failed_write_is_one_io_line(self, tmp_path, monkeypatch, capsys, target, module, name):
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path))
+        with monkeypatch.context() as m:
+            m.setattr(module, name, self.disk_full)
+            assert cli.main(["make-data", "-c", cfg_path]) == cli.EXIT_CODES["E_IO"]
+        err = one_error_line(capsys, "E_IO")
+        assert err == f"E_IO: {tmp_path / 'data' / target}: No space left on device\n"
+        assert not (tmp_path / "data" / "manifest.json").exists()
+        assert cli.main(["train", "-c", cfg_path]) == cli.EXIT_CODES["E_MISSING_ARTIFACT"]
+        assert "manifest.json missing; run make-data" in one_error_line(capsys, "E_MISSING_ARTIFACT")
+
+    def test_image_size_too_small_is_config_error(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        cfg["model"]["image_size"] = 2
+        assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == cli.EXIT_CODES["E_CONFIG"]
+        err = one_error_line(capsys, "E_CONFIG")
+        assert err.startswith("E_CONFIG: model.image_size: train_") and "mask coverage 0.000" in err
+        assert not (tmp_path / "data" / "manifest.json").exists()
+
+    def test_manifest_has_one_writer(self, tmp_path, monkeypatch):
+        writes = []
+
+        def recording(module):
+            real = module.write_atomic
+
+            def write_atomic(path, data):
+                writes.append((module.__name__, str(path)))
+                real(path, data)
+            return write_atomic
+
+        for module in (tw, cli):
+            monkeypatch.setattr(module, "write_atomic", recording(module))
+        assert cli.main(["make-data", "-c", write_config(tmp_path, tiny_config(tmp_path))]) == 0
+        manifest = str(tmp_path / "data" / "manifest.json")
+        assert [w for w in writes if w[1] == manifest] == [("cosep.toyworld", manifest)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cosep.metrics import DB_CAP, iou, sample_mixture_pairs, sdr_sir
+from cosep.toyworld import AVClip
 
 from oracles import deadline
 
@@ -121,6 +122,6 @@ class TestIoU:
 
 
 def test_one_category_split_rejected_by_pair_sampling():
-    manifest = {"splits": {"test": [{"id": 0, "category": 2}, {"id": 1, "category": 2}]}}
+    clips = [AVClip(f"test_{i:04d}", 2, None, None, None) for i in range(2)]
     with deadline(10), pytest.raises(ValueError, match="two categories"):
-        sample_mixture_pairs(manifest, "test", seed=0, n_mixtures=1)
+        sample_mixture_pairs(clips, seed=0, n_mixtures=1)

@@ -135,14 +135,13 @@ class TestBufferedUpdates:
 
 class TestToySeparation:
     def test_solo_mixture_separation(self, tmp_path):
-        manifest = tw.generate(tmp_path, seed=21, n_categories=4,
-                               counts={"train": 16, "val": 8, "test": 4}, n_frames=32)
-        manifest["_root"] = str(tmp_path)
-        model = nmf.fit_category_bases(manifest, rank=4, iters=150, seed=0)
-        cfg = tw.manifest_stft(manifest)
-        val = manifest["splits"]["val"]
-        a = tw.load_clip(manifest, val[0])
-        b = tw.load_clip(manifest, val[1])
+        dataset = tw.generate(tmp_path, seed=21, n_categories=4,
+                              counts={"train": 16, "val": 8, "test": 4}, n_frames=32)
+        model = nmf.fit_category_bases(dataset, rank=4, iters=150, seed=0)
+        cfg = dataset.stft
+        val = dataset.splits["val"]
+        a = tw.load_clip(dataset, val[0])
+        b = tw.load_clip(dataset, val[1])
         assert a.category != b.category
         mix = tw.mix_waves(a.wave, b.wave)
         spec = dsp.stft(mix, cfg)

@@ -1,6 +1,8 @@
 """Dataset generation: determinism, separability, file formats."""
 
+import errno
 import filecmp
+import os
 
 import numpy as np
 import pytest
@@ -11,10 +13,8 @@ from cosep import dsp, toyworld as tw
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("toyset")
-    manifest = tw.generate(root, seed=11, n_categories=8,
-                           counts={"train": 48, "val": 24, "test": 8})
-    manifest["_root"] = str(root)
-    return manifest
+    return tw.generate(root, seed=11, n_categories=8,
+                       counts={"train": 48, "val": 24, "test": 8})
 
 
 class TestGenerate:
@@ -22,60 +22,84 @@ class TestGenerate:
         other = tmp_path / "again"
         tw.generate(other, seed=11, n_categories=8,
                     counts={"train": 48, "val": 24, "test": 8})
-        root = dataset["_root"]
-        for rec in dataset["splits"]["val"][:6] + dataset["splits"]["train"][:6]:
-            for key in ("frame", "mask", "wav"):
-                assert filecmp.cmp(f"{root}/{rec[key]}", other / rec[key], shallow=False), rec[key]
+        root = dataset.root
+        for rec in dataset.splits["val"][:6] + dataset.splits["train"][:6]:
+            for name in (rec.frame, rec.mask, rec.wav):
+                assert filecmp.cmp(root / name, other / name, shallow=False), name
         assert filecmp.cmp(f"{root}/manifest.json", other / "manifest.json", shallow=False)
 
     def test_split_ids_disjoint(self, dataset):
-        ids = [r["id"] for split in dataset["splits"].values() for r in split]
+        ids = [r.id for split in dataset.splits.values() for r in split]
         assert len(ids) == len(set(ids))
 
     def test_mask_coverage_in_range(self, dataset):
-        for rec in dataset["splits"]["train"]:
+        for rec in dataset.splits["train"]:
             clip = tw.load_clip(dataset, rec)
             cov = clip.gt_mask.mean()
-            assert 0.01 <= cov <= 0.60, f"{rec['id']}: coverage {cov:.3f}"
+            assert 0.01 <= cov <= 0.60, f"{rec.id}: coverage {cov:.3f}"
 
     def test_wave_peak_headroom(self, dataset):
-        for rec in dataset["splits"]["train"][:16]:
+        for rec in dataset.splits["train"][:16]:
             clip = tw.load_clip(dataset, rec)
             assert np.max(np.abs(clip.wave)) <= 0.9
 
     def test_clip_length_matches_stft_grid(self, dataset):
-        cfg = tw.manifest_stft(dataset)
-        clip = tw.load_clip(dataset, dataset["splits"]["train"][0])
-        assert clip.wave.size == dataset["clip_samples"]
-        assert cfg.frame_count(clip.wave.size) == dataset["n_frames"]
+        clip = tw.load_clip(dataset, dataset.splits["train"][0])
+        assert clip.wave.size == dataset.clip_samples
+        assert dataset.stft.frame_count(clip.wave.size) == dataset.n_frames
 
     def test_too_few_categories_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 2"):
             tw.generate(tmp_path / "x", seed=0, n_categories=1)
 
 
+class TestDatasetHandle:
+    """``Dataset`` is the manifest's one reader and writer."""
+
+    def test_load_equals_generated(self, dataset):
+        loaded, doc = tw.Dataset.load(dataset.root / "manifest.json")
+        assert loaded == dataset
+        assert doc == dataset.to_json()
+
+    def test_failed_clip_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        counts = {"train": 2, "val": 2, "test": 2}
+        tw.generate(tmp_path, seed=1, n_categories=2, counts=counts)
+        real, calls = tw.write_pgm, []
+
+        def write_pgm(path, mask):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            real(path, mask)
+
+        monkeypatch.setattr(tw, "write_pgm", write_pgm)
+        with pytest.raises(OSError) as info:
+            tw.generate(tmp_path, seed=2, n_categories=2, counts=counts)
+        assert info.value.errno == errno.ENOSPC
+        assert info.value.filename == str(tmp_path / "clips" / "val_0000_mask.pgm")
+        assert not (tmp_path / "manifest.json").exists()
+
+
 class TestSpectralStructure:
     def test_energy_concentrates_at_fundamental(self, dataset):
-        cfg = tw.manifest_stft(dataset)
-        cats = tw.manifest_categories(dataset)
+        cfg, cats = dataset.stft, dataset.categories
         hz_per_bin = cfg.sample_rate / cfg.fft_size
-        for rec in dataset["splits"]["val"]:
+        for rec in dataset.splits["val"]:
             clip = tw.load_clip(dataset, rec)
             spec = dsp.stft(clip.wave, cfg)
             energy = (spec.magnitude.astype(np.float64) ** 2).sum(axis=1)
             k = round(cats[clip.category].fundamental / hz_per_bin)
             inside = energy[max(k - 2, 0):k + 3].sum()
             outside = energy.sum() - inside
-            assert inside >= 5 * outside, f"{rec['id']}: ratio {inside / outside:.2f}"
+            assert inside >= 5 * outside, f"{rec.id}: ratio {inside / outside:.2f}"
 
     def test_fundamental_bin_identifies_category(self, dataset):
-        cfg = tw.manifest_stft(dataset)
-        cats = tw.manifest_categories(dataset)
+        cfg, cats = dataset.stft, dataset.categories
         hz_per_bin = cfg.sample_rate / cfg.fft_size
         cat_bins = np.array([c.fundamental / hz_per_bin for c in cats])
         hits = total = 0
         for split in ("train", "val"):
-            for rec in dataset["splits"][split]:
+            for rec in dataset.splits[split]:
                 clip = tw.load_clip(dataset, rec)
                 spec = dsp.stft(clip.wave, cfg)
                 peak = np.argmax(spec.magnitude.mean(axis=1))
@@ -84,8 +108,7 @@ class TestSpectralStructure:
         assert hits / total >= 0.95
 
     def test_fundamentals_separated_on_warped_grid(self, dataset):
-        cfg = tw.manifest_stft(dataset)
-        cats = tw.manifest_categories(dataset)
+        cfg, cats = dataset.stft, dataset.categories
         hz_per_bin = cfg.sample_rate / cfg.fft_size
         top = cfg.n_bins - 1
         out_bins = 64
@@ -105,16 +128,16 @@ class TestVisualSeparability:
         return rgb[saturated].mean(axis=0)
 
     def test_color_centroid_classifier(self, dataset):
-        n_cat = len(dataset["categories"])
+        n_cat = len(dataset.categories)
         sums = np.zeros((n_cat, 3))
         counts = np.zeros(n_cat)
-        for rec in dataset["splits"]["train"]:
+        for rec in dataset.splits["train"]:
             clip = tw.load_clip(dataset, rec)
             sums[clip.category] += self.features(clip)
             counts[clip.category] += 1
         centroids = sums / counts[:, None]
         hits = total = 0
-        for rec in dataset["splits"]["val"]:
+        for rec in dataset.splits["val"]:
             clip = tw.load_clip(dataset, rec)
             pred = np.argmin(np.linalg.norm(centroids - self.features(clip), axis=1))
             hits += int(pred == clip.category)
@@ -125,7 +148,7 @@ class TestVisualSeparability:
 class TestPairsAndMixing:
     def test_pair_sampling_uniform(self, dataset):
         rng = np.random.default_rng(17)
-        records = dataset["splits"]["val"]
+        records = dataset.splits["val"]
         n = len(records)
         counts = np.zeros(n)
         draws = 5000
@@ -138,7 +161,7 @@ class TestPairsAndMixing:
         assert np.all(np.abs(counts - expectation) <= 3 * sigma)
 
     def test_mixture_linearity_without_clipping(self, dataset):
-        records = dataset["splits"]["train"]
+        records = dataset.splits["train"]
         i, j = np.random.default_rng(31).integers(0, len(records), size=2)
         a, b = tw.load_clip(dataset, records[i]), tw.load_clip(dataset, records[j])
         mix = tw.mix_waves(a.wave, b.wave)

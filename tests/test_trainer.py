@@ -29,10 +29,8 @@ MINI_WARP = 32
 @pytest.fixture(scope="module")
 def mini_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("miniset")
-    manifest = tw.generate(root, seed=5, n_categories=4,
-                           counts={"train": 16, "val": 8, "test": 4}, n_frames=32)
-    manifest["_root"] = str(root)
-    return manifest
+    return tw.generate(root, seed=5, n_categories=4,
+                       counts={"train": 16, "val": 8, "test": 4}, n_frames=32)
 
 
 def mini_bundle(seed=0):
@@ -140,7 +138,7 @@ class TestEpochPlan:
 class TestSamplePairs:
     @staticmethod
     def categories(dataset):
-        return [rec["category"] for rec in dataset["splits"]["train"]]
+        return [rec.category for rec in dataset.splits["train"]]
 
     def test_pair_sampling_reproducible(self, mini_dataset):
         cats = self.categories(mini_dataset)
@@ -183,8 +181,8 @@ class TestTrainStep:
         opt = Adam(bundle.param_list(), lr=1e-3)
         state = tr.TrainState(seed=0)
         prepared, pair_idx = self.one_pair(mini_dataset, 3)
-        with pytest.raises(tr.TrainingDiverged, match="stage"):
-            tr._run_epoch(prepared, pair_idx, bundle, opt, state)
+        with pytest.raises(tr.TrainingDiverged, match="stage.*batch_pairs 8"):
+            tr._run_epoch(prepared, pair_idx, bundle, opt, state, batch_pairs=8, symmetric=True)
 
 
 class TestStepBatch:
