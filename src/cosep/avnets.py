@@ -267,17 +267,23 @@ def audio_forward(spec: Tensor, bundle: ModelBundle) -> Tensor:
 
 
 def synthesize_mask(v: Tensor, feats: Tensor, bundle: ModelBundle) -> Tensor:
-    """sigmoid(sum_k w_k * v_k * feats_k + b), one mask plane per sample."""
-    n, k = v.shape
+    """sigmoid(sum_k w_k * v[m, k] * feats[m mod N, k] + b): one mask plane
+    per row m of the [M, K] ``v``, from the [N, K, G, T] ``feats``, where N
+    divides M.  Row m uses the features of mixture m mod N, so the
+    symmetric step scores both clips of a pair against one feature pass."""
+    k = v.shape[1]
     if k != bundle.channels or feats.shape[1] != bundle.channels:
         raise ValueError(
             f"channel mismatch: v has {k}, feats {feats.shape[1]}, bundle {bundle.channels}")
-    vv = tc.reshape(v, (n, k, 1, 1))
-    ww = tc.reshape(bundle.synth_w, (1, k, 1, 1))
-    weighted = tc.mul(tc.mul(vv, ww), feats)
-    pre = tc.add(tc.tsum(weighted, axis=1, keepdims=True),
-                 tc.reshape(bundle.synth_b, (1, 1, 1, 1)))
-    return tc.sigmoid(pre)
+    return tc.sigmoid(tc.weighted_channel_sum(v, feats, bundle.synth_w, bundle.synth_b))
+
+
+def _sigmoid64(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in float64.  Below about -709 the exp overflows to
+    inf and the value is exactly 0, as it should be; the overflow warning
+    is silenced."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
 
 
 def audio_only_masks(feats: np.ndarray, channels) -> list[np.ndarray]:
@@ -288,7 +294,7 @@ def audio_only_masks(feats: np.ndarray, channels) -> list[np.ndarray]:
     for ch in channels:
         if not 0 <= ch < k:
             raise ValueError(f"channel {ch} out of range for {k} channels")
-        masks.append((1.0 / (1.0 + np.exp(-feats[ch].astype(np.float64)))).astype(np.float32))
+        masks.append(_sigmoid64(feats[ch]).astype(np.float32))
     return masks
 
 
@@ -319,9 +325,9 @@ def infer_images(frames_u8: np.ndarray, bundle: ModelBundle) -> tuple[np.ndarray
 def pixelwise_activation(maps: np.ndarray, mode: str, temperature: float) -> np.ndarray:
     """Activation over the K channels at every spatial position of
     [..., K, h, w] maps, in float64."""
-    m = maps.astype(np.float64)
     if mode == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-m))
+        return _sigmoid64(maps)
+    m = maps.astype(np.float64)
     z = m / temperature
     z -= z.max(axis=-3, keepdims=True)
     e = np.exp(z)

@@ -43,7 +43,10 @@ the frames were rendered at, which its hash leaves out.
 
 ``train --resume PATH`` restarts the fine-tune stage from the checkpoint
 at PATH, read through the same gate; a schedule without fine-tune epochs
-is ``E_CONFIG``.  Each is checked before any file is written.
+is ``E_CONFIG``.  Each is checked before any file is written.  On glibc,
+``train`` keeps freed heap memory for reuse instead of handing it back to
+the kernel after every step (``mallopt``); the other commands keep the
+allocator's defaults.
 
 The environment variable COSEP_THREADS bounds numerical worker threads
 (default: hardware parallelism) through the optional ``threadpoolctl``
@@ -54,6 +57,7 @@ value that is not a positive integer is an ``E_CONFIG`` error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -434,7 +438,29 @@ def cmd_make_data(cfg: dict, args) -> int:
     return 0
 
 
+# glibc mallopt parameters
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc serve large blocks from the heap and keep freed heap
+    memory: every training step frees and reallocates the same full-size
+    temporaries, which by default go back to the kernel and are faulted
+    in again on the next step.  A no-op where libc.so.6 cannot be loaded."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):   # no glibc here
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # 32 MiB (the ceiling of glibc's own dynamic threshold on 64-bit, and
+    # the most older versions accept) is above every temporary of a
+    # toy-model step; a free heap top under 1 GiB is never handed back
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 1 << 30)
+
+
 def cmd_train(cfg: dict, args) -> int:
+    _keep_freed_heap()
     dataset = _require(cfg, "dataset")
     r = cfg["resolved"]
     if not args.resume:

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "StftConfig",
     "Spectrogram",
-    "TOY_STFT",
     "stft",
     "istft",
     "log_warp",
@@ -73,9 +72,6 @@ class StftConfig:
 
     def sample_count(self, n_frames: int) -> int:
         return self.window_size + (n_frames - 1) * self.hop
-
-
-TOY_STFT = StftConfig(sample_rate=8000, window_size=510, hop=128)
 
 
 @dataclass

@@ -1,26 +1,41 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Float32 is the working precision for all training; float64 tensors are
-supported so numerical checks can run at full precision.  The op set is
-exactly what the three networks need: elementwise arithmetic with
-broadcasting (``add``, ``mul``, ``relu``, ``affine_relu``), structural
-ops (``reshape``, ``concat``, ``tsum``), 2-d convolution with stride and
+supported so numerical checks can run at full precision.  The networks
+use ``affine_relu``, ``concat``, 2-d convolution with stride and
 dilation, align-corners bilinear upsampling, global spatial max pooling,
-sigmoid / temperature softmax, and binary cross entropy.
+sigmoid / temperature softmax, the synthesizer's ``weighted_channel_sum``
+and binary cross entropy; the elementary ops (``add``, ``mul``,
+``relu``, ``reshape``, ``tsum``) are what losses and reference chains in
+numerical checks are built from.
 
-``conv2d`` picks one of two lowerings from the operand shapes alone.  A
-stride-1 convolution whose kernel is wider than 1x1 and which narrows the
-channels (F < C) expands the kernel offsets on the F-wide output side:
-one GEMM of the stacked kernels against the padded input, then shifted
-slice-adds; its input gradient is the transposed convolution of the
-output gradient (Dumoulin & Visin 2016).  Every other convolution
-gathers a C-wide im2col buffer; a 1x1 kernel has a single offset, so
-there is nothing to expand.
+``conv2d`` picks one of three lowerings from the operand shapes alone.
+A 1x1 kernel at stride 1 multiplies the (padded) input, reshaped to
+[N, C, H*W], as it stands: no buffer is gathered.  A stride-1
+convolution with a wider kernel that narrows the channels (F < C)
+expands the kernel offsets on the F-wide output side: one GEMM of the
+stacked kernels against the padded input, then shifted slice-adds; its
+input gradient is the transposed convolution of the output gradient
+(Dumoulin & Visin 2016).  Every other convolution gathers a C-wide
+im2col buffer.
+
+``weighted_channel_sum`` is the synthesizer's linear layer as one node,
+``sum_k w_k v[m, k] feats[m mod N, k] + b``: the M rows of ``v`` share N
+feature planes, so the symmetric training step never copies the audio
+features, and no [M, K, G, T] product is kept for the backward pass.  It
+is bit-identical to the chain of elementary ops it replaces.
 
 A computation graph is recorded only while at least one input has
 ``requires_grad`` set and grad mode is enabled (see ``no_grad``).
 ``backward`` walks the recorded nodes once, in reverse topological
 order, which makes repeated runs bit-identical on the same machine.
+Gradient buffers have one owner.  An op hands each input the gradient
+array it allocated for that input alone (``_acc(g, fresh=True)``), and
+an interior node keeps that array as its ``grad``; a view of another
+buffer (what ``reshape``, ``concat``, ``tsum`` and a same-shape ``add``
+pass on, and ``conv2d``'s crop of a padded input gradient) is copied
+first.  So no two tensors' grads share memory, and
+later accumulation into one never reaches another.
 
 ``sigmoid`` is ``scipy.special.expit``, imported on the first call: scipy
 is about half of the package's start-up, and the commands that never run
@@ -46,6 +61,7 @@ __all__ = [
     "affine_relu",
     "sigmoid",
     "softmax_T",
+    "weighted_channel_sum",
     "conv2d",
     "upsample_bilinear",
     "spatial_max_pool",
@@ -125,11 +141,17 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0
 
-    def _acc(self, g):
-        if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
-        else:
+    def _acc(self, g, fresh: bool = False):
+        """Add ``g`` into ``grad``.  A first gradient that is ``fresh``,
+        i.e. allocated by the calling op for this input alone, is kept as
+        is; any other is copied, since it may be a view of another
+        tensor's buffer."""
+        if self.grad is not None:
             self.grad += g
+        elif fresh and g.shape == self.data.shape and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
 
 
 def _make_node(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
@@ -180,9 +202,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            a._acc(_unbroadcast(g * b.data, a.data.shape).astype(a.dtype, copy=False))
+            a._acc(_unbroadcast(g * b.data, a.data.shape).astype(a.dtype, copy=False), fresh=True)
         if b.requires_grad:
-            b._acc(_unbroadcast(g * a.data, b.data.shape).astype(b.dtype, copy=False))
+            b._acc(_unbroadcast(g * a.data, b.data.shape).astype(b.dtype, copy=False), fresh=True)
 
     return _make_node(out, (a, b), _bw)
 
@@ -234,7 +256,7 @@ def relu(a: Tensor) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            a._acc(g * (a.data > 0))
+            a._acc(g * (a.data > 0), fresh=True)
 
     return _make_node(out, (a,), _bw)
 
@@ -252,11 +274,11 @@ def affine_relu(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         # y > 0 exactly where the pre-activation is > 0 (NaN fails both)
         g = g * (y > 0)
         if a.requires_grad:
-            a._acc(_unbroadcast(g * gamma.data, a.data.shape).astype(a.dtype, copy=False))
+            a._acc(_unbroadcast(g * gamma.data, a.data.shape).astype(a.dtype, copy=False), fresh=True)
         if gamma.requires_grad:
-            gamma._acc(_unbroadcast(g * a.data, gamma.data.shape).astype(gamma.dtype, copy=False))
+            gamma._acc(_unbroadcast(g * a.data, gamma.data.shape).astype(gamma.dtype, copy=False), fresh=True)
         if beta.requires_grad:
-            beta._acc(_unbroadcast(g, beta.data.shape).astype(beta.dtype, copy=False))
+            beta._acc(_unbroadcast(g, beta.data.shape).astype(beta.dtype, copy=False), fresh=True)
 
     return _make_node(out, (a, gamma, beta), _bw)
 
@@ -269,7 +291,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            a._acc(g * (y * (1 - y)))
+            a._acc(g * (y * (1 - y)), fresh=True)
 
     return _make_node(out, (a,), _bw)
 
@@ -287,9 +309,68 @@ def softmax_T(a: Tensor, T: float) -> Tensor:
     def _bw(g):
         if a.requires_grad:
             dot = (g * y).sum(axis=-1, keepdims=True)
-            a._acc((y * (g - dot) / T).astype(a.dtype, copy=False))
+            a._acc((y * (g - dot) / T).astype(a.dtype, copy=False), fresh=True)
 
     return _make_node(out, (a,), _bw)
+
+
+def weighted_channel_sum(v: Tensor, feats: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``sum_k w[k] * v[m, k] * feats[m mod N, k] + b`` as one node.
+
+    ``v`` is [M, K], ``feats`` [N, K, G, T] with N dividing M, ``w`` [K]
+    and ``b`` [1]; the result is [M, 1, G, T], so M rows of ``v`` share N
+    feature planes without a copy.  The value and all four gradients use
+    the float32 products and summation orders of the chain
+    ``concat -> reshape -> mul -> mul -> tsum -> add``, so they are
+    bit-identical to it: the channels are summed in order, and each
+    (row, channel) gradient of ``v`` and ``w`` is numpy's sum over one
+    contiguous [G*T] plane.
+    """
+    M, K = v.data.shape
+    N, Kf, G, T = feats.data.shape
+    if Kf != K or w.data.shape != (K,) or b.data.shape != (1,) or M % N:
+        raise ValueError(f"weighted_channel_sum: v {v.data.shape}, feats {feats.data.shape}, "
+                         f"w {w.data.shape}, b {b.data.shape}")
+    R = M // N
+    fd = feats.data
+    coef = (v.data * w.data).reshape(R, N, K)
+    y = np.empty((M, 1, G, T), dtype=np.result_type(coef, fd, b.data))
+    yr = y.reshape(R, N, G, T)
+    term = np.empty_like(yr)
+    np.multiply(coef[:, :, 0, None, None], fd[:, 0], out=yr)
+    for k in range(1, K):
+        np.multiply(coef[:, :, k, None, None], fd[:, k], out=term)
+        yr += term
+    yr += b.data
+    out = Tensor(y)
+
+    def _bw(g):
+        gr = g.reshape(R, N, G * T)
+        if b.requires_grad:
+            b._acc(g.sum(axis=(0, 2, 3)).astype(b.dtype, copy=False), fresh=True)
+        if v.requires_grad or w.requires_grad:
+            gcoef = np.empty((R, N, K), dtype=y.dtype)
+            prod = np.empty_like(gr)
+            for k in range(K):
+                np.multiply(gr, fd[:, k].reshape(N, G * T), out=prod)
+                gcoef[:, :, k] = prod.sum(axis=2)
+            gcoef = gcoef.reshape(M, K)
+            if v.requires_grad:
+                v._acc((gcoef * w.data).astype(v.dtype, copy=False), fresh=True)
+            if w.requires_grad:
+                w._acc((gcoef * v.data).sum(axis=0).astype(w.dtype, copy=False), fresh=True)
+        if feats.requires_grad:
+            # Channels innermost, the layout of the chain's gradient (a copy
+            # of a channel-broadcast plane): the feature net's last conv
+            # reduces this buffer, and its float32 sums follow the layout.
+            gf = np.empty((N, G, T, K), dtype=y.dtype).transpose(0, 3, 1, 2)
+            g4 = g.reshape(R, N, 1, G, T)
+            np.multiply(g4[0], coef[0, :, :, None, None], out=gf)
+            for r in range(1, R):
+                gf += g4[r] * coef[r, :, :, None, None]
+            feats._acc(gf.astype(feats.dtype, copy=False), fresh=True)
+
+    return _make_node(out, (v, feats, w, b), _bw)
 
 
 # ---------------------------------------------------------------------
@@ -372,6 +453,31 @@ def _conv_narrow(xp, wd, taps, out_h, out_w):
     return y, grads
 
 
+def _conv_pointwise(xp, wd, taps, out_h, out_w):
+    """1x1 lowering for stride 1: the padded input, reshaped to
+    [N, C, Hp*Wp], is the GEMM operand as it stands, so no buffer is
+    gathered and the input gradient needs no scatter.  The GEMMs are
+    ``_conv_im2col``'s for a single offset, on the same operands; same
+    return contract.
+    """
+    N, C, Hp, Wp = xp.shape
+    F = wd.shape[0]
+    x_mat = xp.reshape(N, C, Hp * Wp)
+    w_mat = wd.reshape(F, C)
+    y = np.matmul(w_mat, x_mat).reshape(N, F, out_h, out_w)
+
+    def grads(g, want_x, want_w):
+        g_mat = g.reshape(N, F, Hp * Wp)
+        gxp = gw = None
+        if want_w:
+            gw = np.matmul(g_mat, x_mat.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape)
+        if want_x:
+            gxp = np.matmul(w_mat.T, g_mat).reshape(N, C, Hp, Wp)
+        return gxp, gw
+
+    return y, grads
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: int = 0, dilation: int = 1) -> Tensor:
     """Cross-correlation of NCHW input with FCkk kernels.
@@ -405,7 +511,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
         xp[:, :, padding:padding + H, padding:padding + W] = x.data
     else:
         xp = x.data
-    lower = _conv_narrow if stride == 1 and F < C and kh * kw > 1 else _conv_im2col
+    if stride == 1 and kh * kw == 1:
+        lower = _conv_pointwise
+    elif stride == 1 and F < C:
+        lower = _conv_narrow
+    else:
+        lower = _conv_im2col
     y, grads = lower(xp, w.data, _taps(kh, kw, dilation, stride, out_h, out_w), out_h, out_w)
     if b is not None:
         y = y + b.data.reshape(1, F, 1, 1)
@@ -415,12 +526,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
 
     def _bw(g):
         if b is not None and b.requires_grad:
-            b._acc(g.reshape(N, F, -1).sum(axis=(0, 2)).astype(b.dtype, copy=False))
+            b._acc(g.reshape(N, F, -1).sum(axis=(0, 2)).astype(b.dtype, copy=False), fresh=True)
         gxp, gw = grads(g, x.requires_grad, w.requires_grad)
         if gw is not None:
-            w._acc(gw.astype(w.dtype, copy=False))
+            w._acc(gw.astype(w.dtype, copy=False), fresh=True)
         if gxp is not None:
-            x._acc(gxp[:, :, padding:padding + H, padding:padding + W])
+            # a padded buffer is copied to its crop rather than kept whole
+            x._acc(gxp[:, :, padding:padding + H, padding:padding + W], fresh=not padding)
 
     return _make_node(out, inputs, _bw)
 
@@ -457,7 +569,7 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
     def _bw(g):
         if x.requires_grad:
-            x._acc(np.matmul(np.matmul(My.T, g), Mx))
+            x._acc(np.matmul(np.matmul(My.T, g), Mx), fresh=True)
 
     return _make_node(out, (x,), _bw)
 
@@ -474,7 +586,7 @@ def spatial_max_pool(x: Tensor) -> Tensor:
         if x.requires_grad:
             gflat = np.zeros((N, K, h * w), dtype=x.dtype)
             np.put_along_axis(gflat, idx[:, :, None], g[:, :, None], axis=2)
-            x._acc(gflat.reshape(N, K, h, w))
+            x._acc(gflat.reshape(N, K, h, w), fresh=True)
 
     return _make_node(out, (x,), _bw)
 
@@ -498,9 +610,9 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
         if pred.requires_grad:
             inside = (pred.data >= eps) & (pred.data <= 1 - eps)
             gp = np.where(inside, (p - t) / (p * (1 - p)), 0) * (g / n)
-            pred._acc(gp.astype(pred.dtype, copy=False))
+            pred._acc(gp.astype(pred.dtype, copy=False), fresh=True)
         if target.requires_grad:
-            target._acc(((np.log1p(-p) - np.log(p)) * (g / n)).astype(target.dtype, copy=False))
+            target._acc(((np.log1p(-p) - np.log(p)) * (g / n)).astype(target.dtype, copy=False), fresh=True)
 
     return _make_node(out, (pred, target), _bw)
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .checkpoint import write_atomic
-from .dsp import TOY_STFT, StftConfig, write_wav, read_wav
+from .dsp import StftConfig, write_wav, read_wav
 
 SHAPES = ("circle", "square", "triangle", "cross", "ring", "diamond", "bars", "wedge")
 
@@ -44,6 +44,7 @@ HARMONIC_PROFILES = (
 
 PITCH_JITTER_HZ = 9.0  # < 0.6 linear bins at the toy grid
 MIX_GAIN = 0.5
+SPLITS = ("train", "val", "test")   # the splits every manifest holds
 PEAK_AMPLITUDE = 0.8
 
 
@@ -81,7 +82,7 @@ class AVClip:
     gt_mask: np.ndarray    # bool [S, S]
 
 
-def default_categories(n: int, cfg: StftConfig = TOY_STFT) -> list[CategorySpec]:
+def default_categories(n: int, cfg: StftConfig) -> list[CategorySpec]:
     """Category table with fundamentals on bin centers, geometrically
     spread between bins 14 and 158 of the toy grid."""
     if n < 2:
@@ -288,8 +289,12 @@ class Dataset:
     @classmethod
     def load(cls, path: Path) -> tuple["Dataset", dict]:
         """The dataset and JSON of the manifest at ``path``; a manifest of the
-        wrong shape raises KeyError, TypeError, ValueError or AttributeError."""
+        wrong shape raises KeyError, TypeError, ValueError or AttributeError,
+        and one without all of ``SPLITS`` raises ValueError."""
         doc = json.loads(path.read_text())
+        missing = [split for split in SPLITS if split not in doc["splits"]]
+        if missing:
+            raise ValueError(f"no {'/'.join(missing)} split")
         return cls(path.parent, doc["seed"], doc["image_size"], doc["n_frames"], doc["clip_samples"],
                    StftConfig(**doc["stft"]),
                    tuple(CategorySpec.from_json(c) for c in doc["categories"]),
@@ -297,9 +302,9 @@ class Dataset:
                    doc["config_hash"]), doc
 
 
-def generate(root, seed: int, n_categories: int = 8,
+def generate(root, seed: int, stft_cfg: StftConfig, n_categories: int = 8,
              counts: dict | None = None, image_size: int = 64,
-             stft_cfg: StftConfig = TOY_STFT, n_frames: int = 64, config_hash: str = "") -> Dataset:
+             n_frames: int = 64, config_hash: str = "") -> Dataset:
     """Write the dataset under ``root`` and return it.  Any earlier manifest
     goes first and the new one is written last, atomically, so a failed
     generation leaves none.  A mask covering under 1% or over 60% of its

@@ -163,10 +163,7 @@ def _step_batch(batch, bundle: avnets.ModelBundle, opt: Adam, symmetric: bool) -
     each pair is scored."""
     mix, frames, targets = batch
     feats = avnets.audio_forward(Tensor(mix), bundle)
-    n = len(mix)
-    if symmetric:
-        feats = tc.concat([feats, feats], axis=0)
-        n *= 2
+    n = 2 * len(mix) if symmetric else len(mix)
     _, _, v = avnets.image_forward(Tensor(frames[:n]), bundle)
     loss = tc.bce_loss(avnets.synthesize_mask(v, feats, bundle), Tensor(targets[:n]))
     opt.zero_grad()

@@ -5,10 +5,13 @@ the forward pass under central finite differences in float64 and compares
 coordinate by coordinate against whatever backward produced.  The
 per-clip image metrics compute evaluation's IoU, sparsity and accuracy one
 clip and one forward at a time; the batched evaluation must equal them
-exactly.  The NMF references run the multiplicative updates as plain
-one-expression formulas, each step a fresh array; the buffered updates in
-``nmf`` must equal them bit for bit.  ``deadline`` turns a call that
-would loop forever into a failure.
+exactly.  ``synthesizer_chain`` is the synthesizer as the graph of
+elementary ops it was built from before ``tensor.weighted_channel_sum``
+fused it; the fused node must equal it bit for bit.  The NMF references
+run the multiplicative updates as plain one-expression formulas, each
+step a fresh array; the buffered updates in ``nmf`` must equal them bit
+for bit.  ``deadline`` turns a call that would loop forever into a
+failure.
 """
 
 import contextlib
@@ -65,6 +68,18 @@ def check_gradients(build_loss, leaves, rng, probes=100, h=1e-3, rtol=1e-3):
             f"gradient mismatch at leaf {li} coord {flat}: "
             f"analytic {analytic[li].reshape(-1)[flat]:.8g} vs numeric {numeric:.8g}")
     return worst
+
+
+def synthesizer_chain(v, feats, w, b):
+    """``sum_k w[k] * v[m, k] * feats[m mod N, k] + b`` for [M, K] ``v``
+    and [N, K, G, T] ``feats`` Tensors, from elementary ops: ``feats``
+    concatenated M/N times along the batch, then reshape, mul, mul, tsum
+    and add."""
+    (M, K), N = v.shape, feats.shape[0]
+    stacked = tc.concat([feats] * (M // N), axis=0)
+    coef = tc.mul(tc.reshape(v, (M, K, 1, 1)), tc.reshape(w, (1, K, 1, 1)))
+    return tc.add(tc.tsum(tc.mul(coef, stacked), axis=1, keepdims=True),
+                  tc.reshape(b, (1, 1, 1, 1)))
 
 
 def direct_conv2d(x, w, b, stride, padding, dilation):

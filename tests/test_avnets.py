@@ -1,5 +1,7 @@
 """Network shape contracts, synthesizer algebra, segmentation, checkpoints."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,14 @@ class TestAudioOnlyMasks:
     def test_out_of_range_channel(self):
         with pytest.raises(ValueError, match="out of range"):
             audio_only_masks(np.zeros((4, 4, 4)), [4])
+
+    def test_very_negative_feats_give_zero_without_warnings(self):
+        feats = np.full((2, 4, 4), -1000.0, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = audio_only_masks(feats, [1])[0]
+            act = avnets.pixelwise_activation(feats[None], "sigmoid", 1.0)
+        assert np.all(mask == 0) and np.all(act == 0)
 
 
 class TestInferImages:

@@ -194,7 +194,7 @@ class TestConfigResolution:
         assert all("preset" in cli.SCHEMA[s] for s in cli.PRESETS)
 
     def test_stft_presets(self):
-        assert resolve(stft={"preset": "toy"}).stft == dsp.TOY_STFT == dsp.StftConfig(8000, 510, 128)
+        assert resolve(stft={"preset": "toy"}).stft == dsp.StftConfig(8000, 510, 128)
         assert resolve(stft={"preset": "paper"}).stft == dsp.StftConfig(11025, 1022, 256)
         assert resolve(stft={"preset": None, "sample_rate": 16000, "window_size": 256,
                              "hop": 64}).stft == dsp.StftConfig(16000, 256, 64)
@@ -757,6 +757,16 @@ class TestArtifactGate:
         assert cli.main(["train", "-c", "cosep.json"]) == cli.EXIT_CODES["E_CORRUPT_ARTIFACT"]
         assert "data/manifest.json is unreadable" in one_error_line(capsys, "E_CORRUPT_ARTIFACT")
 
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_manifest_without_a_split_is_corrupt(self, run_copy, capsys, split):
+        path = run_copy / "data" / "manifest.json"
+        doc = json.loads(path.read_text())
+        del doc["splits"][split]
+        path.write_text(json.dumps(doc))
+        assert cli.main(["train", "-c", "cosep.json"]) == cli.EXIT_CODES["E_CORRUPT_ARTIFACT"]
+        err = one_error_line(capsys, "E_CORRUPT_ARTIFACT")
+        assert "data/manifest.json is unreadable" in err and f"no {split} split" in err
+
     def test_report_reads_only_the_report(self, run_copy, capsys):
         art = run_copy / "artifacts"
         for name in ("checkpoint_final.ckpt", "checkpoint_sigmoid.ckpt", "assignment.json"):
@@ -890,6 +900,29 @@ class TestScipyOnlyWithSigmoid:
         (run_copy / "artifacts" / "nmf.ckpt").unlink()  # eval fits the bases again
         assert scipy_modules_after(run_copy, "assign", "eval") == []
         assert (run_copy / "artifacts" / "nmf.ckpt").exists()
+
+
+class TestHeapReuse:
+    """Only ``train`` tunes glibc's allocator, and where libc.so.6 cannot
+    be loaded it trains as before."""
+
+    def test_train_runs_without_libc(self, run_copy, monkeypatch, capsys):
+        opened = []
+
+        def no_libc(name, *args, **kwargs):
+            opened.append(name)
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+        log = run_copy / "artifacts" / "train_log.csv"
+        trained = log.read_bytes()
+        for cmd in ("assign", "report"):
+            assert cli.main([cmd, "-c", "cosep.json"]) == 0
+        assert opened == []
+        assert cli.main(["train", "-c", "cosep.json"]) == 0
+        assert opened == ["libc.so.6"]
+        assert log.read_bytes() == trained
+        assert capsys.readouterr().err == ""
 
 
 class TestCorruptClips:

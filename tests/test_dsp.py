@@ -20,7 +20,7 @@ def sine(freq, cfg, n_samples, amp=0.8, phase=0.0):
 
 @pytest.fixture
 def toy():
-    return dsp.TOY_STFT
+    return dsp.StftConfig(8000, 510, 128)
 
 
 class TestStftConfig:

@@ -135,8 +135,8 @@ class TestBufferedUpdates:
 
 class TestToySeparation:
     def test_solo_mixture_separation(self, tmp_path):
-        dataset = tw.generate(tmp_path, seed=21, n_categories=4,
-                              counts={"train": 16, "val": 8, "test": 4}, n_frames=32)
+        dataset = tw.generate(tmp_path, seed=21, stft_cfg=dsp.StftConfig(8000, 510, 128),
+                              n_categories=4, counts={"train": 16, "val": 8, "test": 4}, n_frames=32)
         model = nmf.fit_category_bases(dataset, rank=4, iters=150, seed=0)
         cfg = dataset.stft
         val = dataset.splits["val"]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from cosep import tensor as tc
 from cosep.tensor import Tensor
 
-from oracles import check_gradients, direct_conv2d, inflate_kernel, rel_err
+from oracles import check_gradients, direct_conv2d, inflate_kernel, rel_err, synthesizer_chain
 
 
 @pytest.fixture
@@ -53,6 +53,8 @@ class TestConv2d:
     @example(dict(shape=(1, 5, 6, 4), f=3, k=3, stride=1, padding=2, dilation=2, seed=1))
     @example(dict(shape=(2, 4, 7, 6), f=3, k=5, stride=1, padding=0, dilation=1, seed=2))
     @example(dict(shape=(1, 3, 6, 6), f=4, k=3, stride=2, padding=1, dilation=1, seed=3))
+    # the 1x1 heads' lowering: the unpadded input as the GEMM operand
+    @example(dict(shape=(2, 5, 4, 6), f=3, k=1, stride=1, padding=0, dilation=1, seed=4))
     def test_matches_direct_loop_oracle(self, case):
         rng = np.random.default_rng(case["seed"])
         n, c, h, w_ = case["shape"]
@@ -71,6 +73,21 @@ class TestConv2d:
             return tc.tsum(tc.mul(y, y))
 
         check_gradients(loss, [x, w, b], rng, probes=150)
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_pointwise_lowering_is_bit_identical_to_im2col(self, rng, padding):
+        x = rng.standard_normal((2, 6, 5, 7)).astype(np.float32)
+        w = rng.standard_normal((4, 6, 1, 1)).astype(np.float32)
+        g = rng.standard_normal((2, 4, 5 + 2 * padding, 7 + 2 * padding)).astype(np.float32)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        out_h, out_w = xp.shape[2:]
+        taps = tc._taps(1, 1, 1, 1, out_h, out_w)
+        runs = []
+        for lower in (tc._conv_pointwise, tc._conv_im2col):
+            y, grads = lower(xp, w, taps, out_h, out_w)
+            runs.append((y, *grads(g, True, True)))
+        for a, b in zip(*runs):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_box_sum_of_ones(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
@@ -362,6 +379,28 @@ class TestBackwardAndOptimizers:
         worst = check_gradients(loss, [w1, b1, w2, b2], rng, probes=120, h=1e-4)
         assert worst < 1e-3
 
+    def test_no_two_grads_share_memory(self, rng):
+        """An op hands over the gradient buffers it allocates and copies
+        the views it passes on (reshape, concat, tsum, add)."""
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+        bias = Tensor(rng.standard_normal(16).astype(np.float32), requires_grad=True)
+        h = tc.relu(tc.reshape(x, (2, 3, 4, 4)))
+        s = tc.tsum(tc.concat([h, h], axis=1), axis=1, keepdims=True)
+        y = tc.add(tc.reshape(s, (2, 16)), bias)
+        loss = tc.tsum(tc.mul(y, y))
+        tc.backward(loss)
+        graph, stack = [], [loss]
+        while stack:
+            t = stack.pop()
+            if all(t is not u for u in graph):
+                graph.append(t)
+                stack.extend(t._prev)
+        grads = [t.grad for t in graph if t.requires_grad]
+        assert len(grads) == 10 and all(g is not None for g in grads)
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+
     def test_adam_decreases_quadratic(self):
         w = Tensor(np.array([5.0, -3.0]), requires_grad=True)
         opt = tc.Adam([w], lr=0.05)
@@ -409,3 +448,60 @@ class TestStructuralOps:
         with tc.no_grad():
             y = tc.mul(w, w)
         assert not y.requires_grad and y._backward is None
+
+
+class TestWeightedChannelSum:
+    @staticmethod
+    def run(fused, reps, seed=0, n=3, k=5, g=7, t=9):
+        """Value and gradients of the fused node or the chain, float32.
+        ``v`` and ``feats`` enter through reshape nodes, as interior
+        tensors do in the model, so their first gradients are recorded."""
+        rng = np.random.default_rng(seed)
+        leaves = [Tensor(a.astype(np.float32), requires_grad=True) for a in (
+            rng.random((reps * n, k)), rng.standard_normal((n, k, g, t)),
+            rng.standard_normal(k), rng.standard_normal(1))]
+        v0, f0, w, b = leaves
+        v, feats = tc.reshape(v0, v0.shape), tc.reshape(f0, f0.shape)
+        op = tc.weighted_channel_sum if fused else synthesizer_chain
+        y = op(v, feats, w, b)
+        weight = Tensor(rng.standard_normal(y.shape).astype(np.float32))
+        tc.backward(tc.tsum(tc.mul(tc.sigmoid(y), weight)))
+        return y.data, v.grad, feats.grad, w.grad, b.grad
+
+    @pytest.mark.parametrize("reps", [2, 1])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_identical_to_chain(self, reps, seed):
+        fused, chain = self.run(True, reps, seed), self.run(False, reps, seed)
+        assert fused[0].shape == (reps * 3, 1, 7, 9)
+        for a, b in zip(fused, chain):
+            assert a.dtype == np.float32 and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        # the feats gradient keeps the chain's channels-innermost layout
+        assert fused[2].strides == chain[2].strides
+
+    def test_bit_identical_to_chain_at_model_size(self):
+        fused, chain = self.run(True, 2, n=8, k=16, g=64, t=64), self.run(False, 2, n=8, k=16, g=64, t=64)
+        for a, b in zip(fused, chain):
+            assert a.tobytes() == b.tobytes()
+
+    def test_gradients(self, rng):
+        v = t64(rng.random((4, 3)))
+        feats = t64(rng.standard_normal((2, 3, 4, 5)))
+        w = t64(rng.standard_normal(3))
+        b = t64(rng.standard_normal(1))
+        weight = Tensor(rng.standard_normal((4, 1, 4, 5)), dtype=np.float64)
+
+        def loss():
+            return tc.tsum(tc.mul(tc.sigmoid(tc.weighted_channel_sum(v, feats, w, b)), weight))
+
+        check_gradients(loss, [v, feats, w, b], rng, probes=120)
+
+    @pytest.mark.parametrize("v_shape,f_shape,w_shape", [
+        ((3, 4), (2, 4, 5, 5), (4,)),    # 2 does not divide 3
+        ((2, 4), (2, 3, 5, 5), (4,)),    # channel counts differ
+        ((2, 4), (2, 4, 5, 5), (3,)),    # weights for 3 channels
+    ])
+    def test_bad_shapes_rejected(self, v_shape, f_shape, w_shape):
+        with pytest.raises(ValueError, match="weighted_channel_sum"):
+            tc.weighted_channel_sum(Tensor(np.zeros(v_shape)), Tensor(np.zeros(f_shape)),
+                                    Tensor(np.zeros(w_shape)), Tensor(np.zeros(1)))

@@ -9,18 +9,20 @@ import pytest
 
 from cosep import dsp, toyworld as tw
 
+TOY = dsp.StftConfig(8000, 510, 128)
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("toyset")
-    return tw.generate(root, seed=11, n_categories=8,
+    return tw.generate(root, seed=11, stft_cfg=TOY, n_categories=8,
                        counts={"train": 48, "val": 24, "test": 8})
 
 
 class TestGenerate:
     def test_regeneration_is_bit_identical(self, tmp_path, dataset):
         other = tmp_path / "again"
-        tw.generate(other, seed=11, n_categories=8,
+        tw.generate(other, seed=11, stft_cfg=TOY, n_categories=8,
                     counts={"train": 48, "val": 24, "test": 8})
         root = dataset.root
         for rec in dataset.splits["val"][:6] + dataset.splits["train"][:6]:
@@ -50,7 +52,7 @@ class TestGenerate:
 
     def test_too_few_categories_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 2"):
-            tw.generate(tmp_path / "x", seed=0, n_categories=1)
+            tw.generate(tmp_path / "x", seed=0, stft_cfg=TOY, n_categories=1)
 
 
 class TestDatasetHandle:
@@ -63,7 +65,7 @@ class TestDatasetHandle:
 
     def test_failed_clip_write_leaves_no_manifest(self, tmp_path, monkeypatch):
         counts = {"train": 2, "val": 2, "test": 2}
-        tw.generate(tmp_path, seed=1, n_categories=2, counts=counts)
+        tw.generate(tmp_path, seed=1, stft_cfg=TOY, n_categories=2, counts=counts)
         real, calls = tw.write_pgm, []
 
         def write_pgm(path, mask):
@@ -74,7 +76,7 @@ class TestDatasetHandle:
 
         monkeypatch.setattr(tw, "write_pgm", write_pgm)
         with pytest.raises(OSError) as info:
-            tw.generate(tmp_path, seed=2, n_categories=2, counts=counts)
+            tw.generate(tmp_path, seed=2, stft_cfg=TOY, n_categories=2, counts=counts)
         assert info.value.errno == errno.ENOSPC
         assert info.value.filename == str(tmp_path / "clips" / "val_0000_mask.pgm")
         assert not (tmp_path / "manifest.json").exists()

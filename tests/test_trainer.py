@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosep import avnets, cli
+from cosep import avnets, cli, dsp
 from cosep import checkpoint
 from cosep import tensor as tc
 from cosep import toyworld as tw
@@ -29,7 +29,7 @@ MINI_WARP = 32
 @pytest.fixture(scope="module")
 def mini_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("miniset")
-    return tw.generate(root, seed=5, n_categories=4,
+    return tw.generate(root, seed=5, stft_cfg=dsp.StftConfig(8000, 510, 128), n_categories=4,
                        counts={"train": 16, "val": 8, "test": 4}, n_frames=32)
 
 
@@ -230,9 +230,37 @@ class TestStepBatch:
         loss = tr._step_batch(batch, bundle, Adam(bundle.param_list(), lr=1e-3), symmetric=True)
         assert calls == [4]
         assert abs(loss - 0.5 * (loss_a + loss_b)) <= 1e-6
-        # audio 27 (stem 2, 4 down x 2, 4 up x 4, head), image 11, feats
-        # concat 1, synthesizer 8, loss 1
-        assert sum(nodes) == 48
+        # audio 27 (stem 2, 4 down x 2, 4 up x 4, head), image 11,
+        # synthesizer 2 (weighted channel sum, sigmoid), loss 1
+        assert sum(nodes) == 41
+
+    def test_no_two_graph_tensors_share_a_grad_buffer(self, monkeypatch):
+        """Ops hand their fresh gradient buffers over instead of copying
+        them; after one step's backward, no grad is a view of another."""
+        losses, real_backward = [], tc.backward
+
+        def recording_backward(loss):
+            losses.append(loss)
+            real_backward(loss)
+
+        monkeypatch.setattr(tc, "backward", recording_backward)
+        rng = np.random.default_rng(2)
+        batch = (rng.random((2, 1, MINI_WARP, MINI_WARP)).astype(np.float32),
+                 rng.random((4, 3, 64, 64)).astype(np.float32),
+                 (rng.random((4, 1, MINI_WARP, MINI_WARP)) > 0.5).astype(np.float32))
+        bundle = mini_bundle(seed=2)
+        tr._step_batch(batch, bundle, Adam(bundle.param_list(), lr=1e-3), symmetric=True)
+        graph, stack = {}, list(losses)
+        while stack:
+            t = stack.pop()
+            if id(t) not in graph:
+                graph[id(t)] = t
+                stack.extend(t._prev)
+        grads = [t.grad for t in graph.values() if t.requires_grad]
+        assert all(g is not None for g in grads)
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
 
     def test_one_sided_step_scores_first_clips(self):
         bundle = ModelBundle(ImageNetCfg(), AudioNetCfg(), seed=4)
