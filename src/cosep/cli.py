@@ -48,10 +48,9 @@ is ``E_CONFIG``.  Each is checked before any file is written.  On glibc,
 the kernel after every step (``mallopt``); the other commands keep the
 allocator's defaults.
 
-The environment variable COSEP_THREADS bounds numerical worker threads
-(default: hardware parallelism) through the optional ``threadpoolctl``
-package; without it a note on stderr says the cap has no effect.  A
-value that is not a positive integer is an ``E_CONFIG`` error.
+Trained numbers depend on the BLAS thread count, which the environment
+sets (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``); ``run_manifest.json``
+records both, as each command saw them, under ``threads``.
 """
 
 from __future__ import annotations
@@ -70,6 +69,8 @@ import numpy as np
 
 from . import __version__, avnets, disentangle, dsp, metrics, nmf, toyworld, trainer
 from .checkpoint import write_atomic
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")   # recorded in run_manifest.json
 
 EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4, "E_CORRUPT_ARTIFACT": 5, "E_IO": 6}
 
@@ -383,12 +384,12 @@ def _read_run_manifest(cfg: dict) -> dict:
     """``run_manifest.json``, or an empty one; a command that records its
     artifact there reads it before it writes anything."""
     path = _artifacts(cfg, "run_manifest.json")
-    doc = {"version": __version__, "artifacts": {}, "hashes": {}, "timestamps": {}}
+    doc = {"version": __version__, "artifacts": {}, "hashes": {}, "timestamps": {}, "threads": {}}
     try:
         if path.exists():
             doc.update(json.loads(path.read_text()))
-        if not all(isinstance(doc[k], dict) for k in ("artifacts", "hashes", "timestamps")):
-            raise TypeError("artifacts, hashes and timestamps must be objects")
+        if not all(isinstance(doc[k], dict) for k in ("artifacts", "hashes", "timestamps", "threads")):
+            raise TypeError("artifacts, hashes, timestamps and threads must be objects")
     except UNREADABLE as exc:
         raise _unreadable(path, exc, "delete it")
     return doc
@@ -400,6 +401,7 @@ def _update_run_manifest(cfg: dict, kind: str, doc: dict) -> None:
     doc["artifacts"][kind] = str(artifact_path(cfg, kind))
     doc["hashes"][kind] = artifact_hash(cfg, kind)
     doc["timestamps"][kind] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    doc["threads"][kind] = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     path = _artifacts(cfg, "run_manifest.json")
     path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, json.dumps(doc, sort_keys=True, indent=1))
@@ -590,18 +592,11 @@ def cmd_eval(cfg: dict, args) -> int:
     e = cfg["eval"]
     name = cfg["schedule"]["preset"] or "custom"
     clips = toyworld.load_split(dataset, "test")
-    row, extras, details, figures = metrics.evaluate_network(
+    nmf_model = _fit_or_load_nmf(cfg, dataset) if e["include_nmf"] else None
+    rows, named_extras, named_details, figures = metrics.evaluate_network(
         bundle, asg, clips, dataset.stft, pair_seed=e["pair_seed"],
-        n_mixtures=e["n_mixtures"], tau=e["tau"], model_name=name, figure_items=e["figure_items"])
-    rows, named_extras, named_details = [row], {name: extras}, {name: details}
-    if e["include_nmf"]:
-        model = _fit_or_load_nmf(cfg, dataset)
-        nrow, nextras, ndetails = metrics.evaluate_nmf(model, clips, dataset.stft,
-                                                       pair_seed=e["pair_seed"],
-                                                       n_mixtures=e["n_mixtures"], iters=e["nmf_iters"])
-        rows.append(nrow)
-        named_extras["nmf"] = nextras
-        named_details["nmf"] = {"separation": ndetails}
+        n_mixtures=e["n_mixtures"], tau=e["tau"], model_name=name, figure_items=e["figure_items"],
+        nmf_model=nmf_model, nmf_iters=e["nmf_iters"])
     _write_figures(_artifacts(cfg, "figures"), clips, figures, dataset.stft)
     write_atomic(_artifacts(cfg, "eval_details.json"),
                  json.dumps(named_details, sort_keys=True, indent=1))
@@ -613,7 +608,7 @@ def cmd_eval(cfg: dict, args) -> int:
                               header_comment=f"config {artifact_hash(cfg, 'report')}")
     _update_run_manifest(cfg, "report", run)
     print(table)
-    print(f"mean SDR improvement over mixture: {extras['mean_sdr_improvement']:.2f} dB")
+    print(f"mean SDR improvement over mixture: {named_extras[name]['mean_sdr_improvement']:.2f} dB")
     return 0
 
 
@@ -708,27 +703,10 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("COSEP_THREADS", "")
-    if not cap:
-        return
-    if not (cap.isdecimal() and int(cap) > 0):
-        raise CliError("E_CONFIG", f"COSEP_THREADS must be a positive integer, got {cap!r}")
-    n = int(cap)
-    try:
-        import threadpoolctl
-    except ImportError:
-        print(f"note: COSEP_THREADS={n} has no effect: threadpoolctl is not installed",
-              file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(n)
-
-
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_cap()
         try:
             return args.fn(load_config(args.config), args)
         except toyworld.ClipReadError as exc:  # a clip file of the dataset artifact

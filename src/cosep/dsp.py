@@ -11,8 +11,15 @@ linear-grid magnitude and phase.  Everything else is a plain array.
 ``log_warp`` maps a [bins, frames] magnitude onto the warped grid, and
 masks are float32 arrays in [0, 1] with the shape of the plane they
 mask: ``ideal_binary_mask`` is the training target on the warped grid,
-``log_unwarp`` brings a warped mask back to the linear grid, and
-``apply_mask`` scales a spectrogram by a linear-grid mask.
+and ``log_unwarp`` brings a warped mask back to the linear grid.
+
+``istft(spec, masks)`` inverts a whole stack of linear-grid masks applied
+to one spectrogram: the phasor ``exp(1j·phase)`` is built once for the
+stack, one ``irfft`` call inverts every plane, and the frames are
+overlap-added as ``ceil(window/hop)`` shifted block adds, in frame order,
+then divided by a window-square envelope cached per (STFT config, frame
+count).  Each output sample sees the same float64 operations in the same
+order as a frame-by-frame loop, so the result is bit-identical to one.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ __all__ = [
     "warp_matrix",
     "unwarp_matrix",
     "ideal_binary_mask",
-    "apply_mask",
     "write_wav",
     "read_wav",
 ]
@@ -117,26 +123,66 @@ def stft(wave: np.ndarray, cfg: StftConfig) -> Spectrogram:
     return Spectrogram(np.abs(spec).astype(np.float32), np.angle(spec).astype(np.float32), cfg)
 
 
-def istft(spec: Spectrogram) -> np.ndarray:
-    """Overlap-add inversion with window-square normalization."""
+def istft(spec: Spectrogram, masks=None) -> np.ndarray:
+    """Overlap-add inversion with window-square normalization.
+
+    Without ``masks``, the waveform of ``spec``.  With an [E, bins, frames]
+    stack of linear-grid masks, the [E, samples] waveforms of ``spec``'s
+    magnitude scaled by each mask, each with ``spec``'s phase.
+    """
     cfg = spec.config
     if spec.bins != cfg.n_bins:
         raise ValueError(f"expected {cfg.n_bins} linear bins, got {spec.bins}")
-    z = spec.magnitude.astype(np.float64) * np.exp(1j * spec.phase.astype(np.float64))
-    frames_t = np.fft.irfft(z.T, n=cfg.fft_size, axis=1)  # [frames, window]
-    n_frames = frames_t.shape[0]
-    out_len = cfg.sample_count(n_frames)
-    out = np.zeros(out_len)
-    norm = np.zeros(out_len)
-    w = cfg.window
-    w2 = w * w
-    for f in range(n_frames):
-        lo = f * cfg.hop
-        out[lo:lo + cfg.window_size] += frames_t[f] * w
-        norm[lo:lo + cfg.window_size] += w2
-    # floor relative to the envelope peak: an absolute epsilon would blow
-    # up masked (non-consistent) spectra at the partially covered edges
-    return out / np.maximum(norm, max(OLA_EPS, 1e-2 * norm.max()))
+    if masks is None:
+        magnitude = spec.magnitude[None]
+    else:
+        masks = np.asarray(masks)
+        if masks.shape[1:] != spec.magnitude.shape:
+            raise ValueError(
+                f"mask grid {masks.shape[1:]} does not match spectrogram "
+                f"{spec.magnitude.shape}; log_unwarp warped masks first")
+        magnitude = (spec.magnitude * masks).astype(np.float32, copy=False)
+        if np.any(magnitude < 0):
+            raise ValueError("masked magnitude must be non-negative")
+    phasor = 1j * spec.phase.astype(np.float64)
+    np.exp(phasor, out=phasor)
+    # a float32 operand meets the complex one exactly as its float64 value would
+    frames = np.fft.irfft((magnitude * phasor).transpose(0, 2, 1), n=cfg.fft_size, axis=2)
+    frames *= cfg.window                                        # [E, frames, window]
+    out = _overlap_add(frames, cfg.hop)
+    out /= _ola_denominator(cfg, frames.shape[1])
+    return out[0] if masks is None else out
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum [..., F, W] frames spaced ``hop`` apart into [..., W + (F-1)·hop]
+    samples.  Block r (samples r·hop onwards) of frame f lands in output
+    block f + r; looping r downwards adds each sample's frames in frame order."""
+    *lead, n_frames, width = frames.shape
+    n_blocks = -(-width // hop)
+    out = np.zeros((*lead, n_frames + n_blocks - 1, hop))
+    for r in reversed(range(n_blocks)):
+        part = frames[..., r * hop:(r + 1) * hop]
+        out[..., r:r + n_frames, :part.shape[-1]] += part
+    return out.reshape(*lead, -1)[..., :width + (n_frames - 1) * hop]
+
+
+_OLA_CACHE: dict = {}
+
+
+def _ola_denominator(cfg: StftConfig, n_frames: int) -> np.ndarray:
+    """The window-square envelope of ``n_frames`` frames, floored relative to
+    its peak: an absolute epsilon would blow up masked (non-consistent)
+    spectra at the partially covered edges."""
+    key = (cfg, n_frames)
+    den = _OLA_CACHE.get(key)
+    if den is None:
+        w2 = cfg.window * cfg.window
+        norm = _overlap_add(np.broadcast_to(w2, (n_frames, cfg.window_size)), cfg.hop)
+        den = np.maximum(norm, max(OLA_EPS, 1e-2 * norm.max()))
+        den.setflags(write=False)
+        _OLA_CACHE[key] = den
+    return den
 
 
 # ---------------------------------------------------------------------
@@ -213,15 +259,6 @@ def ideal_binary_mask(target_mag: np.ndarray, other_mag: np.ndarray) -> np.ndarr
     if target_mag.shape != other_mag.shape:
         raise ValueError("ideal_binary_mask requires magnitudes on the same grid")
     return (target_mag >= other_mag).astype(np.float32)
-
-
-def apply_mask(mixture: Spectrogram, mask: np.ndarray) -> Spectrogram:
-    """Scale magnitudes by a linear-grid mask; the mixture phase is kept."""
-    if mask.shape != mixture.magnitude.shape:
-        raise ValueError(
-            f"mask grid {mask.shape} does not match spectrogram "
-            f"{mixture.magnitude.shape}; log_unwarp warped masks first")
-    return Spectrogram(mixture.magnitude * mask, mixture.phase, mixture.config)
 
 
 # ---------------------------------------------------------------------

@@ -11,12 +11,16 @@ a 120 dB sentinel.
 Evaluation takes its clips as one loaded list.  The image-only metrics
 (IoU, sparsity, accuracy) come from one ``avnets.infer_images`` pass over
 their frames.
-The audio-only metrics come from one mixture loop shared by the network
-and the NMF baseline: it mixes test clips pairwise on a seeded schedule
-and asks a mask function ``(spec, cat_a, cat_b)`` for two masks on the
-linear STFT grid of the mixture ``spec``, one per source; the loop then
-applies them with the mixture phase, inverts, pads or trims to the
-mixture length and scores.  Reports are reproducible byte for byte.
+The audio-only metrics come from one mixture loop, one pass for the
+network and, when asked, the NMF baseline: it mixes test clips pairwise
+on a seeded schedule and asks each model's mask function
+``(spec, cat_a, cat_b)`` for two masks on the linear STFT grid of the
+mixture ``spec``, one per source.  Per mixture, what no model changes is
+built once: the mix and its STFT, the ``References`` (float64 stack and
+Gram matrix) and the mixture SDR.  One ``dsp.istft`` call applies every
+model's masks with the mixture phase and inverts them together; each
+estimate is padded or trimmed to the mixture length and scored.  Reports
+are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -39,31 +43,41 @@ def _db_ratio(num: float, den: float) -> float:
     return min(10.0 * np.log10(num / den), DB_CAP)
 
 
+class References:
+    """Clean source waveforms (linearly independent, equal lengths) set up
+    once for scoring any number of estimates: the float64 stack, its Gram
+    matrix and each source's energy."""
+
+    def __init__(self, references):
+        self.refs = np.stack([np.asarray(r, dtype=np.float64).reshape(-1) for r in references])
+        if np.any(np.sum(self.refs * self.refs, axis=1) == 0.0):
+            raise ValueError("a reference has zero energy")
+        self.gram = self.refs @ self.refs.T
+        self.energy = [float(t @ t) for t in self.refs]
+
+
 def sdr_sir(estimate: np.ndarray, references, target_index: int) -> tuple[float, float]:
     """Zero-lag bss_eval-style SDR and SIR of ``estimate`` for one source.
 
     ``references`` are the clean source waveforms (linearly independent,
-    same length as the estimate).  Returns (SDR dB, SIR dB), both capped
-    at 120 dB.
+    same length as the estimate), or ``References`` built from them once.
+    Returns (SDR dB, SIR dB), both capped at 120 dB.
     """
+    if not isinstance(references, References):
+        references = References(references)
+    refs = references.refs
     est = np.asarray(estimate, dtype=np.float64).reshape(-1)
-    refs = np.stack([np.asarray(r, dtype=np.float64).reshape(-1) for r in references])
     if refs.shape[1] != est.size:
         raise ValueError(f"estimate length {est.size} differs from references {refs.shape[1]}")
     if not 0 <= target_index < refs.shape[0]:
         raise ValueError(f"target index {target_index} out of range")
-    energies = np.sum(refs * refs, axis=1)
     if np.sum(est * est) == 0.0:
         raise ValueError("estimate has zero energy")
-    if np.any(energies == 0.0):
-        raise ValueError("a reference has zero energy")
 
     target = refs[target_index]
-    s_target = (est @ target / (target @ target)) * target
-
-    gram = refs @ refs.T
+    s_target = (est @ target / references.energy[target_index]) * target
     try:
-        coeffs = np.linalg.solve(gram, refs @ est)
+        coeffs = np.linalg.solve(references.gram, refs @ est)
     except np.linalg.LinAlgError as exc:
         raise ValueError("references are not linearly independent") from exc
     e_proj = coeffs @ refs
@@ -127,13 +141,22 @@ def network_masks(bundle, assignment: Assignment):
     return masks
 
 
-def _estimate(spec: dsp.Spectrogram, mask: np.ndarray, n_samples: int) -> np.ndarray:
-    """Masked mixture back in the time domain, padded or trimmed to
-    ``n_samples`` (float64)."""
-    est = dsp.istft(dsp.apply_mask(spec, mask))
-    if est.size < n_samples:
-        est = np.pad(est, (0, n_samples - est.size))
-    return est[:n_samples]
+def nmf_masks(model: "nmf_mod.NmfModel", iters: int, seed: int):
+    """Mask function of the NMF baseline: fixed-bases activation fit on the
+    mixture magnitude, then each category's Wiener ratio mask."""
+    def masks(spec: dsp.Spectrogram, cat_a: int, cat_b: int):
+        return nmf_mod.nmf_separate(spec.magnitude, model.bases[cat_a], model.bases[cat_b],
+                                    iters=iters, seed=seed)
+    return masks
+
+
+def _estimates(spec: dsp.Spectrogram, masks, n_samples: int) -> np.ndarray:
+    """[E, n_samples] float64: each mask applied to the mixture ``spec`` and
+    inverted, padded or trimmed to ``n_samples``."""
+    est = dsp.istft(spec, masks)
+    if est.shape[1] < n_samples:
+        est = np.pad(est, ((0, 0), (0, n_samples - est.shape[1])))
+    return est[:, :n_samples]
 
 
 def separate(mixture_wave: np.ndarray, categories, bundle, assignment: Assignment,
@@ -143,7 +166,7 @@ def separate(mixture_wave: np.ndarray, categories, bundle, assignment: Assignmen
     mixture_wave = np.asarray(mixture_wave, dtype=np.float32)
     spec = dsp.stft(mixture_wave, stft_cfg)
     masks = network_masks(bundle, assignment)(spec, *categories)
-    return [_estimate(spec, m, mixture_wave.size).astype(np.float32) for m in masks]
+    return list(_estimates(spec, masks, mixture_wave.size).astype(np.float32))
 
 
 # ---------------------------------------------------------------------
@@ -163,41 +186,58 @@ def sample_mixture_pairs(clips, seed: int, n_mixtures: int):
     return pairs
 
 
-def _score_mixtures(pairs, cfg: dsp.StftConfig, mask_fn, dtype, keep: int = 0):
-    """The mixture loop: separate every scheduled pair of clips with
-    ``mask_fn`` and score the estimates, cast to ``dtype``, against the
-    half-gain sources.  Returns the SDR/SIR means for the summary row, the
-    medians and mean SDR improvement, per-mixture details, and (mixture,
+def _score_mixtures(pairs, cfg: dsp.StftConfig, models: dict, keep: int = 0) -> dict:
+    """The mixture loop: separate every scheduled pair of clips with each
+    model's mask function and score the estimates against the half-gain
+    sources.  ``models`` maps a name to (mask function, estimate dtype).
+    The mix, its STFT, the references and the mixture SDR are built once
+    per mixture, and one ``istft`` call inverts every model's masks.
+    Returns, per name, the SDR/SIR means for the summary row, the medians
+    and mean SDR improvement, per-mixture details, and (mixture,
     estimate A, estimate B) of the first ``keep`` mixtures."""
-    details, kept = [], []
+    details = {name: [] for name in models}
+    kept = {name: [] for name in models}
     for a, b in pairs:
         mix = toyworld.mix_waves(a.wave, b.wave)
-        refs = [0.5 * a.wave, 0.5 * b.wave]
+        refs = References([0.5 * a.wave, 0.5 * b.wave])
         spec = dsp.stft(mix, cfg)
-        estimates = [_estimate(spec, mask, mix.size).astype(dtype)
-                     for mask in mask_fn(spec, a.category, b.category)]
-        if len(kept) < keep:
-            kept.append((mix, *estimates))
-        scores = [sdr_sir(est, refs, i) for i, est in enumerate(estimates)]
-        details.append({"clips": [a.clip_id, b.clip_id],
-                        "sdr": [float(s) for s, _ in scores], "sir": [float(r) for _, r in scores],
-                        "mixture_sdr": [float(sdr_sir(mix, refs, i)[0]) for i in range(2)]})
+        masks = [m for fn, _ in models.values() for m in fn(spec, a.category, b.category)]
+        waves = _estimates(spec, masks, mix.size).reshape(len(models), 2, mix.size)
+        mixture_sdr = [float(sdr_sir(mix, refs, i)[0]) for i in range(2)]
+        for (name, (_, dtype)), ests in zip(models.items(), waves):
+            ests = ests.astype(dtype)
+            if len(kept[name]) < keep:
+                kept[name].append((mix, *ests))
+            scores = [sdr_sir(est, refs, i) for i, est in enumerate(ests)]
+            details[name].append({"clips": [a.clip_id, b.clip_id], "sdr": [float(s) for s, _ in scores],
+                                  "sir": [float(r) for _, r in scores], "mixture_sdr": mixture_sdr})
+    return {name: (*_summarize(details[name]), details[name], kept[name]) for name in models}
+
+
+def _summarize(details) -> tuple[dict, dict]:
+    """The SDR/SIR means, and the medians and mean SDR improvement, of
+    per-mixture details."""
     sdrs = [s for d in details for s in d["sdr"]]
     sirs = [r for d in details for r in d["sir"]]
     improvements = [s - m for d in details for s, m in zip(d["sdr"], d["mixture_sdr"])]
     means = {"SDR": float(np.mean(sdrs)), "SIR": float(np.mean(sirs))}
     extras = {"median_SDR": float(np.median(sdrs)), "median_SIR": float(np.median(sirs)),
               "mean_sdr_improvement": float(np.mean(improvements))}
-    return means, extras, details, kept
+    return means, extras
 
 
 def evaluate_network(bundle, assignment: Assignment, clips, stft_cfg: dsp.StftConfig,
-                     pair_seed: int = 0, n_mixtures: int = 40,
-                     tau: float = 0.5, model_name: str = "model", figure_items: int = 0):
-    """Full image-only + audio-only evaluation on ``clips`` (``toyworld.AVClip``);
-    returns (summary row, extras, per-item details, figure data): the masks
-    of the first ``figure_items`` clips ("segmentation") and the mixture and
-    two float32 estimates of the first ``figure_items`` mixtures ("separation")."""
+                     pair_seed: int = 0, n_mixtures: int = 40, tau: float = 0.5,
+                     model_name: str = "model", figure_items: int = 0,
+                     nmf_model: "nmf_mod.NmfModel | None" = None, nmf_iters: int = 150):
+    """Full image-only + audio-only evaluation on ``clips`` (``toyworld.AVClip``).
+    With ``nmf_model``, the NMF baseline is scored in the same mixture pass,
+    on the same seeded schedule (separation only: its sparsity, accuracy and
+    IoU are blank).  Returns the summary rows (the network's first), the
+    extras and the per-item details by model name, and figure data: the
+    masks of the first ``figure_items`` clips ("segmentation") and the
+    mixture and two float32 network estimates of the first ``figure_items``
+    mixtures ("separation")."""
     pairs = sample_mixture_pairs(clips, pair_seed, n_mixtures)
 
     # image-only: segmentation + channel sparsity + classification
@@ -210,29 +250,22 @@ def evaluate_network(bundle, assignment: Assignment, clips, stft_cfg: dsp.StftCo
     ious = [d["iou"] for d in seg_details]
 
     # audio-only: seeded pairwise mixtures
-    means, extras, sep_details, kept = _score_mixtures(
-        pairs, stft_cfg, network_masks(bundle, assignment), np.float32, keep=figure_items)
+    models = {model_name: (network_masks(bundle, assignment), np.float32)}
+    if nmf_model is not None:
+        models["nmf"] = (nmf_masks(nmf_model, nmf_iters, pair_seed), np.float64)
+    scored = _score_mixtures(pairs, stft_cfg, models, keep=figure_items)
 
-    row = {"model": model_name, "sparsity": float(np.mean([sparsity(r) for r in v])),
-           "accuracy": float(accuracy), **means, "IoU": float(np.mean(ious))}
+    means, extras, sep_details, kept = scored[model_name]
+    rows = [{"model": model_name, "sparsity": float(np.mean([sparsity(r) for r in v])),
+             "accuracy": float(accuracy), **means, "IoU": float(np.mean(ious))}]
     extras["median_IoU"] = float(np.median(ious))
-    return (row, extras, {"segmentation": seg_details, "separation": sep_details},
-            {"segmentation": preds[:figure_items], "separation": kept})
-
-
-def evaluate_nmf(model: "nmf_mod.NmfModel", clips, stft_cfg: dsp.StftConfig,
-                 pair_seed: int = 0, n_mixtures: int = 40, iters: int = 150):
-    """Separation-only evaluation of the NMF baseline on the same seeded
-    mixture schedule over ``clips`` (no image branch: sparsity/accuracy/IoU
-    are blank)."""
-    def masks(spec, cat_a, cat_b):
-        return nmf_mod.nmf_separate(spec.magnitude, model.bases[cat_a], model.bases[cat_b],
-                                    iters=iters, seed=pair_seed)
-
-    means, extras, details, _ = _score_mixtures(
-        sample_mixture_pairs(clips, pair_seed, n_mixtures), stft_cfg, masks, np.float64)
-    row = {"model": "nmf", "sparsity": None, "accuracy": None, **means, "IoU": None}
-    return row, extras, details
+    named_extras = {model_name: extras}
+    named_details = {model_name: {"segmentation": seg_details, "separation": sep_details}}
+    if nmf_model is not None:
+        nmeans, named_extras["nmf"], ndetails, _ = scored["nmf"]
+        rows.append({"model": "nmf", "sparsity": None, "accuracy": None, **nmeans, "IoU": None})
+        named_details["nmf"] = {"separation": ndetails}
+    return rows, named_extras, named_details, {"segmentation": preds[:figure_items], "separation": kept}
 
 
 def _fmt(value) -> str:

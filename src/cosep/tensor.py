@@ -519,7 +519,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
         lower = _conv_im2col
     y, grads = lower(xp, w.data, _taps(kh, kw, dilation, stride, out_h, out_w), out_h, out_w)
     if b is not None:
-        y = y + b.data.reshape(1, F, 1, 1)
+        y += b.data.reshape(1, F, 1, 1)
     out = Tensor(y)
 
     inputs = (x, w) if b is None else (x, w, b)

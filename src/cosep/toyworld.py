@@ -290,16 +290,23 @@ class Dataset:
     def load(cls, path: Path) -> tuple["Dataset", dict]:
         """The dataset and JSON of the manifest at ``path``; a manifest of the
         wrong shape raises KeyError, TypeError, ValueError or AttributeError,
-        and one without all of ``SPLITS`` raises ValueError."""
+        and one without all of ``SPLITS``, or with a split that lacks a
+        category, raises ValueError."""
         doc = json.loads(path.read_text())
         missing = [split for split in SPLITS if split not in doc["splits"]]
         if missing:
             raise ValueError(f"no {'/'.join(missing)} split")
-        return cls(path.parent, doc["seed"], doc["image_size"], doc["n_frames"], doc["clip_samples"],
-                   StftConfig(**doc["stft"]),
-                   tuple(CategorySpec.from_json(c) for c in doc["categories"]),
-                   {split: [ClipRecord(**r) for r in recs] for split, recs in doc["splits"].items()},
-                   doc["config_hash"]), doc
+        dataset = cls(path.parent, doc["seed"], doc["image_size"], doc["n_frames"], doc["clip_samples"],
+                      StftConfig(**doc["stft"]),
+                      tuple(CategorySpec.from_json(c) for c in doc["categories"]),
+                      {split: [ClipRecord(**r) for r in recs] for split, recs in doc["splits"].items()},
+                      doc["config_hash"])
+        for split in SPLITS:
+            held = {r.category for r in dataset.splits[split]}
+            lacking = [c.name for c in dataset.categories if c.id not in held]
+            if lacking:
+                raise ValueError(f"the {split} split has no clip of {', '.join(lacking)}")
+        return dataset, doc
 
 
 def generate(root, seed: int, stft_cfg: StftConfig, n_categories: int = 8,

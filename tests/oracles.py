@@ -21,7 +21,8 @@ import numpy as np
 
 from cosep import avnets, tensor as tc
 from cosep.disentangle import sparsity
-from cosep.metrics import iou
+from cosep.dsp import OLA_EPS
+from cosep.metrics import DB_CAP, iou
 from cosep.nmf import EPS
 
 
@@ -187,6 +188,40 @@ def nmf_separate_reference(v, w_a, w_b, iters, seed=0, init_h=None):
     total = va + vb + EPS
     return (np.clip(va / total, 0, 1).astype(np.float32),
             np.clip(vb / total, 0, 1).astype(np.float32))
+
+
+def istft_frame_loop(spec):
+    """Overlap-add inversion of one ``dsp.Spectrogram``, one frame at a time."""
+    cfg = spec.config
+    z = spec.magnitude.astype(np.float64) * np.exp(1j * spec.phase.astype(np.float64))
+    frames_t = np.fft.irfft(z.T, n=cfg.fft_size, axis=1)  # [frames, window]
+    n_frames = frames_t.shape[0]
+    out_len = cfg.sample_count(n_frames)
+    out = np.zeros(out_len)
+    norm = np.zeros(out_len)
+    w = cfg.window
+    w2 = w * w
+    for f in range(n_frames):
+        lo = f * cfg.hop
+        out[lo:lo + cfg.window_size] += frames_t[f] * w
+        norm[lo:lo + cfg.window_size] += w2
+    return out / np.maximum(norm, max(OLA_EPS, 1e-2 * norm.max()))
+
+
+def sdr_sir_reference(estimate, references, target_index):
+    """Zero-lag SDR and SIR of one estimate, every projection built anew."""
+    est = np.asarray(estimate, dtype=np.float64).reshape(-1)
+    refs = np.stack([np.asarray(r, dtype=np.float64).reshape(-1) for r in references])
+    target = refs[target_index]
+    s_target = (est @ target / (target @ target)) * target
+    e_proj = np.linalg.solve(refs @ refs.T, refs @ est) @ refs
+    e_interf = e_proj - s_target
+    e_artif = est - e_proj
+    num = float(s_target @ s_target)
+
+    def db(den):
+        return DB_CAP if den <= 0.0 else min(10.0 * np.log10(num / den), DB_CAP)
+    return db(float(np.sum((e_interf + e_artif) ** 2))), db(float(e_interf @ e_interf))
 
 
 @contextlib.contextmanager

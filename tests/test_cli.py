@@ -7,7 +7,6 @@ import os
 import shutil
 import subprocess
 import sys
-import types
 import wave
 
 import numpy as np
@@ -278,35 +277,6 @@ class TestConfigResolution:
         assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == 2
         assert one_error_line(capsys, "E_CONFIG").startswith("E_CONFIG: model: grid 64 not divisible by 2^7")
         assert not (tmp_path / "data").exists()
-
-
-class TestThreadCap:
-    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
-    def test_bad_value_rejected(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("COSEP_THREADS", value)
-        rc = cli.main(["make-data", "-c", write_config(tmp_path, tiny_config(tmp_path))])
-        assert rc == cli.EXIT_CODES["E_CONFIG"]
-        err = capsys.readouterr().err
-        assert err.startswith("E_CONFIG:") and "COSEP_THREADS" in err
-        assert not (tmp_path / "data").exists()
-
-    def test_missing_threadpoolctl_is_noted(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("COSEP_THREADS", "2")
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
-        assert cli.main(["make-data", "-c", write_config(tmp_path, tiny_config(tmp_path))]) == 0
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert "COSEP_THREADS" in lines[0] and "threadpoolctl" in lines[0]
-        assert not lines[0].startswith("E_")
-
-    def test_cap_reaches_threadpoolctl(self, tmp_path, capsys, monkeypatch):
-        limits = []
-        monkeypatch.setenv("COSEP_THREADS", "3")
-        monkeypatch.setitem(sys.modules, "threadpoolctl",
-                            types.SimpleNamespace(threadpool_limits=limits.append))
-        assert cli.main(["make-data", "-c", write_config(tmp_path, tiny_config(tmp_path))]) == 0
-        assert limits == [3]
-        assert capsys.readouterr().err == ""
 
 
 class TestMissingArtifacts:
@@ -597,8 +567,8 @@ class TestOneImagePass:
     def test_batched_metrics_equal_per_clip_reference(self, pipeline):
         cfg, clips, bundle, asg = self.loaded(*pipeline)
         tau = cfg["eval"]["tau"]
-        row, _, _, _ = metrics.evaluate_network(bundle, asg, clips, cfg["resolved"].stft, pair_seed=2,
-                                                n_mixtures=1, tau=tau)
+        (row,), _, _, _ = metrics.evaluate_network(bundle, asg, clips, cfg["resolved"].stft, pair_seed=2,
+                                                   n_mixtures=1, tau=tau)
         ref_iou, ref_sparsity, ref_accuracy = per_clip_image_metrics(bundle, asg, clips, tau)
         assert row["IoU"] == ref_iou
         assert row["sparsity"] == ref_sparsity
@@ -767,6 +737,20 @@ class TestArtifactGate:
         err = one_error_line(capsys, "E_CORRUPT_ARTIFACT")
         assert "data/manifest.json is unreadable" in err and f"no {split} split" in err
 
+    @pytest.mark.parametrize("split,keep,command", [("train", 2, "train"), ("val", 3, "assign"),
+                                                    ("test", 1, "eval")])
+    def test_split_lacking_a_category_is_corrupt(self, run_copy, capsys, split, keep, command):
+        path = run_copy / "data" / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["splits"][split] = doc["splits"][split][:keep]
+        path.write_text(json.dumps(doc))
+        art = run_copy / "artifacts"
+        before = {f: f.read_bytes() for f in art.iterdir() if f.is_file()}
+        assert cli.main([command, "-c", "cosep.json"]) == cli.EXIT_CODES["E_CORRUPT_ARTIFACT"]
+        err = one_error_line(capsys, "E_CORRUPT_ARTIFACT")
+        assert "data/manifest.json is unreadable" in err and f"the {split} split has no clip of" in err
+        assert {f: f.read_bytes() for f in art.iterdir() if f.is_file()} == before
+
     def test_report_reads_only_the_report(self, run_copy, capsys):
         art = run_copy / "artifacts"
         for name in ("checkpoint_final.ckpt", "checkpoint_sigmoid.ckpt", "assignment.json"):
@@ -852,6 +836,29 @@ class TestEvalOutputs:
         first = {n: (art / n).read_bytes() for n in names}
         assert cli.main(["eval", "-c", "cosep.json"]) == 0
         assert {n: (art / n).read_bytes() for n in names} == first
+
+    def test_nmf_leaves_the_network_scores_alone(self, run_copy):
+        """The NMF baseline shares the network's mixture pass; the network's
+        details and report row are those of an eval without it."""
+        art = run_copy / "artifacts"
+        with_nmf = json.loads((art / "eval_details.json").read_text())
+        row = (art / "report.csv").read_text().splitlines()[2]
+        cfg = json.loads((run_copy / "cosep.json").read_text())
+        cfg["eval"]["include_nmf"] = False
+        write_config(run_copy, cfg)
+        assert cli.main(["eval", "-c", "cosep.json"]) == 0
+        without = json.loads((art / "eval_details.json").read_text())
+        assert sorted(without) == ["custom"]
+        assert without["custom"] == with_nmf["custom"]
+        assert (art / "report.csv").read_text().splitlines()[2:] == [row]
+
+    def test_run_manifest_records_blas_threads(self, run_copy, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert cli.main(["assign", "-c", "cosep.json"]) == 0
+        doc = json.loads((run_copy / "artifacts" / "run_manifest.json").read_text())
+        assert doc["threads"]["assignment"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None}
+        assert set(doc["threads"]) == set(doc["hashes"])
 
     def test_eval_removes_earlier_figures(self, run_copy):
         cfg = json.loads((run_copy / "cosep.json").read_text())

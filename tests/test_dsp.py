@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from cosep import dsp
 from cosep.metrics import sdr_sir
 
+from oracles import istft_frame_loop
+
 
 def snr_db(reference, estimate):
     err = reference - estimate
@@ -110,6 +112,41 @@ class TestIstft:
         assert sdr_est > sdr_mix
 
 
+@st.composite
+def inversions(draw):
+    """(window, hop, frames, masks, seed): an even window from 4 to 64 and
+    any hop up to it, dividing the window or not."""
+    window = 2 * draw(st.integers(2, 32))
+    return (window, draw(st.integers(1, window)), draw(st.integers(1, 12)),
+            draw(st.integers(1, 3)), draw(st.integers(0, 99)))
+
+
+class TestStackedIstft:
+    """One ``istft`` call over a stack of masks equals inverting each masked
+    spectrogram frame by frame, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(inversions())
+    @example((510, 128, 64, 4, 0))   # the toy STFT: two models' masks of one mixture
+    @example((64, 64, 3, 1, 1))      # hop equal to the window: no overlap
+    @example((64, 1, 9, 2, 2))       # hop 1: one block per sample
+    @example((6, 4, 5, 2, 3))        # hop that does not divide the window
+    def test_matches_frame_loop(self, case):
+        window, hop, frames, n_masks, seed = case
+        cfg = dsp.StftConfig(8000, window, hop)
+        rng = np.random.default_rng(seed)
+        shape = (cfg.n_bins, frames)
+        spec = dsp.Spectrogram(rng.random(shape) * 3, rng.uniform(-np.pi, np.pi, shape), cfg)
+        pick = rng.integers(0, 3, (n_masks,) + shape)   # exact 0s and 1s among fractions
+        masks = np.where(pick == 0, 0.0, np.where(pick == 1, 1.0, rng.random(pick.shape))).astype(np.float32)
+        got = dsp.istft(spec, masks)
+        assert got.shape == (n_masks, cfg.sample_count(frames))
+        for mask, wave in zip(masks, got):
+            want = istft_frame_loop(dsp.Spectrogram(spec.magnitude * mask, spec.phase, cfg))
+            np.testing.assert_array_equal(wave.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(dsp.istft(spec).view(np.uint64), istft_frame_loop(spec).view(np.uint64))
+
+
 class TestLogWarp:
     def test_constant_roundtrip(self, toy):
         mag = np.full((toy.n_bins, 8), 3.0, dtype=np.float32)
@@ -208,21 +245,21 @@ class TestMasks:
         spec = dsp.stft(sine(500, toy, 4000), toy)
         ones = np.ones(spec.magnitude.shape, dtype=np.float32)
         zeros = np.zeros(spec.magnitude.shape, dtype=np.float32)
-        np.testing.assert_array_equal(dsp.apply_mask(spec, ones).magnitude, spec.magnitude)
-        assert np.all(dsp.apply_mask(spec, zeros).magnitude == 0)
+        kept, silenced = dsp.istft(spec, [ones, zeros])
+        np.testing.assert_array_equal(kept, dsp.istft(spec))
+        assert np.all(silenced == 0)
 
-    def test_apply_mask_monotone(self, toy):
-        rng = np.random.default_rng(6)
-        spec = dsp.Spectrogram(rng.random((12, 6)), np.zeros((12, 6)), toy)
-        small = (rng.random((12, 6)) * 0.5).astype(np.float32)
-        big = np.clip(small + 0.3, 0, 1)
-        assert np.all(dsp.apply_mask(spec, big).magnitude >= dsp.apply_mask(spec, small).magnitude)
+    def test_negative_mask_rejected(self, toy):
+        spec = dsp.stft(sine(500, toy, 4000), toy)
+        mask = np.full((1,) + spec.magnitude.shape, -0.5, dtype=np.float32)
+        with pytest.raises(ValueError, match="non-negative"):
+            dsp.istft(spec, mask)
 
     def test_grid_mismatch_mentions_unwarp(self, toy):
         spec = dsp.stft(np.zeros(2000), toy)
-        mask = np.ones((64, spec.frames), dtype=np.float32)
+        mask = np.ones((1, 64, spec.frames), dtype=np.float32)
         with pytest.raises(ValueError, match="unwarp"):
-            dsp.apply_mask(spec, mask)
+            dsp.istft(spec, mask)
 
     def test_ideal_mask_separation_of_disjoint_sines(self, toy):
         n = 8574
@@ -235,7 +272,7 @@ class TestMasks:
         refs = [0.5 * a, 0.5 * b]
         for idx, (tgt, oth) in enumerate([(spec_a, spec_b), (spec_b, spec_a)]):
             mask = dsp.ideal_binary_mask(tgt.magnitude, oth.magnitude)
-            est = dsp.istft(dsp.apply_mask(spec_mix, mask))
+            est = dsp.istft(spec_mix, mask[None])[0]
             sdr, _ = sdr_sir(est, refs, idx)
             assert sdr >= 20, f"source {idx}: SDR {sdr:.2f} dB"
 

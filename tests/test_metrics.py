@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from cosep.metrics import DB_CAP, iou, sample_mixture_pairs, sdr_sir
+from cosep.metrics import DB_CAP, References, iou, sample_mixture_pairs, sdr_sir
 from cosep.toyworld import AVClip
 
-from oracles import deadline
+from oracles import deadline, sdr_sir_reference
 
 
 @pytest.fixture
@@ -85,6 +85,35 @@ class TestSdrSir:
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="length"):
             sdr_sir(rng.standard_normal(10), [rng.standard_normal(11)], 0)
+
+
+class TestSharedReferences:
+    def test_one_setup_scores_like_a_fresh_one(self, rng):
+        """One ``References`` across many estimates, float32 and float64,
+        gives each the scores of a from-scratch computation, bit for bit."""
+        for n in (100, 8574):
+            a, b = rng.standard_normal((2, n)).astype(np.float32) * 0.5
+            refs = [a, b]
+            shared = References(refs)
+            for trial in range(6):
+                mix = rng.random(2)
+                est = mix[0] * a + mix[1] * b + 0.2 * rng.standard_normal(n)
+                for e in (est, est.astype(np.float32)):
+                    for i in range(2):
+                        assert sdr_sir(e, shared, i) == sdr_sir_reference(e, refs, i)
+                        assert sdr_sir(e, refs, i) == sdr_sir_reference(e, refs, i)
+
+    def test_shared_references_keep_the_checks(self, rng):
+        a = rng.standard_normal(100)
+        shared = References([a, rng.standard_normal(100)])
+        with pytest.raises(ValueError, match="length"):
+            sdr_sir(rng.standard_normal(99), shared, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            sdr_sir(a, shared, 2)
+        with pytest.raises(ValueError, match="zero energy"):
+            sdr_sir(np.zeros(100), shared, 0)
+        with pytest.raises(ValueError, match="zero energy"):
+            References([a, np.zeros(100)])
 
 
 class TestIoU:

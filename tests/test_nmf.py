@@ -149,7 +149,7 @@ class TestToySeparation:
                                        model.bases[b.category], iters=150, seed=1)
         refs = [0.5 * a.wave, 0.5 * b.wave]
         for idx, mask in enumerate([m_a, m_b]):
-            est = dsp.istft(dsp.apply_mask(spec, mask))
+            est = dsp.istft(spec, mask[None])[0]
             sdr, _ = sdr_sir(est, refs, idx)
             assert sdr >= 5, f"source {idx}: SDR {sdr:.2f}"
 
