@@ -41,12 +41,13 @@ before any file is written.  Artifact hashes cover the sections as given,
 not the resolved values; the dataset gate also compares the image size
 the frames were rendered at, which its hash leaves out.
 
-``train --resume PATH`` restarts the fine-tune stage from the checkpoint
-at PATH, read through the same gate; a schedule without fine-tune epochs
-is ``E_CONFIG``.  Each is checked before any file is written.  On glibc,
-``train`` keeps freed heap memory for reuse instead of handing it back to
-the kernel after every step (``mallopt``); the other commands keep the
-allocator's defaults.
+``train --resume PATH`` restarts the fine-tune stage from the
+stage-boundary checkpoint at PATH, read through the same gate, and counts
+the epochs it ran.  A schedule without fine-tune epochs, or a finished
+run's final checkpoint, is ``E_CONFIG``; each is checked before any file
+is written.  On glibc, ``train`` keeps freed heap memory for reuse instead
+of handing it back to the kernel after every step (``mallopt``); the
+other commands keep the allocator's defaults.
 
 Trained numbers depend on the BLAS thread count, which the environment
 sets (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``); ``run_manifest.json``
@@ -223,7 +224,8 @@ def normalize_config(raw: dict) -> dict:
                               ("model", "audio_depth", 1), ("model", "seed", 0),
                               ("stft", "sample_rate", 1), ("stft", "window_size", 1),
                               ("stft", "hop", 1), ("stft", "n_frames", 1), ("stft", "warp_bins", 2),
-                              ("schedule", "batch_pairs", 1)):
+                              ("schedule", "batch_pairs", 1), ("dataset", "seed", 0),
+                              ("schedule", "seed", 0), ("eval", "pair_seed", 0)):
         _check_int(pinned[section][f], f"{section}.{f}", least)
     s, m, sched = pinned["stft"], pinned["model"], pinned["schedule"]
     stft = _build("stft", dsp.StftConfig, s["sample_rate"], s["window_size"], s["hop"])
@@ -471,6 +473,9 @@ def cmd_train(cfg: dict, args) -> int:
         raise CliError("E_CONFIG", "--resume: the schedule has no fine-tune epochs to resume")
     else:
         bundle, start = _require(cfg, "checkpoint", args.resume), r.schedule.sigmoid_epochs
+        if bundle.trained:   # set on checkpoint_final.ckpt only
+            raise CliError("E_CONFIG", f"--resume: {args.resume} is a finished run; "
+                                       "resume from checkpoint_sigmoid.ckpt")
     run = _read_run_manifest(cfg)
     state = trainer.run_schedule(
         r.schedule, dataset, bundle, out_dir=_artifacts(cfg),
@@ -481,7 +486,7 @@ def cmd_train(cfg: dict, args) -> int:
         config_hash=artifact_hash(cfg, "checkpoint"), quiet=not args.verbose)
     _update_run_manifest(cfg, "checkpoint", run)
     final_t = bundle.temperature if bundle.mode == "softmax" else None
-    print(f"trained {state.epoch} epochs; final loss {state.loss_history[-1]:.4f}"
+    print(f"trained {len(state.loss_history)} epochs; final loss {state.loss_history[-1]:.4f}"
           + (f"; final temperature {final_t:g}" if final_t is not None else ""))
     return 0
 

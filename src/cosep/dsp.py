@@ -13,17 +13,23 @@ masks are float32 arrays in [0, 1] with the shape of the plane they
 mask: ``ideal_binary_mask`` is the training target on the warped grid,
 and ``log_unwarp`` brings a warped mask back to the linear grid.
 
+One builder, ``interp_rows``, makes every resampling table of the
+package: ``warp_matrix``, ``unwarp_matrix`` and ``tensor``'s bilinear
+upsampling.  Those tables and the overlap-add envelope are built once per
+argument tuple (``functools.cache``) and handed out read-only.
+
 ``istft(spec, masks)`` inverts a whole stack of linear-grid masks applied
 to one spectrogram: the phasor ``exp(1j·phase)`` is built once for the
 stack, one ``irfft`` call inverts every plane, and the frames are
 overlap-added as ``ceil(window/hop)`` shifted block adds, in frame order,
-then divided by a window-square envelope cached per (STFT config, frame
+then divided by the window-square envelope of (STFT config, frame
 count).  Each output sample sees the same float64 operations in the same
 order as a frame-by-frame loop, so the result is bit-identical to one.
 """
 
 from __future__ import annotations
 
+import functools
 import wave as _wavemod
 from dataclasses import dataclass, field
 
@@ -37,6 +43,7 @@ __all__ = [
     "log_warp",
     "log_unwarp",
     "warp_positions",
+    "interp_rows",
     "warp_matrix",
     "unwarp_matrix",
     "ideal_binary_mask",
@@ -167,22 +174,19 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out.reshape(*lead, -1)[..., :width + (n_frames - 1) * hop]
 
 
-_OLA_CACHE: dict = {}
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
+@functools.cache
 def _ola_denominator(cfg: StftConfig, n_frames: int) -> np.ndarray:
     """The window-square envelope of ``n_frames`` frames, floored relative to
     its peak: an absolute epsilon would blow up masked (non-consistent)
     spectra at the partially covered edges."""
-    key = (cfg, n_frames)
-    den = _OLA_CACHE.get(key)
-    if den is None:
-        w2 = cfg.window * cfg.window
-        norm = _overlap_add(np.broadcast_to(w2, (n_frames, cfg.window_size)), cfg.hop)
-        den = np.maximum(norm, max(OLA_EPS, 1e-2 * norm.max()))
-        den.setflags(write=False)
-        _OLA_CACHE[key] = den
-    return den
+    w2 = cfg.window * cfg.window
+    norm = _overlap_add(np.broadcast_to(w2, (n_frames, cfg.window_size)), cfg.hop)
+    return _read_only(np.maximum(norm, max(OLA_EPS, 1e-2 * norm.max())))
 
 
 # ---------------------------------------------------------------------
@@ -195,42 +199,32 @@ def warp_positions(n_bins: int, out_bins: int) -> np.ndarray:
     return np.exp(np.linspace(0.0, np.log(top), out_bins))
 
 
-_WARP_CACHE: dict = {}
+def interp_rows(positions: np.ndarray, n_src: int, dtype=np.float32) -> np.ndarray:
+    """[len(positions), n_src] two-tap rows: row i weights source rows
+    ``lo = min(floor(pos), n_src - 2)`` and ``lo + 1`` by ``1 - frac`` and
+    ``frac``, capped at 1: rounding can put a top position past the last
+    row, and a weight above 1 would leave a tiny negative one beside it."""
+    lo = np.minimum(positions.astype(np.int64), n_src - 2)
+    frac = np.minimum(positions - lo, 1.0)
+    rows = np.arange(len(positions))
+    m = np.zeros((len(positions), n_src), dtype=dtype)
+    m[rows, lo] = 1 - frac
+    m[rows, lo + 1] = frac
+    return m
 
 
+@functools.cache
 def warp_matrix(n_bins: int, out_bins: int) -> np.ndarray:
     """[out_bins, n_bins] linear-interpolation rows at geometric positions."""
-    key = ("warp", n_bins, out_bins)
-    m = _WARP_CACHE.get(key)
-    if m is None:
-        pos = warp_positions(n_bins, out_bins)
-        lo = np.minimum(pos.astype(np.int64), n_bins - 2)
-        # rounding can put the top position past the last row; a weight
-        # above 1 would leave a tiny negative one beside it
-        frac = np.minimum(pos - lo, 1.0)
-        m = np.zeros((out_bins, n_bins), dtype=np.float32)
-        m[np.arange(out_bins), lo] = 1 - frac
-        m[np.arange(out_bins), lo + 1] = frac
-        _WARP_CACHE[key] = m
-    return m
+    return _read_only(interp_rows(warp_positions(n_bins, out_bins), n_bins))
 
 
+@functools.cache
 def unwarp_matrix(n_bins: int, out_bins: int) -> np.ndarray:
-    """[n_bins, out_bins] inverse interpolation; DC copies the lowest warped bin."""
-    key = ("unwarp", n_bins, out_bins)
-    m = _WARP_CACHE.get(key)
-    if m is None:
-        top = n_bins - 1
-        rows = np.arange(1, n_bins)
-        b = (out_bins - 1) * np.log(rows) / np.log(top)
-        lo = np.minimum(b.astype(np.int64), out_bins - 2)
-        frac = np.minimum(b - lo, 1.0)
-        m = np.zeros((n_bins, out_bins), dtype=np.float32)
-        m[rows, lo] = 1 - frac
-        m[rows, lo + 1] = frac
-        m[0, 0] = 1.0
-        _WARP_CACHE[key] = m
-    return m
+    """[n_bins, out_bins] inverse interpolation; DC, at position 0, copies
+    the lowest warped bin."""
+    b = (out_bins - 1) * np.log(np.arange(1, n_bins)) / np.log(n_bins - 1)
+    return _read_only(interp_rows(np.concatenate([[0.0], b]), out_bins))
 
 
 def log_warp(magnitude: np.ndarray, out_bins: int) -> np.ndarray:

@@ -199,7 +199,7 @@ def _score_mixtures(pairs, cfg: dsp.StftConfig, models: dict, keep: int = 0) -> 
     kept = {name: [] for name in models}
     for a, b in pairs:
         mix = toyworld.mix_waves(a.wave, b.wave)
-        refs = References([0.5 * a.wave, 0.5 * b.wave])
+        refs = References([toyworld.MIX_GAIN * a.wave, toyworld.MIX_GAIN * b.wave])
         spec = dsp.stft(mix, cfg)
         masks = [m for fn, _ in models.values() for m in fn(spec, a.category, b.category)]
         waves = _estimates(spec, masks, mix.size).reshape(len(models), 2, mix.size)

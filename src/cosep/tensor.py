@@ -45,9 +45,12 @@ checkpoint) never load it.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
+
+from .dsp import interp_rows
 
 __all__ = [
     "Tensor",
@@ -537,29 +540,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     return _make_node(out, inputs, _bw)
 
 
-_LERP_CACHE: dict = {}
-
-
+@functools.cache
 def _lerp_matrix(src: int, dst: int, dtype) -> np.ndarray:
-    """Dense [dst, src] align-corners linear interpolation matrix."""
-    key = (src, dst, np.dtype(dtype).str)
-    m = _LERP_CACHE.get(key)
-    if m is None:
+    """Dense read-only [dst, src] align-corners linear interpolation matrix."""
+    if dst == 1 or src == 1:
         m = np.zeros((dst, src), dtype=dtype)
-        if dst == 1 or src == 1:
-            m[:, 0] = 1
-        else:
-            pos = np.arange(dst) * (src - 1) / (dst - 1)
-            lo = np.minimum(pos.astype(np.int64), src - 2)
-            frac = pos - lo
-            m[np.arange(dst), lo] = 1 - frac
-            m[np.arange(dst), lo + 1] = frac
-        _LERP_CACHE[key] = m
+        m[:, 0] = 1
+    else:
+        m = interp_rows(np.arange(dst) * (src - 1) / (dst - 1), src, dtype)
+    m.setflags(write=False)
     return m
 
 
 def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Align-corners bilinear upsampling of NCHW input."""
+    """Align-corners bilinear upsampling of NCHW input: one read-only
+    ``dsp.interp_rows`` table per axis, cached per (size, target, dtype)."""
     N, C, h, w = x.data.shape
     if out_h < h or out_w < w:
         raise ValueError(f"upsample_bilinear: target {out_h}x{out_w} smaller than input {h}x{w}")

@@ -10,11 +10,14 @@ elementary ops it was built from before ``tensor.weighted_channel_sum``
 fused it; the fused node must equal it bit for bit.  The NMF references
 run the multiplicative updates as plain one-expression formulas, each
 step a fresh array; the buffered updates in ``nmf`` must equal them bit
-for bit.  ``deadline`` turns a call that would loop forever into a
-failure.
+for bit.  ``interp_table`` and its three position rules rebuild the
+resampling tables of ``dsp`` and ``tensor`` one row at a time from plain
+floats; the vectorized builder must equal them bit for bit.
+``deadline`` turns a call that would loop forever into a failure.
 """
 
 import contextlib
+import math
 import signal
 
 import numpy as np
@@ -237,3 +240,41 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def interp_table(positions, n_src, dtype=np.float32):
+    """Two-tap interpolation rows, one at a time: row i puts ``1 - frac``
+    on source row ``lo = min(floor(pos), n_src - 2)`` and ``frac`` on
+    ``lo + 1``, where ``frac = min(pos - lo, 1)``."""
+    table = np.zeros((len(positions), n_src), dtype=dtype)
+    for i, pos in enumerate(map(float, positions)):
+        lo = min(math.floor(pos), n_src - 2)
+        frac = min(pos - lo, 1.0)
+        table[i, lo], table[i, lo + 1] = 1.0 - frac, frac
+    return table
+
+
+def warp_table(n_bins, out_bins):
+    """``dsp.warp_matrix``: warped row j reads linear position
+    (n_bins - 1) ** (j / (out_bins - 1))."""
+    return interp_table(np.exp(np.linspace(0.0, np.log(n_bins - 1), out_bins)), n_bins)
+
+
+def unwarp_table(n_bins, out_bins):
+    """``dsp.unwarp_matrix``: linear row r >= 1 reads warped position
+    (out_bins - 1) log r / log(n_bins - 1); the DC row copies warped row 0."""
+    dc = np.zeros((1, out_bins), dtype=np.float32)
+    dc[0, 0] = 1.0
+    rows = (out_bins - 1) * np.log(np.arange(1, n_bins)) / np.log(n_bins - 1)
+    return np.concatenate([dc, interp_table(rows, out_bins)])
+
+
+def lerp_table(src, dst, dtype):
+    """``tensor._lerp_matrix``: target pixel i reads source position
+    i (src - 1) / (dst - 1) (align corners); a one-pixel source or target
+    reads pixel 0."""
+    if src == 1 or dst == 1:
+        table = np.zeros((dst, src), dtype=dtype)
+        table[:, 0] = 1
+        return table
+    return interp_table([i * (src - 1) / (dst - 1) for i in range(dst)], src, dtype)

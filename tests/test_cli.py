@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +57,29 @@ def pipeline(tmp_path_factory):
     return tmp_path, cfg_path
 
 
+def bad_field_values():
+    """(section, field, value): every field but the two paths given a
+    string, and every integer field of the tiny config given -1 and 1.5."""
+    tiny = tiny_config(Path("."))
+    for section, fields in cli.SCHEMA.items():
+        for field, (default, _) in fields.items():
+            if field in ("dir", "artifacts_dir"):
+                continue
+            yield section, field, "x"
+            if type(tiny[section].get(field, default)) is int:
+                yield section, field, -1
+                yield section, field, 1.5
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("section,field,value", list(bad_field_values()))
+    def test_every_field_rejects_a_bad_value(self, tmp_path, capsys, section, field, value):
+        cfg = tiny_config(tmp_path)
+        cfg[section][field] = value
+        assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == 2
+        assert one_error_line(capsys, "E_CONFIG").startswith(f"E_CONFIG: {section}")
+        assert not (tmp_path / "data").exists() and not (tmp_path / "artifacts").exists()
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         cfg["dataset"]["bogus"] = 1
@@ -446,6 +469,16 @@ class TestResumeErrors:
             assert str(resume) in err
         assert self.artifacts(src_tmp) == before
 
+    def test_finished_checkpoint_is_rejected(self, pipeline, tmp_path, capsys):
+        src_tmp, cfg_path = pipeline
+        resume = tmp_path / "final.ckpt"
+        shutil.copy(src_tmp / "artifacts" / "checkpoint_final.ckpt", resume)
+        before = self.artifacts(src_tmp)
+        assert cli.main(["train", "-c", cfg_path, "--resume", str(resume)]) == cli.EXIT_CODES["E_CONFIG"]
+        err = one_error_line(capsys, "E_CONFIG")
+        assert str(resume) in err and "checkpoint_sigmoid.ckpt" in err
+        assert self.artifacts(src_tmp) == before
+
 
 class TestCorruptArtifacts:
     def test_truncated_checkpoint_is_one_error_line(self, pipeline, capsys):
@@ -780,6 +813,7 @@ class TestArtifactGate:
         boundary = (art / "checkpoint_sigmoid.ckpt").read_bytes()
         argv = ["train", "-c", "cosep.json", "--resume", "artifacts/checkpoint_sigmoid.ckpt"]
         assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("trained 2 epochs;")   # the epochs this run trained
         assert (art / "checkpoint_sigmoid.ckpt").read_bytes() == boundary
         rows = (art / "train_log.csv").read_text().splitlines()[1:]
         assert [r.split(",")[:2] for r in rows] == [["2", "finetune"], ["3", "finetune"]]

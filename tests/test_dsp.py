@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cosep import dsp
+from cosep import dsp, tensor as tc
 from cosep.metrics import sdr_sir
 
-from oracles import istft_frame_loop
+from oracles import istft_frame_loop, lerp_table, unwarp_table, warp_table
 
 
 def snr_db(reference, estimate):
@@ -174,6 +174,40 @@ class TestLogWarp:
         back = dsp.unwarp_matrix(toy.n_bins, 64) @ dsp.log_warp(mag.astype(np.float32), 64)
         rel = np.linalg.norm(back - mag.astype(np.float32)) / np.linalg.norm(mag)
         assert rel <= 0.15
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestInterpolationTables:
+    """Every resampling table comes from ``dsp.interp_rows``, equals a
+    row-by-row oracle bit for bit, and is built once and read-only."""
+
+    @pytest.mark.parametrize("n_bins,out_bins", [(256, 64), (256, 32), (512, 256)])
+    def test_warp_pair_matches_oracle(self, n_bins, out_bins):
+        assert_same_bits(dsp.warp_matrix(n_bins, out_bins), warp_table(n_bins, out_bins))
+        assert_same_bits(dsp.unwarp_matrix(n_bins, out_bins), unwarp_table(n_bins, out_bins))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("src,dst", [(4, 8), (8, 16), (16, 32), (32, 64), (1, 1), (1, 8), (1, 64)])
+    def test_lerp_matches_oracle(self, src, dst, dtype):
+        assert_same_bits(tc._lerp_matrix(src, dst, np.dtype(dtype)), lerp_table(src, dst, dtype))
+
+    @pytest.mark.parametrize("table,args", [
+        (dsp.warp_matrix, (256, 64)),
+        (dsp.unwarp_matrix, (256, 64)),
+        (tc._lerp_matrix, (4, 8, np.dtype(np.float32))),
+        (dsp._ola_denominator, (dsp.StftConfig(8000, 510, 128), 64)),
+    ], ids=["warp", "unwarp", "lerp", "ola"])
+    def test_cached_tables_are_shared_and_read_only(self, table, args):
+        first = table(*args)
+        assert table(*args) is first
+        with pytest.raises(ValueError):
+            first[0, ...] = 0.5
+        with pytest.raises(ValueError):
+            first += 1
 
 
 @st.composite
