@@ -1,5 +1,6 @@
-"""Binary parameter checkpoints, and the atomic file write that every
-checkpoint, JSON and CSV artifact goes through.
+"""Binary parameter checkpoints, the atomic file write that every
+checkpoint, JSON and CSV artifact goes through, and the ordered map that
+runs independent work items on the CPUs BLAS leaves idle.
 
 Layout, all little-endian:
 
@@ -17,6 +18,17 @@ mode, temperature, config hashes); plain tensor files write an empty one.
 Writes are deterministic: same content, same bytes, and atomic: a
 checkpoint is either the old file or the complete new one.  A truncated
 or garbled file fails to load with a ``ValueError`` that names it.
+
+``map_ordered(fn, items)`` is ``[fn(x) for x in items]`` on W workers:
+the calling thread and W - 1 helper threads.  W is the CPUs of this
+process (``os.sched_getaffinity``) divided by the BLAS thread count,
+capped at the item count.  The BLAS thread count is the first of
+``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that holds a positive
+integer, as OpenBLAS reads them; without one, BLAS already uses every
+CPU, and W is 1: the plain loop runs in the caller and no thread starts.
+The work is numpy and BLAS calls, which release the GIL.  Results come
+back in item order and each item is computed alone, so the output does
+not depend on W.
 """
 
 from __future__ import annotations
@@ -25,12 +37,73 @@ import json
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 
 from .tensor import Tensor
 
 MAGIC = b"COSEP1\x00"
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")   # recorded in run_manifest.json
+
+
+def worker_count(n_items: int) -> int:
+    """W for ``n_items`` items: this process's CPUs divided by the BLAS
+    thread count, capped at ``n_items``, and 1 when no variable of
+    ``BLAS_THREAD_VARS`` holds a positive integer."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, min(len(os.sched_getaffinity(0)) // blas, n_items))
+    return 1
+
+
+def map_ordered(fn, items) -> list:
+    """``[fn(x) for x in items]`` on ``worker_count(len(items))`` workers,
+    the calling thread among them, each taking the next untaken item.
+
+    Once a call raises, no further item starts; after the started ones
+    return, the exception of the lowest-index failing item is raised, the
+    one the plain loop would raise.  No helper thread outlives the call."""
+    items = list(items)
+    workers = worker_count(len(items))
+    if workers == 1:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    errors: dict = {}
+    lock = threading.Lock()
+    taken = 0
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                if errors or taken == len(items):
+                    return
+                i, taken = taken, taken + 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(workers - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        with lock:
+            taken = len(items)   # after an interrupt outside ``fn``, no further item starts
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def write_atomic(path, data: bytes | str) -> None:
@@ -64,7 +137,7 @@ def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
         arr = tensors[name]
         if isinstance(arr, Tensor):
             arr = arr.data
-        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
+        arr = np.asarray(arr, dtype=np.float32, order="C")   # keeps rank 0, unlike ascontiguousarray
         name_b = name.encode("utf-8")
         parts += [struct.pack("<I", len(name_b)), name_b, struct.pack("<Q", arr.ndim),
                   struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.astype("<f4", copy=False).tobytes()]

@@ -51,7 +51,12 @@ other commands keep the allocator's defaults.
 
 Trained numbers depend on the BLAS thread count, which the environment
 sets (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``); ``run_manifest.json``
-records both, as each command saw them, under ``threads``.
+records both, as each command saw them, under ``threads``.  ``eval``
+scores its mixtures, and fits the NMF bases, on W workers
+(``checkpoint.map_ordered``): the CPUs divided by the BLAS thread count,
+or 1 when neither variable holds a positive integer.  Every output is the
+same at any W; ``threads.report`` records the W of the mixture loop
+under ``workers``.
 """
 
 from __future__ import annotations
@@ -69,9 +74,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, avnets, disentangle, dsp, metrics, nmf, toyworld, trainer
-from .checkpoint import write_atomic
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")   # recorded in run_manifest.json
+from .checkpoint import BLAS_THREAD_VARS, worker_count, write_atomic
 
 EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4, "E_CORRUPT_ARTIFACT": 5, "E_IO": 6}
 
@@ -228,6 +231,13 @@ def normalize_config(raw: dict) -> dict:
                               ("schedule", "seed", 0), ("eval", "pair_seed", 0)):
         _check_int(pinned[section][f], f"{section}.{f}", least)
     s, m, sched = pinned["stft"], pinned["model"], pinned["schedule"]
+    widths, n_widths = m["audio_widths"], m["audio_depth"] + 1
+    if widths is not None and (not isinstance(widths, list) or len(widths) != n_widths
+                               or any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in widths)):
+        raise CliError("E_CONFIG", f"model.audio_widths must be null or {n_widths} positive integers "
+                                   f"(model.audio_depth + 1), got {widths!r}")
+    for f in ("lr", "lr_finetune_divisor"):
+        _check_positive(sched[f], f"schedule.{f}")
     stft = _build("stft", dsp.StftConfig, s["sample_rate"], s["window_size"], s["hop"])
     if s["warp_bins"] > stft.n_bins:
         raise CliError("E_CONFIG", f"stft.warp_bins {s['warp_bins']} exceeds the {stft.n_bins} bins of the STFT")
@@ -292,6 +302,11 @@ def _check_int(value, name: str, least: int, most: int | None = None) -> None:
 def _check_tau(tau, name: str) -> None:
     if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0 < tau < 1:
         raise CliError("E_CONFIG", f"{name} must lie in (0, 1), got {tau!r}")
+
+
+def _check_positive(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < float("inf"):
+        raise CliError("E_CONFIG", f"{name} must be a positive finite number, got {value!r}")
 
 
 def section_hash(cfg: dict, sections) -> str:
@@ -397,13 +412,16 @@ def _read_run_manifest(cfg: dict) -> dict:
     return doc
 
 
-def _update_run_manifest(cfg: dict, kind: str, doc: dict) -> None:
-    """Record ``kind`` in ``doc`` (from ``_read_run_manifest``) and write it."""
+def _update_run_manifest(cfg: dict, kind: str, doc: dict, workers: int | None = None) -> None:
+    """Record ``kind`` in ``doc`` (from ``_read_run_manifest``) and write it;
+    ``workers`` is the W the command's ordered map ran on, if it ran one."""
     doc["version"] = __version__
     doc["artifacts"][kind] = str(artifact_path(cfg, kind))
     doc["hashes"][kind] = artifact_hash(cfg, kind)
     doc["timestamps"][kind] = time.strftime("%Y-%m-%dT%H:%M:%S")
     doc["threads"][kind] = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    if workers is not None:
+        doc["threads"][kind]["workers"] = workers
     path = _artifacts(cfg, "run_manifest.json")
     path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, json.dumps(doc, sort_keys=True, indent=1))
@@ -611,7 +629,7 @@ def cmd_eval(cfg: dict, args) -> int:
     # report.csv last: its hash line is what ``report`` checks
     metrics.write_summary_csv(artifact_path(cfg, "report"), rows,
                               header_comment=f"config {artifact_hash(cfg, 'report')}")
-    _update_run_manifest(cfg, "report", run)
+    _update_run_manifest(cfg, "report", run, workers=worker_count(e["n_mixtures"]))
     print(table)
     print(f"mean SDR improvement over mixture: {named_extras[name]['mean_sdr_improvement']:.2f} dB")
     return 0

@@ -19,8 +19,13 @@ mixture ``spec``, one per source.  Per mixture, what no model changes is
 built once: the mix and its STFT, the ``References`` (float64 stack and
 Gram matrix) and the mixture SDR.  One ``dsp.istft`` call applies every
 model's masks with the mixture phase and inverts them together; each
-estimate is padded or trimmed to the mixture length and scored.  Reports
-are reproducible byte for byte.
+estimate is padded or trimmed to the mixture length and scored.  Each
+mixture is one item of ``checkpoint.map_ordered``: W workers (the CPUs
+divided by the BLAS thread count, 1 when that count is not set) score
+whole mixtures side by side, and the scores come back in schedule order.
+A mixture's scores are computed from that mixture alone, by the same
+calls in the same order whichever thread runs it, so reports are
+reproducible byte for byte and independent of W.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import avnets, dsp, nmf as nmf_mod, toyworld
-from .checkpoint import write_atomic
+from .checkpoint import map_ordered, write_atomic
 from .disentangle import Assignment, classification_accuracy, sparsity
 from .tensor import Tensor, no_grad
 
@@ -191,27 +196,36 @@ def _score_mixtures(pairs, cfg: dsp.StftConfig, models: dict, keep: int = 0) -> 
     model's mask function and score the estimates against the half-gain
     sources.  ``models`` maps a name to (mask function, estimate dtype).
     The mix, its STFT, the references and the mixture SDR are built once
-    per mixture, and one ``istft`` call inverts every model's masks.
+    per mixture, and one ``istft`` call inverts every model's masks.  The
+    mixtures are independent, so ``map_ordered`` scores them on the idle
+    CPUs; results come back in schedule order.
     Returns, per name, the SDR/SIR means for the summary row, the medians
     and mean SDR improvement, per-mixture details, and (mixture,
     estimate A, estimate B) of the first ``keep`` mixtures."""
-    details = {name: [] for name in models}
-    kept = {name: [] for name in models}
-    for a, b in pairs:
+    def score(job):
+        index, (a, b) = job
         mix = toyworld.mix_waves(a.wave, b.wave)
         refs = References([toyworld.MIX_GAIN * a.wave, toyworld.MIX_GAIN * b.wave])
         spec = dsp.stft(mix, cfg)
         masks = [m for fn, _ in models.values() for m in fn(spec, a.category, b.category)]
         waves = _estimates(spec, masks, mix.size).reshape(len(models), 2, mix.size)
         mixture_sdr = [float(sdr_sir(mix, refs, i)[0]) for i in range(2)]
+        out = {}
         for (name, (_, dtype)), ests in zip(models.items(), waves):
             ests = ests.astype(dtype)
-            if len(kept[name]) < keep:
-                kept[name].append((mix, *ests))
             scores = [sdr_sir(est, refs, i) for i, est in enumerate(ests)]
-            details[name].append({"clips": [a.clip_id, b.clip_id], "sdr": [float(s) for s, _ in scores],
-                                  "sir": [float(r) for _, r in scores], "mixture_sdr": mixture_sdr})
-    return {name: (*_summarize(details[name]), details[name], kept[name]) for name in models}
+            detail = {"clips": [a.clip_id, b.clip_id], "sdr": [float(s) for s, _ in scores],
+                      "sir": [float(r) for _, r in scores], "mixture_sdr": mixture_sdr}
+            out[name] = (detail, (mix, *ests) if index < keep else None)
+        return out
+
+    scored = map_ordered(score, enumerate(pairs))
+    result = {}
+    for name in models:
+        details = [s[name][0] for s in scored]
+        kept = [s[name][1] for s in scored[:keep]]
+        result[name] = (*_summarize(details), details, kept)
+    return result
 
 
 def _summarize(details) -> tuple[dict, dict]:

@@ -14,6 +14,13 @@ the operands and evaluation order of the plain expressions, so the
 results are bit-identical to them.  V is copied to C order once too:
 STFT magnitudes come F-ordered, and a divide across the two orders cost
 more than the rest of a sweep.
+
+``fit_category_bases`` fits the categories as the items of
+``checkpoint.map_ordered``: on W workers (the CPUs divided by the BLAS
+thread count; 1, the plain loop, when that count is not set).  Each item
+loads only its own category's clips and fits with its own seed, so the
+bases are the same bits at any W, and only the categories in flight hold
+their magnitudes.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsp, toyworld
-from .checkpoint import load_tensors, save_tensors
+from .checkpoint import load_tensors, map_ordered, save_tensors
 
 EPS = 1e-12
 
@@ -145,12 +152,15 @@ class NmfModel:
 
 def fit_category_bases(dataset: toyworld.Dataset, split: str = "train", rank: int = 8,
                        iters: int = 200, seed: int = 0) -> NmfModel:
-    """One basis matrix per category from that category's solo clips."""
+    """One basis matrix per category from that category's solo clips.
+    Each category is one item of ``map_ordered``: it loads its clips, in
+    split order, and runs its own seeded fit."""
     by_cat: dict = {}
     for rec in dataset.splits[split]:
-        clip = toyworld.load_clip(dataset, rec)
-        by_cat.setdefault(clip.category, []).append(dsp.stft(clip.wave, dataset.stft).magnitude)
-    model = NmfModel(rank)
-    for cat in sorted(by_cat):
-        model.bases[cat] = nmf_fit(by_cat[cat], rank, iters=iters, seed=seed + cat)
-    return model
+        by_cat.setdefault(rec.category, []).append(rec)
+
+    def fit(cat):
+        mags = [dsp.stft(toyworld.load_clip(dataset, rec).wave, dataset.stft).magnitude for rec in by_cat[cat]]
+        return nmf_fit(mags, rank, iters=iters, seed=seed + cat)
+    cats = sorted(by_cat)
+    return NmfModel(rank, dict(zip(cats, map_ordered(fit, cats))))

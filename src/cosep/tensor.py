@@ -26,7 +26,9 @@ features, and no [M, K, G, T] product is kept for the backward pass.  It
 is bit-identical to the chain of elementary ops it replaces.
 
 A computation graph is recorded only while at least one input has
-``requires_grad`` set and grad mode is enabled (see ``no_grad``).
+``requires_grad`` set and grad mode is enabled (see ``no_grad``).  Grad
+mode belongs to the calling thread: it starts enabled in every thread,
+and a ``no_grad`` block in one thread leaves the others recording.
 ``backward`` walks the recorded nodes once, in reverse topological
 order, which makes repeated runs bit-identical on the same machine.
 Gradient buffers have one owner.  An op hands each input the gradient
@@ -46,6 +48,7 @@ checkpoint) never load it.
 from __future__ import annotations
 
 import functools
+import threading
 import warnings
 
 import numpy as np
@@ -75,23 +78,26 @@ __all__ = [
 
 BCE_EPS = 1e-7
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True   # each thread's own default
+
+
+_grad_mode = _GradMode()
 
 # bumped once per backward() call; Adam uses it to detect stale grads
 _backward_counter = 0
 
 
 class no_grad:
-    """Context manager that suspends graph recording."""
+    """Context manager that suspends graph recording in the calling thread."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_mode.enabled = self._prev
 
 
 class Tensor:
@@ -163,7 +169,7 @@ def _make_node(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     Interior nodes allocate their grad buffer lazily on first
     accumulation during backward; user-constructed leaves keep the eager
     buffer from __init__."""
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _grad_mode.enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.grad = None
         out._prev = inputs

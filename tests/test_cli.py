@@ -177,6 +177,23 @@ class TestConfigValidation:
         assert one_error_line(capsys, "E_CONFIG").startswith(f"E_CONFIG: {section}.{field} ")
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("model", "audio_widths", -1),
+        ("model", "audio_widths", {"stem": 6}),
+        ("model", "audio_widths", [6, 10, 0]),
+        ("schedule", "lr", "x"),
+        ("schedule", "lr", -1),
+        ("schedule", "lr_finetune_divisor", -1),
+        ("schedule", "lr_finetune_divisor", True),
+    ])
+    def test_bad_value_names_its_field(self, tmp_path, capsys, section, field, value):
+        cfg = tiny_config(tmp_path)
+        cfg[section][field] = value
+        assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == cli.EXIT_CODES["E_CONFIG"]
+        err = one_error_line(capsys, "E_CONFIG")
+        assert err.startswith(f"E_CONFIG: {section}.{field} must be ") and err.rstrip().endswith(f"got {value!r}")
+        assert not (tmp_path / "data").exists()
+
     def test_help_enumerates_config_fields(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["--help"])
@@ -281,8 +298,8 @@ class TestConfigResolution:
          "model: grid 32 not divisible"),
         ({"warp_bins": 48, "n_frames": 48}, {"audio_depth": 5, "audio_widths": None},
          "model: grid 48 not divisible"),
-        ({}, {"audio_widths": [6, 10]}, "model: need 3 widths"),
-        ({}, {"audio_widths": [6, 10, "x"]}, "model: widths must be positive integers"),
+        ({}, {"audio_widths": [6, 10]}, "model.audio_widths must be null or 3 positive integers"),
+        ({}, {"audio_widths": [6, 10, "x"]}, "model.audio_widths must be null or 3 positive integers"),
         ({"n_frames": 40}, {}, "stft.n_frames 40 must equal stft.warp_bins 32"),
         ({"warp_bins": 512, "n_frames": 512}, {}, "stft.warp_bins 512 exceeds the 256 bins"),
     ], ids=["odd_window", "sample_rate_x", "no_sample_rate", "toy_with_rate", "paper_model_toy_stft",
@@ -894,6 +911,19 @@ class TestEvalOutputs:
         assert doc["threads"]["assignment"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None}
         assert set(doc["threads"]) == set(doc["hashes"])
 
+    @pytest.mark.parametrize("blas,workers", [(None, 1), ("1", 2)])
+    def test_run_manifest_records_eval_workers(self, run_copy, monkeypatch, blas, workers):
+        monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        if blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        assert cli.main(["eval", "-c", "cosep.json"]) == 0
+        doc = json.loads((run_copy / "artifacts" / "run_manifest.json").read_text())
+        assert doc["threads"]["report"] == {"OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": None,
+                                            "workers": workers}
+
     def test_eval_removes_earlier_figures(self, run_copy):
         cfg = json.loads((run_copy / "cosep.json").read_text())
         assert cfg["eval"]["figure_items"] == 2
@@ -902,6 +932,79 @@ class TestEvalOutputs:
         assert cli.main(["eval", "-c", "cosep.json"]) == 0
         names = sorted(f.name for f in (run_copy / "artifacts" / "figures").iterdir())
         assert names == ["segmentation_00.ppm", "separation_00.pgm"]
+
+
+WORKERS_PROBE = """
+import hashlib, json, os, sys, threading
+import numpy as np
+from cosep import checkpoint, cli, metrics, nmf, toyworld
+
+cfg = cli.load_config("cosep.json")
+dataset, bundle, asg = (cli._require(cfg, kind) for kind in ("dataset", "checkpoint", "assignment"))
+clips = toyworld.load_split(dataset, "test")
+e = cfg["eval"]
+
+def digest(obj):
+    h = hashlib.sha256()
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            h.update(f"{x.dtype}{x.shape}".encode())
+            h.update(x.tobytes())
+        elif isinstance(x, (list, tuple)):
+            h.update(b"[")
+            for y in x:
+                walk(y)
+            h.update(b"]")
+        elif isinstance(x, dict):
+            for k in sorted(x):
+                h.update(repr(k).encode())
+                walk(x[k])
+        else:
+            h.update(repr(x).encode())   # repr round-trips floats exactly
+    walk(obj)
+    return h.hexdigest()
+
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: (started.append(self.name), start(self))[1]
+blas = os.environ.pop("OPENBLAS_NUM_THREADS")
+out = {}
+for name, cpus, env in (("unset", 2, None), ("w1", 1, blas), ("w2", 2, blas), ("w3", 3, blas)):
+    os.sched_getaffinity = lambda pid, n=cpus: set(range(n))
+    if env is not None:
+        os.environ["OPENBLAS_NUM_THREADS"] = env
+    before, started[:] = threading.active_count(), []
+    model = nmf.fit_category_bases(dataset, rank=e["nmf_rank"], iters=200, seed=cfg["dataset"]["seed"])
+    rows, extras, details, figures = metrics.evaluate_network(
+        bundle, asg, clips, dataset.stft, pair_seed=e["pair_seed"], n_mixtures=e["n_mixtures"],
+        tau=e["tau"], figure_items=e["figure_items"], nmf_model=model, nmf_iters=e["nmf_iters"])
+    out[name] = {"workers": checkpoint.worker_count(e["n_mixtures"]), "threads_started": len(started),
+                 "threads_left": threading.active_count() - before, "bases": digest(model.bases),
+                 "rows": digest(rows), "extras": digest(extras), "details": digest(details),
+                 "figures": digest(figures)}
+print(json.dumps(out))
+"""
+
+
+class TestWorkerCountIndependence:
+    """``eval``'s mixture loop and the NMF fits give the same bits at any
+    worker count W, and W = 1 starts no thread."""
+
+    def test_eval_and_bases_equal_at_every_worker_count(self, finished_run):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("OMP_NUM_THREADS", None)
+        out = subprocess.run([sys.executable, "-c", WORKERS_PROBE], cwd=finished_run, env=env,
+                             capture_output=True, text=True, check=True).stdout
+        runs = json.loads(out.splitlines()[-1])
+        assert {n: r["workers"] for n, r in runs.items()} == {"unset": 1, "w1": 1, "w2": 2, "w3": 3}
+        # one ordered map for the fits and one for the mixtures, each W - 1 helpers
+        assert {n: r["threads_started"] for n, r in runs.items()} == {"unset": 0, "w1": 0, "w2": 2, "w3": 4}
+        assert all(r["threads_left"] == 0 for r in runs.values())
+        outputs = [{k: v for k, v in r.items() if k not in ("workers", "threads_started")}
+                   for r in runs.values()]
+        assert all(o == outputs[0] for o in outputs)
 
 
 SCIPY_PROBE = """

@@ -1,9 +1,12 @@
-"""SDR/SIR projection algebra and IoU."""
+"""SDR/SIR projection algebra, IoU and the failure path of the mixture loop."""
+
+import threading
 
 import numpy as np
 import pytest
 
-from cosep.metrics import DB_CAP, References, iou, sample_mixture_pairs, sdr_sir
+from cosep import checkpoint, dsp
+from cosep.metrics import DB_CAP, References, _score_mixtures, iou, sample_mixture_pairs, sdr_sir
 from cosep.toyworld import AVClip
 
 from oracles import deadline, sdr_sir_reference
@@ -154,3 +157,24 @@ def test_one_category_split_rejected_by_pair_sampling():
     clips = [AVClip(f"test_{i:04d}", 2, None, None, None) for i in range(2)]
     with deadline(10), pytest.raises(ValueError, match="two categories"):
         sample_mixture_pairs(clips, seed=0, n_mixtures=1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_failing_mask_function_raises_like_the_serial_loop(monkeypatch, rng, cpus):
+    """A mask function that fails from the third pair on raises the third
+    pair's exception at every worker count, and leaves no thread behind."""
+    monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # clip i has category i, so pair k's first category is 2k
+    clips = [AVClip(f"test_{i:04d}", i, None, (0.4 * rng.standard_normal(2048)).astype(np.float32), None)
+             for i in range(12)]
+    pairs = [(clips[2 * k], clips[2 * k + 1]) for k in range(6)]
+
+    def masks(spec, cat_a, cat_b):
+        if cat_a >= 4:
+            raise RuntimeError(f"pair {cat_a // 2}")
+        return [np.full(spec.magnitude.shape, 0.5, np.float32)] * 2
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="pair 2"):
+        _score_mixtures(pairs, dsp.StftConfig(8000, 510, 128), {"half": (masks, np.float32)})
+    assert threading.active_count() == before
