@@ -60,11 +60,11 @@ class AudioNetCfg:
         widths = self.widths
         if widths is None:
             widths = (8, 16, 24, 32, 48) if self.depth == 4 else [min(8 * 2**i, 64) for i in range(self.depth + 1)]
+        if (not isinstance(widths, (list, tuple)) or len(widths) != self.depth + 1
+                or any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in widths)):
+            raise ValueError(f"audio_widths must be null or {self.depth + 1} positive integers "
+                             f"(depth + 1), got {widths!r}")
         object.__setattr__(self, "widths", tuple(widths))
-        if len(self.widths) != self.depth + 1:
-            raise ValueError(f"need {self.depth + 1} widths for depth {self.depth}")
-        if any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in self.widths):
-            raise ValueError(f"widths must be positive integers, got {list(self.widths)}")
         if self.grid % (1 << self.depth):
             raise ValueError(f"grid {self.grid} not divisible by 2^{self.depth}")
 

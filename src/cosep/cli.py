@@ -231,13 +231,6 @@ def normalize_config(raw: dict) -> dict:
                               ("schedule", "seed", 0), ("eval", "pair_seed", 0)):
         _check_int(pinned[section][f], f"{section}.{f}", least)
     s, m, sched = pinned["stft"], pinned["model"], pinned["schedule"]
-    widths, n_widths = m["audio_widths"], m["audio_depth"] + 1
-    if widths is not None and (not isinstance(widths, list) or len(widths) != n_widths
-                               or any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in widths)):
-        raise CliError("E_CONFIG", f"model.audio_widths must be null or {n_widths} positive integers "
-                                   f"(model.audio_depth + 1), got {widths!r}")
-    for f in ("lr", "lr_finetune_divisor"):
-        _check_positive(sched[f], f"schedule.{f}")
     stft = _build("stft", dsp.StftConfig, s["sample_rate"], s["window_size"], s["hop"])
     if s["warp_bins"] > stft.n_bins:
         raise CliError("E_CONFIG", f"stft.warp_bins {s['warp_bins']} exceeds the {stft.n_bins} bins of the STFT")
@@ -302,11 +295,6 @@ def _check_int(value, name: str, least: int, most: int | None = None) -> None:
 def _check_tau(tau, name: str) -> None:
     if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0 < tau < 1:
         raise CliError("E_CONFIG", f"{name} must lie in (0, 1), got {tau!r}")
-
-
-def _check_positive(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < float("inf"):
-        raise CliError("E_CONFIG", f"{name} must be a positive finite number, got {value!r}")
 
 
 def section_hash(cfg: dict, sections) -> str:

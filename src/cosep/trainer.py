@@ -26,6 +26,7 @@ of the two one-sided losses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -66,8 +67,10 @@ class ScheduleConfig:
             raise ValueError(f"initial temperature must be a positive number, got {self.initial_T!r}")
         if not (_number(self.decay_rate) and 0 < self.decay_rate < 1):
             raise ValueError(f"decay rate must lie in (0, 1), got {self.decay_rate!r}")
-        if not all(_number(x) and x > 0 for x in (self.lr, self.lr_finetune_divisor)):
-            raise ValueError("learning rate and divisor must be positive numbers")
+        for name in ("lr", "lr_finetune_divisor"):
+            value = getattr(self, name)
+            if not (_number(value) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         if not isinstance(self.decay_epochs, (list, tuple)):
             raise ValueError(f"decay epochs must be a list, got {self.decay_epochs!r}")
         decays = tuple(self.decay_epochs)

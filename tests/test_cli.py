@@ -183,6 +183,7 @@ class TestConfigValidation:
         ("model", "audio_widths", [6, 10, 0]),
         ("schedule", "lr", "x"),
         ("schedule", "lr", -1),
+        ("schedule", "lr", float("inf")),
         ("schedule", "lr_finetune_divisor", -1),
         ("schedule", "lr_finetune_divisor", True),
     ])
@@ -191,7 +192,7 @@ class TestConfigValidation:
         cfg[section][field] = value
         assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == cli.EXIT_CODES["E_CONFIG"]
         err = one_error_line(capsys, "E_CONFIG")
-        assert err.startswith(f"E_CONFIG: {section}.{field} must be ") and err.rstrip().endswith(f"got {value!r}")
+        assert err.startswith(f"E_CONFIG: {section}: {field} must be ") and err.rstrip().endswith(f"got {value!r}")
         assert not (tmp_path / "data").exists()
 
     def test_help_enumerates_config_fields(self, capsys):
@@ -298,8 +299,8 @@ class TestConfigResolution:
          "model: grid 32 not divisible"),
         ({"warp_bins": 48, "n_frames": 48}, {"audio_depth": 5, "audio_widths": None},
          "model: grid 48 not divisible"),
-        ({}, {"audio_widths": [6, 10]}, "model.audio_widths must be null or 3 positive integers"),
-        ({}, {"audio_widths": [6, 10, "x"]}, "model.audio_widths must be null or 3 positive integers"),
+        ({}, {"audio_widths": [6, 10]}, "model: audio_widths must be null or 3 positive integers"),
+        ({}, {"audio_widths": [6, 10, "x"]}, "model: audio_widths must be null or 3 positive integers"),
         ({"n_frames": 40}, {}, "stft.n_frames 40 must equal stft.warp_bins 32"),
         ({"warp_bins": 512, "n_frames": 512}, {}, "stft.warp_bins 512 exceeds the 256 bins"),
     ], ids=["odd_window", "sample_rate_x", "no_sample_rate", "toy_with_rate", "paper_model_toy_stft",
