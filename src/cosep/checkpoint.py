@@ -20,22 +20,24 @@ checkpoint is either the old file or the complete new one.  A truncated
 or garbled file fails to load with a ``ValueError`` that names it.
 
 ``map_ordered(fn, items)`` is ``[fn(x) for x in items]`` on W workers:
-the calling thread and W - 1 helper threads.  W is the CPUs of this
+the calling process and W - 1 children it forks.  W is the CPUs of this
 process (``os.sched_getaffinity``) divided by the BLAS thread count,
 capped at the item count.  The BLAS thread count is the first of
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that holds a positive
 integer, as OpenBLAS reads them; without one, BLAS already uses every
-CPU, and W is 1: the caller takes every item and no thread starts.
-The work is numpy and BLAS calls, which release the GIL.  Results come
-back in item order and each item is computed alone, so the output does
-not depend on W.
+CPU, and W is 1: the caller takes every item and nothing is forked.
+A child inherits ``fn`` and the items, so closures need no pickling;
+only its results, or its exception with the exception's cause, come back
+pickled over a pipe.  Results come back in item order and each item is
+computed alone, so the output does not depend on W.
 
-Speed was measured at W = 2 only (2 CPUs).  Each worker beyond the
-first costs about 4 MB of peak RSS in ``eval`` (one malloc arena per
-thread): 56.4, 59.2, 63.0, 66.7 and 80.9 MB at W = 1, 2, 3, 4 and 8 on
-the bench ``infer`` run.  Whether W > 2 is faster on a host with that
-many CPUs is untested; the mixture loop holds the GIL about a fifth of
-its time, which bounds the gain.
+Speed was measured at W = 2 only (2 CPUs); whether W > 2 is faster on a
+host with that many CPUs is untested.  A child shares the caller's pages
+until one of them writes a page.  On the bench ``infer`` run each worker
+child peaks at 45 MB RSS beside the caller's 57 MB, but only about 9 MB
+of it is the child's own (``Private_Dirty``); on ``nmf``, 36 MB and
+about 7 MB.  A peak RSS read from ``wait4`` (as the bench's
+``peak_rss_mb``) is that of the largest process, not the sum.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
 import struct
-import threading
+import sys
+import traceback
 
 import numpy as np
 
@@ -69,46 +74,123 @@ def worker_count(n_items: int) -> int:
     return 1
 
 
-def map_ordered(fn, items) -> list:
-    """``[fn(x) for x in items]`` on ``worker_count(len(items))`` workers,
-    the calling thread among them, each taking the next untaken item.
+class WorkerError(RuntimeError):
+    """A worker of ``map_ordered`` could not be started or ended without
+    sending back its results."""
 
-    Once a call raises, no further item starts; after the started ones
-    return, the exception of the lowest-index failing item is raised, the
-    one the plain loop would raise.  No helper thread outlives the call."""
+
+def map_ordered(fn, items) -> list:
+    """``[fn(x) for x in items]`` on ``worker_count(len(items))`` workers:
+    the caller and W - 1 forked children.  Worker k runs items k, k + W,
+    k + 2W, ... in order and stops at its first failing item, so the
+    lowest failing index over all workers is the one the plain loop fails
+    at; its exception, with its ``__cause__``, is raised.  A worker that
+    ends without sending its results raises ``WorkerError`` naming the
+    first item it did not return and how the worker ended.
+
+    Children leave by ``os._exit``: no ``atexit`` handler runs and no
+    inherited buffer is flushed in them.  A child whose parent has gone
+    stops before its next item.  Every child is reaped before this
+    returns or raises."""
     items = list(items)
     workers = worker_count(len(items))
-    results = [None] * len(items)
-    errors: dict = {}
-    lock = threading.Lock()
-    taken = 0
-
-    def work():
-        nonlocal taken
-        while True:
-            with lock:
-                if errors or taken == len(items):
-                    return
-                i, taken = taken, taken + 1
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:
-                with lock:
-                    errors[i] = exc
-
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for t in helpers:
-        t.start()
+    caller = os.getpid()
+    children: dict = {}   # k -> (pid, read end of the pipe worker k answers on)
+    if workers > 1:
+        for stream in (sys.stdout, sys.stderr):   # so no child holds a copy of pending output
+            stream.flush()
     try:
-        work()
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise WorkerError(f"cannot start worker {k}: {exc.strerror}") from exc
+            if pid == 0:
+                _serve(fn, items, k, workers, caller, write_fd,
+                       [read_fd, *(fd for _, fd in children.values())])
+            os.close(write_fd)
+            children[k] = (pid, read_fd)
+        shares = {0: _run_share(fn, items, 0, workers)}
+        for k, (pid, read_fd) in list(children.items()):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                blob = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[k]
+            os.close(read_fd)
+            shares[k] = _receive(blob, status, pid, k)
     finally:
-        with lock:
-            taken = len(items)   # after an interrupt outside ``fn``, no further item starts
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
+        for pid, read_fd in children.values():   # left only when the caller itself failed
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = [None] * len(items)
+    failures = []
+    for k, (done, failure) in shares.items():
+        results[k:k + workers * len(done):workers] = done
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     return results
+
+
+def _run_share(fn, items, k: int, step: int, caller: int | None = None):
+    """Worker k's items, in order: (results, None) or, at the first item
+    that raises, (results before it, (index, exception)).  In a child
+    (``caller`` set), None once the caller is no longer its parent."""
+    done = []
+    for i in range(k, len(items), step):
+        if caller is not None and os.getppid() != caller:
+            return None
+        try:
+            done.append(fn(items[i]))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _serve(fn, items, k: int, step: int, caller: int, write_fd: int, inherited: list) -> None:
+    """Body of the forked worker k: run its share, write it pickled to
+    ``write_fd``, and leave by ``os._exit`` (1 after an error outside
+    ``fn``, printed to stderr)."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        share = _run_share(fn, items, k, step, caller)
+        if share is not None:
+            done, failure = share
+            cause = None if failure is None else failure[1].__cause__   # pickling drops it
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps((done, failure, cause), protocol=pickle.HIGHEST_PROTOCOL))
+        code = 0
+    except BaseException:
+        traceback.print_exc()   # stderr is line-buffered, so this is written before _exit
+    finally:
+        os._exit(code)
+
+
+def _receive(blob: bytes, status: int, pid: int, k: int):
+    """Worker k's share, as ``_run_share`` returns it, from the bytes it
+    sent and its wait status; a worker that sent none, or bytes that
+    cannot be read back, fails at its first item with a ``WorkerError``."""
+    if os.WIFSIGNALED(status):
+        how = f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
+    elif os.waitstatus_to_exitcode(status) != 0 or not blob:
+        how = f"ended with exit code {os.waitstatus_to_exitcode(status)}"
+    else:
+        try:
+            done, failure, cause = pickle.loads(blob)
+        except Exception as exc:
+            how = f"sent results that cannot be read back ({type(exc).__name__}: {exc})"
+        else:
+            if failure is not None:
+                failure[1].__cause__ = cause
+            return done, failure
+    return [], (k, WorkerError(f"worker {k} (pid {pid}) {how} before returning item {k}"))
 
 
 def write_atomic(path, data: bytes | str) -> None:

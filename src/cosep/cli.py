@@ -12,10 +12,12 @@ Failures exit nonzero with a single machine-parsable line on stderr:
 (artifact built under a different config, exit 4), ``E_CORRUPT_ARTIFACT``
 (an artifact or dataset clip file that cannot be read or parsed, exit 5;
 run the command that writes it again), ``E_IO`` (``E_IO: <path>: <reason>``
-for a file that could not be written, exit 6).  Checkpoints, JSON and CSV
-artifacts are written atomically, so an interrupted write leaves the
-previous file in place; ``manifest.json`` has one writer,
-``toyworld.generate``, so a failed ``make-data`` leaves none.  A command
+for a file that could not be written, exit 6), ``E_WORKER`` (a worker
+process of ``eval`` could not start or ended without its results, exit
+7).  Checkpoints, JSON and CSV artifacts are written atomically, so an
+interrupted write leaves the previous file in place; ``manifest.json``
+has one writer, ``toyworld.generate``, so a failed ``make-data`` leaves
+none.  A command
 reads ``run_manifest.json`` before it writes.  An unreadable ``nmf.ckpt``
 is refitted like a stale one; ``eval`` scores with the bases read back
 from it, so a first ``eval`` and a later one agree.
@@ -52,11 +54,12 @@ other commands keep the allocator's defaults.
 Trained numbers depend on the BLAS thread count, which the environment
 sets (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``); ``run_manifest.json``
 records both, as each command saw them, under ``threads``.  ``eval``
-scores its mixtures, and fits the NMF bases, on W workers
-(``checkpoint.map_ordered``): the CPUs divided by the BLAS thread count,
-or 1 when neither variable holds a positive integer.  Every output is the
-same at any W; ``threads.report`` records the W of the mixture loop
-under ``workers``.
+scores its mixtures, and fits the NMF bases, on W worker processes
+(``checkpoint.map_ordered``: the command's own process and W - 1 forked
+children): the CPUs divided by the BLAS thread count, or 1, forking
+nothing, when neither variable holds a positive integer.  Every output
+is the same at any W; ``threads.report`` records the W of the mixture
+loop under ``workers``.
 """
 
 from __future__ import annotations
@@ -74,9 +77,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, avnets, disentangle, dsp, metrics, nmf, toyworld, trainer
-from .checkpoint import BLAS_THREAD_VARS, worker_count, write_atomic
+from .checkpoint import BLAS_THREAD_VARS, WorkerError, worker_count, write_atomic
 
-EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4, "E_CORRUPT_ARTIFACT": 5, "E_IO": 6}
+EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4, "E_CORRUPT_ARTIFACT": 5, "E_IO": 6,
+              "E_WORKER": 7}
 
 # closed config schema: section -> field -> (default, help)
 SCHEMA = {
@@ -724,6 +728,8 @@ def main(argv=None) -> int:
             raise _unreadable(exc.path, exc.__cause__, f"run {ARTIFACTS['dataset'].writer} again") from exc
         except OSError as exc:   # a file that could not be written
             raise CliError("E_IO", f"{exc.filename}: {exc.strerror}") from exc
+        except WorkerError as exc:
+            raise CliError("E_WORKER", str(exc)) from exc
     except CliError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.code, 1)

@@ -20,11 +20,11 @@ built once: the mix and its STFT, the ``References`` (float64 stack and
 Gram matrix) and the mixture SDR.  One ``dsp.istft`` call applies every
 model's masks with the mixture phase and inverts them together; each
 estimate is padded or trimmed to the mixture length and scored.  Each
-mixture is one item of ``checkpoint.map_ordered``: W workers (the CPUs
-divided by the BLAS thread count, 1 when that count is not set) score
-whole mixtures side by side, and the scores come back in schedule order.
-A mixture's scores are computed from that mixture alone, by the same
-calls in the same order whichever thread runs it, so reports are
+mixture is one item of ``checkpoint.map_ordered``: W worker processes
+(the CPUs divided by the BLAS thread count, 1 when that count is not set)
+score whole mixtures side by side, and the scores come back in schedule
+order.  A mixture's scores are computed from that mixture alone, by the
+same calls in the same order whichever process runs it, so reports are
 reproducible byte for byte and independent of W.
 """
 
@@ -197,8 +197,8 @@ def _score_mixtures(pairs, cfg: dsp.StftConfig, models: dict, keep: int = 0) -> 
     sources.  ``models`` maps a name to (mask function, estimate dtype).
     The mix, its STFT, the references and the mixture SDR are built once
     per mixture, and one ``istft`` call inverts every model's masks.  The
-    mixtures are independent, so ``map_ordered`` scores them on the idle
-    CPUs; results come back in schedule order.
+    mixtures are independent, so ``map_ordered`` scores them in forked
+    workers on the idle CPUs; results come back in schedule order.
     Returns, per name, the SDR/SIR means for the summary row, the medians
     and mean SDR improvement, per-mixture details, and (mixture,
     estimate A, estimate B) of the first ``keep`` mixtures."""

@@ -16,11 +16,11 @@ STFT magnitudes come F-ordered, and a divide across the two orders cost
 more than the rest of a sweep.
 
 ``fit_category_bases`` fits the categories as the items of
-``checkpoint.map_ordered``: on W workers (the CPUs divided by the BLAS
-thread count; 1, in the caller alone, when that count is not set).  Each item
-loads only its own category's clips and fits with its own seed, so the
-bases are the same bits at any W, and only the categories in flight hold
-their magnitudes.
+``checkpoint.map_ordered``: on W worker processes (the CPUs divided by
+the BLAS thread count; 1, in the caller alone, when that count is not
+set).  Each item loads only its own category's clips and fits with its
+own seed, so the bases are the same bits at any W, and each worker holds
+the magnitudes of one category at a time.
 """
 
 from __future__ import annotations

@@ -352,11 +352,16 @@ def generate(root, seed: int, stft_cfg: StftConfig, n_categories: int = 8,
 
 
 class ClipReadError(Exception):
-    """A clip file of the dataset could not be read; ``path`` names it."""
+    """A clip file of the dataset could not be read; ``path`` names it.
+    Its arguments are the path and the error, so it pickles."""
 
     def __init__(self, path: Path, exc: Exception):
-        super().__init__(f"{path}: {type(exc).__name__}: {exc}")
+        super().__init__(path, exc)
         self.path = path
+
+    def __str__(self) -> str:
+        path, exc = self.args
+        return f"{path}: {type(exc).__name__}: {exc}"
 
 
 def load_clip(dataset: Dataset, record: ClipRecord) -> AVClip:

@@ -4,7 +4,9 @@ artifact hashing."""
 import errno
 import json
 import os
+import re
 import shutil
+import signal
 import subprocess
 import sys
 import wave
@@ -936,7 +938,7 @@ class TestEvalOutputs:
 
 
 WORKERS_PROBE = """
-import hashlib, json, os, sys, threading
+import hashlib, json, os, sys
 import numpy as np
 from cosep import checkpoint, cli, metrics, nmf, toyworld
 
@@ -965,22 +967,26 @@ def digest(obj):
     walk(obj)
     return h.hexdigest()
 
-started = []
-start = threading.Thread.start
-threading.Thread.start = lambda self: (started.append(self.name), start(self))[1]
+forks = []
+fork = os.fork
+os.fork = lambda: (forks.append(1), fork())[1]
 blas = os.environ.pop("OPENBLAS_NUM_THREADS")
 out = {}
 for name, cpus, env in (("unset", 2, None), ("w1", 1, blas), ("w2", 2, blas), ("w3", 3, blas)):
     os.sched_getaffinity = lambda pid, n=cpus: set(range(n))
     if env is not None:
         os.environ["OPENBLAS_NUM_THREADS"] = env
-    before, started[:] = threading.active_count(), []
+    forks[:] = []
     model = nmf.fit_category_bases(dataset, rank=e["nmf_rank"], iters=200, seed=cfg["dataset"]["seed"])
     rows, extras, details, figures = metrics.evaluate_network(
         bundle, asg, clips, dataset.stft, pair_seed=e["pair_seed"], n_mixtures=e["n_mixtures"],
         tau=e["tau"], figure_items=e["figure_items"], nmf_model=model, nmf_iters=e["nmf_iters"])
-    out[name] = {"workers": checkpoint.worker_count(e["n_mixtures"]), "threads_started": len(started),
-                 "threads_left": threading.active_count() - before, "bases": digest(model.bases),
+    try:
+        left = os.waitpid(-1, os.WNOHANG) != (0, 0)
+    except ChildProcessError:
+        left = False
+    out[name] = {"workers": checkpoint.worker_count(e["n_mixtures"]), "forks": len(forks),
+                 "children_left": left, "bases": digest(model.bases),
                  "rows": digest(rows), "extras": digest(extras), "details": digest(details),
                  "figures": digest(figures)}
 print(json.dumps(out))
@@ -989,7 +995,7 @@ print(json.dumps(out))
 
 class TestWorkerCountIndependence:
     """``eval``'s mixture loop and the NMF fits give the same bits at any
-    worker count W, and W = 1 starts no thread."""
+    worker count W, W = 1 forks nothing, and no worker process is left."""
 
     def test_eval_and_bases_equal_at_every_worker_count(self, finished_run):
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -1000,10 +1006,10 @@ class TestWorkerCountIndependence:
                              capture_output=True, text=True, check=True).stdout
         runs = json.loads(out.splitlines()[-1])
         assert {n: r["workers"] for n, r in runs.items()} == {"unset": 1, "w1": 1, "w2": 2, "w3": 3}
-        # one ordered map for the fits and one for the mixtures, each W - 1 helpers
-        assert {n: r["threads_started"] for n, r in runs.items()} == {"unset": 0, "w1": 0, "w2": 2, "w3": 4}
-        assert all(r["threads_left"] == 0 for r in runs.values())
-        outputs = [{k: v for k, v in r.items() if k not in ("workers", "threads_started")}
+        # one ordered map for the fits and one for the mixtures, each forking W - 1 workers
+        assert {n: r["forks"] for n, r in runs.items()} == {"unset": 0, "w1": 0, "w2": 2, "w3": 4}
+        assert not any(r["children_left"] for r in runs.values())
+        outputs = [{k: v for k, v in r.items() if k not in ("workers", "forks")}
                    for r in runs.values()]
         assert all(o == outputs[0] for o in outputs)
 
@@ -1094,6 +1100,56 @@ class TestCorruptClips:
         err = one_error_line(capsys, "E_CORRUPT_ARTIFACT")
         assert f"data/clips/{name} is unreadable" in err and err.endswith("run make-data again\n")
         assert {f: f.read_bytes() for f in art.rglob("*") if f.is_file()} == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bad_train_clip_in_nmf_fit_is_one_error_line(self, run_copy, monkeypatch, capsys, cpus):
+        """``eval`` refits the NMF bases, one category per item of the
+        ordered map; the broken clip's category is worker 1's at W = 2, so
+        its error crosses from a child with its path and cause."""
+        set_workers(monkeypatch, cpus)
+        (run_copy / "artifacts" / "nmf.ckpt").unlink()
+        dataset = dataset_at(run_copy)
+        second = sorted({rec.category for rec in dataset.splits["train"]})[1]
+        clip = next(rec for rec in dataset.splits["train"] if rec.category == second)
+        (run_copy / "data" / clip.wav).unlink()
+        art = run_copy / "artifacts"
+        before = {f: f.read_bytes() for f in art.rglob("*") if f.is_file()}
+        assert cli.main(["eval", "-c", "cosep.json"]) == cli.EXIT_CODES["E_CORRUPT_ARTIFACT"]
+        err = one_error_line(capsys, "E_CORRUPT_ARTIFACT")
+        assert f"data/{clip.wav} is unreadable (FileNotFoundError: [Errno 2] No such file or directory" in err
+        assert err.endswith("run make-data again\n")
+        assert {f: f.read_bytes() for f in art.rglob("*") if f.is_file()} == before
+
+
+def set_workers(monkeypatch, cpus: int):
+    """W = ``cpus`` for the ordered maps of ``eval``."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestDeadWorker:
+    @pytest.mark.parametrize("end,message", [("kill", "was killed by SIGKILL"), ("exit", "ended with exit code 3")])
+    def test_eval_worker_ending_without_results_is_one_error_line(self, run_copy, monkeypatch, capsys,
+                                                                  end, message):
+        set_workers(monkeypatch, 2)
+        caller, mix_waves = os.getpid(), tw.mix_waves
+
+        def dying_mix(a, b):
+            if os.getpid() != caller:
+                if end == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(3)
+            return mix_waves(a, b)
+        monkeypatch.setattr(tw, "mix_waves", dying_mix)
+        art = run_copy / "artifacts"
+        before = {f: f.read_bytes() for f in art.rglob("*") if f.is_file()}
+        assert cli.main(["eval", "-c", "cosep.json"]) == cli.EXIT_CODES["E_WORKER"]
+        err = one_error_line(capsys, "E_WORKER")
+        assert re.fullmatch(rf"E_WORKER: worker 1 \(pid \d+\) {message} before returning item 1\n", err), err
+        assert {f: f.read_bytes() for f in art.rglob("*") if f.is_file()} == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestAtomicWrites:
