@@ -17,10 +17,10 @@ process of ``eval`` could not start or ended without its results, exit
 7).  Checkpoints, JSON and CSV artifacts are written atomically, so an
 interrupted write leaves the previous file in place; ``manifest.json``
 has one writer, ``toyworld.generate``, so a failed ``make-data`` leaves
-none.  A command
-reads ``run_manifest.json`` before it writes.  An unreadable ``nmf.ckpt``
-is refitted like a stale one; ``eval`` scores with the bases read back
-from it, so a first ``eval`` and a later one agree.
+none.  A command reads ``run_manifest.json`` before it writes.  An
+unreadable ``nmf.ckpt`` is refitted like a stale one; ``eval`` scores
+with the bases read back from it, so a first ``eval`` and a later one
+agree.
 
 ``eval`` writes the report CSVs, the per-item scores in
 ``eval_details.json`` and the figures under ``figures/``; ``report``
