@@ -209,12 +209,6 @@ class TestMapOrdered:
         assert str(info.value).endswith("before returning item 1")
         assert_no_child()
 
-    def test_a_failing_caller_item_still_reaps_every_child(self, monkeypatch):
-        set_workers(monkeypatch, 3)
-        with pytest.raises(ZeroDivisionError):
-            checkpoint.map_ordered(lambda x: 1 / (x - 3), range(9))
-        assert_no_child()
-
     def test_failed_fork_raises_and_reaps_the_started_workers(self, monkeypatch):
         """At W = 3 the second fork fails: the error names worker 2, and
         worker 1, already running, is stopped and reaped."""
