@@ -234,6 +234,8 @@ class ModelBundle:
 
     @classmethod
     def load(cls, path) -> tuple["ModelBundle", dict]:
+        """The bundle saved at ``path`` and its meta.  A missing, misshapen
+        or non-finite (NaN, inf) parameter is a ``ValueError``."""
         arrays, meta = load_tensors(path)
         if meta.get("kind") != "bundle":
             raise ValueError(f"{path}: not a model bundle checkpoint")
@@ -246,6 +248,8 @@ class ModelBundle:
         for name, param in named.items():
             if arrays[name].shape != param.data.shape:
                 raise ValueError(f"{path}: shape mismatch for {name}")
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"{path}: non-finite values in {name}")
             param.data[...] = arrays[name]
         bundle.trained = bool(meta.get("trained", False))
         return bundle, meta
@@ -327,11 +331,7 @@ def pixelwise_activation(maps: np.ndarray, mode: str, temperature: float) -> np.
     [..., K, h, w] maps, in float64."""
     if mode == "sigmoid":
         return _sigmoid64(maps)
-    m = maps.astype(np.float64)
-    z = m / temperature
-    z -= z.max(axis=-3, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-3, keepdims=True)
+    return tc._softmax(maps.astype(np.float64), temperature, -3)
 
 
 def segment(maps: np.ndarray, bundle: ModelBundle, channels, tau: float = 0.5) -> np.ndarray:

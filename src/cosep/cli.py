@@ -10,8 +10,9 @@ Failures exit nonzero with a single machine-parsable line on stderr:
 ``E_CONFIG`` (bad config or input file, exit 2), ``E_MISSING_ARTIFACT``
 (run the named upstream command first, exit 3), ``E_CONFIG_DRIFT``
 (artifact built under a different config, exit 4), ``E_CORRUPT_ARTIFACT``
-(an artifact or dataset clip file that cannot be read or parsed, exit 5;
-run the command that writes it again), ``E_IO`` (``E_IO: <path>: <reason>``
+(an artifact or dataset clip file that cannot be read or parsed, or a
+model checkpoint holding a NaN or infinite weight, exit 5; run the
+command that writes it again), ``E_IO`` (``E_IO: <path>: <reason>``
 for a file that could not be written, exit 6), ``E_WORKER`` (a worker
 process of ``eval`` could not start or ended without its results, exit
 7).  Checkpoints, JSON and CSV artifacts are written atomically, so an
@@ -56,10 +57,9 @@ sets (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``); ``run_manifest.json``
 records both, as each command saw them, under ``threads``.  ``eval``
 scores its mixtures, and fits the NMF bases, on W worker processes
 (``checkpoint.map_ordered``: the command's own process and W - 1 forked
-children): the CPUs divided by the BLAS thread count, or 1, forking
-nothing, when neither variable holds a positive integer.  Every output
-is the same at any W; ``threads.report`` records the W of the mixture
-loop under ``workers``.
+children; the ``checkpoint`` docstring gives the rule for W).  Every
+output is the same at any W; ``threads.report`` records the W of the
+mixture loop under ``workers``.
 """
 
 from __future__ import annotations

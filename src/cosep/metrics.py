@@ -6,7 +6,9 @@ SDR/SIR follow the bss_eval energy-ratio decomposition with zero-lag
 along the target reference, the rest of its projection onto the span of
 all references (interference), and the out-of-span remainder (artifacts).
 All projection algebra runs in float64; infinite ratios are reported as
-a 120 dB sentinel.
+a 120 dB sentinel.  ``sdr_sir`` rejects a silent (zero-energy) estimate;
+the evaluation loop scores one as SDR = SIR = -120 dB, mirroring the
+cap, so a channel that masks everything away is a score, not a crash.
 
 Evaluation takes its clips as one loaded list.  The image-only metrics
 (IoU, sparsity, accuracy) come from one ``avnets.infer_images`` pass over
@@ -21,11 +23,11 @@ Gram matrix) and the mixture SDR.  One ``dsp.istft`` call applies every
 model's masks with the mixture phase and inverts them together; each
 estimate is padded or trimmed to the mixture length and scored.  Each
 mixture is one item of ``checkpoint.map_ordered``: W worker processes
-(the CPUs divided by the BLAS thread count, 1 when that count is not set)
-score whole mixtures side by side, and the scores come back in schedule
-order.  A mixture's scores are computed from that mixture alone, by the
-same calls in the same order whichever process runs it, so reports are
-reproducible byte for byte and independent of W.
+(the rule for W is in the ``checkpoint`` docstring) score whole mixtures
+side by side, and the scores come back in schedule order.  A mixture's
+scores are computed from that mixture alone, by the same calls in the
+same order whichever process runs it, so reports are reproducible byte
+for byte and independent of W.
 """
 
 from __future__ import annotations
@@ -213,7 +215,8 @@ def _score_mixtures(pairs, cfg: dsp.StftConfig, models: dict, keep: int = 0) -> 
         out = {}
         for (name, (_, dtype)), ests in zip(models.items(), waves):
             ests = ests.astype(dtype)
-            scores = [sdr_sir(est, refs, i) for i, est in enumerate(ests)]
+            scores = [sdr_sir(est, refs, i) if np.any(est) else (-DB_CAP, -DB_CAP)
+                      for i, est in enumerate(ests)]
             detail = {"clips": [a.clip_id, b.clip_id], "sdr": [float(s) for s, _ in scores],
                       "sir": [float(r) for _, r in scores], "mixture_sdr": mixture_sdr}
             out[name] = (detail, (mix, *ests) if index < keep else None)

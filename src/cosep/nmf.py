@@ -5,7 +5,7 @@ multiplicative generalized-KL updates (columns L1-normalized after each
 sweep, with the scale folded into the activations so the divergence is
 untouched).  Separation fixes the concatenated bases, fits activations
 on the mixture magnitude, and emits Wiener-style ratio masks.  Neither
-fit records its divergence; ``kl_divergence`` evaluates any iterate.
+fit computes its divergence; the tests evaluate it on the iterates.
 
 Both updates use the quotient V / (WH + eps), a full [bins, frames]
 float64 plane.  Each fit allocates it once and every update recomputes
@@ -16,11 +16,10 @@ STFT magnitudes come F-ordered, and a divide across the two orders cost
 more than the rest of a sweep.
 
 ``fit_category_bases`` fits the categories as the items of
-``checkpoint.map_ordered``: on W worker processes (the CPUs divided by
-the BLAS thread count; 1, in the caller alone, when that count is not
-set).  Each item loads only its own category's clips and fits with its
-own seed, so the bases are the same bits at any W, and each worker holds
-the magnitudes of one category at a time.
+``checkpoint.map_ordered``, on W worker processes (the rule for W is in
+the ``checkpoint`` docstring).  Each item loads only its own category's
+clips and fits with its own seed, so the bases are the same bits at any
+W, and each worker holds the magnitudes of one category at a time.
 """
 
 from __future__ import annotations
@@ -31,12 +30,6 @@ from . import dsp, toyworld
 from .checkpoint import load_tensors, map_ordered, save_tensors
 
 EPS = 1e-12
-
-
-def kl_divergence(v: np.ndarray, wh: np.ndarray) -> float:
-    """Generalized KL divergence D(V || WH), with 0*log(0) treated as 0."""
-    term = np.where(v > 0, v * np.log((v + EPS) / (wh + EPS)), 0.0)
-    return float(np.sum(term - v + wh))
 
 
 def _quotient(v, w, h, q):
@@ -150,13 +143,13 @@ class NmfModel:
         return cls(meta["rank"], bases), meta
 
 
-def fit_category_bases(dataset: toyworld.Dataset, split: str = "train", rank: int = 8,
-                       iters: int = 200, seed: int = 0) -> NmfModel:
-    """One basis matrix per category from that category's solo clips.
-    Each category is one item of ``map_ordered``: it loads its clips, in
-    split order, and runs its own seeded fit."""
+def fit_category_bases(dataset: toyworld.Dataset, rank: int = 8, iters: int = 200,
+                       seed: int = 0) -> NmfModel:
+    """One basis matrix per category from that category's solo training
+    clips.  Each category is one item of ``map_ordered``: it loads its
+    clips, in split order, and runs its own seeded fit."""
     by_cat: dict = {}
-    for rec in dataset.splits[split]:
+    for rec in dataset.splits["train"]:
         by_cat.setdefault(rec.category, []).append(rec)
 
     def fit(cat):

@@ -27,8 +27,8 @@ is bit-identical to the chain of elementary ops it replaces.
 
 A computation graph is recorded only while at least one input has
 ``requires_grad`` set and grad mode is enabled (see ``no_grad``).  Grad
-mode belongs to the calling thread: it starts enabled in every thread,
-and a ``no_grad`` block in one thread leaves the others recording.
+mode is one module-level flag: a ``no_grad`` block switches recording
+off for the whole process and restores the previous state on leaving.
 ``backward`` walks the recorded nodes once, in reverse topological
 order, which makes repeated runs bit-identical on the same machine.
 Gradient buffers have one owner.  An op hands each input the gradient
@@ -48,7 +48,6 @@ checkpoint) never load it.
 from __future__ import annotations
 
 import functools
-import threading
 import warnings
 
 import numpy as np
@@ -79,25 +78,23 @@ __all__ = [
 BCE_EPS = 1e-7
 
 
-class _GradMode(threading.local):
-    enabled = True   # each thread's own default
-
-
-_grad_mode = _GradMode()
+_grad_enabled = True
 
 # bumped once per backward() call; Adam uses it to detect stale grads
 _backward_counter = 0
 
 
 class no_grad:
-    """Context manager that suspends graph recording in the calling thread."""
+    """Context manager that suspends graph recording."""
 
     def __enter__(self):
-        self._prev = _grad_mode.enabled
-        _grad_mode.enabled = False
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
 
     def __exit__(self, *exc):
-        _grad_mode.enabled = self._prev
+        global _grad_enabled
+        _grad_enabled = self._prev
 
 
 class Tensor:
@@ -169,7 +166,7 @@ def _make_node(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     Interior nodes allocate their grad buffer lazily on first
     accumulation during backward; user-constructed leaves keep the eager
     buffer from __init__."""
-    if _grad_mode.enabled and any(t.requires_grad for t in inputs):
+    if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.grad = None
         out._prev = inputs
@@ -305,14 +302,20 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make_node(out, (a,), _bw)
 
 
+def _softmax(x: np.ndarray, T: float, axis: int) -> np.ndarray:
+    """exp(x / T) normalized over ``axis``, max-subtracted for stability,
+    in the dtype of ``x``."""
+    z = x / x.dtype.type(T)
+    z -= z.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax_T(a: Tensor, T: float) -> Tensor:
-    """Temperature softmax over the last axis, max-subtracted for stability."""
+    """Temperature softmax over the last axis."""
     if not T > 0:
         raise ValueError(f"softmax temperature must be positive, got {T}")
-    z = a.data / a.dtype.type(T)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(a.data, T, -1)
     out = Tensor(y)
 
     def _bw(g):

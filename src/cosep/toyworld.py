@@ -57,8 +57,8 @@ class CategorySpec:
     fundamental: float
     harmonics: tuple
     am_rate: float
-    fm_rate: float = 0.0   # vibrato rate in Hz (0 disables)
-    fm_dev: float = 0.0    # vibrato peak deviation in Hz
+    fm_rate: float   # vibrato rate in Hz
+    fm_dev: float    # vibrato peak deviation in Hz
 
     def to_json(self) -> dict:
         return {"id": self.id, "name": self.name, "shape": self.shape,
@@ -70,7 +70,7 @@ class CategorySpec:
     def from_json(d: dict) -> "CategorySpec":
         return CategorySpec(d["id"], d["name"], d["shape"], tuple(d["color"]),
                             d["fundamental"], tuple(tuple(h) for h in d["harmonics"]),
-                            d["am_rate"], d.get("fm_rate", 0.0), d.get("fm_dev", 0.0))
+                            d["am_rate"], d["fm_rate"], d["fm_dev"])
 
 
 @dataclass
@@ -161,11 +161,8 @@ def synth_wave(cat: CategorySpec, n_samples: int, sample_rate: int, rng) -> np.n
     spectral templates from memorizing exact bin positions."""
     f0 = cat.fundamental + rng.uniform(-PITCH_JITTER_HZ, PITCH_JITTER_HZ)
     t = np.arange(n_samples) / sample_rate
-    if cat.fm_rate > 0 and cat.fm_dev > 0:
-        dev = cat.fm_dev * rng.uniform(0.7, 1.0)
-        inst_freq = f0 + dev * np.sin(2 * np.pi * cat.fm_rate * t + rng.uniform(0, 2 * np.pi))
-    else:
-        inst_freq = np.full(n_samples, f0)
+    dev = cat.fm_dev * rng.uniform(0.7, 1.0)
+    inst_freq = f0 + dev * np.sin(2 * np.pi * cat.fm_rate * t + rng.uniform(0, 2 * np.pi))
     base_phase = 2 * np.pi * np.cumsum(inst_freq) / sample_rate
     tone = np.zeros(n_samples)
     nyq = 0.49 * sample_rate

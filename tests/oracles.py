@@ -10,7 +10,8 @@ elementary ops it was built from before ``tensor.weighted_channel_sum``
 fused it; the fused node must equal it bit for bit.  The NMF references
 run the multiplicative updates as plain one-expression formulas, each
 step a fresh array; the buffered updates in ``nmf`` must equal them bit
-for bit.  ``interp_table`` and its three position rules rebuild the
+for bit; ``kl_divergence`` is the divergence their tests check for
+monotone descent.  ``interp_table`` and its three position rules rebuild the
 resampling tables of ``dsp`` and ``tensor`` one row at a time from plain
 floats; the vectorized builder must equal them bit for bit.
 ``deadline`` turns a call that would loop forever into a failure.
@@ -159,6 +160,12 @@ def per_clip_image_metrics(bundle, assignment, clips, tau):
         spars.append(sparsity(v.data[0]))
         hits += int(np.argmax(v.data[0])) == channel
     return float(np.mean(ious)), float(np.mean(spars)), hits / len(clips)
+
+
+def kl_divergence(v, wh):
+    """Generalized KL divergence D(V || WH), with 0*log(0) treated as 0."""
+    term = np.where(v > 0, v * np.log((v + EPS) / (wh + EPS)), 0.0)
+    return float(np.sum(term - v + wh))
 
 
 def nmf_fit_reference(v, rank, iters, seed):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosep import avnets, checkpoint, cli, tensor as tc
 from cosep.avnets import (AudioNetCfg, ImageNetCfg, ModelBundle, audio_forward,
@@ -168,6 +169,22 @@ class TestAudioOnlyMasks:
         assert np.all(mask == 0) and np.all(act == 0)
 
 
+class TestPixelwiseSoftmax:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), k=st.integers(2, 17), h=st.integers(1, 6), w=st.integers(1, 6),
+           temperature=st.floats(0.05, 4.0), scale=st.floats(0.0, 60.0), seed=st.integers(0, 2**31 - 1))
+    def test_sums_to_one_and_equals_tensor_softmax(self, n, k, h, w, temperature, scale, seed):
+        """At every pixel, the K channels of the activated maps sum to 1
+        and equal ``tc.softmax_T`` of the channel-last view."""
+        maps = (np.random.default_rng(seed).standard_normal((n, k, h, w)) * scale).astype(np.float32)
+        act = avnets.pixelwise_activation(maps, "softmax", temperature)
+        assert act.dtype == np.float64 and act.shape == maps.shape
+        np.testing.assert_allclose(act.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        last = np.moveaxis(maps.astype(np.float64), 1, -1)
+        ref = tc.softmax_T(Tensor(last), temperature).data
+        np.testing.assert_allclose(np.moveaxis(act, 1, -1), ref, rtol=0, atol=1e-12)
+
+
 class TestInferImages:
     @pytest.mark.parametrize("mode", ["sigmoid", "softmax"])
     def test_batch_one_equals_full_batch(self, bundle, monkeypatch, mode):
@@ -300,6 +317,15 @@ class TestCheckpoint:
             checkpoint.save_tensors(path, tensors)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["tiny.ckpt"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, value):
+        bundle = self.tiny_bundle()
+        bundle.audio.params()["aud.head.w"].data.reshape(-1)[0] = value
+        path = tmp_path / "tiny.ckpt"
+        bundle.save(path)
+        with pytest.raises(ValueError, match="tiny.ckpt: non-finite values in aud.head.w"):
+            ModelBundle.load(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

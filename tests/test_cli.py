@@ -458,6 +458,7 @@ class TestResumeErrors:
         ("not_a_checkpoint", "E_CORRUPT_ARTIFACT"),
         ("truncated", "E_CORRUPT_ARTIFACT"),
         ("no_image_cfg", "E_CORRUPT_ARTIFACT"),
+        ("nan_weight", "E_CORRUPT_ARTIFACT"),
         ("schedule_drift", "E_CONFIG_DRIFT"),
         ("no_finetune", "E_CONFIG"),
     ])
@@ -476,6 +477,11 @@ class TestResumeErrors:
             arrays, meta = checkpoint.load_tensors(resume)
             del meta["image_cfg"]
             resume = tmp_path / "no_image_cfg.ckpt"
+            checkpoint.save_tensors(resume, arrays, meta)
+        elif case == "nan_weight":
+            arrays, meta = checkpoint.load_tensors(resume)
+            arrays["img.s0.w"].reshape(-1)[0] = np.nan
+            resume = tmp_path / "nan_weight.ckpt"
             checkpoint.save_tensors(resume, arrays, meta)
         elif case == "schedule_drift":
             cfg_path = write_config(tmp_path, tiny_config(src_tmp, lr=5e-3))
@@ -1119,6 +1125,50 @@ class TestCorruptClips:
         assert f"data/{clip.wav} is unreadable (FileNotFoundError: [Errno 2] No such file or directory" in err
         assert err.endswith("run make-data again\n")
         assert {f: f.read_bytes() for f in art.rglob("*") if f.is_file()} == before
+
+
+class TestDegenerateCheckpoints:
+    """A trained checkpoint pushed to an extreme either scores, with every
+    report cell finite, or is refused with one E_* line: ``assign`` and
+    ``eval`` never end in a traceback."""
+
+    @pytest.mark.parametrize("case", ["head_bias_up", "head_bias_down", "all_zero", "one_nan"])
+    def test_assign_and_eval(self, run_copy, capsys, case):
+        path = run_copy / "artifacts" / "checkpoint_final.ckpt"
+        arrays, meta = checkpoint.load_tensors(path)
+        # the assigned channel of a category in the first scored mixture
+        e = tiny_config(run_copy)["eval"]
+        first = metrics.sample_mixture_pairs(tw.load_split(dataset_at(run_copy), "test"),
+                                             e["pair_seed"], e["n_mixtures"])[0][0]
+        assignment = json.loads((run_copy / "artifacts" / "assignment.json").read_text())
+        channel = assignment["category_to_channel"][first.category]
+        if case == "head_bias_up":
+            arrays["aud.head.b"][channel] = 1e4
+        elif case == "head_bias_down":
+            arrays["aud.head.b"][channel] = -1e4
+        elif case == "all_zero":
+            arrays = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+        else:
+            arrays["aud.head.w"].reshape(-1)[0] = np.nan
+        checkpoint.save_tensors(path, arrays, meta)
+        capsys.readouterr()
+        for command in ("assign", "eval"):
+            rc = cli.main([command, "-c", "cosep.json"])
+            if case == "one_nan":
+                assert rc == cli.EXIT_CODES["E_CORRUPT_ARTIFACT"]
+                err = one_error_line(capsys, "E_CORRUPT_ARTIFACT")
+                assert "checkpoint_final.ckpt" in err and "non-finite values in aud.head.w" in err
+            else:
+                assert rc == 0
+                assert "Traceback" not in capsys.readouterr().err
+        if case == "one_nan":
+            return
+        rows = (run_copy / "artifacts" / "report.csv").read_text().splitlines()[2:]
+        cells = [float(c) for row in rows for c in row.split(",")[1:] if c]
+        assert len(cells) == 7 and np.all(np.isfinite(cells))
+        details = json.loads((run_copy / "artifacts" / "eval_details.json").read_text())
+        sdrs = [s for d in details["custom"]["separation"] for s in d["sdr"]]
+        assert (-metrics.DB_CAP in sdrs) == (case == "head_bias_down")
 
 
 def set_workers(monkeypatch, cpus: int):

