@@ -11,9 +11,10 @@ fused it; the fused node must equal it bit for bit.  The NMF references
 run the multiplicative updates as plain one-expression formulas, each
 step a fresh array; the buffered updates in ``nmf`` must equal them bit
 for bit; ``kl_divergence`` is the divergence their tests check for
-monotone descent.  ``interp_table`` and its three position rules rebuild the
-resampling tables of ``dsp`` and ``tensor`` one row at a time from plain
-floats; the vectorized builder must equal them bit for bit.
+monotone descent.  ``interp_table`` and its three position rules
+rebuild the resampling tables of ``dsp`` and ``tensor`` one row at a
+time from plain floats; the vectorized builder must equal them bit for
+bit.
 ``deadline`` turns a call that would loop forever into a failure.
 """
 
