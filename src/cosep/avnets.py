@@ -15,7 +15,11 @@ batch statistics and therefore bit-reproducible.
 Inference runs the image net once per frame: ``infer_images`` is the only
 no-grad image pass, and its maps and vectors feed segmentation, sparsity,
 classification accuracy and the assignment table alike.  Its outputs do
-not depend on how frames are grouped into batches.
+not depend on how frames are grouped into batches.  Inference activates
+in float64 with the kernels that training runs in float32
+(``tensor._sigmoid``, ``tensor._softmax``).  Finite weights can still
+overflow; an inference pass that gives a NaN or infinite value raises
+``NonFiniteOutput``.
 """
 
 from __future__ import annotations
@@ -282,14 +286,6 @@ def synthesize_mask(v: Tensor, feats: Tensor, bundle: ModelBundle) -> Tensor:
     return tc.sigmoid(tc.weighted_channel_sum(v, feats, bundle.synth_w, bundle.synth_b))
 
 
-def _sigmoid64(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) in float64.  Below about -709 the exp overflows to
-    inf and the value is exactly 0, as it should be; the overflow warning
-    is silenced."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
-
-
 def audio_only_masks(feats: np.ndarray, channels) -> list[np.ndarray]:
     """Per selected channel of [K, G, T] feature planes, sigmoid(feats_k)
     as a float32 ratio mask on the warped grid."""
@@ -298,7 +294,7 @@ def audio_only_masks(feats: np.ndarray, channels) -> list[np.ndarray]:
     for ch in channels:
         if not 0 <= ch < k:
             raise ValueError(f"channel {ch} out of range for {k} channels")
-        masks.append(_sigmoid64(feats[ch]).astype(np.float32))
+        masks.append(tc._sigmoid(feats[ch].astype(np.float64)).astype(np.float32))
     return masks
 
 
@@ -310,27 +306,43 @@ def frames_to_tensor(frames_u8: np.ndarray) -> Tensor:
     return Tensor(arr.astype(np.float32).transpose(0, 3, 1, 2) / 255.0)
 
 
+class NonFiniteOutput(ArithmeticError):
+    """An inference pass gave a NaN or infinite value: finite weights whose
+    forward pass overflows.  Its one argument is the message, so it
+    pickles, and ``eval``'s worker processes can send it back."""
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr``, or ``NonFiniteOutput`` naming ``what`` if any value of it
+    is NaN or infinite."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteOutput(f"the forward pass gives non-finite {what}")
+    return arr
+
+
 def infer_images(frames_u8: np.ndarray, bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray]:
     """The no-grad image pass: pre-activation maps [N, K, h, w] float32 and
     activated vectors v [N, K] float64 for one uint8 HWC frame or a
-    sequence of them, run in batches of INFER_BATCH."""
+    sequence of them, run in batches of INFER_BATCH.  A NaN or infinite
+    map or vector value is ``NonFiniteOutput``, and the overflow warnings
+    on the way to it are silenced."""
     frames_u8 = np.asarray(frames_u8)
     if frames_u8.ndim == 3:
         frames_u8 = frames_u8[None]
     maps, vs = [], []
-    with tc.no_grad():
+    with tc.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(frames_u8), INFER_BATCH):
             m, _, v = image_forward(frames_to_tensor(frames_u8[lo:lo + INFER_BATCH]), bundle)
             maps.append(m.data)
             vs.append(v.data.astype(np.float64))
-    return np.concatenate(maps), np.concatenate(vs)
+    return _finite(np.concatenate(maps), "image maps"), _finite(np.concatenate(vs), "image vectors")
 
 
 def pixelwise_activation(maps: np.ndarray, mode: str, temperature: float) -> np.ndarray:
     """Activation over the K channels at every spatial position of
     [..., K, h, w] maps, in float64."""
     if mode == "sigmoid":
-        return _sigmoid64(maps)
+        return tc._sigmoid(maps.astype(np.float64))
     return tc._softmax(maps.astype(np.float64), temperature, -3)
 
 

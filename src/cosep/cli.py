@@ -11,8 +11,9 @@ Failures exit nonzero with a single machine-parsable line on stderr:
 (run the named upstream command first, exit 3), ``E_CONFIG_DRIFT``
 (artifact built under a different config, exit 4), ``E_CORRUPT_ARTIFACT``
 (an artifact or dataset clip file that cannot be read or parsed, or a
-model checkpoint holding a NaN or infinite weight, exit 5; run the
-command that writes it again), ``E_IO`` (``E_IO: <path>: <reason>``
+model checkpoint holding a NaN or infinite weight or finite weights whose
+forward pass overflows to one, exit 5; run the command that writes it
+again), ``E_IO`` (``E_IO: <path>: <reason>``
 for a file that could not be written, exit 6), ``E_WORKER`` (a worker
 process of ``eval`` could not start or ended without its results, exit
 7).  Checkpoints, JSON and CSV artifacts are written atomically, so an
@@ -722,8 +723,12 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        cfg = load_config(args.config)
         try:
-            return args.fn(load_config(args.config), args)
+            return args.fn(cfg, args)
+        except avnets.NonFiniteOutput as exc:   # finite weights whose forward pass overflows
+            raise CliError("E_CORRUPT_ARTIFACT", f"{artifact_path(cfg, 'checkpoint')}: {exc}; "
+                                                 f"run {ARTIFACTS['checkpoint'].writer} again") from exc
         except toyworld.ClipReadError as exc:  # a clip file of the dataset artifact
             raise _unreadable(exc.path, exc.__cause__, f"run {ARTIFACTS['dataset'].writer} again") from exc
         except OSError as exc:   # a file that could not be written

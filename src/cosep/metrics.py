@@ -118,13 +118,15 @@ def iou(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float:
 def _chunked_feats(warped: np.ndarray, bundle) -> np.ndarray:
     """Audio-net features for a [G, F] warped magnitude plane of any
     frame count; time is processed in non-overlapping G-frame windows
-    (zero-padded at the end)."""
+    (zero-padded at the end).  A NaN or infinite feature is
+    ``avnets.NonFiniteOutput``, and the overflow warnings on the way to it
+    are silenced."""
     g = bundle.audio_cfg.grid
     bins, frames = warped.shape
     if bins != g:
         raise ValueError(f"warped grid has {bins} bins but the audio net expects {g}")
     out = np.zeros((bundle.channels, g, frames), dtype=np.float32)
-    with no_grad():
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, frames, g):
             chunk = warped[:, lo:lo + g]
             pad = g - chunk.shape[1]
@@ -132,7 +134,7 @@ def _chunked_feats(warped: np.ndarray, bundle) -> np.ndarray:
                 chunk = np.pad(chunk, ((0, 0), (0, pad)))
             feats = avnets.audio_forward(Tensor(chunk[None, None]), bundle)
             out[:, :, lo:lo + g] = feats.data[0][:, :, :g - pad if pad else g]
-    return out
+    return avnets._finite(out, "audio features")
 
 
 def network_masks(bundle, assignment: Assignment):

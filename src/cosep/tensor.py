@@ -39,10 +39,10 @@ pass on, and ``conv2d``'s crop of a padded input gradient) is copied
 first.  So no two tensors' grads share memory, and
 later accumulation into one never reaches another.
 
-``sigmoid`` is ``scipy.special.expit``, imported on the first call: scipy
-is about half of the package's start-up, and the commands that never run
-a sigmoid (``make-data``, and ``assign``/``eval`` on a softmax
-checkpoint) never load it.
+Each activation is one numpy kernel, ``_sigmoid`` or ``_softmax``,
+computed in its input's dtype.  ``sigmoid`` and ``softmax_T`` run them in
+the tensor's dtype (float32 in training); ``avnets`` runs the same
+kernels in float64 for inference.
 """
 
 from __future__ import annotations
@@ -289,10 +289,16 @@ def affine_relu(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _make_node(out, (a, gamma, beta), _bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    from scipy.special import expit  # the only scipy use; loaded on first call
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in the dtype of ``x``.  Where exp(-x) overflows
+    to inf the value is exactly 0, as it should be; the overflow warning
+    is silenced."""
+    with np.errstate(over="ignore"):
+        return 1 / (1 + np.exp(-x))
 
-    y = expit(a.data)
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _sigmoid(a.data)
     out = Tensor(y)
 
     def _bw(g):

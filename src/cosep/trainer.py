@@ -179,8 +179,11 @@ def _step_batch(batch, bundle: avnets.ModelBundle, opt: Adam, symmetric: bool) -
 # schedule runner
 # ---------------------------------------------------------------------
 
-def _val_sparsity(bundle: avnets.ModelBundle, val_frames: np.ndarray) -> float:
-    _, v = avnets.infer_images(val_frames, bundle)
+def _val_sparsity(bundle: avnets.ModelBundle, val_frames: np.ndarray, state: TrainState) -> float:
+    try:
+        _, v = avnets.infer_images(val_frames, bundle)
+    except avnets.NonFiniteOutput as exc:
+        raise TrainingDiverged(f"{exc} at state {state.dump()}") from exc
     return float(np.mean([sparsity(row) for row in v]))
 
 
@@ -251,7 +254,7 @@ def run_schedule(cfg: ScheduleConfig, dataset: toyworld.Dataset, bundle: avnets.
         bundle.set_mode(mode, state.temperature)
         pair_idx = _sample_pairs(rng, n, n, categories, distinct_pairs)
         loss = _run_epoch(prepared, pair_idx, bundle, opt, state, batch_pairs, symmetric)
-        spars = _val_sparsity(bundle, val_frames)
+        spars = _val_sparsity(bundle, val_frames, state)
         state.loss_history.append(loss)
         state.sparsity_history.append(spars)
         state.epoch += 1

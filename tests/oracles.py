@@ -15,6 +15,8 @@ monotone descent.  ``interp_table`` and its three position rules
 rebuild the resampling tables of ``dsp`` and ``tensor`` one row at a
 time from plain floats; the vectorized builder must equal them bit for
 bit.
+``sigmoid64`` is the float64 sigmoid written out as one expression; the
+sigmoid paths of ``avnets`` must equal it bit for bit.
 ``deadline`` turns a call that would loop forever into a failure.
 """
 
@@ -161,6 +163,12 @@ def per_clip_image_metrics(bundle, assignment, clips, tau):
         spars.append(sparsity(v.data[0]))
         hits += int(np.argmax(v.data[0])) == channel
     return float(np.mean(ious)), float(np.mean(spars)), hits / len(clips)
+
+
+def sigmoid64(x):
+    """1 / (1 + exp(-x)) in float64, the overflow warning silenced."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
 
 
 def kl_divergence(v, wh):

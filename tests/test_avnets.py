@@ -1,5 +1,6 @@
 """Network shape contracts, synthesizer algebra, segmentation, checkpoints."""
 
+import pickle
 import warnings
 
 import numpy as np
@@ -11,6 +12,8 @@ from cosep.avnets import (AudioNetCfg, ImageNetCfg, ModelBundle, audio_forward,
                           audio_only_masks, image_forward, infer_images, segment,
                           synthesize_mask)
 from cosep.tensor import Tensor
+
+from oracles import sigmoid64
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +172,21 @@ class TestAudioOnlyMasks:
         assert np.all(mask == 0) and np.all(act == 0)
 
 
+class TestInferenceSigmoid:
+    """Inference's sigmoid (``audio_only_masks`` and the sigmoid branch of
+    ``pixelwise_activation``) is the float64 expression of the oracle, bit
+    for bit."""
+
+    def test_equals_oracle_bit_for_bit(self):
+        x = (np.random.default_rng(5).standard_normal((3, 4, 8, 8)) * 40).astype(np.float32)
+        x[0, 0, 0, :4] = [0.0, -0.0, 800.0, -800.0]
+        act = avnets.pixelwise_activation(x, "sigmoid", 1.0)
+        assert act.dtype == np.float64 and act.tobytes() == sigmoid64(x).tobytes()
+        masks = audio_only_masks(x[0], range(4))
+        ref = [sigmoid64(x[0, ch]).astype(np.float32) for ch in range(4)]
+        assert all(m.dtype == np.float32 and m.tobytes() == r.tobytes() for m, r in zip(masks, ref))
+
+
 class TestPixelwiseSoftmax:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 3), k=st.integers(2, 17), h=st.integers(1, 6), w=st.integers(1, 6),
@@ -205,6 +223,19 @@ class TestInferImages:
             assert np.array_equal(v, ref.data.astype(np.float64))
         finally:
             bundle.set_mode("sigmoid")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_weights_raise_a_picklable_error(self):
+        """Finite weights scaled by 1e30 overflow in the forward pass: one
+        ``NonFiniteOutput``, no numpy warning, and it survives pickling."""
+        big = ModelBundle(ImageNetCfg(), AudioNetCfg(), seed=4)
+        for p in big.params().values():
+            p.data *= np.float32(1e30)
+        frames = np.random.default_rng(13).integers(0, 256, size=(2, 64, 64, 3), dtype=np.uint8)
+        with pytest.raises(avnets.NonFiniteOutput, match="non-finite image maps") as info:
+            infer_images(frames, big)
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is avnets.NonFiniteOutput and str(copy) == str(info.value)
 
 
 class TestSegment:

@@ -1020,43 +1020,44 @@ class TestWorkerCountIndependence:
         assert all(o == outputs[0] for o in outputs)
 
 
-SCIPY_PROBE = """
+NO_SCIPY_PIPELINE = """
 import json, sys
-from cosep import cli
-for cmd in sys.argv[1:]:
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is refused here: {name}")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from cosep import avnets, cli
+for cmd in ("make-data", "train", "assign", "eval"):
     assert cli.main([cmd, "-c", "cosep.json"]) == 0, cmd
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+bundle, _ = avnets.ModelBundle.load("artifacts/checkpoint_final.ckpt")
+print(json.dumps({"mode": bundle.mode, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-def scipy_modules_after(cwd, *commands):
-    """The scipy modules a fresh interpreter has loaded after importing
-    ``cosep.cli`` and running ``commands`` on ``cwd/cosep.json``."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *commands], cwd=cwd, env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out.splitlines()[-1])
+class TestNoScipy:
+    """The package needs no scipy: the whole pipeline runs in an
+    interpreter that refuses every scipy import."""
 
-
-class TestScipyOnlyWithSigmoid:
-    """scipy serves only ``tensor.sigmoid``; commands that run none never
-    pay for its import."""
-
-    def test_import_cli_leaves_scipy_unloaded(self, tmp_path):
-        assert scipy_modules_after(tmp_path) == []
-
-    def test_make_data_leaves_scipy_unloaded(self, tmp_path):
-        write_config(tmp_path, tiny_config(tmp_path))
-        assert scipy_modules_after(tmp_path, "make-data") == []
-        assert (tmp_path / "data" / "manifest.json").exists()
-
-    def test_assign_and_eval_on_softmax_checkpoint_leave_scipy_unloaded(self, run_copy):
-        bundle, _ = avnets.ModelBundle.load(run_copy / "artifacts" / "checkpoint_final.ckpt")
-        assert bundle.mode == "softmax"
-        (run_copy / "artifacts" / "nmf.ckpt").unlink()  # eval fits the bases again
-        assert scipy_modules_after(run_copy, "assign", "eval") == []
-        assert (run_copy / "artifacts" / "nmf.ckpt").exists()
+    def test_pipeline_runs_with_scipy_refused(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        cfg["dataset"].update(dir="data", artifacts_dir="artifacts")
+        write_config(tmp_path, cfg)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", NO_SCIPY_PIPELINE], cwd=tmp_path, env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        # training ran both stages (sigmoid, then softmax), and eval fitted the NMF bases
+        assert json.loads(run.stdout.splitlines()[-1]) == {"mode": "softmax", "scipy": []}
+        for name in ("data/manifest.json", "artifacts/checkpoint_sigmoid.ckpt", "artifacts/nmf.ckpt",
+                     "artifacts/assignment.json", "artifacts/report.csv"):
+            assert (tmp_path / name).exists(), name
 
 
 class TestHeapReuse:
@@ -1130,10 +1131,17 @@ class TestCorruptClips:
 class TestDegenerateCheckpoints:
     """A trained checkpoint pushed to an extreme either scores, with every
     report cell finite, or is refused with one E_* line: ``assign`` and
-    ``eval`` never end in a traceback."""
+    ``eval`` never end in a traceback or print a numpy warning."""
 
-    @pytest.mark.parametrize("case", ["head_bias_up", "head_bias_down", "all_zero", "one_nan"])
-    def test_assign_and_eval(self, run_copy, capsys, case):
+    # case -> (the commands that refuse the checkpoint, what their error line names)
+    REFUSED = {"one_nan": (("assign", "eval"), "non-finite values in aud.head.w"),
+               "times_1e30": (("assign", "eval"), "non-finite image maps"),
+               "audio_times_1e30": (("eval",), "non-finite audio features")}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["head_bias_up", "head_bias_down", "all_zero", "one_nan", "times_1e30",
+                                      "audio_times_1e30"])
+    def test_assign_and_eval(self, run_copy, capsys, monkeypatch, case):
         path = run_copy / "artifacts" / "checkpoint_final.ckpt"
         arrays, meta = checkpoint.load_tensors(path)
         # the assigned channel of a category in the first scored mixture
@@ -1148,20 +1156,28 @@ class TestDegenerateCheckpoints:
             arrays["aud.head.b"][channel] = -1e4
         elif case == "all_zero":
             arrays = {name: np.zeros_like(arr) for name, arr in arrays.items()}
-        else:
+        elif case == "one_nan":
             arrays["aud.head.w"].reshape(-1)[0] = np.nan
+        else:
+            # finite in float32, but the forward pass overflows; the audio
+            # net alone overflows only in eval's mixture loop, on two workers
+            scaled = [n for n in arrays if case == "times_1e30" or n.startswith("aud.")]
+            arrays.update({n: arrays[n] * np.float32(1e30) for n in scaled})
+            assert all(np.isfinite(arr).all() for arr in arrays.values())
+            set_workers(monkeypatch, 2)
         checkpoint.save_tensors(path, arrays, meta)
         capsys.readouterr()
+        refusing, reason = self.REFUSED.get(case, ((), ""))
         for command in ("assign", "eval"):
             rc = cli.main([command, "-c", "cosep.json"])
-            if case == "one_nan":
+            if command in refusing:
                 assert rc == cli.EXIT_CODES["E_CORRUPT_ARTIFACT"]
                 err = one_error_line(capsys, "E_CORRUPT_ARTIFACT")
-                assert "checkpoint_final.ckpt" in err and "non-finite values in aud.head.w" in err
+                assert "checkpoint_final.ckpt" in err and reason in err
             else:
                 assert rc == 0
                 assert "Traceback" not in capsys.readouterr().err
-        if case == "one_nan":
+        if refusing:
             return
         rows = (run_copy / "artifacts" / "report.csv").read_text().splitlines()[2:]
         cells = [float(c) for row in rows for c in row.split(",")[1:] if c]

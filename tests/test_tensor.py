@@ -255,12 +255,22 @@ class TestActivations:
 
         check_gradients(loss, [x], rng, probes=72)
 
-    def test_sigmoid_is_expit_bit_for_bit(self, rng):
-        from scipy.special import expit
-
-        x = (rng.standard_normal(4096) * 30).astype(np.float32)
-        y = tc.sigmoid(Tensor(x)).data
-        assert y.dtype == np.float32 and y.tobytes() == expit(x).tobytes()
+    def test_sigmoid_is_the_float32_expression_bit_for_bit(self, rng):
+        """``sigmoid`` is ``1 / (1 + exp(-x))`` evaluated in float32, at
+        signed zeros, subnormals, both sides of the float32 exp overflow
+        (88.7) and NaN too, and it warns about none of them."""
+        tiny = np.finfo(np.float32).smallest_subnormal
+        edges = np.array([0.0, tiny, 1e-40, 88.8, 104.0, 1e4, np.inf], dtype=np.float32)
+        x = np.concatenate([edges, -edges, np.float32([np.nan]), (rng.standard_normal(4096) * 30).astype(np.float32)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = tc.sigmoid(Tensor(x)).data
+        with np.errstate(over="ignore"):
+            ref = np.float32(1) / (np.float32(1) + np.exp(-x))
+        assert y.dtype == np.float32 and y.tobytes() == ref.tobytes()
+        assert y[0] == 0.5 and y[len(edges)] == 0.5  # +0 and -0
+        assert y[len(edges) - 1] == 1 and y[2 * len(edges) - 1] == 0  # +inf and -inf
+        assert np.isnan(y[2 * len(edges)])
 
     def test_affine_relu_is_bit_identical_to_chain(self, rng):
         shape = (2, 3, 5, 4)

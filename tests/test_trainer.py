@@ -184,6 +184,18 @@ class TestTrainStep:
         with pytest.raises(tr.TrainingDiverged, match="stage.*batch_pairs 8"):
             tr._run_epoch(prepared, pair_idx, bundle, opt, state, batch_pairs=8, symmetric=True)
 
+    def test_overflowing_image_maps_abort_with_state_dump(self, mini_dataset):
+        """Image maps that overflow stop training at the validation pass
+        with the state dump, as a non-finite loss does."""
+        bundle = mini_bundle(seed=2)
+        for name, p in bundle.params().items():
+            if name.startswith("img."):
+                p.data *= np.float32(1e30)
+        frames = np.stack([c.frame for c in tw.load_split(mini_dataset, "val")])
+        with pytest.raises(tr.TrainingDiverged, match="non-finite image maps at state .*'epoch': 3") as info:
+            tr._val_sparsity(bundle, frames, tr.TrainState(seed=0, epoch=3))
+        assert isinstance(info.value.__cause__, avnets.NonFiniteOutput)
+
 
 class TestStepBatch:
     """One step at the default architecture on synthetic arrays."""
