@@ -16,8 +16,10 @@ forward pass overflows to one, exit 5; run the command that writes it
 again), ``E_IO`` (``E_IO: <path>: <reason>``
 for a file that could not be written, exit 6), ``E_WORKER`` (a worker
 process of ``eval`` could not start or ended without its results, exit
-7).  Checkpoints, JSON and CSV artifacts are written atomically, so an
-interrupted write leaves the previous file in place; ``manifest.json``
+7), ``E_DIVERGED`` (``train``'s loss or validation maps went non-finite;
+the line dumps the schedule state, exit 8).  Checkpoints, JSON and CSV
+artifacts are written atomically, so an interrupted write leaves the
+previous file in place; ``manifest.json``
 has one writer, ``toyworld.generate``, so a failed ``make-data`` leaves
 none.  A command reads ``run_manifest.json`` before it writes.  An
 unreadable ``nmf.ckpt`` is refitted like a stale one; ``eval`` scores
@@ -81,7 +83,7 @@ from . import __version__, avnets, disentangle, dsp, metrics, nmf, toyworld, tra
 from .checkpoint import BLAS_THREAD_VARS, WorkerError, worker_count, write_atomic
 
 EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4, "E_CORRUPT_ARTIFACT": 5, "E_IO": 6,
-              "E_WORKER": 7}
+              "E_WORKER": 7, "E_DIVERGED": 8}
 
 # closed config schema: section -> field -> (default, help)
 SCHEMA = {
@@ -735,6 +737,8 @@ def main(argv=None) -> int:
             raise CliError("E_IO", f"{exc.filename}: {exc.strerror}") from exc
         except WorkerError as exc:
             raise CliError("E_WORKER", str(exc)) from exc
+        except trainer.TrainingDiverged as exc:
+            raise CliError("E_DIVERGED", str(exc)) from exc
     except CliError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.code, 1)

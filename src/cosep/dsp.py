@@ -3,15 +3,16 @@
 Conventions.  The STFT keeps the full non-negative-frequency grid of
 window_size/2 + 1 rows (DC through Nyquist), so inversion is exact; the
 log-frequency warp used for mask learning samples rows 1..window_size/2
-on a geometric grid, leaving DC out of the masking path.  Magnitude and
-phase are stored as float32 planes; FFT work happens in float64.
+on a geometric grid, leaving DC out of the masking path.  A
+``Spectrogram`` holds the complex128 spectrum that ``np.fft.rfft``
+returns, and its float32 magnitude, derived once when it is built.
 
-A ``Spectrogram`` is exactly what ``stft`` returns and ``istft`` inverts:
-linear-grid magnitude and phase.  Everything else is a plain array.
-``log_warp`` maps a [bins, frames] magnitude onto the warped grid, and
-masks are float32 arrays in [0, 1] with the shape of the plane they
-mask: ``ideal_binary_mask`` is the training target on the warped grid,
-and ``log_unwarp`` brings a warped mask back to the linear grid.
+A ``Spectrogram`` is exactly what ``stft`` returns and ``istft`` inverts.
+Everything else is a plain array.  ``log_warp`` maps a [bins, frames]
+magnitude onto the warped grid, and masks are float32 arrays in [0, 1]
+with the shape of the plane they mask: ``ideal_binary_mask`` is the
+training target on the warped grid, and ``log_unwarp`` brings a warped
+mask back to the linear grid.
 
 One builder, ``interp_rows``, makes every resampling table of the
 package: ``warp_matrix``, ``unwarp_matrix`` and ``tensor``'s bilinear
@@ -19,12 +20,12 @@ upsampling.  Those tables and the overlap-add envelope are built once per
 argument tuple (``functools.cache``) and handed out read-only.
 
 ``istft(spec, masks)`` inverts a whole stack of linear-grid masks applied
-to one spectrogram: the phasor ``exp(1j·phase)`` is built once for the
-stack, one ``irfft`` call inverts every plane, and the frames are
-overlap-added as ``ceil(window/hop)`` shifted block adds, in frame order,
-then divided by the window-square envelope of (STFT config, frame
-count).  Each output sample sees the same float64 operations in the same
-order as a frame-by-frame loop, so the result is bit-identical to one.
+to one spectrogram: each mask scales the complex spectrum, one ``irfft``
+call inverts every product, and the frames are overlap-added as
+``ceil(window/hop)`` shifted block adds, in frame order, then divided by
+the window-square envelope of (STFT config, frame count).  Each output
+sample sees the same float64 operations in the same order as a
+frame-by-frame loop, so the result is bit-identical to one.
 """
 
 from __future__ import annotations
@@ -80,39 +81,32 @@ class StftConfig:
         """Rows of the linear grid: DC through Nyquist inclusive."""
         return self.window_size // 2 + 1
 
-    def frame_count(self, n_samples: int) -> int:
-        return (n_samples - self.window_size) // self.hop + 1
-
     def sample_count(self, n_frames: int) -> int:
         return self.window_size + (n_frames - 1) * self.hop
 
 
 @dataclass
 class Spectrogram:
-    """Linear-grid magnitude and phase planes [bins, frames], as returned
-    by ``stft`` and inverted by ``istft``."""
+    """The complex linear-grid spectrum [bins, frames] that ``stft`` returns
+    and ``istft`` inverts, and its magnitude."""
 
-    magnitude: np.ndarray
-    phase: np.ndarray
+    values: np.ndarray
     config: StftConfig
+    magnitude: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.magnitude = np.asarray(self.magnitude, dtype=np.float32)
-        if self.magnitude.ndim != 2:
-            raise ValueError("spectrogram planes must be 2-d [bins, frames]")
-        if np.any(self.magnitude < 0):
-            raise ValueError("spectrogram magnitude must be non-negative")
-        self.phase = np.asarray(self.phase, dtype=np.float32)
-        if self.phase.shape != self.magnitude.shape:
-            raise ValueError("phase plane shape differs from magnitude plane")
+        self.values = np.asarray(self.values, dtype=np.complex128)
+        if self.values.ndim != 2:
+            raise ValueError("spectrogram values must be 2-d [bins, frames]")
+        self.magnitude = np.abs(self.values).astype(np.float32)
 
     @property
     def bins(self) -> int:
-        return self.magnitude.shape[0]
+        return self.values.shape[0]
 
     @property
     def frames(self) -> int:
-        return self.magnitude.shape[1]
+        return self.values.shape[1]
 
 
 # ---------------------------------------------------------------------
@@ -126,8 +120,7 @@ def stft(wave: np.ndarray, cfg: StftConfig) -> Spectrogram:
         raise ValueError(
             f"waveform has {wave.size} samples, needs at least one window ({cfg.window_size})")
     frames = np.lib.stride_tricks.sliding_window_view(wave, cfg.window_size)[::cfg.hop]
-    spec = np.fft.rfft(frames * cfg.window, axis=1).T  # [bins, frames]
-    return Spectrogram(np.abs(spec).astype(np.float32), np.angle(spec).astype(np.float32), cfg)
+    return Spectrogram(np.fft.rfft(frames * cfg.window, axis=1).T, cfg)  # [bins, frames]
 
 
 def istft(spec: Spectrogram, masks=None) -> np.ndarray:
@@ -135,26 +128,23 @@ def istft(spec: Spectrogram, masks=None) -> np.ndarray:
 
     Without ``masks``, the waveform of ``spec``.  With an [E, bins, frames]
     stack of linear-grid masks, the [E, samples] waveforms of ``spec``'s
-    magnitude scaled by each mask, each with ``spec``'s phase.
+    complex spectrum scaled by each mask.
     """
     cfg = spec.config
     if spec.bins != cfg.n_bins:
         raise ValueError(f"expected {cfg.n_bins} linear bins, got {spec.bins}")
     if masks is None:
-        magnitude = spec.magnitude[None]
+        values = spec.values[None]
     else:
         masks = np.asarray(masks)
-        if masks.shape[1:] != spec.magnitude.shape:
+        if masks.shape[1:] != spec.values.shape:
             raise ValueError(
                 f"mask grid {masks.shape[1:]} does not match spectrogram "
-                f"{spec.magnitude.shape}; log_unwarp warped masks first")
-        magnitude = (spec.magnitude * masks).astype(np.float32, copy=False)
-        if np.any(magnitude < 0):
+                f"{spec.values.shape}; log_unwarp warped masks first")
+        if np.any(masks < 0):
             raise ValueError("masked magnitude must be non-negative")
-    phasor = 1j * spec.phase.astype(np.float64)
-    np.exp(phasor, out=phasor)
-    # a float32 operand meets the complex one exactly as its float64 value would
-    frames = np.fft.irfft((magnitude * phasor).transpose(0, 2, 1), n=cfg.fft_size, axis=2)
+        values = masks * spec.values
+    frames = np.fft.irfft(values.transpose(0, 2, 1), n=cfg.fft_size, axis=2)
     frames *= cfg.window                                        # [E, frames, window]
     out = _overlap_add(frames, cfg.hop)
     out /= _ola_denominator(cfg, frames.shape[1])

@@ -20,7 +20,7 @@ on a seeded schedule and asks each model's mask function
 mixture ``spec``, one per source.  Per mixture, what no model changes is
 built once: the mix and its STFT, the ``References`` (float64 stack and
 Gram matrix) and the mixture SDR.  One ``dsp.istft`` call applies every
-model's masks with the mixture phase and inverts them together; each
+model's masks to the mixture spectrum and inverts them together; each
 estimate is padded or trimmed to the mixture length and scored.  Each
 mixture is one item of ``checkpoint.map_ordered``: W worker processes
 (the rule for W is in the ``checkpoint`` docstring) score whole mixtures

@@ -10,10 +10,12 @@ shared channels.  ``epoch_plan`` spells the schedule out as one
 every epoch in one loop over that plan; a resumed run enters the same
 loop at the epoch it is given.
 
-Each train clip is prepared once: its STFT and its magnitude on the
-warped grid (``dsp.log_warp``).  A pair's mixture is warped the same
-way, and the target of each side is ``dsp.ideal_binary_mask`` of its
-clip against the other clip on the warped grid.
+Each train clip is prepared once: the complex spectrum of its STFT,
+kept as complex64, and its magnitude on the warped grid
+(``dsp.log_warp``).  A pair's mixture spectrum is the gain-scaled sum of
+the two clips' spectra, and its magnitude is warped the same way.  The
+target of each side is ``dsp.ideal_binary_mask`` of its clip against the
+other clip on the warped grid.
 
 An epoch is one pass over N uniformly sampled clip pairs, N being the
 train-clip count.  Pairs are consumed in fixed order in small batches,
@@ -40,7 +42,8 @@ from .tensor import Adam, Tensor
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss stops being finite; carries a state dump."""
+    """Raised when the loss or the validation maps stop being finite;
+    carries a state dump.  ``cli.main`` ends it as one ``E_DIVERGED`` line."""
 
 
 def _number(x) -> bool:
@@ -128,15 +131,14 @@ class TrainState:
 @dataclass
 class PreparedClip:
     frame: np.ndarray        # [S, S, 3] uint8
-    spec: np.ndarray         # complex64 [bins, frames], linear grid
+    spec: np.ndarray         # complex64 [bins, frames]: the STFT's values, linear grid
     warped_mag: np.ndarray   # [G, frames] float32
     category: int
 
 
 def prepare_clip(clip: toyworld.AVClip, cfg: dsp.StftConfig, warp_bins: int) -> PreparedClip:
     spec = dsp.stft(clip.wave, cfg)
-    z = (spec.magnitude.astype(np.float64) * np.exp(1j * spec.phase.astype(np.float64)))
-    return PreparedClip(clip.frame, z.astype(np.complex64),
+    return PreparedClip(clip.frame, spec.values.astype(np.complex64),
                         dsp.log_warp(spec.magnitude, warp_bins), clip.category)
 
 
@@ -163,15 +165,17 @@ def _batch_arrays(pairs: list):
 
 def _step_batch(batch, bundle: avnets.ModelBundle, opt: Adam, symmetric: bool) -> float:
     """One optimizer step; without ``symmetric`` only the first clip of
-    each pair is scored."""
+    each pair is scored.  Overflow and invalid-value warnings are silenced:
+    the caller's non-finite-loss check replaces them."""
     mix, frames, targets = batch
-    feats = avnets.audio_forward(Tensor(mix), bundle)
-    n = 2 * len(mix) if symmetric else len(mix)
-    _, _, v = avnets.image_forward(Tensor(frames[:n]), bundle)
-    loss = tc.bce_loss(avnets.synthesize_mask(v, feats, bundle), Tensor(targets[:n]))
-    opt.zero_grad()
-    tc.backward(loss)
-    opt.step()
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats = avnets.audio_forward(Tensor(mix), bundle)
+        n = 2 * len(mix) if symmetric else len(mix)
+        _, _, v = avnets.image_forward(Tensor(frames[:n]), bundle)
+        loss = tc.bce_loss(avnets.synthesize_mask(v, feats, bundle), Tensor(targets[:n]))
+        opt.zero_grad()
+        tc.backward(loss)
+        opt.step()
     return loss.item()
 
 

@@ -212,8 +212,7 @@ def nmf_separate_reference(v, w_a, w_b, iters, seed=0, init_h=None):
 def istft_frame_loop(spec):
     """Overlap-add inversion of one ``dsp.Spectrogram``, one frame at a time."""
     cfg = spec.config
-    z = spec.magnitude.astype(np.float64) * np.exp(1j * spec.phase.astype(np.float64))
-    frames_t = np.fft.irfft(z.T, n=cfg.fft_size, axis=1)  # [frames, window]
+    frames_t = np.fft.irfft(spec.values.T, n=cfg.fft_size, axis=1)  # [frames, window]
     n_frames = frames_t.shape[0]
     out_len = cfg.sample_count(n_frames)
     out = np.zeros(out_len)

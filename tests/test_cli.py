@@ -1138,7 +1138,6 @@ class TestDegenerateCheckpoints:
                "times_1e30": (("assign", "eval"), "non-finite image maps"),
                "audio_times_1e30": (("eval",), "non-finite audio features")}
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", ["head_bias_up", "head_bias_down", "all_zero", "one_nan", "times_1e30",
                                       "audio_times_1e30"])
     def test_assign_and_eval(self, run_copy, capsys, monkeypatch, case):
@@ -1185,6 +1184,19 @@ class TestDegenerateCheckpoints:
         details = json.loads((run_copy / "artifacts" / "eval_details.json").read_text())
         sdrs = [s for d in details["custom"]["separation"] for s in d["sdr"]]
         assert (-metrics.DB_CAP in sdrs) == (case == "head_bias_down")
+
+
+class TestTrainingDivergence:
+    def test_diverging_train_is_one_error_line(self, tmp_path, capsys):
+        """A learning rate of 1e6 drives the loss non-finite: one E_DIVERGED
+        line with the state dump, no numpy warning, no final checkpoint."""
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path, lr=1e6))
+        assert cli.main(["make-data", "-c", cfg_path]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "-c", cfg_path]) == 8
+        err = one_error_line(capsys, "E_DIVERGED")
+        assert "non-finite loss at state {'seed': 0, 'epoch': 0" in err
+        assert not (tmp_path / "artifacts" / "checkpoint_final.ckpt").exists()
 
 
 def set_workers(monkeypatch, cpus: int):

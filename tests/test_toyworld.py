@@ -48,7 +48,7 @@ class TestGenerate:
     def test_clip_length_matches_stft_grid(self, dataset):
         clip = tw.load_clip(dataset, dataset.splits["train"][0])
         assert clip.wave.size == dataset.clip_samples
-        assert dataset.stft.frame_count(clip.wave.size) == dataset.n_frames
+        assert dataset.stft.sample_count(dataset.n_frames) == clip.wave.size
 
     def test_too_few_categories_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 2"):
