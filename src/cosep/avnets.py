@@ -8,9 +8,12 @@ skip-connected encoder-decoder over the warped spectrogram grid emitting
 K same-resolution feature planes.  The synthesizer is a single linear
 layer over the visually weighted audio channels.
 
-Batch norm is deliberately absent; a per-channel learnable affine
-follows every convolution instead, which keeps forward passes free of
-batch statistics and therefore bit-reproducible.
+The paper's networks, after Zhao et al. 2018, put batch norm after each
+convolution.  Here every conv block is ``relu(conv + b)``: no batch
+statistics, so a forward pass does not depend on the batch and is
+bit-reproducible.  Batch norm's per-channel scale and shift exist to undo
+its normalization; without one they would only reparameterize the conv,
+so they are absent too.
 
 Inference runs the image net once per frame: ``infer_images`` is the only
 no-grad image pass, and its maps and vectors feed segmentation, sparsity,
@@ -79,7 +82,11 @@ def _he_conv(rng, f, c, k, scale=1.0):
 
 
 class _ConvBlock:
-    """conv -> per-channel affine -> relu, the last two as one node."""
+    """relu(conv + b), with "same" padding for the dilation.
+
+    No per-channel scale and shift follow the conv: with no normalization
+    in between, s * (W * x + b) + t equals (s W) * x + (s b + t), a conv
+    with other weights, so they would add parameters and no function."""
 
     def __init__(self, rng, c_in, c_out, stride=1, dilation=1, kernel=3):
         self.stride = stride
@@ -87,17 +94,13 @@ class _ConvBlock:
         self.padding = dilation * (kernel - 1) // 2
         self.w = _he_conv(rng, c_out, c_in, kernel)
         self.b = Tensor(np.zeros(c_out, dtype=np.float32), requires_grad=True)
-        self.gamma = Tensor(np.ones((1, c_out, 1, 1), dtype=np.float32), requires_grad=True)
-        self.beta = Tensor(np.zeros((1, c_out, 1, 1), dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
-        y = tc.conv2d(x, self.w, self.b, stride=self.stride,
-                      padding=self.padding, dilation=self.dilation)
-        return tc.affine_relu(y, self.gamma, self.beta)
+        return tc.relu(tc.conv2d(x, self.w, self.b, stride=self.stride,
+                                 padding=self.padding, dilation=self.dilation))
 
     def params(self, prefix):
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b,
-                f"{prefix}.g": self.gamma, f"{prefix}.beta": self.beta}
+        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
 
 class ImageNet:
@@ -238,24 +241,27 @@ class ModelBundle:
 
     @classmethod
     def load(cls, path) -> tuple["ModelBundle", dict]:
-        """The bundle saved at ``path`` and its meta.  A missing, misshapen
-        or non-finite (NaN, inf) parameter is a ``ValueError``."""
+        """The bundle saved at ``path`` and its meta.  A missing, unexpected,
+        misshapen or non-finite (NaN, inf) tensor is a ``ValueError``."""
         arrays, meta = load_tensors(path)
         if meta.get("kind") != "bundle":
             raise ValueError(f"{path}: not a model bundle checkpoint")
         bundle = cls(ImageNetCfg(**meta["image_cfg"]), AudioNetCfg(**meta["audio_cfg"]),
-                     seed=meta.get("seed", 0), mode=meta["mode"], temperature=meta["temperature"])
+                     seed=meta["seed"], mode=meta["mode"], temperature=meta["temperature"])
         named = bundle.params()
         missing = set(named) - set(arrays)
         if missing:
             raise ValueError(f"{path}: checkpoint missing tensors {sorted(missing)}")
+        unexpected = set(arrays) - set(named)
+        if unexpected:
+            raise ValueError(f"{path}: unexpected tensors {sorted(unexpected)}")
         for name, param in named.items():
             if arrays[name].shape != param.data.shape:
                 raise ValueError(f"{path}: shape mismatch for {name}")
             if not np.isfinite(arrays[name]).all():
                 raise ValueError(f"{path}: non-finite values in {name}")
             param.data[...] = arrays[name]
-        bundle.trained = bool(meta.get("trained", False))
+        bundle.trained = bool(meta["trained"])
         return bundle, meta
 
 

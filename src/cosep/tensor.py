@@ -2,12 +2,12 @@
 
 Float32 is the working precision for all training; float64 tensors are
 supported so numerical checks can run at full precision.  The networks
-use ``affine_relu``, ``concat``, 2-d convolution with stride and
-dilation, align-corners bilinear upsampling, global spatial max pooling,
-sigmoid / temperature softmax, the synthesizer's ``weighted_channel_sum``
-and binary cross entropy; the elementary ops (``add``, ``mul``,
-``relu``, ``reshape``, ``tsum``) are what losses and reference chains in
-numerical checks are built from.
+use 2-d convolution with stride and dilation, ``relu``, ``concat``,
+align-corners bilinear upsampling, global spatial max pooling, sigmoid /
+temperature softmax, the synthesizer's ``weighted_channel_sum`` and
+binary cross entropy; the elementary ops (``add``, ``mul``, ``reshape``,
+``tsum``) are what losses and reference chains in numerical checks are
+built from.
 
 ``conv2d`` picks one of three lowerings from the operand shapes alone.
 A 1x1 kernel at stride 1 multiplies the (padded) input, reshaped to
@@ -63,7 +63,6 @@ __all__ = [
     "concat",
     "tsum",
     "relu",
-    "affine_relu",
     "sigmoid",
     "softmax_T",
     "weighted_channel_sum",
@@ -265,28 +264,6 @@ def relu(a: Tensor) -> Tensor:
             a._acc(g * (a.data > 0), fresh=True)
 
     return _make_node(out, (a,), _bw)
-
-
-def affine_relu(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """``relu(add(mul(a, gamma), beta))`` as one node.
-
-    ``gamma`` and ``beta`` broadcast over ``a``.  The forward value and all
-    three gradients use the same float32 expressions as the three-op
-    chain, so they are bit-identical to it."""
-    y = np.maximum(a.data * gamma.data + beta.data, 0)
-    out = Tensor(y)
-
-    def _bw(g):
-        # y > 0 exactly where the pre-activation is > 0 (NaN fails both)
-        g = g * (y > 0)
-        if a.requires_grad:
-            a._acc(_unbroadcast(g * gamma.data, a.data.shape).astype(a.dtype, copy=False), fresh=True)
-        if gamma.requires_grad:
-            gamma._acc(_unbroadcast(g * a.data, gamma.data.shape).astype(gamma.dtype, copy=False), fresh=True)
-        if beta.requires_grad:
-            beta._acc(_unbroadcast(g, beta.data.shape).astype(beta.dtype, copy=False), fresh=True)
-
-    return _make_node(out, (a, gamma, beta), _bw)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -496,9 +473,10 @@ def _conv_pointwise(xp, wd, taps, out_h, out_w):
     return y, grads
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
            padding: int = 0, dilation: int = 1) -> Tensor:
-    """Cross-correlation of NCHW input with FCkk kernels.
+    """Cross-correlation of NCHW input with FCkk kernels, plus the [F]
+    bias ``b``.
 
     Odd kernels only.  Output size follows the usual
     (H + 2p - d*(k-1) - 1)/s + 1 arithmetic and must come out a positive
@@ -536,14 +514,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     else:
         lower = _conv_im2col
     y, grads = lower(xp, w.data, _taps(kh, kw, dilation, stride, out_h, out_w), out_h, out_w)
-    if b is not None:
-        y += b.data.reshape(1, F, 1, 1)
+    y += b.data.reshape(1, F, 1, 1)
     out = Tensor(y)
 
-    inputs = (x, w) if b is None else (x, w, b)
-
     def _bw(g):
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b._acc(g.reshape(N, F, -1).sum(axis=(0, 2)).astype(b.dtype, copy=False), fresh=True)
         gxp, gw = grads(g, x.requires_grad, w.requires_grad)
         if gw is not None:
@@ -552,7 +527,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             # a padded buffer is copied to its crop rather than kept whole
             x._acc(gxp[:, :, padding:padding + H, padding:padding + W], fresh=not padding)
 
-    return _make_node(out, inputs, _bw)
+    return _make_node(out, (x, w, b), _bw)
 
 
 @functools.cache
@@ -670,18 +645,19 @@ def backward(loss: Tensor) -> None:
 
 class Adam:
     """Adam with bias correction; moments kept in the parameter dtype.
-    A ``step`` with no backward pass since the previous one warns and
-    leaves the parameters alone."""
+    ``b1`` and ``b2`` are the decay rates of the two moments.  A ``step``
+    with no backward pass since the previous one warns and leaves the
+    parameters alone."""
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-3, b1: float = 0.9,
+                 b2: float = 0.999, eps: float = 1e-8):
         if not lr > 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = float(lr)
         self.step_count = 0
         self._last_backward = _backward_counter
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.b1, self.b2, self.eps = b1, b2, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
@@ -696,7 +672,7 @@ class Adam:
         self._last_backward = _backward_counter
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.b1, self.b2
         c1 = 1 - b1 ** t
         c2 = 1 - b2 ** t
         for p, m, v in zip(self.params, self.m, self.v):

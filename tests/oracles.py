@@ -91,7 +91,8 @@ def synthesizer_chain(v, feats, w, b):
 
 
 def direct_conv2d(x, w, b, stride, padding, dilation):
-    """Float64 cross-correlation by explicit loops over output positions."""
+    """Float64 cross-correlation plus the [F] bias ``b``, by explicit loops
+    over output positions."""
     N, C, H, W = x.shape
     F, _, kh, kw = w.shape
     xp = np.pad(np.asarray(x, dtype=np.float64),

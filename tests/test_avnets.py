@@ -287,6 +287,15 @@ class TestSegment:
 
 
 class TestCheckpoint:
+    def test_default_bundle_tensor_names(self, bundle):
+        """A weight and a bias per conv: 4 image stages and the image head,
+        the audio stem, 4 down, 4 up blocks and the audio head, and the
+        synthesizer."""
+        blocks = ([f"img.s{i}" for i in range(4)] + ["img.head", "aud.stem"]
+                  + [f"aud.{side}{i}" for side in "du" for i in range(4)] + ["aud.head", "synth"])
+        assert sorted(bundle.params()) == sorted(f"{blk}.{p}" for blk in blocks for p in "wb")
+        assert len(bundle.params()) == 32
+
     def test_roundtrip_forward_bit_identical(self, bundle, tmp_path):
         rng = np.random.default_rng(11)
         frames = toy_frames(rng)
@@ -355,6 +364,16 @@ class TestCheckpoint:
         path = tmp_path / "tiny.ckpt"
         bundle.save(path)
         with pytest.raises(ValueError, match="tiny.ckpt: non-finite values in aud.head.w"):
+            ModelBundle.load(path)
+
+    def test_unexpected_tensor_rejected(self, tmp_path):
+        bundle = self.tiny_bundle()
+        path = tmp_path / "tiny.ckpt"
+        bundle.save(path)
+        arrays, meta = checkpoint.load_tensors(path)
+        arrays["img.s0.g"] = np.ones((1, 2, 1, 1), dtype=np.float32)
+        checkpoint.save_tensors(path, arrays, meta)
+        with pytest.raises(ValueError, match=r"tiny.ckpt: unexpected tensors \['img.s0.g'\]"):
             ModelBundle.load(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -1135,11 +1135,12 @@ class TestDegenerateCheckpoints:
 
     # case -> (the commands that refuse the checkpoint, what their error line names)
     REFUSED = {"one_nan": (("assign", "eval"), "non-finite values in aud.head.w"),
+               "extra_tensor": (("assign", "eval"), "unexpected tensors ['img.s0.g']"),
                "times_1e30": (("assign", "eval"), "non-finite image maps"),
                "audio_times_1e30": (("eval",), "non-finite audio features")}
 
-    @pytest.mark.parametrize("case", ["head_bias_up", "head_bias_down", "all_zero", "one_nan", "times_1e30",
-                                      "audio_times_1e30"])
+    @pytest.mark.parametrize("case", ["head_bias_up", "head_bias_down", "all_zero", "one_nan", "extra_tensor",
+                                      "times_1e30", "audio_times_1e30"])
     def test_assign_and_eval(self, run_copy, capsys, monkeypatch, case):
         path = run_copy / "artifacts" / "checkpoint_final.ckpt"
         arrays, meta = checkpoint.load_tensors(path)
@@ -1157,6 +1158,8 @@ class TestDegenerateCheckpoints:
             arrays = {name: np.zeros_like(arr) for name, arr in arrays.items()}
         elif case == "one_nan":
             arrays["aud.head.w"].reshape(-1)[0] = np.nan
+        elif case == "extra_tensor":   # a tensor the bundle does not hold
+            arrays["img.s0.g"] = np.ones((1, arrays["img.s0.b"].size, 1, 1), dtype=np.float32)
         else:
             # finite in float32, but the forward pass overflows; the audio
             # net alone overflows only in eval's mixture loop, on two workers

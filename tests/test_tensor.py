@@ -101,20 +101,20 @@ class TestConv2d:
     def test_dilation_preserves_shape(self):
         x = Tensor(np.arange(25, dtype=np.float32).reshape(1, 1, 5, 5))
         w = Tensor(np.ones((1, 1, 3, 3)))
-        y = tc.conv2d(x, w, None, stride=1, padding=2, dilation=2)
+        y = tc.conv2d(x, w, Tensor(np.zeros(1)), stride=1, padding=2, dilation=2)
         assert y.shape == (1, 1, 5, 5)
 
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((1, 2, 4, 4)))
         w = Tensor(np.zeros((3, 1, 3, 3)))
         with pytest.raises(ValueError, match="channels"):
-            tc.conv2d(x, w, None)
+            tc.conv2d(x, w, Tensor(np.zeros(3)))
 
     def test_nonpositive_output_raises(self):
         x = Tensor(np.zeros((1, 1, 2, 2)))
         w = Tensor(np.zeros((1, 1, 5, 5)))
         with pytest.raises(ValueError, match="output size"):
-            tc.conv2d(x, w, None)
+            tc.conv2d(x, w, Tensor(np.zeros(1)))
 
     def test_gradients_match_finite_differences(self, rng):
         x = t64(rng.standard_normal((2, 3, 8, 8)))
@@ -130,18 +130,20 @@ class TestConv2d:
     def test_dilated_gradients(self, rng):
         x = t64(rng.standard_normal((1, 2, 7, 7)))
         w = t64(rng.standard_normal((2, 2, 3, 3)))
+        b = t64(np.zeros(2))
 
         def loss():
-            return tc.tsum(tc.sigmoid(tc.conv2d(x, w, None, padding=2, dilation=2)))
+            return tc.tsum(tc.sigmoid(tc.conv2d(x, w, b, padding=2, dilation=2)))
 
         check_gradients(loss, [x, w], rng, probes=100)
 
     def test_dilation_equals_zero_inflated_kernel(self, rng):
         x = rng.standard_normal((2, 2, 9, 9)).astype(np.float32)
         w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+        zero = Tensor(np.zeros(3, dtype=np.float32))
         for d in (2, 3):
-            a = tc.conv2d(Tensor(x), Tensor(w), None, padding=d, dilation=d).data
-            b = tc.conv2d(Tensor(x), Tensor(inflate_kernel(w, d)), None, padding=d).data
+            a = tc.conv2d(Tensor(x), Tensor(w), zero, padding=d, dilation=d).data
+            b = tc.conv2d(Tensor(x), Tensor(inflate_kernel(w, d)), zero, padding=d).data
             np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6)
 
 
@@ -272,36 +274,6 @@ class TestActivations:
         assert y[len(edges) - 1] == 1 and y[2 * len(edges) - 1] == 0  # +inf and -inf
         assert np.isnan(y[2 * len(edges)])
 
-    def test_affine_relu_is_bit_identical_to_chain(self, rng):
-        shape = (2, 3, 5, 4)
-        y0 = rng.standard_normal(shape).astype(np.float32)
-        y0[:, 1, 0, 0] = 0.0  # exact zeros at the kink
-        g0 = rng.uniform(0.5, 1.5, size=(1, 3, 1, 1)).astype(np.float32)
-        b0 = (0.3 * rng.standard_normal((1, 3, 1, 1))).astype(np.float32)
-        b0[0, 1] = 0.0
-        weight = Tensor(rng.standard_normal(shape).astype(np.float32))
-        runs = []
-        for fused in (True, False):
-            y, g, b = (Tensor(a.copy(), requires_grad=True) for a in (y0, g0, b0))
-            out = tc.affine_relu(y, g, b) if fused else tc.relu(tc.add(tc.mul(y, g), b))
-            tc.backward(tc.tsum(tc.mul(out, weight)))
-            runs.append((out.data, y.grad, g.grad, b.grad))
-        for fused, chain in zip(*runs):
-            assert fused.dtype == np.float32
-            assert np.array_equal(fused, chain)
-
-    def test_affine_relu_gradients(self, rng):
-        # pre-activations stay at least 0.05 away from the kink
-        y = t64(rng.uniform(0.2, 1.0, size=(2, 3, 4, 4)) * rng.choice([-1.0, 1.0], size=(2, 3, 4, 4)))
-        g = t64(rng.uniform(0.5, 1.5, size=(1, 3, 1, 1)))
-        b = t64(rng.uniform(-0.05, 0.05, size=(1, 3, 1, 1)))
-        weight = Tensor(rng.standard_normal((2, 3, 4, 4)), dtype=np.float64)
-
-        def loss():
-            return tc.tsum(tc.mul(tc.affine_relu(y, g, b), weight))
-
-        check_gradients(loss, [y, g, b], rng, probes=60)
-
     def test_relu_gradients_away_from_kink(self, rng):
         base = rng.uniform(0.2, 1.0, size=(5, 6)) * rng.choice([-1.0, 1.0], size=(5, 6))
         x = t64(base)
@@ -427,8 +399,9 @@ class TestBackwardAndOptimizers:
     def test_forward_is_deterministic(self, rng):
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        a = tc.conv2d(Tensor(x), Tensor(w), None, padding=1).data
-        b = tc.conv2d(Tensor(x), Tensor(w), None, padding=1).data
+        zero = Tensor(np.zeros(4, dtype=np.float32))
+        a = tc.conv2d(Tensor(x), Tensor(w), zero, padding=1).data
+        b = tc.conv2d(Tensor(x), Tensor(w), zero, padding=1).data
         assert np.array_equal(a, b)
 
 
