@@ -18,11 +18,11 @@ so they are absent too.
 Inference runs the image net once per frame: ``infer_images`` is the only
 no-grad image pass, and its maps and vectors feed segmentation, sparsity,
 classification accuracy and the assignment table alike.  Its outputs do
-not depend on how frames are grouped into batches.  Inference activates
-in float64 with the kernels that training runs in float32
-(``tensor._sigmoid``, ``tensor._softmax``).  Finite weights can still
-overflow; an inference pass that gives a NaN or infinite value raises
-``NonFiniteOutput``.
+not depend on how frames are grouped into batches.  Segmentation reads
+the raw maps.  The only kernel inference runs in float64 is
+``tensor._sigmoid`` (training runs it in float32), for the audio-only
+masks.  Finite weights can still overflow; an inference pass that gives
+a NaN or infinite value raises ``NonFiniteOutput``.
 """
 
 from __future__ import annotations
@@ -344,19 +344,11 @@ def infer_images(frames_u8: np.ndarray, bundle: ModelBundle) -> tuple[np.ndarray
     return _finite(np.concatenate(maps), "image maps"), _finite(np.concatenate(vs), "image vectors")
 
 
-def pixelwise_activation(maps: np.ndarray, mode: str, temperature: float) -> np.ndarray:
-    """Activation over the K channels at every spatial position of
-    [..., K, h, w] maps, in float64."""
-    if mode == "sigmoid":
-        return tc._sigmoid(maps.astype(np.float64))
-    return tc._softmax(maps.astype(np.float64), temperature, -3)
-
-
 def segment(maps: np.ndarray, bundle: ModelBundle, channels, tau: float = 0.5) -> np.ndarray:
     """Image-only segmentation of [N, K, h, w] maps from ``infer_images``,
-    one channel per sample: activate the maps, upsample the selected
-    channel to the input size, threshold at tau times its maximum.
-    Returns bool masks [N, S, S]."""
+    one channel per sample: upsample the selected raw map to the input
+    size and keep the pixels tau of its range or more above its minimum
+    (all of a constant map).  Returns bool masks [N, S, S]."""
     if not 0 < tau < 1:
         raise ValueError(f"threshold tau must lie in (0, 1), got {tau}")
     channels = np.asarray(channels, dtype=np.int64).reshape(-1)
@@ -366,9 +358,10 @@ def segment(maps: np.ndarray, bundle: ModelBundle, channels, tau: float = 0.5) -
         raise ValueError(f"channel out of range for {bundle.channels} channels")
     if not bundle.trained:
         warnings.warn("segmenting with an untrained bundle", stacklevel=2)
-    act = pixelwise_activation(maps, bundle.mode, bundle.temperature)
-    picked = act[np.arange(len(channels)), channels][:, None].astype(np.float32)
+    picked = maps[np.arange(len(channels)), channels][:, None].astype(np.float32)
     size = bundle.image_cfg.input_size
     with tc.no_grad():
         planes = tc.upsample_bilinear(Tensor(picked), size, size).data[:, 0]
-    return planes >= tau * planes.max(axis=(1, 2), keepdims=True)
+    lo = planes.min(axis=(1, 2), keepdims=True)
+    hi = planes.max(axis=(1, 2), keepdims=True)
+    return planes - lo >= tau * (hi - lo)

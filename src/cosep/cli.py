@@ -130,7 +130,7 @@ SCHEMA = {
         "distinct_pairs": (False, "forbid same-category pairs"),
     },
     "eval": {
-        "tau": (0.5, "segmentation threshold, fraction of the map maximum"),
+        "tau": (0.5, "segmentation threshold, fraction of the channel map's range above its minimum"),
         "pair_seed": (1, "seed of the test mixture schedule"),
         "n_mixtures": (40, "evaluation mixtures"),
         "include_nmf": (True, "also fit and evaluate the NMF baseline"),
@@ -197,6 +197,10 @@ def load_config(path) -> dict:
         raise CliError("E_CONFIG", f"config file {path} not found")
     except json.JSONDecodeError as exc:
         raise CliError("E_CONFIG", f"config {path} line {exc.lineno}: {exc.msg}")
+    except OSError as exc:   # a directory, a file it may not read
+        raise CliError("E_CONFIG", f"config {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError("E_CONFIG", f"config {path}: {exc}")
     return normalize_config(raw)
 
 
@@ -715,7 +719,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_seg = add("segment", cmd_segment, "image-only segmentation")
     p_seg.add_argument("--image", help="input PPM frame")
     p_seg.add_argument("--category", help="category name to segment")
-    p_seg.add_argument("--tau", type=float, default=None, help="threshold override")
+    p_seg.add_argument("--tau", type=float, default=None,
+                       help="threshold override: fraction of the channel map's range above its minimum")
     add("eval", cmd_eval, "evaluate on the test split; write report CSVs, eval_details.json and figures")
     add("report", cmd_report, "print the table eval wrote, after checking report.csv against the config")
     return parser

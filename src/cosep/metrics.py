@@ -278,6 +278,8 @@ def evaluate_network(bundle, assignment: Assignment, clips, stft_cfg: dsp.StftCo
     rows = [{"model": model_name, "sparsity": float(np.mean([sparsity(r) for r in v])),
              "accuracy": float(accuracy), **means, "IoU": float(np.mean(ious))}]
     extras["median_IoU"] = float(np.median(ious))
+    # the trivial row: a model below it has learned no localization
+    extras["all_foreground_IoU"] = float(np.mean([iou(np.ones_like(c.gt_mask), c.gt_mask) for c in clips]))
     named_extras = {model_name: extras}
     named_details = {model_name: {"segmentation": seg_details, "separation": sep_details}}
     if nmf_model is not None:

@@ -41,8 +41,8 @@ later accumulation into one never reaches another.
 
 Each activation is one numpy kernel, ``_sigmoid`` or ``_softmax``,
 computed in its input's dtype.  ``sigmoid`` and ``softmax_T`` run them in
-the tensor's dtype (float32 in training); ``avnets`` runs the same
-kernels in float64 for inference.
+the tensor's dtype (float32 in training).  ``avnets`` runs ``_sigmoid`` in
+float64 for the audio-only masks; ``_softmax`` serves ``softmax_T`` alone.
 """
 
 from __future__ import annotations
@@ -285,20 +285,20 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make_node(out, (a,), _bw)
 
 
-def _softmax(x: np.ndarray, T: float, axis: int) -> np.ndarray:
-    """exp(x / T) normalized over ``axis``, max-subtracted for stability,
-    in the dtype of ``x``."""
+def _softmax(x: np.ndarray, T: float) -> np.ndarray:
+    """exp(x / T) normalized over the last axis, max-subtracted for
+    stability, in the dtype of ``x``."""
     z = x / x.dtype.type(T)
-    z -= z.max(axis=axis, keepdims=True)
+    z -= z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_T(a: Tensor, T: float) -> Tensor:
     """Temperature softmax over the last axis."""
     if not T > 0:
         raise ValueError(f"softmax temperature must be positive, got {T}")
-    y = _softmax(a.data, T, -1)
+    y = _softmax(a.data, T)
     out = Tensor(y)
 
     def _bw(g):

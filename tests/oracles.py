@@ -148,19 +148,11 @@ def per_clip_image_metrics(bundle, assignment, clips, tau):
         channel = assignment.channel_for(clip.category)
         with tc.no_grad():
             maps, _, v = avnets.image_forward(avnets.frames_to_tensor(clip.frame), bundle)
-        m = maps.data[0].astype(np.float64)  # [K, h, w]
-        if bundle.mode == "sigmoid":
-            act = 1.0 / (1.0 + np.exp(-m))
-        else:
-            z = m / bundle.temperature
-            z -= z.max(axis=0, keepdims=True)
-            e = np.exp(z)
-            act = e / e.sum(axis=0, keepdims=True)
         with tc.no_grad():
-            up = tc.upsample_bilinear(tc.Tensor(act[None, channel:channel + 1].astype(np.float32)),
-                                      size, size)
+            up = tc.upsample_bilinear(tc.Tensor(maps.data[:, channel:channel + 1]), size, size)
         plane = up.data[0, 0]
-        ious.append(iou(plane >= tau * plane.max(), clip.gt_mask))
+        lo, hi = plane.min(), plane.max()
+        ious.append(iou(plane - lo >= tau * (hi - lo), clip.gt_mask))
         spars.append(sparsity(v.data[0]))
         hits += int(np.argmax(v.data[0])) == channel
     return float(np.mean(ious)), float(np.mean(spars)), hits / len(clips)

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cosep import avnets, checkpoint, cli, tensor as tc
 from cosep.avnets import (AudioNetCfg, ImageNetCfg, ModelBundle, audio_forward,
@@ -168,39 +167,19 @@ class TestAudioOnlyMasks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mask = audio_only_masks(feats, [1])[0]
-            act = avnets.pixelwise_activation(feats[None], "sigmoid", 1.0)
-        assert np.all(mask == 0) and np.all(act == 0)
+        assert np.all(mask == 0)
 
 
 class TestInferenceSigmoid:
-    """Inference's sigmoid (``audio_only_masks`` and the sigmoid branch of
-    ``pixelwise_activation``) is the float64 expression of the oracle, bit
-    for bit."""
+    """Inference's sigmoid (``audio_only_masks``) is the float64 expression
+    of the oracle, bit for bit."""
 
     def test_equals_oracle_bit_for_bit(self):
         x = (np.random.default_rng(5).standard_normal((3, 4, 8, 8)) * 40).astype(np.float32)
         x[0, 0, 0, :4] = [0.0, -0.0, 800.0, -800.0]
-        act = avnets.pixelwise_activation(x, "sigmoid", 1.0)
-        assert act.dtype == np.float64 and act.tobytes() == sigmoid64(x).tobytes()
         masks = audio_only_masks(x[0], range(4))
         ref = [sigmoid64(x[0, ch]).astype(np.float32) for ch in range(4)]
         assert all(m.dtype == np.float32 and m.tobytes() == r.tobytes() for m, r in zip(masks, ref))
-
-
-class TestPixelwiseSoftmax:
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 3), k=st.integers(2, 17), h=st.integers(1, 6), w=st.integers(1, 6),
-           temperature=st.floats(0.05, 4.0), scale=st.floats(0.0, 60.0), seed=st.integers(0, 2**31 - 1))
-    def test_sums_to_one_and_equals_tensor_softmax(self, n, k, h, w, temperature, scale, seed):
-        """At every pixel, the K channels of the activated maps sum to 1
-        and equal ``tc.softmax_T`` of the channel-last view."""
-        maps = (np.random.default_rng(seed).standard_normal((n, k, h, w)) * scale).astype(np.float32)
-        act = avnets.pixelwise_activation(maps, "softmax", temperature)
-        assert act.dtype == np.float64 and act.shape == maps.shape
-        np.testing.assert_allclose(act.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        last = np.moveaxis(maps.astype(np.float64), 1, -1)
-        ref = tc.softmax_T(Tensor(last), temperature).data
-        np.testing.assert_allclose(np.moveaxis(act, 1, -1), ref, rtol=0, atol=1e-12)
 
 
 class TestInferImages:
@@ -266,6 +245,39 @@ class TestSegment:
         # each sample uses its own channel, as when segmented alone
         assert np.array_equal(masks[1], segment(maps[1:], bundle, [5], tau=0.5)[0])
         assert not np.array_equal(masks[1], mask)
+
+    def test_negative_map_with_one_bump_gives_a_mask_around_it(self, bundle, monkeypatch):
+        """A fixed 8x8 map below zero everywhere, with one bump: the mask is
+        one 4-connected region around the bump.  A threshold at tau times
+        the maximum would keep no pixel of it, as every value lies below."""
+        yy, xx = np.mgrid[0:8, 0:8]
+        maps = np.zeros((1, 16, 8, 8), dtype=np.float32)
+        maps[0, 7] = 3 * np.exp(-((yy - 5.0) ** 2 + (xx - 2.0) ** 2) / 2.0) - 10
+        monkeypatch.setattr(bundle, "trained", True)
+        mask = segment(maps, bundle, [7], tau=0.5)[0]
+        peak = (45, 18)   # (5, 2) of the 8x8 grid on the 64x64 frame
+        assert mask[peak] and 0 < mask.mean() < 0.5
+        region = np.zeros_like(mask)
+        region[peak] = True
+        while True:   # flood fill from the peak, inside the mask
+            grown = region.copy()
+            grown[1:] |= region[:-1]
+            grown[:-1] |= region[1:]
+            grown[:, 1:] |= region[:, :-1]
+            grown[:, :-1] |= region[:, 1:]
+            grown &= mask
+            if np.array_equal(grown, region):
+                break
+            region = grown
+        assert np.array_equal(region, mask)
+
+    def test_mask_is_invariant_to_scaling_the_map_by_powers_of_two(self, bundle, monkeypatch):
+        maps = np.random.default_rng(21).standard_normal((3, 16, 8, 8)).astype(np.float32)
+        monkeypatch.setattr(bundle, "trained", True)
+        ref = segment(maps, bundle, [0, 7, 15], tau=0.5)
+        assert 0 < ref.mean() < 1
+        for k in range(-3, 4):
+            assert np.array_equal(segment(maps * np.float32(2.0 ** k), bundle, [0, 7, 15], tau=0.5), ref)
 
     def test_untrained_warns(self, bundle):
         maps = np.zeros((1, 16, 8, 8), dtype=np.float32)

@@ -108,6 +108,13 @@ class TestConfigValidation:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["make-data", "-c", str(tmp_path / "none.json")]) == 2
+        capsys.readouterr()
+        not_utf8 = tmp_path / "latin.json"
+        not_utf8.write_bytes(b"\xff\xfe{}")
+        for command, path in (("train", tmp_path), ("make-data", not_utf8)):
+            assert cli.main([command, "-c", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"E_CONFIG: config {path}: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("tau", [1.5, 0, "half"])
     def test_eval_tau_outside_unit_interval_rejected(self, tmp_path, capsys, tau):
@@ -632,6 +639,14 @@ class TestOneImagePass:
         assert row["IoU"] == ref_iou
         assert row["sparsity"] == ref_sparsity
         assert row["accuracy"] == ref_accuracy
+
+    def test_all_foreground_iou_is_the_mean_object_coverage(self, pipeline):
+        """An all-true mask's IoU is the share of the frame the object covers."""
+        cfg, clips, bundle, asg = self.loaded(*pipeline)
+        _, extras, _, _ = metrics.evaluate_network(bundle, asg, clips, cfg["resolved"].stft, pair_seed=2,
+                                                   n_mixtures=1)
+        coverage = np.mean([clip.gt_mask.mean() for clip in clips])
+        assert extras["model"]["all_foreground_IoU"] == pytest.approx(coverage, rel=1e-12)
 
     def test_evaluation_forwards_each_test_frame_once(self, pipeline, monkeypatch):
         cfg, clips, bundle, asg = self.loaded(*pipeline)

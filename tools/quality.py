@@ -8,14 +8,16 @@ IoU (the network row of ``report.csv``), the channels used and the final
 training loss to ``--out``.
 
 With ``--parent`` (a QUALITY file of the parent change), the parent's seeds
-are that file's ``change`` side, and the gate is the no-gain rule: every
-mean of this run lies inside the parent's seed range.  It prints
-inside/outside per metric and exits 1 if any mean lies outside.
+are that file's ``change`` side, and one of two gates runs against their
+range.  The no-gain rule: every mean of this run lies inside the parent's
+seed range.  With ``--claim METRIC``, the gain rule: that metric's mean
+lies above the parent's range, and no other mean lies below it.  It
+prints each metric's verdict and exits 1 if the gate fails.
 ``--parent-rerun`` names a run of this script at the parent's source
 (``--src``, ``--seeds 0``); its seed 0 is recorded beside the parent's.
 
     python3 tools/quality.py --out QUALITY_new.json --parent QUALITY_old.json \\
-        --parent-rerun parent_seed0.json
+        --parent-rerun parent_seed0.json [--claim IoU]
     python3 tools/quality.py --src ../parent/src --seeds 0 --out parent_seed0.json
 
 A seed takes about three minutes on one core; two run side by side, one
@@ -83,13 +85,21 @@ def summarize(seeds: dict) -> dict:
     }
 
 
-def gate(change: dict, parent: dict) -> dict:
-    """The no-gain rule: each change mean against the parent's seed range."""
+def gate(change: dict, parent: dict, claim: str | None = None) -> dict:
+    """Each change mean against the parent's seed range: the no-gain rule
+    (inside it), or, for a ``claim``ed metric, the gain rule (the claimed
+    mean above it, no other mean below it)."""
     result = {}
     for m in METRICS:
         lo, hi = parent["range"][m]
         mean = change["mean"][m]
-        result[m] = {"change_mean": mean, "parent_range": [lo, hi], "inside": lo <= mean <= hi}
+        if claim is None:
+            verdict, passes = ("inside", True) if lo <= mean <= hi else ("OUTSIDE", False)
+        elif m == claim:
+            verdict, passes = ("above", True) if mean > hi else ("NOT ABOVE", False)
+        else:
+            verdict, passes = ("not below", True) if mean >= lo else ("BELOW", False)
+        result[m] = {"change_mean": mean, "parent_range": [lo, hi], "verdict": verdict, "passes": passes}
     return result
 
 
@@ -102,11 +112,14 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="QUALITY JSON to write")
     p.add_argument("--parent", help="the parent's QUALITY JSON; its change side is the parent")
+    p.add_argument("--claim", choices=METRICS, help="the metric a gain is claimed on (gain rule)")
     p.add_argument("--parent-rerun", help="this script's JSON from a seed-0 run at the parent's source")
     p.add_argument("--seeds", default="0-4", help="model seeds, 'a-b' or one seed (default 0-4)")
     p.add_argument("--src", default=str(ROOT / "src"), help="source tree holding the cosep package")
     p.add_argument("--work", default=str(ROOT / ".quality_work"), help="directory of the runs")
     args = p.parse_args(argv)
+    if args.claim and not args.parent:
+        p.error("--claim needs --parent")
 
     seeds = parse_seeds(args.seeds)
     work, src = Path(args.work).resolve(), Path(args.src).resolve()
@@ -120,7 +133,9 @@ def main(argv=None) -> int:
     }
     if args.parent:
         parent = json.loads(Path(args.parent).read_text())["change"]
-        doc["gate"] = "no-gain rule: every change mean lies inside the parent's seed range"
+        doc["gate"] = (f"gain rule on {args.claim}: its change mean lies above the parent's seed range, "
+                       f"and no other change mean lies below it" if args.claim else
+                       "no-gain rule: every change mean lies inside the parent's seed range")
         doc["parent_source"] = f"the change side of {Path(args.parent).name}"
         if args.parent_rerun:
             rerun = json.loads(Path(args.parent_rerun).read_text())["change"]["seeds"]["0"]
@@ -129,8 +144,8 @@ def main(argv=None) -> int:
         doc["parent"] = parent
     doc["change"] = change
     if args.parent:
-        doc["gate_result"] = gate(change, parent)
-        doc["passes"] = all(r["inside"] for r in doc["gate_result"].values())
+        doc["gate_result"] = gate(change, parent, args.claim)
+        doc["passes"] = all(r["passes"] for r in doc["gate_result"].values())
     doc["definitions"] = {"channels_used": "distinct argmax(v) channels over the test frames",
                           "final_loss": "last loss of train_log.csv"}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
@@ -142,7 +157,7 @@ def main(argv=None) -> int:
         if args.parent:
             r = doc["gate_result"][m]
             lo, hi = r["parent_range"]
-            line += f"  parent range {lo:.6f}..{hi:.6f}  {'inside' if r['inside'] else 'OUTSIDE'}"
+            line += f"  parent range {lo:.6f}..{hi:.6f}  {r['verdict']}"
         print(line)
     return 0 if doc.get("passes", True) else 1
 
