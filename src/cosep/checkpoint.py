@@ -20,12 +20,16 @@ checkpoint is either the old file or the complete new one.  A truncated
 or garbled file fails to load with a ``ValueError`` that names it.
 
 ``map_ordered(fn, items)`` is ``[fn(x) for x in items]`` on W workers:
-the calling process and W - 1 children it forks.  W is the CPUs of this
-process (``os.sched_getaffinity``) divided by the BLAS thread count,
-capped at the item count.  The BLAS thread count is the first of
+the calling process and W - 1 children it forks.  W is
+``tensor.worker_count(len(items))``, the rule that also splits each
+convolution's samples over threads: the CPUs of this process
+(``os.sched_getaffinity``) divided by the BLAS thread count, capped at
+the item count.  The BLAS thread count is the first of
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that holds a positive
 integer, as OpenBLAS reads them; without one, BLAS already uses every
-CPU, and W is 1: the caller takes every item and nothing is forked.
+CPU, and W is 1: the caller takes every item and nothing is forked.  A
+forked child runs every convolution range itself (``tensor`` drops its
+helper threads at fork), so W workers keep to W CPUs.
 A child inherits ``fn`` and the items, so closures need no pickling;
 only its results, or its exception with the exception's cause, come back
 pickled over a pipe.  Results come back in item order and each item is
@@ -53,25 +57,9 @@ import traceback
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, worker_count
 
 MAGIC = b"COSEP1\x00"
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")   # recorded in run_manifest.json
-
-
-def worker_count(n_items: int) -> int:
-    """W for ``n_items`` items: this process's CPUs divided by the BLAS
-    thread count, capped at ``n_items``, and 1 when no variable of
-    ``BLAS_THREAD_VARS`` holds a positive integer."""
-    for var in BLAS_THREAD_VARS:
-        try:
-            blas = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            return max(1, min(len(os.sched_getaffinity(0)) // blas, n_items))
-    return 1
 
 
 class WorkerError(RuntimeError):

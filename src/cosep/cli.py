@@ -57,12 +57,18 @@ other commands keep the allocator's defaults.
 
 Trained numbers depend on the BLAS thread count, which the environment
 sets (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``); ``run_manifest.json``
-records both, as each command saw them, under ``threads``.  ``eval``
-scores its mixtures, and fits the NMF bases, on W worker processes
+records both, as each command saw them, under ``threads``.  One rule,
+``tensor.worker_count``, gives W: the CPUs of the process divided by the
+BLAS thread count, and 1 when neither variable is set.  ``eval`` scores
+its mixtures, and fits the NMF bases, on W worker processes
 (``checkpoint.map_ordered``: the command's own process and W - 1 forked
-children; the ``checkpoint`` docstring gives the rule for W).  Every
-output is the same at any W; ``threads.report`` records the W of the
-mixture loop under ``workers``.
+children).  Every convolution splits its samples into at most W
+contiguous ranges, run by the calling thread and W - 1 helper threads;
+each sample's GEMMs are the same BLAS calls at any W, and the sums over
+samples stay on the calling thread in one order, so ``train`` writes the
+same bytes at any W.  Every output is the same at any W;
+``threads.report`` records the W of the mixture loop under ``workers``,
+and ``threads.checkpoint`` that of a training batch's convolutions.
 """
 
 from __future__ import annotations
@@ -80,7 +86,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, avnets, disentangle, dsp, metrics, nmf, toyworld, trainer
-from .checkpoint import BLAS_THREAD_VARS, WorkerError, worker_count, write_atomic
+from .checkpoint import WorkerError, write_atomic
+from .tensor import BLAS_THREAD_VARS, worker_count
 
 EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4, "E_CORRUPT_ARTIFACT": 5, "E_IO": 6,
               "E_WORKER": 7, "E_DIVERGED": 8}
@@ -413,7 +420,8 @@ def _read_run_manifest(cfg: dict) -> dict:
 
 def _update_run_manifest(cfg: dict, kind: str, doc: dict, workers: int | None = None) -> None:
     """Record ``kind`` in ``doc`` (from ``_read_run_manifest``) and write it;
-    ``workers`` is the W the command's ordered map ran on, if it ran one."""
+    ``workers`` is the W the command's ordered map or convolutions ran
+    on, if it ran either."""
     doc["version"] = __version__
     doc["artifacts"][kind] = str(artifact_path(cfg, kind))
     doc["hashes"][kind] = artifact_hash(cfg, kind)
@@ -501,7 +509,7 @@ def cmd_train(cfg: dict, args) -> int:
         distinct_pairs=cfg["schedule"]["distinct_pairs"],
         log_path=_artifacts(cfg, "train_log.csv"), start_epoch=start,
         config_hash=artifact_hash(cfg, "checkpoint"), quiet=not args.verbose)
-    _update_run_manifest(cfg, "checkpoint", run)
+    _update_run_manifest(cfg, "checkpoint", run, workers=worker_count(cfg["schedule"]["batch_pairs"]))
     final_t = bundle.temperature if bundle.mode == "softmax" else None
     print(f"trained {len(state.loss_history)} epochs; final loss {state.loss_history[-1]:.4f}"
           + (f"; final temperature {final_t:g}" if final_t is not None else ""))

@@ -19,6 +19,21 @@ input gradient is the transposed convolution of the output gradient
 (Dumoulin & Visin 2016).  Every other convolution gathers a C-wide
 im2col buffer.
 
+Each lowering's per-sample work runs on W threads, W =
+``worker_count(N)``: this process's CPUs divided by the BLAS thread
+count (1 when no BLAS thread variable is set, since BLAS then uses every
+CPU), capped at the N samples.  The padding, gathers, GEMMs, scatters
+and the bias add of samples [lo, hi) form one range; the caller runs the
+first of W contiguous ranges and W - 1 persistent helper threads the
+others, each writing with ``out=`` into buffers the caller allocated.
+The result does not depend on W, bit for bit: ``np.matmul`` over an
+[N, ...] stack is one BLAS call per sample, the same call on a slice,
+and the sums across samples (the kernel gradient's sum over the
+per-sample GEMM stack, the bias gradient) run on the caller after every
+range, in the order they had at W = 1.  Helpers run in a copy of the
+caller's ``contextvars`` context, so ``np.errstate`` holds there; a
+forked child runs every range itself.
+
 ``weighted_channel_sum`` is the synthesizer's linear layer as one node,
 ``sum_k w_k v[m, k] feats[m mod N, k] + b``: the M rows of ``v`` share N
 feature planes, so the symmetric training step never copies the audio
@@ -47,7 +62,11 @@ float64 for the audio-only masks; ``_softmax`` serves ``softmax_T`` alone.
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import os
+import queue
+import threading
 import warnings
 
 import numpy as np
@@ -72,6 +91,8 @@ __all__ = [
     "bce_loss",
     "backward",
     "Adam",
+    "BLAS_THREAD_VARS",
+    "worker_count",
 ]
 
 BCE_EPS = 1e-7
@@ -369,6 +390,96 @@ def weighted_channel_sum(v: Tensor, feats: Tensor, w: Tensor, b: Tensor) -> Tens
 
 
 # ---------------------------------------------------------------------
+# sample ranges on helper threads
+# ---------------------------------------------------------------------
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")   # recorded in run_manifest.json
+
+
+def _cpus_per_blas_thread() -> int:
+    """This process's CPUs (``os.sched_getaffinity``) divided by the BLAS
+    thread count, at least 1.  The count is the first variable of
+    ``BLAS_THREAD_VARS`` that holds a positive integer, as OpenBLAS reads
+    them; without one, BLAS already uses every CPU, and this is 1."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, len(os.sched_getaffinity(0)) // blas)
+    return 1
+
+
+def worker_count(n_items: int) -> int:
+    """W for ``n_items`` items: this process's CPUs divided by the BLAS
+    thread count, capped at ``n_items``, and 1 when no variable of
+    ``BLAS_THREAD_VARS`` holds a positive integer."""
+    return max(1, min(_cpus_per_blas_thread(), n_items))
+
+
+_jobs = queue.SimpleQueue()   # (context, fn, lo, hi, reply queue) for the helper threads
+_helper_count = 0
+_forked = False               # set in a forked child, which runs every range itself
+
+
+def _serve(jobs) -> None:
+    """Body of a helper thread: run each range taken from ``jobs`` in the
+    context it came with and reply (lo, exception or None)."""
+    while True:
+        ctx, fn, lo, hi, reply = jobs.get()
+        failure = None
+        try:
+            ctx.run(fn, lo, hi)
+        except BaseException as exc:   # raised again by the caller, which waits for every reply
+            failure = exc
+        # drop the range's closure, and the buffers it holds, before the caller goes on
+        del ctx, fn
+        reply.put((lo, failure))
+
+
+def _drop_helpers() -> None:
+    """Run in a forked child (``os.register_at_fork``): the helper threads
+    were not copied, so no range may wait for one."""
+    global _jobs, _helper_count, _forked
+    _jobs, _helper_count, _forked = queue.SimpleQueue(), 0, True
+
+
+os.register_at_fork(after_in_child=_drop_helpers)
+
+
+def _over_samples(fn, n: int) -> None:
+    """``fn(lo, hi)`` over the samples [0, n), split into W =
+    ``worker_count(n)`` contiguous ranges (1 in a forked child).  The
+    caller runs the first range and W - 1 persistent helper threads the
+    others, each in a copy of the caller's ``contextvars`` context (so
+    ``np.errstate`` holds there too).  The caller waits for every range;
+    then the exception of its own range, or else of the lowest failing
+    helper range, is raised.  ``fn`` must write only to samples
+    [lo, hi) of buffers allocated before the call."""
+    global _helper_count
+    workers = 1 if _forked or n <= 1 else min(_cpus_per_blas_thread(), n)
+    if workers == 1:
+        fn(0, n)
+        return
+    while _helper_count < workers - 1:
+        threading.Thread(target=_serve, args=(_jobs,), name=f"cosep-samples-{_helper_count + 1}",
+                         daemon=True).start()
+        _helper_count += 1
+    bounds = [n * k // workers for k in range(workers + 1)]
+    reply = queue.SimpleQueue()
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        _jobs.put((contextvars.copy_context(), fn, lo, hi, reply))
+    try:
+        fn(0, bounds[1])
+    finally:
+        answers = [reply.get() for _ in range(workers - 1)]
+    failures = [answer for answer in answers if answer[1] is not None]
+    if failures:
+        raise min(failures, key=lambda answer: answer[0])[1]
+
+
+# ---------------------------------------------------------------------
 # spatial ops
 # ---------------------------------------------------------------------
 
@@ -384,32 +495,46 @@ def _conv_im2col(xp, wd, taps, out_h, out_w):
     """C-wide lowering: gather every offset of the padded input into one
     [C*k*k, L] matrix per sample and multiply by the flattened kernels.
 
-    Returns the output [N, F, out_h, out_w] and a function mapping its
-    gradient to (padded-input gradient or None, kernel gradient or None).
+    Returns the output buffer [N, F, out_h, out_w], a function that fills
+    samples [lo, hi) of it from the same samples of ``xp``, and a function
+    mapping its gradient to (padded-input gradient or None, kernel
+    gradient or None).  Every buffer is allocated here, before any range
+    runs; the kernel gradient is the sum over the per-sample GEMM stack.
     """
     N, C, Hp, Wp = xp.shape
-    F, K = wd.shape[0], len(taps)
+    F, K, L = wd.shape[0], len(taps), out_h * out_w
     cols = np.empty((N, C, K, out_h, out_w), dtype=xp.dtype)
-    for t, (sy, sx) in enumerate(taps):
-        cols[:, :, t] = xp[:, :, sy, sx]
-    cols_mat = cols.reshape(N, C * K, out_h * out_w)
+    cols_mat = cols.reshape(N, C * K, L)
     w_mat = wd.reshape(F, C * K)
-    y = np.matmul(w_mat, cols_mat).reshape(N, F, out_h, out_w)
+    y = np.empty((N, F, L), dtype=np.result_type(w_mat, cols_mat))
+
+    def fill(lo, hi):
+        cr, xr = cols[lo:hi], xp[lo:hi]
+        for t, (sy, sx) in enumerate(taps):
+            cr[:, :, t] = xr[:, :, sy, sx]
+        np.matmul(w_mat, cols_mat[lo:hi], out=y[lo:hi])
 
     def grads(g, want_x, want_w):
-        g_mat = g.reshape(N, F, out_h * out_w)
-        gxp = gw = None
-        if want_w:
-            # batched sgemm with a strided transpose avoids tensordot's copies
-            gw = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape)
-        if want_x:
-            gcols = np.matmul(w_mat.T, g_mat).reshape(N, C, K, out_h, out_w)
-            gxp = np.zeros((N, C, Hp, Wp), dtype=xp.dtype)
-            for t, (sy, sx) in enumerate(taps):
-                gxp[:, :, sy, sx] += gcols[:, :, t]
-        return gxp, gw
+        g_mat = g.reshape(N, F, L)
+        gw = np.empty((N, F, C * K), dtype=np.result_type(g_mat, cols_mat)) if want_w else None
+        gcols = np.empty((N, C * K, L), dtype=np.result_type(w_mat, g_mat)) if want_x else None
+        gxp = np.empty((N, C, Hp, Wp), dtype=xp.dtype) if want_x else None
 
-    return y, grads
+        def backward(lo, hi):
+            if want_w:
+                # batched sgemm with a strided transpose avoids tensordot's copies
+                np.matmul(g_mat[lo:hi], cols_mat[lo:hi].transpose(0, 2, 1), out=gw[lo:hi])
+            if want_x:
+                np.matmul(w_mat.T, g_mat[lo:hi], out=gcols[lo:hi])
+                gc, gxr = gcols[lo:hi].reshape(hi - lo, C, K, out_h, out_w), gxp[lo:hi]
+                gxr[...] = 0
+                for t, (sy, sx) in enumerate(taps):
+                    gxr[:, :, sy, sx] += gc[:, :, t]
+
+        _over_samples(backward, N)
+        return gxp, None if gw is None else gw.sum(axis=0).reshape(wd.shape)
+
+    return y.reshape(N, F, out_h, out_w), fill, grads
 
 
 def _conv_narrow(xp, wd, taps, out_h, out_w):
@@ -427,25 +552,39 @@ def _conv_narrow(xp, wd, taps, out_h, out_w):
     F, K = wd.shape[0], len(taps)
     xp_mat = xp.reshape(N, C, Hp * Wp)
     w_stk = wd.reshape(F, C, K).transpose(2, 0, 1).reshape(K * F, C)
-    z = np.matmul(w_stk, xp_mat).reshape(N, K, F, Hp, Wp)
-    y = z[:, 0, :, taps[0][0], taps[0][1]].copy()
-    for t in range(1, K):
-        y += z[:, t, :, taps[t][0], taps[t][1]]
+    z = np.empty((N, K * F, Hp * Wp), dtype=np.result_type(w_stk, xp_mat))
+    z5 = z.reshape(N, K, F, Hp, Wp)
+    y = np.empty((N, F, out_h, out_w), dtype=z.dtype)
+
+    def fill(lo, hi):
+        np.matmul(w_stk, xp_mat[lo:hi], out=z[lo:hi])
+        zr, yr = z5[lo:hi], y[lo:hi]
+        yr[...] = zr[:, 0, :, taps[0][0], taps[0][1]]
+        for t in range(1, K):
+            yr += zr[:, t, :, taps[t][0], taps[t][1]]
 
     def grads(g, want_x, want_w):
-        gz = np.zeros((N, K, F, Hp, Wp), dtype=xp.dtype)
-        for t, (sy, sx) in enumerate(taps):
-            gz[:, t, :, sy, sx] = g
-        gz = gz.reshape(N, K * F, Hp * Wp)
-        gxp = gw = None
-        if want_w:
-            gw = np.matmul(gz, xp_mat.transpose(0, 2, 1)).sum(axis=0)  # [K*F, C]
-            gw = gw.reshape(K, F, C).transpose(1, 2, 0).reshape(wd.shape)
-        if want_x:
-            gxp = np.matmul(w_stk.T, gz).reshape(N, C, Hp, Wp)
-        return gxp, gw
+        gz = np.empty((N, K, F, Hp, Wp), dtype=xp.dtype)
+        gz_mat = gz.reshape(N, K * F, Hp * Wp)
+        gw = np.empty((N, K * F, C), dtype=np.result_type(gz_mat, xp_mat)) if want_w else None
+        gxp = np.empty((N, C, Hp * Wp), dtype=np.result_type(w_stk, gz_mat)) if want_x else None
 
-    return y, grads
+        def backward(lo, hi):
+            gzr, gr = gz[lo:hi], g[lo:hi]
+            gzr[...] = 0
+            for t, (sy, sx) in enumerate(taps):
+                gzr[:, t, :, sy, sx] = gr
+            if want_w:
+                np.matmul(gz_mat[lo:hi], xp_mat[lo:hi].transpose(0, 2, 1), out=gw[lo:hi])
+            if want_x:
+                np.matmul(w_stk.T, gz_mat[lo:hi], out=gxp[lo:hi])
+
+        _over_samples(backward, N)
+        if gw is not None:
+            gw = gw.sum(axis=0).reshape(K, F, C).transpose(1, 2, 0).reshape(wd.shape)   # [K*F, C] -> FCkk
+        return None if gxp is None else gxp.reshape(N, C, Hp, Wp), gw
+
+    return y, fill, grads
 
 
 def _conv_pointwise(xp, wd, taps, out_h, out_w):
@@ -459,18 +598,27 @@ def _conv_pointwise(xp, wd, taps, out_h, out_w):
     F = wd.shape[0]
     x_mat = xp.reshape(N, C, Hp * Wp)
     w_mat = wd.reshape(F, C)
-    y = np.matmul(w_mat, x_mat).reshape(N, F, out_h, out_w)
+    y = np.empty((N, F, Hp * Wp), dtype=np.result_type(w_mat, x_mat))
+
+    def fill(lo, hi):
+        np.matmul(w_mat, x_mat[lo:hi], out=y[lo:hi])
 
     def grads(g, want_x, want_w):
         g_mat = g.reshape(N, F, Hp * Wp)
-        gxp = gw = None
-        if want_w:
-            gw = np.matmul(g_mat, x_mat.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape)
-        if want_x:
-            gxp = np.matmul(w_mat.T, g_mat).reshape(N, C, Hp, Wp)
-        return gxp, gw
+        gw = np.empty((N, F, C), dtype=np.result_type(g_mat, x_mat)) if want_w else None
+        gxp = np.empty((N, C, Hp * Wp), dtype=np.result_type(w_mat, g_mat)) if want_x else None
 
-    return y, grads
+        def backward(lo, hi):
+            if want_w:
+                np.matmul(g_mat[lo:hi], x_mat[lo:hi].transpose(0, 2, 1), out=gw[lo:hi])
+            if want_x:
+                np.matmul(w_mat.T, g_mat[lo:hi], out=gxp[lo:hi])
+
+        _over_samples(backward, N)
+        return (None if gxp is None else gxp.reshape(N, C, Hp, Wp),
+                None if gw is None else gw.sum(axis=0).reshape(wd.shape))
+
+    return y.reshape(N, F, out_h, out_w), fill, grads
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
@@ -480,8 +628,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
 
     Odd kernels only.  Output size follows the usual
     (H + 2p - d*(k-1) - 1)/s + 1 arithmetic and must come out a positive
-    integer.  The operand shapes pick the lowering (see the module
-    docstring).
+    integer.  The operand shapes pick the lowering, and the samples run
+    in ``worker_count(N)`` ranges (see the module docstring).
     """
     N, C, H, W = x.data.shape
     F, Cw, kh, kw = w.data.shape
@@ -502,19 +650,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     out_h = num_h // stride + 1
     out_w = num_w // stride + 1
 
-    if padding:
-        xp = np.zeros((N, C, H + 2 * padding, W + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding:padding + H, padding:padding + W] = x.data
-    else:
-        xp = x.data
+    xp = np.zeros((N, C, H + 2 * padding, W + 2 * padding), dtype=x.dtype) if padding else x.data
     if stride == 1 and kh * kw == 1:
         lower = _conv_pointwise
     elif stride == 1 and F < C:
         lower = _conv_narrow
     else:
         lower = _conv_im2col
-    y, grads = lower(xp, w.data, _taps(kh, kw, dilation, stride, out_h, out_w), out_h, out_w)
-    y += b.data.reshape(1, F, 1, 1)
+    y, fill, grads = lower(xp, w.data, _taps(kh, kw, dilation, stride, out_h, out_w), out_h, out_w)
+    bias = b.data.reshape(1, F, 1, 1)
+
+    def forward(lo, hi):
+        if padding:
+            xp[lo:hi, :, padding:padding + H, padding:padding + W] = x.data[lo:hi]
+        fill(lo, hi)
+        y[lo:hi] += bias
+
+    _over_samples(forward, N)
     out = Tensor(y)
 
     def _bw(g):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosep import checkpoint
+from cosep import checkpoint, tensor
 
 # float32 bit patterns the payload must carry unchanged
 SPECIAL_BITS = [0x7FC00000, 0xFFC00001, 0x7F800001, 0x7F800000, 0xFF800000, 0x80000000, 0x00000001]
@@ -56,7 +56,7 @@ class TestRoundTrip:
 def set_workers(monkeypatch, cpus: int, blas: str | None = "1", omp: str | None = None):
     """Pin the affinity and the two BLAS thread variables."""
     monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    for var, value in zip(checkpoint.BLAS_THREAD_VARS, (blas, omp)):
+    for var, value in zip(tensor.BLAS_THREAD_VARS, (blas, omp)):
         if value is None:
             monkeypatch.delenv(var, raising=False)
         else:

@@ -936,16 +936,18 @@ class TestEvalOutputs:
         assert set(doc["threads"]) == set(doc["hashes"])
 
     @pytest.mark.parametrize("blas,workers", [(None, 1), ("1", 2)])
-    def test_run_manifest_records_eval_workers(self, run_copy, monkeypatch, blas, workers):
+    def test_run_manifest_records_train_and_eval_workers(self, run_copy, monkeypatch, blas, workers):
         monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         if blas is None:
             monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-        assert cli.main(["eval", "-c", "cosep.json"]) == 0
+        for cmd in ("train", "eval"):
+            assert cli.main([cmd, "-c", "cosep.json"]) == 0
         doc = json.loads((run_copy / "artifacts" / "run_manifest.json").read_text())
-        assert doc["threads"]["report"] == {"OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": None,
+        for kind in ("checkpoint", "report"):
+            assert doc["threads"][kind] == {"OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": None,
                                             "workers": workers}
 
     def test_eval_removes_earlier_figures(self, run_copy):
@@ -1033,6 +1035,34 @@ class TestWorkerCountIndependence:
         outputs = [{k: v for k, v in r.items() if k not in ("workers", "forks")}
                    for r in runs.values()]
         assert all(o == outputs[0] for o in outputs)
+
+    def test_train_equal_at_one_and_two_workers(self, run_copy):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("OMP_NUM_THREADS", None)
+        out = subprocess.run([sys.executable, "-c", TRAIN_PROBE], cwd=run_copy, env=env,
+                             capture_output=True, text=True, check=True).stdout
+        runs = json.loads(out.splitlines()[-1])
+        assert {n: (r["workers"], r["helpers"]) for n, r in runs.items()} == {"1": (1, 0), "2": (2, 1)}
+        assert runs["1"]["files"] == runs["2"]["files"]
+
+
+TRAIN_PROBE = """
+import hashlib, json, os, threading
+from cosep import cli
+
+out = {}
+for cpus in (1, 2):
+    os.sched_getaffinity = lambda pid, n=cpus: set(range(n))
+    assert cli.main(["train", "-c", "cosep.json"]) == 0
+    doc = json.load(open("artifacts/run_manifest.json"))
+    out[cpus] = {"workers": doc["threads"]["checkpoint"]["workers"],
+                 "helpers": sum(t.name.startswith("cosep-samples") for t in threading.enumerate()),
+                 "files": {name: hashlib.sha256(open(f"artifacts/{name}", "rb").read()).hexdigest()
+                           for name in ("train_log.csv", "checkpoint_final.ckpt")}}
+print(json.dumps(out))
+"""
 
 
 NO_SCIPY_PIPELINE = """

@@ -2,7 +2,10 @@
 
 For each ``model.seed`` (default 0-4; ``schedule.seed`` stays 0) it runs
 ``make-data``, ``train``, ``assign`` and ``eval`` of the default config in
-its own directory, at one BLAS thread, two seeds at a time.  It
+its own directory, at one BLAS thread, two seeds at a time.  Each seed's
+child processes are pinned to one CPU of their own (``os.sched_setaffinity``),
+so W (``cosep.tensor.worker_count``) is 1 in them and two seeds never run
+more compute threads than they have CPUs.  It
 writes the per-seed, mean and range of sparsity, accuracy, SDR, SIR and
 IoU (the network row of ``report.csv``), the channels used and the final
 training loss to ``--out``.
@@ -28,8 +31,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
+import queue
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -55,25 +60,59 @@ print(len(np.unique(v.argmax(axis=1))))
 """
 
 
-def run_seed(seed: int, work: Path, src: Path) -> dict:
-    """The metrics of one default-config run with ``model.seed`` = ``seed``."""
+def seed_cpus() -> list[int]:
+    """A CPU of this process for each of the ``JOBS`` side-by-side seeds,
+    distinct while there are enough CPUs."""
+    cpus = sorted(os.sched_getaffinity(0))
+    return [cpus[k % len(cpus)] for k in range(JOBS)]
+
+
+def run_pinned(argv: list, cpu: int, **kwargs) -> subprocess.CompletedProcess:
+    """``subprocess.run(argv, check=True, **kwargs)`` with the child
+    pinned to ``cpu`` before it starts.  The pin is one C call in the
+    forked child, so no Python code runs between fork and exec."""
+    return subprocess.run(argv, preexec_fn=functools.partial(os.sched_setaffinity, 0, {cpu}),
+                          check=True, **kwargs)
+
+
+def run_seed(seed: int, work: Path, src: Path, cpu: int) -> dict:
+    """The metrics of one default-config run with ``model.seed`` = ``seed``,
+    every command pinned to ``cpu``."""
     run_dir = work / f"seed{seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "cosep.json").write_text(json.dumps({"model": {"seed": seed}}) + "\n")
     env = {**os.environ, **BLAS_THREADS, "PYTHONPATH": str(src)}
     for command in COMMANDS:
         with open(run_dir / f"{command}.log", "w") as log:
-            subprocess.run([sys.executable, "-m", "cosep.cli", command, "-c", "cosep.json"],
-                           cwd=run_dir, env=env, stdout=log, stderr=subprocess.STDOUT, check=True)
+            run_pinned([sys.executable, "-m", "cosep.cli", command, "-c", "cosep.json"], cpu,
+                       cwd=run_dir, env=env, stdout=log, stderr=subprocess.STDOUT)
     with open(run_dir / "artifacts" / "report.csv") as fh:
         rows = list(csv.reader(line for line in fh if not line.startswith("#")))
     network = dict(zip(rows[0], rows[1]))
     with open(run_dir / "artifacts" / "train_log.csv") as fh:
         final_loss = float(list(csv.DictReader(fh))[-1]["loss"])
-    used = subprocess.run([sys.executable, "-c", CHANNELS_USED], cwd=run_dir, env=env,
-                          capture_output=True, text=True, check=True).stdout
+    used = run_pinned([sys.executable, "-c", CHANNELS_USED], cpu, cwd=run_dir, env=env,
+                      capture_output=True, text=True).stdout
     return {**{m: float(network[m]) for m in METRICS}, "channels_used": int(used),
             "final_loss": final_loss}
+
+
+def run_side_by_side(seeds: list[int], work: Path, src: Path) -> list[dict]:
+    """``run_seed`` for each seed, in order, ``JOBS`` at a time; a running
+    seed holds one CPU of ``seed_cpus()`` that no other running seed has."""
+    free = queue.SimpleQueue()
+    for cpu in seed_cpus():
+        free.put(cpu)
+
+    def run(seed):
+        cpu = free.get()
+        try:
+            return run_seed(seed, work, src, cpu)
+        finally:
+            free.put(cpu)
+
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        return list(pool.map(run, seeds))
 
 
 def summarize(seeds: dict) -> dict:
@@ -123,13 +162,12 @@ def main(argv=None) -> int:
 
     seeds = parse_seeds(args.seeds)
     work, src = Path(args.work).resolve(), Path(args.src).resolve()
-    with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        results = list(pool.map(lambda s: run_seed(s, work, src), seeds))
+    results = run_side_by_side(seeds, work, src)
     change = summarize({str(s): r for s, r in zip(seeds, results)})
     doc = {
         "protocol": f"default config (toy-E schedule, dataset seed 7), model.seed {args.seeds}, "
                     f"schedule.seed 0; one make-data, train, assign and eval per seed; "
-                    f"OPENBLAS/OMP/MKL threads 1, {JOBS} seeds side by side",
+                    f"OPENBLAS/OMP/MKL threads 1, {JOBS} seeds side by side, each pinned to one CPU",
     }
     if args.parent:
         parent = json.loads(Path(args.parent).read_text())["change"]
