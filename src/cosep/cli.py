@@ -69,6 +69,14 @@ samples stay on the calling thread in one order, so ``train`` writes the
 same bytes at any W.  Every output is the same at any W;
 ``threads.report`` records the W of the mixture loop under ``workers``,
 and ``threads.checkpoint`` that of a training batch's convolutions.
+
+``run_manifest.json`` also records, under ``resources``, what each
+command cost: its wall seconds from start to the manifest write
+(``wall_s``), the peak resident set of its process (``peak_rss_mb``,
+``RUSAGE_SELF``) and the largest peak of the worker processes it forked
+and waited for (``workers_peak_rss_mb``, ``RUSAGE_CHILDREN``).  Both are
+the kernel's figures for the process's whole life; a process that forked
+no worker still reads a few MB under ``RUSAGE_CHILDREN`` on Linux.
 """
 
 from __future__ import annotations
@@ -78,6 +86,7 @@ import ctypes
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -407,21 +416,24 @@ def _read_run_manifest(cfg: dict) -> dict:
     """``run_manifest.json``, or an empty one; a command that records its
     artifact there reads it before it writes anything."""
     path = _artifacts(cfg, "run_manifest.json")
-    doc = {"version": __version__, "artifacts": {}, "hashes": {}, "timestamps": {}, "threads": {}}
+    sections = ("artifacts", "hashes", "timestamps", "threads", "resources")
+    doc = {"version": __version__, **{k: {} for k in sections}}
     try:
         if path.exists():
             doc.update(json.loads(path.read_text()))
-        if not all(isinstance(doc[k], dict) for k in ("artifacts", "hashes", "timestamps", "threads")):
-            raise TypeError("artifacts, hashes, timestamps and threads must be objects")
+        if not all(isinstance(doc[k], dict) for k in sections):
+            raise TypeError(f"{', '.join(sections)} must be objects")
     except UNREADABLE as exc:
         raise _unreadable(path, exc, "delete it")
     return doc
 
 
-def _update_run_manifest(cfg: dict, kind: str, doc: dict, workers: int | None = None) -> None:
+def _update_run_manifest(cfg: dict, kind: str, doc: dict, started: float,
+                         workers: int | None = None) -> None:
     """Record ``kind`` in ``doc`` (from ``_read_run_manifest``) and write it;
-    ``workers`` is the W the command's ordered map or convolutions ran
-    on, if it ran either."""
+    ``started`` is the ``time.monotonic()`` at which the command started,
+    and ``workers`` the W its ordered map or convolutions ran on, if it
+    ran either."""
     doc["version"] = __version__
     doc["artifacts"][kind] = str(artifact_path(cfg, kind))
     doc["hashes"][kind] = artifact_hash(cfg, kind)
@@ -429,6 +441,10 @@ def _update_run_manifest(cfg: dict, kind: str, doc: dict, workers: int | None = 
     doc["threads"][kind] = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     if workers is not None:
         doc["threads"][kind]["workers"] = workers
+    peak, workers_peak = (resource.getrusage(who).ru_maxrss / 1024   # KiB on Linux
+                          for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    doc["resources"][kind] = {"wall_s": round(time.monotonic() - started, 3), "peak_rss_mb": round(peak, 3),
+                              "workers_peak_rss_mb": round(workers_peak, 3)}
     path = _artifacts(cfg, "run_manifest.json")
     path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, json.dumps(doc, sort_keys=True, indent=1))
@@ -462,7 +478,7 @@ def cmd_make_data(cfg: dict, args) -> int:
                                     config_hash=artifact_hash(cfg, "dataset"))
     except ValueError as exc:   # a model.image_size too small to render the masks
         raise CliError("E_CONFIG", f"model.image_size: {exc}")
-    _update_run_manifest(cfg, "dataset", run)
+    _update_run_manifest(cfg, "dataset", run, args.started)
     print(f"dataset: {sum(map(len, dataset.splits.values()))} clips, {d['categories']} categories -> {d['dir']}")
     return 0
 
@@ -509,7 +525,8 @@ def cmd_train(cfg: dict, args) -> int:
         distinct_pairs=cfg["schedule"]["distinct_pairs"],
         log_path=_artifacts(cfg, "train_log.csv"), start_epoch=start,
         config_hash=artifact_hash(cfg, "checkpoint"), quiet=not args.verbose)
-    _update_run_manifest(cfg, "checkpoint", run, workers=worker_count(cfg["schedule"]["batch_pairs"]))
+    _update_run_manifest(cfg, "checkpoint", run, args.started,
+                         workers=worker_count(cfg["schedule"]["batch_pairs"]))
     final_t = bundle.temperature if bundle.mode == "softmax" else None
     print(f"trained {len(state.loss_history)} epochs; final loss {state.loss_history[-1]:.4f}"
           + (f"; final temperature {final_t:g}" if final_t is not None else ""))
@@ -528,7 +545,7 @@ def cmd_assign(cfg: dict, args) -> int:
     table_hash = hashlib.sha256(np.ascontiguousarray(table.values).tobytes()).hexdigest()[:16]
     asg.save(artifact_path(cfg, "assignment"),
              extra={"config_hash": artifact_hash(cfg, "assignment"), "table_hash": table_hash})
-    _update_run_manifest(cfg, "assignment", run)
+    _update_run_manifest(cfg, "assignment", run, args.started)
     acc = disentangle.classification_accuracy(v, cats, asg)
     pairs = ", ".join(f"{n}->{c}" for n, c in zip(asg.categories, asg.category_to_channel))
     print(f"assignment: {pairs}")
@@ -636,7 +653,7 @@ def cmd_eval(cfg: dict, args) -> int:
     # report.csv last: its hash line is what ``report`` checks
     metrics.write_summary_csv(artifact_path(cfg, "report"), rows,
                               header_comment=f"config {artifact_hash(cfg, 'report')}")
-    _update_run_manifest(cfg, "report", run, workers=worker_count(e["n_mixtures"]))
+    _update_run_manifest(cfg, "report", run, args.started, workers=worker_count(e["n_mixtures"]))
     print(table)
     print(f"mean SDR improvement over mixture: {named_extras[name]['mean_sdr_improvement']:.2f} dB")
     return 0
@@ -737,6 +754,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    args.started = time.monotonic()
     try:
         cfg = load_config(args.config)
         try:

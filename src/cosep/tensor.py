@@ -52,7 +52,11 @@ an interior node keeps that array as its ``grad``; a view of another
 buffer (what ``reshape``, ``concat``, ``tsum`` and a same-shape ``add``
 pass on, and ``conv2d``'s crop of a padded input gradient) is copied
 first.  So no two tensors' grads share memory, and
-later accumulation into one never reaches another.
+later accumulation into one never reaches another.  The walk releases
+what it has passed: after a node's backward has run, an interior node
+drops its grad, its closure (with the buffers it saved) and its inputs,
+while leaves keep their grads for the optimizer.  One graph backs one
+backward; a second walk over a released graph raises.
 
 Each activation is one numpy kernel, ``_sigmoid`` or ``_softmax``,
 computed in its input's dtype.  ``sigmoid`` and ``softmax_T`` run them in
@@ -120,8 +124,10 @@ class no_grad:
 class Tensor:
     """N-dimensional array with an optional gradient buffer.
 
-    ``data`` is contiguous and row-major.  ``grad`` exists iff
-    ``requires_grad`` and always matches ``data``'s shape and dtype.
+    ``data`` is contiguous and row-major.  A leaf's ``grad`` exists iff
+    ``requires_grad``; an interior node's exists from its first gradient
+    in ``backward`` until the walk releases the node.  A ``grad`` always
+    matches ``data``'s shape and dtype.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
@@ -379,12 +385,14 @@ def weighted_channel_sum(v: Tensor, feats: Tensor, w: Tensor, b: Tensor) -> Tens
             # Channels innermost, the layout of the chain's gradient (a copy
             # of a channel-broadcast plane): the feature net's last conv
             # reduces this buffer, and its float32 sums follow the layout.
-            gf = np.empty((N, G, T, K), dtype=y.dtype).transpose(0, 3, 1, 2)
-            g4 = g.reshape(R, N, 1, G, T)
-            np.multiply(g4[0], coef[0, :, :, None, None], out=gf)
+            # It is written in that (N, G, T, K) order and handed over as
+            # the [N, K, G, T] view.
+            gf = np.empty((N, G, T, K), dtype=y.dtype)
+            g5 = g.reshape(R, N, G, T, 1)
+            np.multiply(g5[0], coef[0, :, None, None, :], out=gf)
             for r in range(1, R):
-                gf += g4[r] * coef[r, :, :, None, None]
-            feats._acc(gf.astype(feats.dtype, copy=False), fresh=True)
+                gf += g5[r] * coef[r, :, None, None, :]
+            feats._acc(gf.transpose(0, 3, 1, 2).astype(feats.dtype, copy=False), fresh=True)
 
     return _make_node(out, (v, feats, w, b), _bw)
 
@@ -759,10 +767,16 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
 # ---------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of every requires_grad tensor reachable from ``loss``.
+    """Populate grads of every requires_grad leaf reachable from ``loss``.
 
     ``loss`` must hold a single element.  Nodes are visited exactly once,
-    in reverse of their recorded forward order.
+    in reverse topological order, and the walk releases the graph as it
+    goes: once a node's backward has run, every node with inputs drops
+    its ``grad``, its backward closure and its inputs, so an activation,
+    its gradient and the buffers its closure saved are freed as the walk
+    passes them.  Leaves keep their ``grad``.  A graph backs one
+    backward: walking a released node again raises ``RuntimeError``, and
+    a fresh forward pass records a new graph.
     """
     global _backward_counter
     if loss.data.size != 1:
@@ -777,6 +791,9 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node.requires_grad and node.grad is None and not node._prev:
+            raise RuntimeError("backward: this graph was released by an earlier backward; "
+                               "run the forward pass again")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._prev:
@@ -785,9 +802,15 @@ def backward(loss: Tensor) -> None:
     if loss.grad is None:
         loss.grad = np.zeros_like(loss.data)
     loss.grad[...] = 1
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._prev:
+            # release the node: its consumers have all run, so nothing
+            # reads its grad again, and its closure's buffers go with it
+            node.grad = node._backward = None
+            node._prev = ()
     _backward_counter += 1
 
 

@@ -18,6 +18,9 @@ bit.
 ``sigmoid64`` is the float64 sigmoid written out as one expression; the
 sigmoid paths of ``avnets`` must equal it bit for bit.
 ``deadline`` turns a call that would loop forever into a failure.
+``backward_checking_grad_owners`` runs a backward pass and checks, at
+every node's backward call, that no two live gradient buffers share
+memory, since the walk releases interior grads as it passes them.
 """
 
 import contextlib
@@ -88,6 +91,53 @@ def synthesizer_chain(v, feats, w, b):
     coef = tc.mul(tc.reshape(v, (M, K, 1, 1)), tc.reshape(w, (1, K, 1, 1)))
     return tc.add(tc.tsum(tc.mul(coef, stacked), axis=1, keepdims=True),
                   tc.reshape(b, (1, 1, 1, 1)))
+
+
+def graph_of(loss) -> list:
+    """Every tensor reachable from ``loss`` through recorded inputs, once."""
+    graph, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in graph:
+            graph[id(t)] = t
+            stack.extend(t._prev)
+    return list(graph.values())
+
+
+def backward_checking_grad_owners(loss, walk=tc.backward) -> int:
+    """Run ``walk(loss)`` and check that no two live grads of the graph
+    share memory: before and after each node's backward (after it, the
+    node's own grad and those it handed on are all live, since the walk
+    releases the node only then) and after the walk.  Also check that
+    every tensor of the graph that requires a grad got one: an interior
+    node when its backward is called, a leaf after the walk.  Returns how
+    many tensors of the graph require a grad."""
+    nodes = graph_of(loss)
+    leaves = [t for t in nodes if t.requires_grad and not t._prev]
+    interior = sum(bool(t._prev) for t in nodes)
+    called = []
+
+    def check_unshared():
+        live = [t.grad for t in nodes if t.grad is not None]
+        for i, a in enumerate(live):
+            for b in live[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def checking(fn):
+        def run(g):
+            check_unshared()
+            called.append(1)
+            fn(g)
+            check_unshared()
+        return run
+
+    for t in nodes:
+        if t._backward is not None:
+            t._backward = checking(t._backward)
+    walk(loss)
+    check_unshared()
+    assert len(called) == interior and all(t.grad is not None for t in leaves)
+    return interior + len(leaves)
 
 
 def direct_conv2d(x, w, b, stride, padding, dilation):

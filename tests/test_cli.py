@@ -9,6 +9,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 import wave
 from pathlib import Path
 
@@ -950,6 +951,40 @@ class TestEvalOutputs:
             assert doc["threads"][kind] == {"OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": None,
                                             "workers": workers}
 
+    @pytest.mark.parametrize("blas,workers", [("2", 1), ("1", 2)])
+    def test_run_manifest_records_resources(self, run_copy, blas, workers):
+        """``eval`` in a process of its own records its wall seconds, its
+        peak RSS and its forked workers': a forked worker is a copy of
+        the command's process, while without one the kernel's figure stays
+        at a few MB.  A manifest written before ``resources`` existed is
+        read."""
+        manifest = run_copy / "artifacts" / "run_manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["resources"]
+        manifest.write_text(json.dumps(doc))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("OMP_NUM_THREADS", None)
+        started = time.monotonic()
+        subprocess.run([sys.executable, "-c", EVAL_ON_TWO_CPUS], cwd=run_copy, env=env,
+                       capture_output=True, check=True)
+        took = time.monotonic() - started
+        doc = json.loads(manifest.read_text())
+        assert doc["threads"]["report"]["workers"] == workers
+        assert list(doc["resources"]) == ["report"]
+        spent = doc["resources"]["report"]
+        assert set(spent) == {"wall_s", "peak_rss_mb", "workers_peak_rss_mb"}
+        assert 0 < spent["wall_s"] < took
+        assert spent["peak_rss_mb"] > 10
+        assert (spent["workers_peak_rss_mb"] > 10) == (workers == 2)
+
+    def test_run_manifest_resources_must_be_an_object(self, run_copy, capsys):
+        manifest = run_copy / "artifacts" / "run_manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "resources": []}))
+        assert cli.main(["assign", "-c", "cosep.json"]) == cli.EXIT_CODES["E_CORRUPT_ARTIFACT"]
+        assert "run_manifest.json" in one_error_line(capsys, "E_CORRUPT_ARTIFACT")
+
     def test_eval_removes_earlier_figures(self, run_copy):
         cfg = json.loads((run_copy / "cosep.json").read_text())
         assert cfg["eval"]["figure_items"] == 2
@@ -1046,6 +1081,15 @@ class TestWorkerCountIndependence:
         runs = json.loads(out.splitlines()[-1])
         assert {n: (r["workers"], r["helpers"]) for n, r in runs.items()} == {"1": (1, 0), "2": (2, 1)}
         assert runs["1"]["files"] == runs["2"]["files"]
+
+
+EVAL_ON_TWO_CPUS = """
+import os
+from cosep import cli
+
+os.sched_getaffinity = lambda pid: {0, 1}
+assert cli.main(["eval", "-c", "cosep.json"]) == 0
+"""
 
 
 TRAIN_PROBE = """

@@ -7,6 +7,8 @@ import signal
 import threading
 import time
 import warnings
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from cosep import tensor as tc, trainer
 from cosep.avnets import AudioNetCfg, ImageNetCfg, ModelBundle
 from cosep.tensor import Tensor
 
-from oracles import check_gradients, direct_conv2d, inflate_kernel, rel_err, synthesizer_chain
+from oracles import (backward_checking_grad_owners, check_gradients, direct_conv2d, inflate_kernel,
+                     rel_err, synthesizer_chain)
 
 
 @pytest.fixture
@@ -370,25 +373,15 @@ class TestBackwardAndOptimizers:
 
     def test_no_two_grads_share_memory(self, rng):
         """An op hands over the gradient buffers it allocates and copies
-        the views it passes on (reshape, concat, tsum, add)."""
+        the views it passes on (reshape, concat, tsum, add): at every
+        node's backward call, no two live grads share memory."""
         x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), requires_grad=True)
         bias = Tensor(rng.standard_normal(16).astype(np.float32), requires_grad=True)
         h = tc.relu(tc.reshape(x, (2, 3, 4, 4)))
         s = tc.tsum(tc.concat([h, h], axis=1), axis=1, keepdims=True)
         y = tc.add(tc.reshape(s, (2, 16)), bias)
         loss = tc.tsum(tc.mul(y, y))
-        tc.backward(loss)
-        graph, stack = [], [loss]
-        while stack:
-            t = stack.pop()
-            if all(t is not u for u in graph):
-                graph.append(t)
-                stack.extend(t._prev)
-        grads = [t.grad for t in graph if t.requires_grad]
-        assert len(grads) == 10 and all(g is not None for g in grads)
-        for i, a in enumerate(grads):
-            for b in grads[i + 1:]:
-                assert not np.shares_memory(a, b)
+        assert backward_checking_grad_owners(loss) == 10
 
     def test_adam_decreases_quadratic(self):
         w = Tensor(np.array([5.0, -3.0]), requires_grad=True)
@@ -410,6 +403,69 @@ class TestBackwardAndOptimizers:
         a = tc.conv2d(Tensor(x), Tensor(w), zero, padding=1).data
         b = tc.conv2d(Tensor(x), Tensor(w), zero, padding=1).data
         assert np.array_equal(a, b)
+
+
+class TestGraphRelease:
+    """``backward`` releases the graph as it walks it, and a released
+    graph cannot be walked again."""
+
+    @staticmethod
+    def chain(x, w):
+        """``sum(relu(x * w)^2)``: mul, relu, mul, tsum."""
+        first = tc.mul(x, w)
+        h = tc.relu(first)
+        return first, h, tc.tsum(tc.mul(h, h))
+
+    def test_interior_activations_die_before_the_first_op_backward(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        first, h, loss = self.chain(x, w)
+        square = loss._prev[0]
+        interior = [weakref.ref(t.data) for t in (h, square)]
+        alive, run_first = [], first._backward
+
+        def recording(g):
+            alive.append([r() is not None for r in interior])
+            run_first(g)
+
+        first._backward = recording
+        del first, h, square
+        tc.backward(loss)
+        assert alive == [[False, False]]
+        assert loss._prev == () and loss._backward is None and loss.grad is None
+        relu = np.maximum(x.data * w.data, 0)
+        np.testing.assert_array_equal(x.grad, 2 * relu * (relu > 0) * w.data)
+        np.testing.assert_array_equal(w.grad, 2 * relu * (relu > 0) * x.data)
+
+    def test_second_walk_of_a_released_graph_raises(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        opt = tc.Adam([w], lr=0.1)
+        _, h, loss = self.chain(x, w)
+        tc.backward(loss)
+        opt.step()
+        grads, weights, walks = x.grad.copy(), w.data.copy(), tc._backward_counter
+        for released in (loss, tc.tsum(tc.mul(h, h))):
+            with pytest.raises(RuntimeError, match="released by an earlier backward"):
+                tc.backward(released)
+        assert tc._backward_counter == walks and np.array_equal(x.grad, grads)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            opt.step()   # no new walk: the stale grads are not applied again
+        assert any("backward" in str(c.message) for c in caught)
+        assert np.array_equal(w.data, weights)
+
+    def test_fresh_forward_backs_a_new_walk(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        loss = self.chain(x, w)[2]
+        tc.backward(loss)
+        once = x.grad.copy()
+        with pytest.raises(RuntimeError, match="released"):
+            tc.backward(loss)
+        x.zero_grad()
+        tc.backward(self.chain(x, w)[2])
+        assert np.array_equal(x.grad, once)
 
 
 class TestStructuralOps:
@@ -460,7 +516,9 @@ class TestWeightedChannelSum:
     def run(fused, reps, seed=0, n=3, k=5, g=7, t=9):
         """Value and gradients of the fused node or the chain, float32.
         ``v`` and ``feats`` enter through reshape nodes, as interior
-        tensors do in the model, so their first gradients are recorded."""
+        tensors do in the model, so their first gradients are recorded:
+        the walk releases interior grads, so the grad buffer each one
+        holds after its last ``_acc`` is kept as it was handed over."""
         rng = np.random.default_rng(seed)
         leaves = [Tensor(a.astype(np.float32), requires_grad=True) for a in (
             rng.random((reps * n, k)), rng.standard_normal((n, k, g, t)),
@@ -470,8 +528,18 @@ class TestWeightedChannelSum:
         op = tc.weighted_channel_sum if fused else synthesizer_chain
         y = op(v, feats, w, b)
         weight = Tensor(rng.standard_normal(y.shape).astype(np.float32))
-        tc.backward(tc.tsum(tc.mul(tc.sigmoid(y), weight)))
-        return y.data, v.grad, feats.grad, w.grad, b.grad
+        handed, real_acc = {}, Tensor._acc
+
+        def recording_acc(self, grad, fresh=False):
+            real_acc(self, grad, fresh)
+            if self is v:
+                handed["v"] = self.grad
+            elif self is feats:
+                handed["feats"] = self.grad
+
+        with mock.patch.object(Tensor, "_acc", recording_acc):
+            tc.backward(tc.tsum(tc.mul(tc.sigmoid(y), weight)))
+        return y.data, handed["v"], handed["feats"], w.grad, b.grad
 
     @pytest.mark.parametrize("reps", [2, 1])
     @pytest.mark.parametrize("seed", [0, 1])

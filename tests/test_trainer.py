@@ -2,6 +2,8 @@
 miniature dataset."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from cosep import trainer as tr
 from cosep.avnets import AudioNetCfg, ImageNetCfg, ModelBundle
 from cosep.tensor import Adam, Tensor
 
-from oracles import deadline
+from oracles import backward_checking_grad_owners, deadline, graph_of
 
 
 def preset_schedule(name, **fields):
@@ -248,31 +250,73 @@ class TestStepBatch:
 
     def test_no_two_graph_tensors_share_a_grad_buffer(self, monkeypatch):
         """Ops hand their fresh gradient buffers over instead of copying
-        them; after one step's backward, no grad is a view of another."""
-        losses, real_backward = [], tc.backward
+        them; at every node's backward call of one step, no live grad is a
+        view of another."""
+        counts, real_backward = [], tc.backward
+        monkeypatch.setattr(tc, "backward",
+                            lambda loss: counts.append(backward_checking_grad_owners(loss, real_backward)))
+        bundle = mini_bundle(seed=2)
+        tr._step_batch(self.mini_batch(), bundle, Adam(bundle.param_list(), lr=1e-3), symmetric=True)
+        assert len(counts) == 1 and counts[0] > len(bundle.param_list())
+
+    @staticmethod
+    def mini_batch(seed=2):
+        rng = np.random.default_rng(seed)
+        return (rng.random((2, 1, MINI_WARP, MINI_WARP)).astype(np.float32),
+                rng.random((4, 3, 64, 64)).astype(np.float32),
+                (rng.random((4, 1, MINI_WARP, MINI_WARP)) > 0.5).astype(np.float32))
+
+    def test_step_releases_the_graph_as_it_walks(self, monkeypatch):
+        """The synthesized mask, recorded just before the loss, is freed
+        by the time the step's first op runs its backward; the loss keeps
+        no graph afterwards."""
+        made, losses, mask_alive = [], [], []
+        real_make_node, real_backward = tc._make_node, tc.backward
+
+        def recording_make_node(out, inputs, fn):
+            if not made:
+                def first_backward(g):
+                    mask_alive.append(made[-2]() is not None)
+                    fn(g)
+                out = real_make_node(out, inputs, first_backward)
+            else:
+                out = real_make_node(out, inputs, fn)
+            made.append(weakref.ref(out.data))
+            return out
 
         def recording_backward(loss):
             losses.append(loss)
             real_backward(loss)
 
+        monkeypatch.setattr(tc, "_make_node", recording_make_node)
         monkeypatch.setattr(tc, "backward", recording_backward)
-        rng = np.random.default_rng(2)
-        batch = (rng.random((2, 1, MINI_WARP, MINI_WARP)).astype(np.float32),
-                 rng.random((4, 3, 64, 64)).astype(np.float32),
-                 (rng.random((4, 1, MINI_WARP, MINI_WARP)) > 0.5).astype(np.float32))
         bundle = mini_bundle(seed=2)
-        tr._step_batch(batch, bundle, Adam(bundle.param_list(), lr=1e-3), symmetric=True)
-        graph, stack = {}, list(losses)
-        while stack:
-            t = stack.pop()
-            if id(t) not in graph:
-                graph[id(t)] = t
-                stack.extend(t._prev)
-        grads = [t.grad for t in graph.values() if t.requires_grad]
-        assert all(g is not None for g in grads)
-        for i, a in enumerate(grads):
-            for b in grads[i + 1:]:
-                assert not np.shares_memory(a, b)
+        tr._step_batch(self.mini_batch(), bundle, Adam(bundle.param_list(), lr=1e-3), symmetric=True)
+        assert mask_alive == [False]
+        assert losses[0]._prev == () and losses[0]._backward is None
+
+    def test_backward_peak_is_below_forward_plus_interior_grads(self, monkeypatch):
+        """The walk frees grads and activations as it passes them, so its
+        peak stays below what the forward left live plus every interior
+        grad at once."""
+        seen, real_backward = {}, tc.backward
+
+        def measured_backward(loss):
+            seen["grads"] = sum(t.data.nbytes for t in graph_of(loss) if t._prev)
+            seen["forward"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            real_backward(loss)
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+
+        monkeypatch.setattr(tc, "backward", measured_backward)
+        bundle = mini_bundle(seed=2)
+        opt = Adam(bundle.param_list(), lr=1e-3)
+        tracemalloc.start()
+        try:
+            tr._step_batch(self.mini_batch(), bundle, opt, symmetric=True)
+        finally:
+            tracemalloc.stop()
+        assert seen["peak"] < seen["forward"] + seen["grads"]
 
     def test_one_sided_step_scores_first_clips(self):
         bundle = ModelBundle(ImageNetCfg(), AudioNetCfg(), seed=4)
