@@ -32,17 +32,16 @@ reads only ``report.csv`` (checked against the config) and prints the
 table beside it, so it needs neither the model nor the dataset.
 
 The config resolves once, when it loads (``normalize_config``).  The
-``stft``, ``model`` and ``schedule`` sections each name a preset of
-``PRESETS`` or null, by one rule: a preset pins some fields of its
-section (``stft``: ``sample_rate``, ``window_size``, ``hop``; ``model``
-``"paper"``: ``channels``, ``image_size``, ``audio_depth``,
-``audio_widths``; ``schedule``: the fine-tune fields, and in some presets
-``sigmoid_epochs``), a pinned field given in the file is ``E_CONFIG``, and
-the others keep their values.  The STFT, the two net configs and the
-schedule are built there, once; their constructors' checks are the
-validation.  The audio grid is ``stft.warp_bins``, at most the STFT's bin
-count and equal to ``stft.n_frames`` (training feeds square planes).  So
-a config that cannot train fails every command with one ``E_CONFIG`` line
+``stft`` and ``schedule`` sections each name a preset of ``PRESETS`` or
+null, by one rule: a preset pins some fields of its section (``stft``:
+``sample_rate``, ``window_size``, ``hop``; ``schedule``: the fine-tune
+fields, and in some presets ``sigmoid_epochs``), a pinned field given in
+the file is ``E_CONFIG``, and the others keep their values.  The STFT,
+the two net configs and the schedule are built there, once; their
+constructors' checks are the validation.  The audio grid is
+``stft.warp_bins``, at most the STFT's bin count; it is also each clip's
+frame count, since training feeds the audio net square planes.  So a
+config that cannot train fails every command with one ``E_CONFIG`` line
 before any file is written.  Artifact hashes cover the sections as given,
 not the resolved values; the dataset gate also compares the image size
 the frames were rendered at, which its hash leaves out.
@@ -113,12 +112,13 @@ SCHEMA = {
         "artifacts_dir": ("artifacts", "checkpoints/reports directory"),
     },
     "stft": {
-        "preset": ("toy", "'toy' pins sample_rate 8000, window_size 510, hop 128; 'paper' pins 11025, 1022, 256; null to give the three"),
+        "preset": ("toy", "'toy' pins sample_rate 8000, window_size 510, hop 128; null to give the three "
+                          "(the paper's STFT is 11025, 1022, 256)"),
         "sample_rate": (None, "sample rate in Hz (when preset is null)"),
         "window_size": (None, "even analysis window length in samples"),
         "hop": (None, "hop length in samples"),
-        "warp_bins": (64, "log-frequency grid rows: the audio net's grid, at most the STFT's bins"),
-        "n_frames": (64, "spectrogram frames per clip (fixes clip length); must equal warp_bins"),
+        "warp_bins": (64, "log-frequency grid rows and spectrogram frames per clip (fixes clip length): "
+                          "the audio net's square grid, at most the STFT's bins"),
     },
     "model": {
         "channels": (16, "shared channel count K"),
@@ -126,8 +126,6 @@ SCHEMA = {
         "audio_depth": (4, "down/up convolution pairs in the audio net"),
         "audio_widths": (None, "channel widths, stem first (null: defaults for the depth)"),
         "seed": (0, "weight initialization seed"),
-        "preset": (None, "null, or 'paper': pins channels 32, image_size 224, audio_depth 7, audio_widths "
-                         "(needs stft.warp_bins divisible by 128; the paper uses 256)"),
     },
     "schedule": {
         "preset": ("toy-E", "named schedule preset (A-E, softmax-only, sigmoid-only, toy-E, toy-sigmoid-only): pins "
@@ -142,7 +140,8 @@ SCHEMA = {
         "lr_finetune_divisor": (5.0, "fine-tune learning-rate divisor"),
         "seed": (0, "pair-sampling seed"),
         "batch_pairs": (8, "pairs per optimizer step"),
-        "symmetric": (True, "train on both clips of each pair"),
+        "symmetric": (True, "must be true: every step scores both clips of each pair "
+                            "(kept so configs that set it load)"),
         "distinct_pairs": (False, "forbid same-category pairs"),
     },
     "eval": {
@@ -158,18 +157,12 @@ SCHEMA = {
 
 # section -> preset -> the fields it pins.  A pinned field given in the file
 # (present and not null) conflicts with the preset; the others keep their
-# values.  The paper model: 224 -> 14 image maps with a trailing dilated
-# stage (a stage layout no field sets) and a U-Net of 7 down / 7 up convs.
-# The schedule presets fix the fine-tune stage; final temperatures follow
-# in closed form (A 0.625, B 0.4746->0.475, C 0.090, D 0.0081->0.008,
+# values.  The schedule presets fix the fine-tune stage; final temperatures
+# follow in closed form (A 0.625, B 0.4746->0.475, C 0.090, D 0.0081->0.008,
 # E 0.125, softmax-only 0.090).  The toy-* presets shrink the epoch budget
 # for desk-scale runs while keeping E's annealing endpoint.
 PRESETS = {
-    "stft": {"toy": {"sample_rate": 8000, "window_size": 510, "hop": 128},
-             "paper": {"sample_rate": 11025, "window_size": 1022, "hop": 256}},
-    "model": {"paper": {"channels": 32, "image_size": 224, "audio_depth": 7,
-                        "audio_widths": [16, 32, 64, 128, 256, 512, 512, 512],
-                        "image_stages": ((64, 2, 1), (128, 2, 1), (256, 2, 1), (512, 2, 1), (512, 1, 2))}},
+    "stft": {"toy": {"sample_rate": 8000, "window_size": 510, "hop": 128}},
     "schedule": {
         "A": {"softmax_epochs": 20, "initial_T": 10.0, "decay_rate": 0.5, "decay_epochs": (4, 8, 12, 16)},
         "B": {"softmax_epochs": 20, "initial_T": 1.5, "decay_rate": 0.75, "decay_epochs": (4, 8, 12, 16)},
@@ -253,7 +246,7 @@ def normalize_config(raw: dict) -> dict:
     for section, f, least in (("model", "channels", 1), ("model", "image_size", 1),
                               ("model", "audio_depth", 1), ("model", "seed", 0),
                               ("stft", "sample_rate", 1), ("stft", "window_size", 1),
-                              ("stft", "hop", 1), ("stft", "n_frames", 1), ("stft", "warp_bins", 2),
+                              ("stft", "hop", 1), ("stft", "warp_bins", 2),
                               ("schedule", "batch_pairs", 1), ("dataset", "seed", 0),
                               ("schedule", "seed", 0), ("eval", "pair_seed", 0)):
         _check_int(pinned[section][f], f"{section}.{f}", least)
@@ -261,10 +254,7 @@ def normalize_config(raw: dict) -> dict:
     stft = _build("stft", dsp.StftConfig, s["sample_rate"], s["window_size"], s["hop"])
     if s["warp_bins"] > stft.n_bins:
         raise CliError("E_CONFIG", f"stft.warp_bins {s['warp_bins']} exceeds the {stft.n_bins} bins of the STFT")
-    if s["n_frames"] != s["warp_bins"]:   # training feeds the audio net square planes
-        raise CliError("E_CONFIG", f"stft.n_frames {s['n_frames']} must equal stft.warp_bins {s['warp_bins']}")
-    image = _build("model", avnets.ImageNetCfg, m["image_size"], m["channels"],
-                   m.get("image_stages", avnets.ImageNetCfg.stages))
+    image = _build("model", avnets.ImageNetCfg, m["image_size"], m["channels"])
     audio = _build("model", avnets.AudioNetCfg, s["warp_bins"], m["audio_depth"], m["channels"],
                    m["audio_widths"])
     sig = sched["sigmoid_epochs"]
@@ -281,7 +271,9 @@ def normalize_config(raw: dict) -> dict:
         raise CliError("E_CONFIG", "dataset.categories must be smaller than model.channels")
     for split in ("train", "val", "test"):
         _check_int(d[split], f"dataset.{split}", d["categories"])
-    for section, f in (("schedule", "symmetric"), ("schedule", "distinct_pairs"), ("eval", "include_nmf")):
+    if cfg["schedule"]["symmetric"] is not True:   # the one training rule scores both clips
+        raise CliError("E_CONFIG", f"schedule.symmetric must be true, got {cfg['schedule']['symmetric']!r}")
+    for section, f in (("schedule", "distinct_pairs"), ("eval", "include_nmf")):
         if not isinstance(cfg[section][f], bool):
             raise CliError("E_CONFIG", f"{section}.{f} must be true or false, got {cfg[section][f]!r}")
     _check_tau(cfg["eval"]["tau"], "eval.tau")
@@ -474,7 +466,7 @@ def cmd_make_data(cfg: dict, args) -> int:
         dataset = toyworld.generate(d["dir"], seed=d["seed"], n_categories=d["categories"],
                                     counts={"train": d["train"], "val": d["val"], "test": d["test"]},
                                     image_size=r.image.input_size, stft_cfg=r.stft,
-                                    n_frames=cfg["stft"]["n_frames"],
+                                    n_frames=cfg["stft"]["warp_bins"],
                                     config_hash=artifact_hash(cfg, "dataset"))
     except ValueError as exc:   # a model.image_size too small to render the masks
         raise CliError("E_CONFIG", f"model.image_size: {exc}")
@@ -521,7 +513,6 @@ def cmd_train(cfg: dict, args) -> int:
     state = trainer.run_schedule(
         r.schedule, dataset, bundle, out_dir=_artifacts(cfg),
         seed=cfg["schedule"]["seed"], batch_pairs=cfg["schedule"]["batch_pairs"],
-        symmetric=cfg["schedule"]["symmetric"],
         distinct_pairs=cfg["schedule"]["distinct_pairs"],
         log_path=_artifacts(cfg, "train_log.csv"), start_epoch=start,
         config_hash=artifact_hash(cfg, "checkpoint"), quiet=not args.verbose)

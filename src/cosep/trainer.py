@@ -19,11 +19,11 @@ other clip on the warped grid.
 
 An epoch is one pass over N uniformly sampled clip pairs, N being the
 train-clip count.  Pairs are consumed in fixed order in small batches,
-so runs with identical seeds are bit-identical.  By default the loss is
-symmetric: the frames of both clips of every pair go through the image
-net as one 2N batch, each scored against the shared mixture features,
-and the mean binary cross entropy over all 2N masks equals the average
-of the two one-sided losses.
+so runs with identical seeds are bit-identical.  The loss is symmetric:
+the frames of both clips of every pair go through the image net as one
+2N batch, each scored against the shared mixture features, and the mean
+binary cross entropy over all 2N masks equals the average of the two
+one-sided losses.
 """
 
 from __future__ import annotations
@@ -163,16 +163,16 @@ def _batch_arrays(pairs: list):
     return mix, frames, targets
 
 
-def _step_batch(batch, bundle: avnets.ModelBundle, opt: Adam, symmetric: bool) -> float:
-    """One optimizer step; without ``symmetric`` only the first clip of
-    each pair is scored.  Overflow and invalid-value warnings are silenced:
-    the caller's non-finite-loss check replaces them."""
+def _step_batch(batch, bundle: avnets.ModelBundle, opt: Adam) -> float:
+    """One optimizer step on both clips of each pair.  Overflow and
+    invalid-value warnings are silenced: the caller's non-finite-loss
+    check replaces them."""
     mix, frames, targets = batch
     with np.errstate(over="ignore", invalid="ignore"):
         feats = avnets.audio_forward(Tensor(mix), bundle)
-        n = 2 * len(mix) if symmetric else len(mix)
-        _, _, v = avnets.image_forward(Tensor(frames[:n]), bundle)
-        loss = tc.bce_loss(avnets.synthesize_mask(v, feats, bundle), Tensor(targets[:n]))
+        _, _, v = avnets.image_forward(Tensor(frames), bundle)
+        loss = tc.bce_loss(avnets.synthesize_mask(v, feats, bundle), Tensor(targets))
+        del feats, v   # so the walk frees them once their nodes have run
         opt.zero_grad()
         tc.backward(loss)
         opt.step()
@@ -191,12 +191,12 @@ def _val_sparsity(bundle: avnets.ModelBundle, val_frames: np.ndarray, state: Tra
     return float(np.mean([sparsity(row) for row in v]))
 
 
-def _run_epoch(prepared, pair_idx, bundle, opt, state, batch_pairs: int, symmetric: bool) -> float:
+def _run_epoch(prepared, pair_idx, bundle, opt, state, batch_pairs: int) -> float:
     losses = []
     for lo in range(0, len(pair_idx), batch_pairs):
         chunk = pair_idx[lo:lo + batch_pairs]
         pairs = [(prepared[i], prepared[j]) for i, j in chunk]
-        loss = _step_batch(_batch_arrays(pairs), bundle, opt, symmetric)
+        loss = _step_batch(_batch_arrays(pairs), bundle, opt)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss at state {state.dump()}, batch_pairs {batch_pairs}")
         losses.append(loss)
@@ -215,7 +215,7 @@ def _sample_pairs(rng, n_clips: int, n_pairs: int, categories, distinct: bool) -
 
 
 def run_schedule(cfg: ScheduleConfig, dataset: toyworld.Dataset, bundle: avnets.ModelBundle,
-                 out_dir=None, seed: int = 0, batch_pairs: int = 8, symmetric: bool = True,
+                 out_dir=None, seed: int = 0, batch_pairs: int = 8,
                  distinct_pairs: bool = False, log_path=None,
                  start_epoch: int | None = None, config_hash: str = "",
                  quiet: bool = True) -> TrainState:
@@ -257,7 +257,7 @@ def run_schedule(cfg: ScheduleConfig, dataset: toyworld.Dataset, bundle: avnets.
         state.stage, mode, state.temperature, opt.lr = plan[state.epoch]
         bundle.set_mode(mode, state.temperature)
         pair_idx = _sample_pairs(rng, n, n, categories, distinct_pairs)
-        loss = _run_epoch(prepared, pair_idx, bundle, opt, state, batch_pairs, symmetric)
+        loss = _run_epoch(prepared, pair_idx, bundle, opt, state, batch_pairs)
         spars = _val_sparsity(bundle, val_frames, state)
         state.loss_history.append(loss)
         state.sparsity_history.append(spars)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cosep import avnets, checkpoint, cli, tensor as tc
+from cosep import avnets, checkpoint, tensor as tc
 from cosep.avnets import (AudioNetCfg, ImageNetCfg, ModelBundle, audio_forward,
                           audio_only_masks, image_forward, infer_images, segment,
                           synthesize_mask)
@@ -40,16 +40,6 @@ class TestShapes:
         rng = np.random.default_rng(1)
         feats = audio_forward(toy_specs(rng), bundle)
         assert feats.shape == (2, 16, 64, 64)
-
-    def test_paper_preset_shapes(self):
-        r = cli.normalize_config({"stft": {"preset": "paper", "warp_bins": 256, "n_frames": 256},
-                                  "model": {"preset": "paper"}})["resolved"]
-        b = ModelBundle(r.image, r.audio, seed=0)
-        rng = np.random.default_rng(2)
-        maps, phi, v = image_forward(Tensor(rng.random((1, 3, 224, 224)).astype(np.float32)), b)
-        assert maps.shape == (1, 32, 14, 14)
-        feats = audio_forward(Tensor(rng.random((1, 1, 256, 256)).astype(np.float32)), b)
-        assert feats.shape == (1, 32, 256, 256)
 
     def test_size_mismatch_rejected(self, bundle):
         rng = np.random.default_rng(3)

@@ -31,7 +31,7 @@ def tiny_config(tmp_path, **schedule_overrides):
     return {
         "dataset": {"seed": 3, "categories": 4, "train": 24, "val": 8, "test": 6,
                     "dir": str(tmp_path / "data"), "artifacts_dir": str(tmp_path / "artifacts")},
-        "stft": {"preset": "toy", "warp_bins": 32, "n_frames": 32},
+        "stft": {"preset": "toy", "warp_bins": 32},
         "model": {"channels": 8, "audio_depth": 2, "audio_widths": [6, 10, 14], "seed": 1},
         "schedule": schedule,
         "eval": {"pair_seed": 2, "n_mixtures": 4, "nmf_rank": 2, "nmf_iters": 40,
@@ -83,12 +83,20 @@ class TestConfigValidation:
         assert one_error_line(capsys, "E_CONFIG").startswith(f"E_CONFIG: {section}")
         assert not (tmp_path / "data").exists() and not (tmp_path / "artifacts").exists()
 
-    def test_unknown_field_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section,field,value", [
+        ("dataset", "bogus", 1),
+        # fields of earlier versions: the model preset, its image-stage pin and the frame count
+        ("model", "preset", "paper"),
+        ("model", "image_stages", [[12, 2, 1]]),
+        ("stft", "n_frames", 32),
+    ])
+    def test_unknown_field_rejected(self, tmp_path, capsys, section, field, value):
         cfg = tiny_config(tmp_path)
-        cfg["dataset"]["bogus"] = 1
+        cfg[section][field] = value
         rc = cli.main(["make-data", "-c", write_config(tmp_path, cfg)])
         assert rc == cli.EXIT_CODES["E_CONFIG"]
-        assert capsys.readouterr().err.startswith("E_CONFIG:")
+        assert one_error_line(capsys, "E_CONFIG") == f"E_CONFIG: unknown field {section}.{field}\n"
+        assert not (tmp_path / "data").exists() and not (tmp_path / "artifacts").exists()
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
@@ -162,8 +170,6 @@ class TestConfigValidation:
         ("dataset", "val", 2),
         ("dataset", "test", 1),
         ("dataset", "test", 6.0),
-        ("model", "preset", "huge"),
-        ("model", "preset", ["paper"]),
         ("schedule", "preset", ["E"]),
         ("stft", "preset", "tiny"),
         ("model", "channels", "16"),
@@ -171,10 +177,10 @@ class TestConfigValidation:
         ("model", "image_size", 0),
         ("model", "audio_depth", 0),
         ("model", "seed", -1),
-        ("stft", "n_frames", 0),
         ("stft", "warp_bins", 1),
         ("stft", "warp_bins", "x"),
         ("schedule", "symmetric", "no"),
+        ("schedule", "symmetric", False),
         ("schedule", "distinct_pairs", "no"),
         ("eval", "include_nmf", "no"),
         ("eval", "include_nmf", 1),
@@ -218,19 +224,16 @@ def resolve(**sections):
     return cli.normalize_config(sections)["resolved"]
 
 
-PAPER_STFT = {"preset": "paper", "warp_bins": 256, "n_frames": 256}
-
-
 class TestConfigResolution:
-    """Each config resolves once, at load: one preset rule for ``stft``,
-    ``model`` and ``schedule``, each derived object built and checked there."""
+    """Each config resolves once, at load: one preset rule for ``stft``
+    and ``schedule``, each derived object built and checked there."""
 
     def test_default_config_hashes_are_pinned(self):
         cfg = cli.normalize_config({})
         assert {kind: cli.artifact_hash(cfg, kind) for kind in cli.ARTIFACTS} == {
-            "dataset": "1d6123bfdd041448", "nmf": "1d6123bfdd041448",
-            "checkpoint": "5a788c9f6a93e554", "assignment": "5a788c9f6a93e554",
-            "report": "655ca31896526fc1"}
+            "dataset": "ceb93b710913518b", "nmf": "ceb93b710913518b",
+            "checkpoint": "9682b39fbfe76dc6", "assignment": "9682b39fbfe76dc6",
+            "report": "94d028f0f3421dee"}
 
     def test_resolved_values_stay_out_of_the_hashed_sections(self):
         raw = {"stft": {"preset": "toy"}, "model": {"seed": 2}, "schedule": {"preset": "E"}}
@@ -239,28 +242,22 @@ class TestConfigResolution:
         assert cfg["schedule"]["softmax_epochs"] is None and cfg["schedule"]["sigmoid_epochs"] is None
 
     def test_every_section_and_preset_is_covered(self):
-        assert {s: sorted(p) for s, p in cli.PRESETS.items() if s != "schedule"} == {
-            "stft": ["paper", "toy"], "model": ["paper"]}
-        assert all("preset" in cli.SCHEMA[s] for s in cli.PRESETS)
+        assert sorted(cli.PRESETS) == ["schedule", "stft"] and sorted(cli.PRESETS["stft"]) == ["toy"]
+        assert [s for s in cli.SCHEMA if "preset" in cli.SCHEMA[s]] == ["stft", "schedule"]
 
     def test_stft_presets(self):
         assert resolve(stft={"preset": "toy"}).stft == dsp.StftConfig(8000, 510, 128)
-        assert resolve(stft={"preset": "paper"}).stft == dsp.StftConfig(11025, 1022, 256)
+        # the paper's STFT, given explicitly
+        assert resolve(stft={"preset": None, "sample_rate": 11025, "window_size": 1022,
+                             "hop": 256}).stft == dsp.StftConfig(11025, 1022, 256)
         assert resolve(stft={"preset": None, "sample_rate": 16000, "window_size": 256,
                              "hop": 64}).stft == dsp.StftConfig(16000, 256, 64)
 
     def test_default_model(self):
         r = resolve()
         assert r.image == avnets.ImageNetCfg() and r.audio == avnets.AudioNetCfg()
-        r = resolve(model={"audio_depth": 2}, stft={"warp_bins": 32, "n_frames": 32})
+        r = resolve(model={"audio_depth": 2}, stft={"warp_bins": 32})
         assert r.audio == avnets.AudioNetCfg(grid=32, depth=2, widths=(8, 16, 32))
-
-    def test_paper_model(self):
-        r = resolve(stft=PAPER_STFT, model={"preset": "paper", "seed": 4})
-        assert r.image == avnets.ImageNetCfg(
-            224, 32, ((64, 2, 1), (128, 2, 1), (256, 2, 1), (512, 2, 1), (512, 1, 2)))
-        assert r.audio == avnets.AudioNetCfg(256, 7, 32, (16, 32, 64, 128, 256, 512, 512, 512))
-        assert r.stft == dsp.StftConfig(11025, 1022, 256)
 
     @pytest.mark.parametrize("name", sorted(cli.PRESETS["schedule"]))
     def test_schedule_presets(self, name):
@@ -281,17 +278,11 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("section,preset,field,value", [
         ("stft", "toy", "sample_rate", 16000),
-        ("stft", "paper", "hop", 256),
-        ("model", "paper", "channels", 32),
-        ("model", "paper", "image_size", 64),
-        ("model", "paper", "audio_depth", 7),
-        ("model", "paper", "audio_widths", [16, 32, 64, 128, 256, 512, 512, 512]),
         ("schedule", "E", "softmax_epochs", 25),
         ("schedule", "toy-E", "sigmoid_epochs", 12),
     ])
     def test_pinned_field_given_is_a_conflict(self, tmp_path, capsys, section, preset, field, value):
-        cfg = {"stft": dict(PAPER_STFT)} if section == "model" else {}
-        cfg[section] = {**cfg.get(section, {}), "preset": preset, field: value}
+        cfg = {section: {"preset": preset, field: value}}
         assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == 2
         err = one_error_line(capsys, "E_CONFIG")
         assert err.startswith(f"E_CONFIG: {section}.preset {preset!r} conflicts with explicit {section}.{field}")
@@ -305,16 +296,13 @@ class TestConfigResolution:
         ({"preset": None, "sample_rate": "x", "window_size": 510, "hop": 128}, {}, "stft.sample_rate"),
         ({"preset": None, "window_size": 510, "hop": 128}, {}, "stft.sample_rate"),
         ({"preset": "toy", "sample_rate": 16000}, {}, "stft.preset 'toy' conflicts"),
-        ({}, {"preset": "paper", "channels": None, "audio_depth": None, "audio_widths": None},
-         "model: grid 32 not divisible"),
-        ({"warp_bins": 48, "n_frames": 48}, {"audio_depth": 5, "audio_widths": None},
+        ({"warp_bins": 48}, {"audio_depth": 5, "audio_widths": None},
          "model: grid 48 not divisible"),
         ({}, {"audio_widths": [6, 10]}, "model: audio_widths must be null or 3 positive integers"),
         ({}, {"audio_widths": [6, 10, "x"]}, "model: audio_widths must be null or 3 positive integers"),
-        ({"n_frames": 40}, {}, "stft.n_frames 40 must equal stft.warp_bins 32"),
-        ({"warp_bins": 512, "n_frames": 512}, {}, "stft.warp_bins 512 exceeds the 256 bins"),
-    ], ids=["odd_window", "sample_rate_x", "no_sample_rate", "toy_with_rate", "paper_model_toy_stft",
-            "depth5_grid48", "widths_length", "widths_type", "frames_not_bins", "bins_above_stft"])
+        ({"warp_bins": 512}, {}, "stft.warp_bins 512 exceeds the 256 bins"),
+    ], ids=["odd_window", "sample_rate_x", "no_sample_rate", "toy_with_rate",
+            "depth5_grid48", "widths_length", "widths_type", "bins_above_stft"])
     def test_config_that_cannot_train_is_one_error_line(self, tmp_path, capsys, command, stft, model, prefix):
         cfg = tiny_config(tmp_path)
         cfg["stft"].update(stft)
@@ -322,12 +310,6 @@ class TestConfigResolution:
         assert cli.main([command, "-c", write_config(tmp_path, cfg)]) == cli.EXIT_CODES["E_CONFIG"]
         assert one_error_line(capsys, "E_CONFIG").startswith(f"E_CONFIG: {prefix}")
         assert not (tmp_path / "data").exists() and not (tmp_path / "artifacts").exists()
-
-    def test_paper_model_on_default_stft_is_rejected(self, tmp_path, capsys):
-        cfg = {"dataset": {"dir": str(tmp_path / "data")}, "model": {"preset": "paper"}}
-        assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == 2
-        assert one_error_line(capsys, "E_CONFIG").startswith("E_CONFIG: model: grid 64 not divisible by 2^7")
-        assert not (tmp_path / "data").exists()
 
 
 class TestMissingArtifacts:

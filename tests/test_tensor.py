@@ -653,7 +653,7 @@ class TestSampleRanges:
             set_workers(monkeypatch, cpus)
             bundle = ModelBundle(ImageNetCfg(), AudioNetCfg(), seed=5)
             opt = tc.Adam(bundle.param_list(), lr=1e-3)
-            losses = [trainer._step_batch(batch, bundle, opt, symmetric=True) for _ in range(2)]
+            losses = [trainer._step_batch(batch, bundle, opt) for _ in range(2)]
             runs.append((losses, {name: p.data.tobytes() for name, p in bundle.params().items()}))
         assert runs[0] == runs[1]
 

@@ -174,7 +174,7 @@ class TestTrainStep:
         opt = Adam(bundle.param_list(), lr=1e-3)
         prepared, ((i, j),) = self.one_pair(mini_dataset, 2)
         batch = tr._batch_arrays([(prepared[i], prepared[j])])
-        loss = tr._step_batch(batch, bundle, opt, symmetric=True)
+        loss = tr._step_batch(batch, bundle, opt)
         assert abs(loss - math.log(2)) <= 0.15
 
     def test_nan_aborts_with_state_dump(self, mini_dataset):
@@ -184,7 +184,7 @@ class TestTrainStep:
         state = tr.TrainState(seed=0)
         prepared, pair_idx = self.one_pair(mini_dataset, 3)
         with pytest.raises(tr.TrainingDiverged, match="stage.*batch_pairs 8"):
-            tr._run_epoch(prepared, pair_idx, bundle, opt, state, batch_pairs=8, symmetric=True)
+            tr._run_epoch(prepared, pair_idx, bundle, opt, state, batch_pairs=8)
 
     def test_overflowing_image_maps_abort_with_state_dump(self, mini_dataset):
         """Image maps that overflow stop training at the validation pass
@@ -241,7 +241,7 @@ class TestStepBatch:
 
         monkeypatch.setattr(avnets, "image_forward", counting_forward)
         monkeypatch.setattr(tc, "_make_node", counting_make_node)
-        loss = tr._step_batch(batch, bundle, Adam(bundle.param_list(), lr=1e-3), symmetric=True)
+        loss = tr._step_batch(batch, bundle, Adam(bundle.param_list(), lr=1e-3))
         assert calls == [4]
         assert abs(loss - 0.5 * (loss_a + loss_b)) <= 1e-6
         # audio 27 (stem 2, 4 down x 2, 4 up x 4, head), image 11,
@@ -256,7 +256,7 @@ class TestStepBatch:
         monkeypatch.setattr(tc, "backward",
                             lambda loss: counts.append(backward_checking_grad_owners(loss, real_backward)))
         bundle = mini_bundle(seed=2)
-        tr._step_batch(self.mini_batch(), bundle, Adam(bundle.param_list(), lr=1e-3), symmetric=True)
+        tr._step_batch(self.mini_batch(), bundle, Adam(bundle.param_list(), lr=1e-3))
         assert len(counts) == 1 and counts[0] > len(bundle.param_list())
 
     @staticmethod
@@ -267,20 +267,23 @@ class TestStepBatch:
                 (rng.random((4, 1, MINI_WARP, MINI_WARP)) > 0.5).astype(np.float32))
 
     def test_step_releases_the_graph_as_it_walks(self, monkeypatch):
-        """The synthesized mask, recorded just before the loss, is freed
-        by the time the step's first op runs its backward; the loss keeps
-        no graph afterwards."""
-        made, losses, mask_alive = [], [], []
+        """The synthesized mask, recorded just before the loss, and the
+        audio features the weighted channel sum read are freed by the time
+        the step's first op runs its backward; the loss keeps no graph
+        afterwards."""
+        made, losses, alive, feats = [], [], [], []
         real_make_node, real_backward = tc._make_node, tc.backward
 
         def recording_make_node(out, inputs, fn):
             if not made:
                 def first_backward(g):
-                    mask_alive.append(made[-2]() is not None)
+                    alive.append((made[-2]() is not None, feats[0]() is not None))
                     fn(g)
                 out = real_make_node(out, inputs, first_backward)
             else:
                 out = real_make_node(out, inputs, fn)
+            if fn.__qualname__.startswith("weighted_channel_sum."):
+                feats.append(weakref.ref(inputs[1].data))
             made.append(weakref.ref(out.data))
             return out
 
@@ -291,8 +294,8 @@ class TestStepBatch:
         monkeypatch.setattr(tc, "_make_node", recording_make_node)
         monkeypatch.setattr(tc, "backward", recording_backward)
         bundle = mini_bundle(seed=2)
-        tr._step_batch(self.mini_batch(), bundle, Adam(bundle.param_list(), lr=1e-3), symmetric=True)
-        assert mask_alive == [False]
+        tr._step_batch(self.mini_batch(), bundle, Adam(bundle.param_list(), lr=1e-3))
+        assert len(feats) == 1 and alive == [(False, False)]
         assert losses[0]._prev == () and losses[0]._backward is None
 
     def test_backward_peak_is_below_forward_plus_interior_grads(self, monkeypatch):
@@ -313,17 +316,10 @@ class TestStepBatch:
         opt = Adam(bundle.param_list(), lr=1e-3)
         tracemalloc.start()
         try:
-            tr._step_batch(self.mini_batch(), bundle, opt, symmetric=True)
+            tr._step_batch(self.mini_batch(), bundle, opt)
         finally:
             tracemalloc.stop()
         assert seen["peak"] < seen["forward"] + seen["grads"]
-
-    def test_one_sided_step_scores_first_clips(self):
-        bundle = ModelBundle(ImageNetCfg(), AudioNetCfg(), seed=4)
-        batch = self.batch(seed=1)
-        loss_a, _ = self.side_losses(bundle, batch)
-        loss = tr._step_batch(batch, bundle, Adam(bundle.param_list(), lr=1e-3), symmetric=False)
-        assert loss == loss_a
 
 
 class TestRunSchedule:
