@@ -6,13 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
-from cosep import avnets, checkpoint, tensor as tc
+from cosep import avnets, checkpoint, cli, tensor as tc
 from cosep.avnets import (AudioNetCfg, ImageNetCfg, ModelBundle, audio_forward,
                           audio_only_masks, image_forward, infer_images, segment,
                           synthesize_mask)
 from cosep.tensor import Tensor
 
 from oracles import sigmoid64
+
+# the paper's STFT and nets at full size
+PAPER_STFT = {"preset": None, "sample_rate": 11025, "window_size": 1022, "hop": 256, "warp_bins": 256}
+PAPER_MODEL = {"image_size": 224, "channels": 32, "audio_depth": 7,
+               "audio_widths": [16, 32, 64, 128, 256, 512, 512, 512]}
+PAPER_IMAGE_STAGES = ((64, 2, 1), (128, 2, 1), (256, 2, 1), (512, 2, 1), (512, 1, 2))
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +46,17 @@ class TestShapes:
         rng = np.random.default_rng(1)
         feats = audio_forward(toy_specs(rng), bundle)
         assert feats.shape == (2, 16, 64, 64)
+
+    def test_paper_preset_shapes(self):
+        """The paper's nets: its STFT and audio net given explicitly in a
+        config, its five image stages (224 -> 14) given to ``ImageNetCfg``."""
+        r = cli.normalize_config({"stft": PAPER_STFT, "model": PAPER_MODEL})["resolved"]
+        b = ModelBundle(ImageNetCfg(224, 32, PAPER_IMAGE_STAGES), r.audio, seed=0)
+        rng = np.random.default_rng(2)
+        maps, phi, v = image_forward(Tensor(rng.random((1, 3, 224, 224)).astype(np.float32)), b)
+        assert maps.shape == (1, 32, 14, 14)
+        feats = audio_forward(Tensor(rng.random((1, 1, 256, 256)).astype(np.float32)), b)
+        assert feats.shape == (1, 32, 256, 256)
 
     def test_size_mismatch_rejected(self, bundle):
         rng = np.random.default_rng(3)

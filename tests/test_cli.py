@@ -170,6 +170,8 @@ class TestConfigValidation:
         ("dataset", "val", 2),
         ("dataset", "test", 1),
         ("dataset", "test", 6.0),
+        ("stft", "preset", "paper"),   # a preset of earlier versions
+        ("stft", "preset", ["toy"]),
         ("schedule", "preset", ["E"]),
         ("stft", "preset", "tiny"),
         ("model", "channels", "16"),
@@ -224,6 +226,12 @@ def resolve(**sections):
     return cli.normalize_config(sections)["resolved"]
 
 
+# the paper's STFT and model, given explicitly
+PAPER_STFT = {"preset": None, "sample_rate": 11025, "window_size": 1022, "hop": 256, "warp_bins": 256}
+PAPER_MODEL = {"image_size": 224, "channels": 32, "audio_depth": 7,
+               "audio_widths": [16, 32, 64, 128, 256, 512, 512, 512]}
+
+
 class TestConfigResolution:
     """Each config resolves once, at load: one preset rule for ``stft``
     and ``schedule``, each derived object built and checked there."""
@@ -258,6 +266,12 @@ class TestConfigResolution:
         assert r.image == avnets.ImageNetCfg() and r.audio == avnets.AudioNetCfg()
         r = resolve(model={"audio_depth": 2}, stft={"warp_bins": 32})
         assert r.audio == avnets.AudioNetCfg(grid=32, depth=2, widths=(8, 16, 32))
+
+    def test_paper_model(self):
+        r = resolve(stft=PAPER_STFT, model={**PAPER_MODEL, "seed": 4})
+        assert r.image == avnets.ImageNetCfg(224, 32)
+        assert r.audio == avnets.AudioNetCfg(256, 7, 32, (16, 32, 64, 128, 256, 512, 512, 512))
+        assert r.stft == dsp.StftConfig(11025, 1022, 256)
 
     @pytest.mark.parametrize("name", sorted(cli.PRESETS["schedule"]))
     def test_schedule_presets(self, name):
@@ -296,12 +310,13 @@ class TestConfigResolution:
         ({"preset": None, "sample_rate": "x", "window_size": 510, "hop": 128}, {}, "stft.sample_rate"),
         ({"preset": None, "window_size": 510, "hop": 128}, {}, "stft.sample_rate"),
         ({"preset": "toy", "sample_rate": 16000}, {}, "stft.preset 'toy' conflicts"),
+        ({}, PAPER_MODEL, "model: grid 32 not divisible"),
         ({"warp_bins": 48}, {"audio_depth": 5, "audio_widths": None},
          "model: grid 48 not divisible"),
         ({}, {"audio_widths": [6, 10]}, "model: audio_widths must be null or 3 positive integers"),
         ({}, {"audio_widths": [6, 10, "x"]}, "model: audio_widths must be null or 3 positive integers"),
         ({"warp_bins": 512}, {}, "stft.warp_bins 512 exceeds the 256 bins"),
-    ], ids=["odd_window", "sample_rate_x", "no_sample_rate", "toy_with_rate",
+    ], ids=["odd_window", "sample_rate_x", "no_sample_rate", "toy_with_rate", "paper_model_toy_stft",
             "depth5_grid48", "widths_length", "widths_type", "bins_above_stft"])
     def test_config_that_cannot_train_is_one_error_line(self, tmp_path, capsys, command, stft, model, prefix):
         cfg = tiny_config(tmp_path)
@@ -310,6 +325,12 @@ class TestConfigResolution:
         assert cli.main([command, "-c", write_config(tmp_path, cfg)]) == cli.EXIT_CODES["E_CONFIG"]
         assert one_error_line(capsys, "E_CONFIG").startswith(f"E_CONFIG: {prefix}")
         assert not (tmp_path / "data").exists() and not (tmp_path / "artifacts").exists()
+
+    def test_paper_model_on_default_stft_is_rejected(self, tmp_path, capsys):
+        cfg = {"dataset": {"dir": str(tmp_path / "data")}, "model": PAPER_MODEL}
+        assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == 2
+        assert one_error_line(capsys, "E_CONFIG").startswith("E_CONFIG: model: grid 64 not divisible by 2^7")
+        assert not (tmp_path / "data").exists()
 
 
 class TestMissingArtifacts:
