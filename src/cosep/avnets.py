@@ -13,12 +13,19 @@ convolution.  Here every conv block is ``relu(conv + b)``: no batch
 statistics, so a forward pass does not depend on the batch and is
 bit-reproducible.  Batch norm's per-channel scale and shift exist to undo
 its normalization; without one they would only reparameterize the conv,
-so they are absent too.
+so they are absent too.  Each block is one ``tensor.conv2d`` node, with
+the bias and the ReLU applied inside its sample ranges; a decoder block
+takes the upsampled input and its skip as two parts of that node, so the
+U-Net's skip concatenation is never a tensor of its own.
 
 Inference runs the image net once per frame: ``infer_images`` is the only
 no-grad image pass, and its maps and vectors feed segmentation, sparsity,
 classification accuracy and the assignment table alike.  Its outputs do
-not depend on how frames are grouped into batches.  Segmentation reads
+not depend on how frames are grouped into batches, so ``INFER_BATCH``
+(16) sets only the memory a pass holds: at 32 the conv buffers of a
+batch pushed the peak RSS of ``assign`` and ``eval`` up by about 2.5 MB
+(glibc heap placement; the traced Python peak was unchanged), and at 16
+both fall below what they were.  Segmentation reads
 the raw maps.  The only kernel inference runs in float64 is
 ``tensor._sigmoid`` (training runs it in float32), for the audio-only
 masks.  Finite weights can still overflow; an inference pass that gives
@@ -37,7 +44,7 @@ from .checkpoint import load_tensors, save_tensors
 from .tensor import Tensor
 
 MODES = ("sigmoid", "softmax")
-INFER_BATCH = 32   # frames per no-grad image pass
+INFER_BATCH = 16   # frames per no-grad image pass; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,10 @@ def _he_conv(rng, f, c, k, scale=1.0):
 
 
 class _ConvBlock:
-    """relu(conv + b), with "same" padding for the dilation.
+    """relu(conv + b), with "same" padding for the dilation, as one
+    ``tensor.conv2d(..., relu=True)`` node.  Called with a list of
+    tensors, it convolves their channel concatenation without building
+    it (the decoder's ``[upsampled, skip]``).
 
     No per-channel scale and shift follow the conv: with no normalization
     in between, s * (W * x + b) + t equals (s W) * x + (s b + t), a conv
@@ -96,8 +106,8 @@ class _ConvBlock:
         self.b = Tensor(np.zeros(c_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
-        return tc.relu(tc.conv2d(x, self.w, self.b, stride=self.stride,
-                                 padding=self.padding, dilation=self.dilation))
+        return tc.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding,
+                         dilation=self.dilation, relu=True)
 
     def params(self, prefix):
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -158,8 +168,7 @@ class AudioNet:
         y = skips[-1]
         for i in range(self.cfg.depth - 1, -1, -1):
             size = skips[i].shape[2]
-            y = tc.upsample_bilinear(y, size, size)
-            y = self.up[i](tc.concat([y, skips[i]], axis=1))
+            y = self.up[i]([tc.upsample_bilinear(y, size, size), skips[i]])
         return tc.conv2d(y, self.head_w, self.head_b)
 
     def params(self):

@@ -2,12 +2,12 @@
 
 Float32 is the working precision for all training; float64 tensors are
 supported so numerical checks can run at full precision.  The networks
-use 2-d convolution with stride and dilation, ``relu``, ``concat``,
-align-corners bilinear upsampling, global spatial max pooling, sigmoid /
-temperature softmax, the synthesizer's ``weighted_channel_sum`` and
-binary cross entropy; the elementary ops (``add``, ``mul``, ``reshape``,
-``tsum``) are what losses and reference chains in numerical checks are
-built from.
+use 2-d convolution with stride and dilation (with its bias, and
+optionally a ReLU and a multi-part input, in one node), align-corners
+bilinear upsampling, global spatial max pooling, sigmoid / temperature
+softmax, the synthesizer's ``weighted_channel_sum`` and binary cross
+entropy; the elementary ops (``add``, ``mul``, ``reshape``, ``tsum``) are
+what losses and reference chains in numerical checks are built from.
 
 ``conv2d`` picks one of three lowerings from the operand shapes alone.
 A 1x1 kernel at stride 1 multiplies the (padded) input, reshaped to
@@ -19,13 +19,29 @@ input gradient is the transposed convolution of the output gradient
 (Dumoulin & Visin 2016).  Every other convolution gathers a C-wide
 im2col buffer.
 
+A conv block is one ``conv2d`` node.  Its input may be a list of parts,
+read as their channel concatenation: each part is copied into its
+channel slice of the zero-padded buffer the lowering reads anyway, and
+each gets its own crop of the padded-input gradient, so the
+concatenation never exists as a tensor.  With ``relu`` the ReLU is an
+epilogue: ``max(y, 0)`` in place after the bias add, and the mask
+``g * (y > 0)`` in place on the output gradient (a buffer the node owns,
+see below) before the lowering's backward reads it.  This is
+bit-identical to ``relu(conv2d(concat(parts)))`` built from nodes of
+their own: the padded buffer holds the same values, so every GEMM sees
+the same operands; ``max(y, 0) > 0`` exactly where ``y > 0``, so the
+mask and the masked gradient are the same; and each part's gradient is
+the same crop, copied once.  A block keeps one activation instead of
+three.
+
 Each lowering's per-sample work runs on W threads, W =
 ``worker_count(N)``: this process's CPUs divided by the BLAS thread
 count (1 when no BLAS thread variable is set, since BLAS then uses every
-CPU), capped at the N samples.  The padding, gathers, GEMMs, scatters
-and the bias add of samples [lo, hi) form one range; the caller runs the
-first of W contiguous ranges and W - 1 persistent helper threads the
-others, each writing with ``out=`` into buffers the caller allocated.
+CPU), capped at the N samples.  The padding copies, gathers, GEMMs,
+scatters, the bias add and the ReLU (forward) or its mask (backward) of
+samples [lo, hi) form one range; the caller runs the first of W
+contiguous ranges and W - 1 persistent helper threads the others, each
+writing with ``out=`` into buffers the caller allocated.
 The result does not depend on W, bit for bit: ``np.matmul`` over an
 [N, ...] stack is one BLAS call per sample, the same call on a slice,
 and the sums across samples (the kernel gradient's sum over the
@@ -49,9 +65,9 @@ order, which makes repeated runs bit-identical on the same machine.
 Gradient buffers have one owner.  An op hands each input the gradient
 array it allocated for that input alone (``_acc(g, fresh=True)``), and
 an interior node keeps that array as its ``grad``; a view of another
-buffer (what ``reshape``, ``concat``, ``tsum`` and a same-shape ``add``
-pass on, and ``conv2d``'s crop of a padded input gradient) is copied
-first.  So no two tensors' grads share memory, and
+buffer (what ``reshape``, ``tsum`` and a same-shape ``add`` pass on,
+and ``conv2d``'s crops of a padded or multi-part input gradient) is
+copied first.  So no two tensors' grads share memory, and
 later accumulation into one never reaches another.  The walk releases
 what it has passed: after a node's backward has run, an interior node
 drops its grad, its closure (with the buffers it saved) and its inputs,
@@ -68,6 +84,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import os
 import queue
 import threading
@@ -83,9 +100,7 @@ __all__ = [
     "add",
     "mul",
     "reshape",
-    "concat",
     "tsum",
-    "relu",
     "sigmoid",
     "softmax_T",
     "weighted_channel_sum",
@@ -251,22 +266,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make_node(out, (a,), _bw)
 
 
-def concat(tensors, axis: int = 1) -> Tensor:
-    tensors = tuple(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def _bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._acc(g[tuple(idx)])
-
-    return _make_node(out, tensors, _bw)
-
-
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
@@ -279,16 +278,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             a._acc(g)
         else:
             a._acc(np.expand_dims(g, axis))
-
-    return _make_node(out, (a,), _bw)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0))
-
-    def _bw(g):
-        if a.requires_grad:
-            a._acc(g * (a.data > 0), fresh=True)
 
     return _make_node(out, (a,), _bw)
 
@@ -505,9 +494,13 @@ def _conv_im2col(xp, wd, taps, out_h, out_w):
 
     Returns the output buffer [N, F, out_h, out_w], a function that fills
     samples [lo, hi) of it from the same samples of ``xp``, and a function
-    mapping its gradient to (padded-input gradient or None, kernel
-    gradient or None).  Every buffer is allocated here, before any range
-    runs; the kernel gradient is the sum over the per-sample GEMM stack.
+    that takes its gradient and returns ``(run, finish)``: ``run(lo, hi)``
+    does the backward work of samples [lo, hi), and ``finish()``, called
+    once every range has run, returns (padded-input gradient or None,
+    kernel gradient or None).  Every buffer is allocated before any range
+    runs; the kernel gradient is the sum over the per-sample GEMM stack,
+    taken in ``finish``.  ``run`` reads the gradient's samples [lo, hi)
+    only when it runs, so the caller may rewrite them first.
     """
     N, C, Hp, Wp = xp.shape
     F, K, L = wd.shape[0], len(taps), out_h * out_w
@@ -539,8 +532,10 @@ def _conv_im2col(xp, wd, taps, out_h, out_w):
                 for t, (sy, sx) in enumerate(taps):
                     gxr[:, :, sy, sx] += gc[:, :, t]
 
-        _over_samples(backward, N)
-        return gxp, None if gw is None else gw.sum(axis=0).reshape(wd.shape)
+        def finish():
+            return gxp, None if gw is None else gw.sum(axis=0).reshape(wd.shape)
+
+        return backward, finish
 
     return y.reshape(N, F, out_h, out_w), fill, grads
 
@@ -587,10 +582,12 @@ def _conv_narrow(xp, wd, taps, out_h, out_w):
             if want_x:
                 np.matmul(w_stk.T, gz_mat[lo:hi], out=gxp[lo:hi])
 
-        _over_samples(backward, N)
-        if gw is not None:
-            gw = gw.sum(axis=0).reshape(K, F, C).transpose(1, 2, 0).reshape(wd.shape)   # [K*F, C] -> FCkk
-        return None if gxp is None else gxp.reshape(N, C, Hp, Wp), gw
+        def finish():
+            gw_k = None if gw is None else (
+                gw.sum(axis=0).reshape(K, F, C).transpose(1, 2, 0).reshape(wd.shape))   # [K*F, C] -> FCkk
+            return None if gxp is None else gxp.reshape(N, C, Hp, Wp), gw_k
+
+        return backward, finish
 
     return y, fill, grads
 
@@ -622,24 +619,37 @@ def _conv_pointwise(xp, wd, taps, out_h, out_w):
             if want_x:
                 np.matmul(w_mat.T, g_mat[lo:hi], out=gxp[lo:hi])
 
-        _over_samples(backward, N)
-        return (None if gxp is None else gxp.reshape(N, C, Hp, Wp),
-                None if gw is None else gw.sum(axis=0).reshape(wd.shape))
+        def finish():
+            return (None if gxp is None else gxp.reshape(N, C, Hp, Wp),
+                    None if gw is None else gw.sum(axis=0).reshape(wd.shape))
+
+        return backward, finish
 
     return y.reshape(N, F, out_h, out_w), fill, grads
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
-           padding: int = 0, dilation: int = 1) -> Tensor:
+def conv2d(x: Tensor | list[Tensor], w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
+           dilation: int = 1, relu: bool = False) -> Tensor:
     """Cross-correlation of NCHW input with FCkk kernels, plus the [F]
-    bias ``b``.
+    bias ``b``, and ``max(., 0)`` of that if ``relu``.
 
-    Odd kernels only.  Output size follows the usual
-    (H + 2p - d*(k-1) - 1)/s + 1 arithmetic and must come out a positive
-    integer.  The operand shapes pick the lowering, and the samples run
-    in ``worker_count(N)`` ranges (see the module docstring).
+    ``x`` is one tensor or a sequence of tensors with the same N, H and
+    W, read as their concatenation along the channels: each part is
+    copied into its channel slice of the padded buffer, and each gets its
+    own crop of the padded-input gradient.  Odd kernels only.  Output size
+    follows the usual (H + 2p - d*(k-1) - 1)/s + 1 arithmetic and must
+    come out a positive integer.  The operand shapes pick the lowering,
+    and the samples run in ``worker_count(N)`` ranges (see the module
+    docstring).
     """
-    N, C, H, W = x.data.shape
+    parts = (x,) if isinstance(x, Tensor) else tuple(x)
+    if not parts or any(p.data.ndim != 4 or p.data.shape[0] != parts[0].data.shape[0]
+                        or p.data.shape[2:] != parts[0].data.shape[2:] for p in parts):
+        raise ValueError(f"conv2d: inputs must be NCHW with equal N, H and W, got "
+                         f"{[p.data.shape for p in parts]}")
+    N, _, H, W = parts[0].data.shape
+    bounds = list(itertools.accumulate((p.data.shape[1] for p in parts), initial=0))   # channel slices
+    C = bounds[-1]
     F, Cw, kh, kw = w.data.shape
     if Cw != C:
         raise ValueError(f"conv2d: input has {C} channels but kernel expects {Cw}")
@@ -658,7 +668,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     out_h = num_h // stride + 1
     out_w = num_w // stride + 1
 
-    xp = np.zeros((N, C, H + 2 * padding, W + 2 * padding), dtype=x.dtype) if padding else x.data
+    # one unpadded input is the lowering's operand as it stands
+    whole = len(parts) == 1 and not padding
+    if whole:
+        xp = parts[0].data
+    else:
+        shape, dtype = (N, C, H + 2 * padding, W + 2 * padding), np.result_type(*(p.data for p in parts))
+        xp = np.zeros(shape, dtype=dtype) if padding else np.empty(shape, dtype=dtype)
     if stride == 1 and kh * kw == 1:
         lower = _conv_pointwise
     elif stride == 1 and F < C:
@@ -669,25 +685,44 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     bias = b.data.reshape(1, F, 1, 1)
 
     def forward(lo, hi):
-        if padding:
-            xp[lo:hi, :, padding:padding + H, padding:padding + W] = x.data[lo:hi]
+        if not whole:
+            for part, c0, c1 in zip(parts, bounds[:-1], bounds[1:]):
+                xp[lo:hi, c0:c1, padding:padding + H, padding:padding + W] = part.data[lo:hi]
         fill(lo, hi)
-        y[lo:hi] += bias
+        yr = y[lo:hi]
+        yr += bias
+        if relu:
+            np.maximum(yr, 0, out=yr)
 
     _over_samples(forward, N)
     out = Tensor(y)
 
     def _bw(g):
+        if relu:
+            # the ranges mask g in place, through the lowering's views of
+            # it; the lowering would copy a non-contiguous g before that
+            g = np.ascontiguousarray(g)
+        run, finish = grads(g, any(p.requires_grad for p in parts), w.requires_grad)
+
+        def backward(lo, hi):
+            if relu:
+                gr = g[lo:hi]
+                np.multiply(gr, y[lo:hi] > 0, out=gr)
+            run(lo, hi)
+
+        _over_samples(backward, N)
         if b.requires_grad:
             b._acc(g.reshape(N, F, -1).sum(axis=(0, 2)).astype(b.dtype, copy=False), fresh=True)
-        gxp, gw = grads(g, x.requires_grad, w.requires_grad)
+        gxp, gw = finish()
         if gw is not None:
             w._acc(gw.astype(w.dtype, copy=False), fresh=True)
         if gxp is not None:
-            # a padded buffer is copied to its crop rather than kept whole
-            x._acc(gxp[:, :, padding:padding + H, padding:padding + W], fresh=not padding)
+            # a padded or shared buffer is copied to each crop rather than kept whole
+            for part, c0, c1 in zip(parts, bounds[:-1], bounds[1:]):
+                if part.requires_grad:
+                    part._acc(gxp[:, c0:c1, padding:padding + H, padding:padding + W], fresh=whole)
 
-    return _make_node(out, (x, w, b), _bw)
+    return _make_node(out, (*parts, w, b), _bw)
 
 
 @functools.cache

@@ -7,7 +7,11 @@ per-clip image metrics compute evaluation's IoU, sparsity and accuracy one
 clip and one forward at a time; the batched evaluation must equal them
 exactly.  ``synthesizer_chain`` is the synthesizer as the graph of
 elementary ops it was built from before ``tensor.weighted_channel_sum``
-fused it; the fused node must equal it bit for bit.  The NMF references
+fused it; the fused node must equal it bit for bit.  ``relu`` and
+``concat`` are the ReLU and channel concatenation as graph nodes of their
+own; ``relu(conv2d(concat(parts)))`` is the conv block that
+``tensor.conv2d(parts, ..., relu=True)`` fuses into one node, and the
+fused node must equal it bit for bit.  The NMF references
 run the multiplicative updates as plain one-expression formulas, each
 step a fresh array; the buffered updates in ``nmf`` must equal them bit
 for bit; ``kl_divergence`` is the divergence their tests check for
@@ -81,13 +85,41 @@ def check_gradients(build_loss, leaves, rng, probes=100, h=1e-3, rtol=1e-3):
     return worst
 
 
+def relu(a):
+    """``max(a, 0)`` as its own node; its gradient is ``g * (a > 0)``."""
+    out = tc.Tensor(np.maximum(a.data, 0))
+
+    def _bw(g):
+        if a.requires_grad:
+            a._acc(g * (a.data > 0), fresh=True)
+
+    return tc._make_node(out, (a,), _bw)
+
+
+def concat(tensors, axis=1):
+    """``tensors`` joined along ``axis`` as one node; each input's gradient
+    is its slice of the output gradient."""
+    tensors = tuple(tensors)
+    out = tc.Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+
+    def _bw(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                t._acc(g[tuple(idx)])
+
+    return tc._make_node(out, tensors, _bw)
+
+
 def synthesizer_chain(v, feats, w, b):
     """``sum_k w[k] * v[m, k] * feats[m mod N, k] + b`` for [M, K] ``v``
     and [N, K, G, T] ``feats`` Tensors, from elementary ops: ``feats``
     concatenated M/N times along the batch, then reshape, mul, mul, tsum
     and add."""
     (M, K), N = v.shape, feats.shape[0]
-    stacked = tc.concat([feats] * (M // N), axis=0)
+    stacked = concat([feats] * (M // N), axis=0)
     coef = tc.mul(tc.reshape(v, (M, K, 1, 1)), tc.reshape(w, (1, K, 1, 1)))
     return tc.add(tc.tsum(tc.mul(coef, stacked), axis=1, keepdims=True),
                   tc.reshape(b, (1, 1, 1, 1)))

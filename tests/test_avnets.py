@@ -192,18 +192,20 @@ class TestInferenceSigmoid:
 class TestInferImages:
     @pytest.mark.parametrize("mode", ["sigmoid", "softmax"])
     def test_batch_one_equals_full_batch(self, bundle, monkeypatch, mode):
-        frames = np.random.default_rng(12).integers(0, 256, size=(7, 64, 64, 3), dtype=np.uint8)
+        frames = np.random.default_rng(12).integers(0, 256, size=(40, 64, 64, 3), dtype=np.uint8)
         bundle.set_mode(mode, 0.5)
         try:
             maps, v = infer_images(frames, bundle)
-            assert maps.dtype == np.float32 and maps.shape == (7, 16, 8, 8)
-            assert v.dtype == np.float64 and v.shape == (7, 16)
+            assert maps.dtype == np.float32 and maps.shape == (40, 16, 8, 8)
+            assert v.dtype == np.float64 and v.shape == (40, 16)
             one = [infer_images(f, bundle) for f in frames]
             assert np.array_equal(np.concatenate([m for m, _ in one]), maps)
             assert np.array_equal(np.concatenate([x for _, x in one]), v)
-            monkeypatch.setattr(avnets, "INFER_BATCH", 3)  # batches of 3, 3 and 1
-            chunked = infer_images(frames, bundle)
-            assert np.array_equal(chunked[0], maps) and np.array_equal(chunked[1], v)
+            # batches of 3 (13 of them, then 1), of 16 (16, 16, 8), of 32 (32, 8)
+            for size in (3, 16, 32):
+                monkeypatch.setattr(avnets, "INFER_BATCH", size)
+                chunked = infer_images(frames, bundle)
+                assert chunked[0].tobytes() == maps.tobytes() and chunked[1].tobytes() == v.tobytes()
             with tc.no_grad():
                 _, _, ref = image_forward(avnets.frames_to_tensor(frames), bundle)
             assert np.array_equal(v, ref.data.astype(np.float64))

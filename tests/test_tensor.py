@@ -18,8 +18,8 @@ from cosep import tensor as tc, trainer
 from cosep.avnets import AudioNetCfg, ImageNetCfg, ModelBundle
 from cosep.tensor import Tensor
 
-from oracles import (backward_checking_grad_owners, check_gradients, direct_conv2d, inflate_kernel,
-                     rel_err, synthesizer_chain)
+from oracles import (backward_checking_grad_owners, check_gradients, concat, direct_conv2d,
+                     inflate_kernel, rel_err, relu, synthesizer_chain)
 
 
 @pytest.fixture
@@ -95,7 +95,9 @@ class TestConv2d:
         for lower in (tc._conv_pointwise, tc._conv_im2col):
             y, fill, grads = lower(xp, w, taps, out_h, out_w)
             fill(0, len(xp))
-            runs.append((y, *grads(g, True, True)))
+            run, finish = grads(g, True, True)
+            run(0, len(xp))
+            runs.append((y, *finish()))
         for a, b in zip(*runs):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -289,7 +291,7 @@ class TestActivations:
         x = t64(base)
 
         def loss():
-            return tc.tsum(tc.mul(tc.relu(x), Tensor(np.arange(30, dtype=np.float64).reshape(5, 6), dtype=np.float64)))
+            return tc.tsum(tc.mul(relu(x), Tensor(np.arange(30, dtype=np.float64).reshape(5, 6), dtype=np.float64)))
 
         check_gradients(loss, [x], rng, probes=30)
 
@@ -363,7 +365,7 @@ class TestBackwardAndOptimizers:
         target = Tensor((rng.random((2, 4)) > 0.5).astype(np.float64), dtype=np.float64)
 
         def loss():
-            h = tc.relu(tc.conv2d(x, w1, b1, stride=1, padding=1))
+            h = relu(tc.conv2d(x, w1, b1, stride=1, padding=1))
             h = tc.conv2d(h, w2, b2, stride=2, padding=1)
             v = tc.sigmoid(tc.spatial_max_pool(h))
             return tc.bce_loss(v, target)
@@ -377,8 +379,8 @@ class TestBackwardAndOptimizers:
         node's backward call, no two live grads share memory."""
         x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), requires_grad=True)
         bias = Tensor(rng.standard_normal(16).astype(np.float32), requires_grad=True)
-        h = tc.relu(tc.reshape(x, (2, 3, 4, 4)))
-        s = tc.tsum(tc.concat([h, h], axis=1), axis=1, keepdims=True)
+        h = relu(tc.reshape(x, (2, 3, 4, 4)))
+        s = tc.tsum(concat([h, h], axis=1), axis=1, keepdims=True)
         y = tc.add(tc.reshape(s, (2, 16)), bias)
         loss = tc.tsum(tc.mul(y, y))
         assert backward_checking_grad_owners(loss) == 10
@@ -413,7 +415,7 @@ class TestGraphRelease:
     def chain(x, w):
         """``sum(relu(x * w)^2)``: mul, relu, mul, tsum."""
         first = tc.mul(x, w)
-        h = tc.relu(first)
+        h = relu(first)
         return first, h, tc.tsum(tc.mul(h, h))
 
     def test_interior_activations_die_before_the_first_op_backward(self, rng):
@@ -474,7 +476,7 @@ class TestStructuralOps:
         b = t64(rng.standard_normal((2, 2, 4, 4)))
 
         def loss():
-            y = tc.concat([a, b], axis=1)
+            y = concat([a, b], axis=1)
             return tc.tsum(tc.mul(y, y))
 
         check_gradients(loss, [a, b], rng, probes=80)
@@ -608,7 +610,9 @@ LOWERINGS = {
     "im2col-stride2": (3, 4, 3, 2, 1, 1),
     "im2col-stride2-narrowing": (5, 2, 3, 2, 1, 1),
     "im2col-dilation2": (3, 4, 3, 1, 2, 2),
+    "im2col-unpadded": (3, 4, 3, 1, 1, 0),
     "narrow": (5, 2, 3, 1, 1, 1),
+    "narrow-unpadded": (5, 2, 3, 1, 1, 0),
     "narrow-dilation2": (5, 2, 3, 1, 2, 2),
     "pointwise": (4, 6, 1, 1, 1, 0),
     "pointwise-narrowing-padded": (4, 2, 1, 1, 1, 1),
@@ -719,3 +723,93 @@ class TestSampleRanges:
             status = os.waitpid(pid, 0)[1]
         assert ended, "the forked child did not finish its conv within 60 s"
         assert os.waitstatus_to_exitcode(status) == 0 and got == b"".join(expected)
+
+
+class TestFusedConvBlock:
+    """``conv2d(parts, w, b, relu=True)`` is one node for the chain
+    ``relu(conv2d(concat(parts), w, b))``, bit for bit."""
+
+    @staticmethod
+    def run(fused, case, n_parts):
+        """The float32 output, each part's gradient, and the kernel and
+        bias gradients, of the fused node or the chain on 3 samples, with
+        the input channels of ``case`` split into ``n_parts`` parts.  The parts enter
+        through reshape nodes, as the model's activations do, so the
+        gradient buffer each holds after its last ``_acc`` is recorded
+        before the walk releases it."""
+        c, f, k, stride, dilation, padding = LOWERINGS[case]
+        rng = np.random.default_rng(0)
+        leaves = [Tensor(rng.standard_normal((3, len(chans), 9, 8)).astype(np.float32), requires_grad=True)
+                  for chans in np.array_split(np.arange(c), n_parts)]
+        w = Tensor(rng.standard_normal((f, c, k, k)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(f).astype(np.float32), requires_grad=True)
+        parts = [tc.reshape(leaf, leaf.shape) for leaf in leaves]
+        geom = dict(stride=stride, padding=padding, dilation=dilation)
+        if fused:
+            y = tc.conv2d(parts if len(parts) > 1 else parts[0], w, b, relu=True, **geom)
+        else:
+            y = relu(tc.conv2d(concat(parts, axis=1) if len(parts) > 1 else parts[0], w, b, **geom))
+        weight = Tensor(rng.standard_normal(y.shape).astype(np.float32))
+        handed, real_acc = {}, Tensor._acc
+
+        def recording_acc(self, grad, fresh=False):
+            real_acc(self, grad, fresh)
+            for i, part in enumerate(parts):
+                if self is part:
+                    handed[i] = self.grad
+
+        with mock.patch.object(Tensor, "_acc", recording_acc):
+            tc.backward(tc.tsum(tc.mul(y, weight)))
+        return [y.data, *(handed[i] for i in range(len(parts))), w.grad, b.grad]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_parts", [1, 2, 3])
+    @pytest.mark.parametrize("case", list(LOWERINGS))
+    def test_bit_identical_to_chain(self, monkeypatch, case, n_parts, workers):
+        set_workers(monkeypatch, workers)
+        fused, chain = self.run(True, case, n_parts), self.run(False, case, n_parts)
+        assert len(fused) == n_parts + 3
+        assert 0 < (fused[0] == 0).mean() < 1   # the ReLU cuts some outputs, not all
+        for a, b in zip(fused, chain):
+            assert a.dtype == np.float32 and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_a_part_given_twice_gets_both_crops(self, rng):
+        """``[h, h]`` as parts: ``h`` receives the sum of its two channel
+        crops, as through ``concat([h, h])``, and no two live grads share
+        memory at any node of the walk."""
+        x = Tensor(rng.standard_normal((2, 2, 5, 5)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 4, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+        grads = []
+        for fused in (True, False):
+            for t in (x, w, b):
+                t.zero_grad()
+            h = tc.reshape(x, x.shape)
+            y = (tc.conv2d([h, h], w, b, padding=1, relu=True) if fused
+                 else relu(tc.conv2d(concat([h, h]), w, b, padding=1)))
+            backward_checking_grad_owners(tc.tsum(tc.mul(y, y)))
+            grads.append([t.grad.tobytes() for t in (x, w, b)])
+        assert grads[0] == grads[1]
+
+    def test_gradients_match_finite_differences(self, rng):
+        """A float64 fused block, parts of 2 and 3 channels, stride 2: no
+        pre-activation lies within reach of the probes' steps of the kink."""
+        parts = [t64(rng.standard_normal((2, c, 7, 7))) for c in (2, 3)]
+        w = t64(0.5 * rng.standard_normal((4, 5, 3, 3)))
+        b = t64(rng.standard_normal(4))
+        weight = Tensor(rng.standard_normal((2, 4, 4, 4)), dtype=np.float64)
+        geom = dict(stride=2, padding=1)
+        with tc.no_grad():
+            pre = tc.conv2d(parts, w, b, **geom).data
+        assert np.abs(pre).min() > 1e-3 and (pre < 0).any() and (pre > 0).any()
+
+        def loss():
+            return tc.tsum(tc.mul(tc.conv2d(parts, w, b, relu=True, **geom), weight))
+
+        check_gradients(loss, [*parts, w, b], rng, probes=150, h=1e-6)
+
+    @pytest.mark.parametrize("shapes", [[(2, 2, 5, 5), (1, 3, 5, 5)], [(2, 2, 5, 5), (2, 3, 5, 4)], []])
+    def test_mismatched_parts_rejected(self, shapes):
+        parts = [Tensor(np.zeros(s, dtype=np.float32)) for s in shapes]
+        with pytest.raises(ValueError, match="equal N, H and W"):
+            tc.conv2d(parts, Tensor(np.zeros((1, 5, 3, 3))), Tensor(np.zeros(1)))

@@ -244,9 +244,10 @@ class TestStepBatch:
         loss = tr._step_batch(batch, bundle, Adam(bundle.param_list(), lr=1e-3))
         assert calls == [4]
         assert abs(loss - 0.5 * (loss_a + loss_b)) <= 1e-6
-        # audio 27 (stem 2, 4 down x 2, 4 up x 4, head), image 11,
-        # synthesizer 2 (weighted channel sum, sigmoid), loss 1
-        assert sum(nodes) == 41
+        # audio 14 (stem, 4 down, 4 up x 2 (upsample, conv block), head),
+        # image 7 (4 conv blocks, head, pool, sigmoid), synthesizer 2
+        # (weighted channel sum, sigmoid), loss 1
+        assert sum(nodes) == 24
 
     def test_no_two_graph_tensors_share_a_grad_buffer(self, monkeypatch):
         """Ops hand their fresh gradient buffers over instead of copying
@@ -320,6 +321,28 @@ class TestStepBatch:
         finally:
             tracemalloc.stop()
         assert seen["peak"] < seen["forward"] + seen["grads"]
+
+    # Traced peak of one mini-bundle step (numpy 2, W = 1): 2.94 MB with
+    # each conv block one node, 3.46 MB when ReLU and the skip concat were
+    # nodes of their own, each with its own activation copy.
+    STEP_PEAK_BYTES = 3_200_000
+
+    def test_step_peak_is_pinned(self, monkeypatch):
+        """The traced peak of a steady-state training step: a conv block
+        that keeps a second full-size activation, or a gradient buffer the
+        walk no longer frees, crosses the bound."""
+        for var in tc.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)   # W = 1
+        bundle, batch = mini_bundle(seed=2), self.mini_batch()
+        opt = Adam(bundle.param_list(), lr=1e-3)
+        tr._step_batch(batch, bundle, opt)   # caches and lazy buffers
+        tracemalloc.start()
+        try:
+            tr._step_batch(batch, bundle, opt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.STEP_PEAK_BYTES
 
 
 class TestRunSchedule:
