@@ -20,28 +20,23 @@ checkpoint is either the old file or the complete new one.  A truncated
 or garbled file fails to load with a ``ValueError`` that names it.
 
 ``map_ordered(fn, items)`` is ``[fn(x) for x in items]`` on W workers:
-the calling process and W - 1 children it forks.  W is
-``tensor.worker_count(len(items))``, the rule that also splits each
-convolution's samples over threads: the CPUs of this process
-(``os.sched_getaffinity``) divided by the BLAS thread count, capped at
-the item count.  The BLAS thread count is the first of
-``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that holds a positive
-integer, as OpenBLAS reads them; without one, BLAS already uses every
-CPU, and W is 1: the caller takes every item and nothing is forked.  A
-forked child runs every convolution range itself (``tensor`` drops its
-helper threads at fork), so W workers keep to W CPUs.
-A child inherits ``fn`` and the items, so closures need no pickling;
-only its results, or its exception with the exception's cause, come back
-pickled over a pipe.  Results come back in item order and each item is
-computed alone, so the output does not depend on W.
+the calling process and W - 1 children it forks, W being
+``tensor.worker_count(len(items))`` (the W rule of ``tensor``'s module
+docstring).  At W = 1 the caller takes every item and nothing is forked.
+A forked child runs every convolution range itself (``tensor`` drops its
+helper threads at fork), so W workers keep to W CPUs.  A child inherits
+``fn`` and the items, so closures need no pickling; only its results, or
+its exception with the exception's cause, come back pickled over a pipe.
+Results come back in item order and each item is computed alone, so the
+output does not depend on W.
 
 Speed was measured at W = 2 only (2 CPUs); whether W > 2 is faster on a
 host with that many CPUs is untested.  A child shares the caller's pages
-until one of them writes a page.  On the bench ``infer`` run each worker
-child peaks at 45 MB RSS beside the caller's 57 MB, but only about 9 MB
-of it is the child's own (``Private_Dirty``); on ``nmf``, 36 MB and
-about 7 MB.  A peak RSS read from ``wait4`` (as the bench's
-``peak_rss_mb``) is that of the largest process, not the sum.
+until one of them writes a page, so most of a child's resident set is
+not its own.  What a command's processes peaked at is in
+``run_manifest.json`` under ``resources``: the caller's ``peak_rss_mb``
+and the largest child's ``workers_peak_rss_mb`` (a peak read from
+``wait4`` is that of the largest process, not the sum).
 """
 
 from __future__ import annotations

@@ -48,26 +48,24 @@ the frames were rendered at, which its hash leaves out.
 
 ``train --resume PATH`` restarts the fine-tune stage from the
 stage-boundary checkpoint at PATH, read through the same gate, and counts
-the epochs it ran.  A schedule without fine-tune epochs, or a finished
-run's final checkpoint, is ``E_CONFIG``; each is checked before any file
-is written.  On glibc, ``train`` keeps freed heap memory for reuse instead
-of handing it back to the kernel after every step (``mallopt``); the
-other commands keep the allocator's defaults.
+the epochs it ran.  It keeps the sigmoid-stage rows of ``train_log.csv``
+and rewrites the rest.  A schedule without fine-tune epochs, a finished
+run's final checkpoint, or a log that lacks those rows is ``E_CONFIG``;
+each is checked before any file is written.  On glibc, ``train`` keeps
+freed heap memory for reuse instead of handing it back to the kernel
+after every step (``mallopt``); the other commands keep the allocator's
+defaults.
 
 Trained numbers depend on the BLAS thread count, which the environment
 sets (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``); ``run_manifest.json``
-records both, as each command saw them, under ``threads``.  One rule,
-``tensor.worker_count``, gives W: the CPUs of the process divided by the
-BLAS thread count, and 1 when neither variable is set.  ``eval`` scores
-its mixtures, and fits the NMF bases, on W worker processes
-(``checkpoint.map_ordered``: the command's own process and W - 1 forked
-children).  Every convolution splits its samples into at most W
-contiguous ranges, run by the calling thread and W - 1 helper threads;
-each sample's GEMMs are the same BLAS calls at any W, and the sums over
-samples stay on the calling thread in one order, so ``train`` writes the
-same bytes at any W.  Every output is the same at any W;
-``threads.report`` records the W of the mixture loop under ``workers``,
-and ``threads.checkpoint`` that of a training batch's convolutions.
+records both, as each command saw them, under ``threads``.  W follows
+``tensor``'s W rule (``tensor.worker_count``, spelled out in that
+module's docstring).  ``eval`` scores its mixtures, and fits the NMF
+bases, on W worker processes (``checkpoint.map_ordered``), and every
+convolution splits its samples over W threads.  Every output is the
+same at any W; ``threads.report`` records the W of the mixture loop
+under ``workers``, and ``threads.checkpoint`` that of a training batch's
+convolutions.
 
 ``run_manifest.json`` also records, under ``resources``, what each
 command cost: its wall seconds from start to the manifest write
@@ -500,6 +498,7 @@ def cmd_train(cfg: dict, args) -> int:
     _keep_freed_heap()
     dataset = _require(cfg, "dataset")
     r = cfg["resolved"]
+    log_path, head = _artifacts(cfg, "train_log.csv"), None
     if not args.resume:
         bundle, start = avnets.ModelBundle(r.image, r.audio, seed=cfg["model"]["seed"]), None
     elif r.schedule.softmax_epochs == 0:
@@ -509,12 +508,16 @@ def cmd_train(cfg: dict, args) -> int:
         if bundle.trained:   # set on checkpoint_final.ckpt only
             raise CliError("E_CONFIG", f"--resume: {args.resume} is a finished run; "
                                        "resume from checkpoint_sigmoid.ckpt")
+        try:
+            head = trainer.read_log_head(log_path, start)
+        except ValueError as exc:
+            raise CliError("E_CONFIG", f"--resume keeps the sigmoid stage's log rows: {exc}")
     run = _read_run_manifest(cfg)
     state = trainer.run_schedule(
         r.schedule, dataset, bundle, out_dir=_artifacts(cfg),
         seed=cfg["schedule"]["seed"], batch_pairs=cfg["schedule"]["batch_pairs"],
         distinct_pairs=cfg["schedule"]["distinct_pairs"],
-        log_path=_artifacts(cfg, "train_log.csv"), start_epoch=start,
+        log_path=log_path, start_epoch=start, log_head=head,
         config_hash=artifact_hash(cfg, "checkpoint"), quiet=not args.verbose)
     _update_run_manifest(cfg, "checkpoint", run, args.started,
                          workers=worker_count(cfg["schedule"]["batch_pairs"]))

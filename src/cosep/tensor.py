@@ -6,8 +6,9 @@ use 2-d convolution with stride and dilation (with its bias, and
 optionally a ReLU and a multi-part input, in one node), align-corners
 bilinear upsampling, global spatial max pooling, sigmoid / temperature
 softmax, the synthesizer's ``weighted_channel_sum`` and binary cross
-entropy; the elementary ops (``add``, ``mul``, ``reshape``, ``tsum``) are
-what losses and reference chains in numerical checks are built from.
+entropy, and those are the only ops here.  The elementary nodes that the
+fused ones are checked against, bit for bit, are the reference chain in
+``tests/oracles.py``.
 
 ``conv2d`` picks one of three lowerings from the operand shapes alone.
 A 1x1 kernel at stride 1 multiplies the (padded) input, reshaped to
@@ -34,27 +35,33 @@ mask and the masked gradient are the same; and each part's gradient is
 the same crop, copied once.  A block keeps one activation instead of
 three.
 
-Each lowering's per-sample work runs on W threads, W =
-``worker_count(N)``: this process's CPUs divided by the BLAS thread
-count (1 when no BLAS thread variable is set, since BLAS then uses every
-CPU), capped at the N samples.  The padding copies, gathers, GEMMs,
-scatters, the bias add and the ReLU (forward) or its mask (backward) of
-samples [lo, hi) form one range; the caller runs the first of W
-contiguous ranges and W - 1 persistent helper threads the others, each
-writing with ``out=`` into buffers the caller allocated.
-The result does not depend on W, bit for bit: ``np.matmul`` over an
-[N, ...] stack is one BLAS call per sample, the same call on a slice,
-and the sums across samples (the kernel gradient's sum over the
-per-sample GEMM stack, the bias gradient) run on the caller after every
-range, in the order they had at W = 1.  Helpers run in a copy of the
-caller's ``contextvars`` context, so ``np.errstate`` holds there; a
-forked child runs every range itself.
+The W rule: ``worker_count(n)`` for n independent items is this
+process's CPUs (``os.sched_getaffinity``) divided by the BLAS thread
+count, capped at n.  The BLAS thread count is the first variable of
+``BLAS_THREAD_VARS`` (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``)
+that holds a positive integer, as OpenBLAS reads them; without one, BLAS
+already uses every CPU, and W is 1.  ``checkpoint.map_ordered`` runs its
+items on W processes by this rule.
+
+Each lowering's per-sample work runs on W = ``worker_count(N)`` threads
+for its N samples.  The padding copies, gathers, GEMMs, scatters, the
+bias add and the ReLU (forward) or its mask (backward) of samples
+[lo, hi) form one range; the caller runs the first of W contiguous
+ranges and W - 1 persistent helper threads the others, each writing with
+``out=`` into buffers the caller allocated.  The result does not depend
+on W, bit for bit: ``np.matmul`` over an [N, ...] stack is one BLAS call
+per sample, the same call on a slice, and the sums across samples (the
+kernel gradient's sum over the per-sample GEMM stack, the bias gradient)
+run on the caller after every range, in the order they had at W = 1.
+Helpers run in a copy of the caller's ``contextvars`` context, so
+``np.errstate`` holds there; a forked child runs every range itself.
 
 ``weighted_channel_sum`` is the synthesizer's linear layer as one node,
 ``sum_k w_k v[m, k] feats[m mod N, k] + b``: the M rows of ``v`` share N
 feature planes, so the symmetric training step never copies the audio
 features, and no [M, K, G, T] product is kept for the backward pass.  It
-is bit-identical to the chain of elementary ops it replaces.
+is bit-identical to the chain of elementary ops it replaces
+(``synthesizer_chain`` in ``tests/oracles.py``).
 
 A computation graph is recorded only while at least one input has
 ``requires_grad`` set and grad mode is enabled (see ``no_grad``).  Grad
@@ -62,17 +69,17 @@ mode is one module-level flag: a ``no_grad`` block switches recording
 off for the whole process and restores the previous state on leaving.
 ``backward`` walks the recorded nodes once, in reverse topological
 order, which makes repeated runs bit-identical on the same machine.
-Gradient buffers have one owner.  An op hands each input the gradient
-array it allocated for that input alone (``_acc(g, fresh=True)``), and
-an interior node keeps that array as its ``grad``; a view of another
-buffer (what ``reshape``, ``tsum`` and a same-shape ``add`` pass on,
-and ``conv2d``'s crops of a padded or multi-part input gradient) is
-copied first.  So no two tensors' grads share memory, and
-later accumulation into one never reaches another.  The walk releases
-what it has passed: after a node's backward has run, an interior node
-drops its grad, its closure (with the buffers it saved) and its inputs,
-while leaves keep their grads for the optimizer.  One graph backs one
-backward; a second walk over a released graph raises.
+One rule keeps gradient buffers apart: every op hands each input a
+gradient array that it allocated for that input alone, in the input's
+shape and dtype, and ``_acc(g)`` keeps a first gradient as it is (the
+node's ``grad``) and adds later ones into it.  The one place an op holds
+a view instead is ``conv2d``'s crop of a padded or multi-part input
+gradient; ``conv2d`` copies each crop itself.  So no two tensors' grads
+share memory, and later accumulation into one never reaches another.
+The walk releases what it has passed: after a node's backward has run,
+an interior node drops its grad, its closure (with the buffers it saved)
+and its inputs, while leaves keep their grads for the optimizer.  One
+graph backs one backward; a second walk over a released graph raises.
 
 Each activation is one numpy kernel, ``_sigmoid`` or ``_softmax``,
 computed in its input's dtype.  ``sigmoid`` and ``softmax_T`` run them in
@@ -97,10 +104,6 @@ from .dsp import interp_rows
 __all__ = [
     "Tensor",
     "no_grad",
-    "add",
-    "mul",
-    "reshape",
-    "tsum",
     "sigmoid",
     "softmax_T",
     "weighted_channel_sum",
@@ -188,17 +191,17 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0
 
-    def _acc(self, g, fresh: bool = False):
-        """Add ``g`` into ``grad``.  A first gradient that is ``fresh``,
-        i.e. allocated by the calling op for this input alone, is kept as
-        is; any other is copied, since it may be a view of another
-        tensor's buffer."""
+    def _acc(self, g):
+        """Add ``g`` into ``grad``.  A first gradient is kept as it is: the
+        op hands over an array it allocated for this input alone (see the
+        module docstring), so it must match ``data``'s shape and dtype."""
         if self.grad is not None:
             self.grad += g
-        elif fresh and g.shape == self.data.shape and g.dtype == self.data.dtype:
-            self.grad = g
+        elif g.shape != self.data.shape or g.dtype != self.data.dtype:
+            raise ValueError(f"first gradient {g.shape} {g.dtype} does not match "
+                             f"data {self.data.shape} {self.data.dtype}")
         else:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
+            self.grad = g
 
 
 def _make_node(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
@@ -215,72 +218,9 @@ def _make_node(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 # ---------------------------------------------------------------------
-# elementwise / structural ops
+# activations
 # ---------------------------------------------------------------------
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data)
-
-    def _bw(g):
-        if a.requires_grad:
-            a._acc(_unbroadcast(g, a.data.shape).astype(a.dtype, copy=False))
-        if b.requires_grad:
-            b._acc(_unbroadcast(g, b.data.shape).astype(b.dtype, copy=False))
-
-    return _make_node(out, (a, b), _bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-
-    def _bw(g):
-        if a.requires_grad:
-            a._acc(_unbroadcast(g * b.data, a.data.shape).astype(a.dtype, copy=False), fresh=True)
-        if b.requires_grad:
-            b._acc(_unbroadcast(g * a.data, b.data.shape).astype(b.dtype, copy=False), fresh=True)
-
-    return _make_node(out, (a, b), _bw)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-
-    def _bw(g):
-        if a.requires_grad:
-            a._acc(g.reshape(a.data.shape))
-
-    return _make_node(out, (a,), _bw)
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def _bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._acc(g)  # scalar broadcast
-        elif keepdims:
-            a._acc(g)
-        else:
-            a._acc(np.expand_dims(g, axis))
-
-    return _make_node(out, (a,), _bw)
-
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) in the dtype of ``x``.  Where exp(-x) overflows
@@ -296,7 +236,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            a._acc(g * (y * (1 - y)), fresh=True)
+            a._acc(g * (y * (1 - y)))
 
     return _make_node(out, (a,), _bw)
 
@@ -320,7 +260,7 @@ def softmax_T(a: Tensor, T: float) -> Tensor:
     def _bw(g):
         if a.requires_grad:
             dot = (g * y).sum(axis=-1, keepdims=True)
-            a._acc((y * (g - dot) / T).astype(a.dtype, copy=False), fresh=True)
+            a._acc((y * (g - dot) / T).astype(a.dtype, copy=False))
 
     return _make_node(out, (a,), _bw)
 
@@ -331,7 +271,7 @@ def weighted_channel_sum(v: Tensor, feats: Tensor, w: Tensor, b: Tensor) -> Tens
     ``v`` is [M, K], ``feats`` [N, K, G, T] with N dividing M, ``w`` [K]
     and ``b`` [1]; the result is [M, 1, G, T], so M rows of ``v`` share N
     feature planes without a copy.  The value and all four gradients use
-    the float32 products and summation orders of the chain
+    the float32 products and summation orders of the elementary chain
     ``concat -> reshape -> mul -> mul -> tsum -> add``, so they are
     bit-identical to it: the channels are summed in order, and each
     (row, channel) gradient of ``v`` and ``w`` is numpy's sum over one
@@ -358,7 +298,7 @@ def weighted_channel_sum(v: Tensor, feats: Tensor, w: Tensor, b: Tensor) -> Tens
     def _bw(g):
         gr = g.reshape(R, N, G * T)
         if b.requires_grad:
-            b._acc(g.sum(axis=(0, 2, 3)).astype(b.dtype, copy=False), fresh=True)
+            b._acc(g.sum(axis=(0, 2, 3)).astype(b.dtype, copy=False))
         if v.requires_grad or w.requires_grad:
             gcoef = np.empty((R, N, K), dtype=y.dtype)
             prod = np.empty_like(gr)
@@ -367,9 +307,9 @@ def weighted_channel_sum(v: Tensor, feats: Tensor, w: Tensor, b: Tensor) -> Tens
                 gcoef[:, :, k] = prod.sum(axis=2)
             gcoef = gcoef.reshape(M, K)
             if v.requires_grad:
-                v._acc((gcoef * w.data).astype(v.dtype, copy=False), fresh=True)
+                v._acc((gcoef * w.data).astype(v.dtype, copy=False))
             if w.requires_grad:
-                w._acc((gcoef * v.data).sum(axis=0).astype(w.dtype, copy=False), fresh=True)
+                w._acc((gcoef * v.data).sum(axis=0).astype(w.dtype, copy=False))
         if feats.requires_grad:
             # Channels innermost, the layout of the chain's gradient (a copy
             # of a channel-broadcast plane): the feature net's last conv
@@ -381,7 +321,7 @@ def weighted_channel_sum(v: Tensor, feats: Tensor, w: Tensor, b: Tensor) -> Tens
             np.multiply(g5[0], coef[0, :, None, None, :], out=gf)
             for r in range(1, R):
                 gf += g5[r] * coef[r, :, None, None, :]
-            feats._acc(gf.transpose(0, 3, 1, 2).astype(feats.dtype, copy=False), fresh=True)
+            feats._acc(gf.transpose(0, 3, 1, 2).astype(feats.dtype, copy=False))
 
     return _make_node(out, (v, feats, w, b), _bw)
 
@@ -394,10 +334,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")   # recorded in r
 
 
 def _cpus_per_blas_thread() -> int:
-    """This process's CPUs (``os.sched_getaffinity``) divided by the BLAS
-    thread count, at least 1.  The count is the first variable of
-    ``BLAS_THREAD_VARS`` that holds a positive integer, as OpenBLAS reads
-    them; without one, BLAS already uses every CPU, and this is 1."""
+    """W before the cap of the W rule (module docstring), at least 1."""
     for var in BLAS_THREAD_VARS:
         try:
             blas = int(os.environ.get(var, ""))
@@ -409,9 +346,7 @@ def _cpus_per_blas_thread() -> int:
 
 
 def worker_count(n_items: int) -> int:
-    """W for ``n_items`` items: this process's CPUs divided by the BLAS
-    thread count, capped at ``n_items``, and 1 when no variable of
-    ``BLAS_THREAD_VARS`` holds a positive integer."""
+    """W for ``n_items`` items, by the W rule of the module docstring."""
     return max(1, min(_cpus_per_blas_thread(), n_items))
 
 
@@ -712,15 +647,17 @@ def conv2d(x: Tensor | list[Tensor], w: Tensor, b: Tensor, stride: int = 1, padd
 
         _over_samples(backward, N)
         if b.requires_grad:
-            b._acc(g.reshape(N, F, -1).sum(axis=(0, 2)).astype(b.dtype, copy=False), fresh=True)
+            b._acc(g.reshape(N, F, -1).sum(axis=(0, 2)).astype(b.dtype, copy=False))
         gxp, gw = finish()
         if gw is not None:
-            w._acc(gw.astype(w.dtype, copy=False), fresh=True)
+            w._acc(gw.astype(w.dtype, copy=False))
         if gxp is not None:
-            # a padded or shared buffer is copied to each crop rather than kept whole
+            # a crop of a padded or shared buffer is copied, so the part's
+            # grad owns its memory
             for part, c0, c1 in zip(parts, bounds[:-1], bounds[1:]):
                 if part.requires_grad:
-                    part._acc(gxp[:, c0:c1, padding:padding + H, padding:padding + W], fresh=whole)
+                    crop = gxp[:, c0:c1, padding:padding + H, padding:padding + W]
+                    part._acc(crop.astype(part.dtype, copy=not whole))
 
     return _make_node(out, (*parts, w, b), _bw)
 
@@ -749,7 +686,7 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
     def _bw(g):
         if x.requires_grad:
-            x._acc(np.matmul(np.matmul(My.T, g), Mx), fresh=True)
+            x._acc(np.matmul(np.matmul(My.T, g), Mx))
 
     return _make_node(out, (x,), _bw)
 
@@ -766,7 +703,7 @@ def spatial_max_pool(x: Tensor) -> Tensor:
         if x.requires_grad:
             gflat = np.zeros((N, K, h * w), dtype=x.dtype)
             np.put_along_axis(gflat, idx[:, :, None], g[:, :, None], axis=2)
-            x._acc(gflat.reshape(N, K, h, w), fresh=True)
+            x._acc(gflat.reshape(N, K, h, w))
 
     return _make_node(out, (x,), _bw)
 
@@ -790,9 +727,9 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
         if pred.requires_grad:
             inside = (pred.data >= eps) & (pred.data <= 1 - eps)
             gp = np.where(inside, (p - t) / (p * (1 - p)), 0) * (g / n)
-            pred._acc(gp.astype(pred.dtype, copy=False), fresh=True)
+            pred._acc(gp.astype(pred.dtype, copy=False))
         if target.requires_grad:
-            target._acc(((np.log1p(-p) - np.log(p)) * (g / n)).astype(target.dtype, copy=False), fresh=True)
+            target._acc(((np.log1p(-p) - np.log(p)) * (g / n)).astype(target.dtype, copy=False))
 
     return _make_node(out, (pred, target), _bw)
 

@@ -214,17 +214,42 @@ def _sample_pairs(rng, n_clips: int, n_pairs: int, categories, distinct: bool) -
     return idx
 
 
+LOG_HEADER = ("epoch", "stage", "T", "lr", "loss", "sparsity")
+
+
+def read_log_head(log_path, epochs: int) -> list[tuple]:
+    """The header and the first ``epochs`` rows of the training log at
+    ``log_path``, each row as its fields: what a run resumed at epoch
+    ``epochs`` keeps.  Raises ``ValueError`` when the log cannot be read
+    or does not start with them."""
+    if epochs == 0:
+        return [LOG_HEADER]
+    try:
+        lines = Path(log_path).read_text().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read {log_path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {log_path}: {exc}") from exc
+    rows = [tuple(line.split(",")) for line in lines[:epochs + 1]]
+    if ([r[0] for r in rows] != [LOG_HEADER[0], *map(str, range(1, epochs + 1))]
+            or rows[0] != LOG_HEADER or any(len(r) != len(LOG_HEADER) for r in rows)):
+        raise ValueError(f"{log_path} does not hold the rows of epochs 1 to {epochs}")
+    return rows
+
+
 def run_schedule(cfg: ScheduleConfig, dataset: toyworld.Dataset, bundle: avnets.ModelBundle,
                  out_dir=None, seed: int = 0, batch_pairs: int = 8,
                  distinct_pairs: bool = False, log_path=None,
-                 start_epoch: int | None = None, config_hash: str = "",
-                 quiet: bool = True) -> TrainState:
+                 start_epoch: int | None = None, log_head: list | None = None,
+                 config_hash: str = "", quiet: bool = True) -> TrainState:
     """Run the two-stage schedule on ``bundle``; returns the final TrainState.
 
     Checkpoints are written at the stage boundary and at the end when
     ``out_dir`` is given.  ``start_epoch`` resumes a run at that row of
     ``epoch_plan(cfg)`` with the weights ``bundle`` holds, and writes no
-    stage-boundary checkpoint; the caller checks what it loaded.
+    stage-boundary checkpoint; the caller checks what it loaded.  The log
+    at ``log_path`` starts with ``log_head`` (the rows a resumed run keeps,
+    from ``read_log_head``) or else with the header alone.
     """
     state = TrainState(seed=seed, epoch=start_epoch or 0)
     prepared = prepare_split(dataset, "train", bundle.audio_cfg.grid)
@@ -237,7 +262,7 @@ def run_schedule(cfg: ScheduleConfig, dataset: toyworld.Dataset, bundle: avnets.
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    log_rows = [("epoch", "stage", "T", "lr", "loss", "sparsity")]
+    log_rows = list(log_head) if log_head is not None else [LOG_HEADER]
 
     def save(name, stage):
         if out_dir is not None:

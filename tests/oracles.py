@@ -5,13 +5,20 @@ the forward pass under central finite differences in float64 and compares
 coordinate by coordinate against whatever backward produced.  The
 per-clip image metrics compute evaluation's IoU, sparsity and accuracy one
 clip and one forward at a time; the batched evaluation must equal them
-exactly.  ``synthesizer_chain`` is the synthesizer as the graph of
-elementary ops it was built from before ``tensor.weighted_channel_sum``
-fused it; the fused node must equal it bit for bit.  ``relu`` and
-``concat`` are the ReLU and channel concatenation as graph nodes of their
-own; ``relu(conv2d(concat(parts)))`` is the conv block that
-``tensor.conv2d(parts, ..., relu=True)`` fuses into one node, and the
-fused node must equal it bit for bit.  The NMF references
+exactly.
+
+The reference chain is the elementary graph nodes ``tensor`` does not
+keep: ``add`` and ``mul`` (numpy broadcasting, each input's gradient
+summed back to its shape), ``reshape``, ``tsum`` (a sum over axes),
+``relu`` and ``concat``.  Losses in the gradient checks are built from
+them.  ``synthesizer_chain`` is the synthesizer as the graph of these
+ops it was built from before ``tensor.weighted_channel_sum`` fused it,
+and ``relu(conv2d(concat(parts)))`` is the conv block that
+``tensor.conv2d(parts, ..., relu=True)`` fuses into one node; each fused
+node must equal its chain bit for bit.  Where a chain op passes on a
+view or a broadcast of another gradient (``add``, ``reshape``, ``tsum``,
+``concat``), ``_hand_over`` copies it in its own layout, as ``tensor``'s
+ops hand over only arrays they allocated.  The NMF references
 run the multiplicative updates as plain one-expression formulas, each
 step a fresh array; the buffered updates in ``nmf`` must equal them bit
 for bit; ``kl_divergence`` is the divergence their tests check for
@@ -23,8 +30,10 @@ bit.
 sigmoid paths of ``avnets`` must equal it bit for bit.
 ``deadline`` turns a call that would loop forever into a failure.
 ``backward_checking_grad_owners`` runs a backward pass and checks, at
-every node's backward call, that no two live gradient buffers share
-memory, since the walk releases interior grads as it passes them.
+every node's backward call, that every live gradient owns its buffer:
+no two share memory, and none is a view of a larger buffer (a crop kept
+as a grad would pin the whole buffer).  It checks at every call, since
+the walk releases interior grads as it passes them.
 """
 
 import contextlib
@@ -85,13 +94,75 @@ def check_gradients(build_loss, leaves, rng, probes=100, h=1e-3, rtol=1e-3):
     return worst
 
 
+def _hand_over(t, g):
+    """Give ``t`` the gradient ``g``, a view or a broadcast of another
+    buffer, as a copy of its own in ``t``'s shape and dtype, laid out as
+    ``g`` is."""
+    t._acc(np.array(np.broadcast_to(g, t.data.shape), dtype=t.data.dtype))
+
+
+def _unbroadcast(grad, shape):
+    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def add(a, b):
+    out = tc.Tensor(a.data + b.data)
+
+    def _bw(g):
+        for t in (a, b):
+            if t.requires_grad:
+                _hand_over(t, _unbroadcast(g, t.data.shape))
+
+    return tc._make_node(out, (a, b), _bw)
+
+
+def mul(a, b):
+    out = tc.Tensor(a.data * b.data)
+
+    def _bw(g):
+        for t, other in ((a, b), (b, a)):
+            if t.requires_grad:
+                t._acc(_unbroadcast(g * other.data, t.data.shape).astype(t.dtype, copy=False))
+
+    return tc._make_node(out, (a, b), _bw)
+
+
+def reshape(a, shape):
+    out = tc.Tensor(a.data.reshape(shape))
+
+    def _bw(g):
+        if a.requires_grad:
+            _hand_over(a, g.reshape(a.data.shape))
+
+    return tc._make_node(out, (a,), _bw)
+
+
+def tsum(a, axis=None, keepdims=False):
+    out = tc.Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+
+    def _bw(g):
+        if a.requires_grad:
+            _hand_over(a, g if axis is None or keepdims else np.expand_dims(g, axis))
+
+    return tc._make_node(out, (a,), _bw)
+
+
 def relu(a):
     """``max(a, 0)`` as its own node; its gradient is ``g * (a > 0)``."""
     out = tc.Tensor(np.maximum(a.data, 0))
 
     def _bw(g):
         if a.requires_grad:
-            a._acc(g * (a.data > 0), fresh=True)
+            a._acc(g * (a.data > 0))
 
     return tc._make_node(out, (a,), _bw)
 
@@ -108,7 +179,7 @@ def concat(tensors, axis=1):
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t._acc(g[tuple(idx)])
+                _hand_over(t, g[tuple(idx)])
 
     return tc._make_node(out, tensors, _bw)
 
@@ -120,9 +191,8 @@ def synthesizer_chain(v, feats, w, b):
     and add."""
     (M, K), N = v.shape, feats.shape[0]
     stacked = concat([feats] * (M // N), axis=0)
-    coef = tc.mul(tc.reshape(v, (M, K, 1, 1)), tc.reshape(w, (1, K, 1, 1)))
-    return tc.add(tc.tsum(tc.mul(coef, stacked), axis=1, keepdims=True),
-                  tc.reshape(b, (1, 1, 1, 1)))
+    coef = mul(reshape(v, (M, K, 1, 1)), reshape(w, (1, K, 1, 1)))
+    return add(tsum(mul(coef, stacked), axis=1, keepdims=True), reshape(b, (1, 1, 1, 1)))
 
 
 def graph_of(loss) -> list:
@@ -136,11 +206,19 @@ def graph_of(loss) -> list:
     return list(graph.values())
 
 
+def _whole_buffer(a) -> np.ndarray:
+    """The array that owns the memory ``a`` views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 def backward_checking_grad_owners(loss, walk=tc.backward) -> int:
-    """Run ``walk(loss)`` and check that no two live grads of the graph
-    share memory: before and after each node's backward (after it, the
-    node's own grad and those it handed on are all live, since the walk
-    releases the node only then) and after the walk.  Also check that
+    """Run ``walk(loss)`` and check that every live grad of the graph
+    spans the whole buffer it lives in and that no two share memory:
+    before and after each node's backward (after it, the node's own grad
+    and those it handed on are all live, since the walk releases the node
+    only then) and after the walk.  Also check that
     every tensor of the graph that requires a grad got one: an interior
     node when its backward is called, a leaf after the walk.  Returns how
     many tensors of the graph require a grad."""
@@ -151,6 +229,7 @@ def backward_checking_grad_owners(loss, walk=tc.backward) -> int:
 
     def check_unshared():
         live = [t.grad for t in nodes if t.grad is not None]
+        assert all(a.nbytes == _whole_buffer(a).nbytes for a in live)
         for i, a in enumerate(live):
             for b in live[i + 1:]:
                 assert not np.shares_memory(a, b)

@@ -506,6 +506,21 @@ class TestResumeErrors:
             assert str(resume) in err
         assert self.artifacts(src_tmp) == before
 
+    @pytest.mark.parametrize("keep", [None, 1])
+    def test_log_without_the_sigmoid_rows_is_rejected(self, run_copy, capsys, keep):
+        """A missing log (``keep`` None), or one that keeps only its header,
+        lacks the sigmoid epoch's row that a resumed run keeps."""
+        log = run_copy / "artifacts" / "train_log.csv"
+        if keep is None:
+            log.unlink()
+        else:
+            log.write_text("".join(log.read_text().splitlines(keepends=True)[:keep]))
+        before = self.artifacts(run_copy)
+        argv = ["train", "-c", "cosep.json", "--resume", "artifacts/checkpoint_sigmoid.ckpt"]
+        assert cli.main(argv) == cli.EXIT_CODES["E_CONFIG"]
+        assert "train_log.csv" in one_error_line(capsys, "E_CONFIG")
+        assert self.artifacts(run_copy) == before
+
     def test_finished_checkpoint_is_rejected(self, pipeline, tmp_path, capsys):
         src_tmp, cfg_path = pipeline
         resume = tmp_path / "final.ckpt"
@@ -854,14 +869,18 @@ class TestArtifactGate:
         assert (assignment.read_bytes(), assignment.stat().st_ino) == before  # not replaced
 
     def test_resume_reads_the_boundary_checkpoint(self, run_copy, capsys):
+        """The resumed run keeps the first run's sigmoid-stage log rows,
+        byte for byte, and logs every fine-tune epoch after them."""
         art = run_copy / "artifacts"
         boundary = (art / "checkpoint_sigmoid.ckpt").read_bytes()
+        first = (art / "train_log.csv").read_text().splitlines()
         argv = ["train", "-c", "cosep.json", "--resume", "artifacts/checkpoint_sigmoid.ckpt"]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.startswith("trained 2 epochs;")   # the epochs this run trained
         assert (art / "checkpoint_sigmoid.ckpt").read_bytes() == boundary
-        rows = (art / "train_log.csv").read_text().splitlines()[1:]
-        assert [r.split(",")[:2] for r in rows] == [["2", "finetune"], ["3", "finetune"]]
+        lines = (art / "train_log.csv").read_text().splitlines()
+        assert lines[:2] == first[:2]   # the header and the one sigmoid epoch
+        assert [r.split(",")[:2] for r in lines[1:]] == [["1", "training"], ["2", "finetune"], ["3", "finetune"]]
         assert cli.main(["assign", "-c", "cosep.json"]) == 0
 
 

@@ -18,8 +18,8 @@ from cosep import tensor as tc, trainer
 from cosep.avnets import AudioNetCfg, ImageNetCfg, ModelBundle
 from cosep.tensor import Tensor
 
-from oracles import (backward_checking_grad_owners, check_gradients, concat, direct_conv2d,
-                     inflate_kernel, rel_err, relu, synthesizer_chain)
+from oracles import (add, backward_checking_grad_owners, check_gradients, concat, direct_conv2d,
+                     inflate_kernel, mul, rel_err, relu, reshape, synthesizer_chain, tsum)
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ class TestConv2d:
 
         def loss():
             y = tc.conv2d(x, w, b, **geom)
-            return tc.tsum(tc.mul(y, y))
+            return tsum(mul(y, y))
 
         check_gradients(loss, [x, w, b], rng, probes=150)
 
@@ -135,7 +135,7 @@ class TestConv2d:
 
         def loss():
             y = tc.conv2d(x, w, b, stride=2, padding=1)
-            return tc.tsum(tc.mul(y, y))
+            return tsum(mul(y, y))
 
         check_gradients(loss, [x, w, b], rng, probes=120)
 
@@ -145,7 +145,7 @@ class TestConv2d:
         b = t64(np.zeros(2))
 
         def loss():
-            return tc.tsum(tc.sigmoid(tc.conv2d(x, w, b, padding=2, dilation=2)))
+            return tsum(tc.sigmoid(tc.conv2d(x, w, b, padding=2, dilation=2)))
 
         check_gradients(loss, [x, w], rng, probes=100)
 
@@ -182,7 +182,7 @@ class TestUpsampleBilinear:
 
         def loss():
             y = tc.upsample_bilinear(x, 9, 7)
-            return tc.tsum(tc.mul(y, y))
+            return tsum(mul(y, y))
 
         check_gradients(loss, [x], rng, probes=100)
 
@@ -196,7 +196,7 @@ class TestSpatialMaxPool:
     def test_tie_gradient_goes_to_first_position(self):
         x = Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
         y = tc.spatial_max_pool(x)
-        tc.backward(tc.tsum(y))
+        tc.backward(tsum(y))
         expected = np.zeros((1, 2, 3, 3), dtype=np.float32)
         expected[:, :, 0, 0] = 1.0
         np.testing.assert_array_equal(x.grad, expected)
@@ -208,7 +208,7 @@ class TestSpatialMaxPool:
 
         def loss():
             y = tc.spatial_max_pool(x)
-            return tc.tsum(tc.mul(y, y))
+            return tsum(mul(y, y))
 
         check_gradients(loss, [x], rng, probes=100)
 
@@ -257,7 +257,7 @@ class TestActivations:
         target = Tensor(rng.random((3, 7)), dtype=np.float64)
 
         def loss():
-            return tc.tsum(tc.mul(tc.softmax_T(x, 0.5), target))
+            return tsum(mul(tc.softmax_T(x, 0.5), target))
 
         check_gradients(loss, [x], rng, probes=100)
 
@@ -265,7 +265,7 @@ class TestActivations:
         x = t64(rng.standard_normal((4, 9)))
 
         def loss():
-            return tc.tsum(tc.mul(tc.sigmoid(x), tc.sigmoid(x)))
+            return tsum(mul(tc.sigmoid(x), tc.sigmoid(x)))
 
         check_gradients(loss, [x], rng, probes=72)
 
@@ -291,7 +291,7 @@ class TestActivations:
         x = t64(base)
 
         def loss():
-            return tc.tsum(tc.mul(relu(x), Tensor(np.arange(30, dtype=np.float64).reshape(5, 6), dtype=np.float64)))
+            return tsum(mul(relu(x), Tensor(np.arange(30, dtype=np.float64).reshape(5, 6), dtype=np.float64)))
 
         check_gradients(loss, [x], rng, probes=30)
 
@@ -325,14 +325,14 @@ class TestBceLoss:
 class TestBackwardAndOptimizers:
     def test_quadratic_gradient(self):
         w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        loss = tc.tsum(tc.mul(w, w))
+        loss = tsum(mul(w, w))
         tc.backward(loss)
         np.testing.assert_allclose(w.grad, [2.0, 4.0], rtol=1e-6)
 
     def test_backward_rejects_non_scalar(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            tc.backward(tc.mul(w, w))
+            tc.backward(mul(w, w))
 
     def test_step_before_backward_warns_and_noops(self):
         w = Tensor(np.array([1.0]), requires_grad=True)
@@ -345,15 +345,15 @@ class TestBackwardAndOptimizers:
 
     def test_zero_grad_resets_exactly(self):
         w = Tensor(np.array([3.0, -1.0]), requires_grad=True)
-        tc.backward(tc.tsum(tc.mul(w, w)))
+        tc.backward(tsum(mul(w, w)))
         assert np.any(w.grad != 0)
         w.zero_grad()
         assert np.all(w.grad == 0)
 
     def test_grad_accumulates_across_backwards(self):
         w = Tensor(np.array([1.0]), requires_grad=True)
-        tc.backward(tc.tsum(w))
-        tc.backward(tc.tsum(w))
+        tc.backward(tsum(w))
+        tc.backward(tsum(w))
         assert w.grad[0] == 2.0
 
     def test_two_layer_net_gradients(self, rng):
@@ -373,17 +373,36 @@ class TestBackwardAndOptimizers:
         worst = check_gradients(loss, [w1, b1, w2, b2], rng, probes=120, h=1e-4)
         assert worst < 1e-3
 
+    def test_first_gradient_must_match_data(self):
+        """``_acc`` keeps a first gradient as it is, so one of another
+        shape or dtype, even a broadcastable one, raises and sets no grad;
+        a matching one becomes the grad, and later ones are added."""
+        x = Tensor(np.ones((2, 3), dtype=np.float32))
+        for bad in (np.ones((3, 2), np.float32), np.ones((1, 3), np.float32), np.ones((2, 3))):
+            with pytest.raises(ValueError, match="first gradient"):
+                x._acc(bad)
+            assert x.grad is None
+        g = np.full((2, 3), 2, dtype=np.float32)
+        x._acc(g)
+        x._acc(np.ones((2, 3), dtype=np.float32))
+        assert x.grad is g and np.all(g == 3)
+
     def test_no_two_grads_share_memory(self, rng):
-        """An op hands over the gradient buffers it allocates and copies
-        the views it passes on (reshape, concat, tsum, add): at every
-        node's backward call, no two live grads share memory."""
+        """An op hands over the gradient buffers it allocates, ``conv2d``
+        copies its crops of the padded two-part input gradient, and the
+        reference chain copies the views it passes on (reshape, concat,
+        tsum, add): at every node's backward call, every live grad owns
+        its buffer and no two share memory."""
         x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((1, 4, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(1).astype(np.float32), requires_grad=True)
         bias = Tensor(rng.standard_normal(16).astype(np.float32), requires_grad=True)
-        h = relu(tc.reshape(x, (2, 3, 4, 4)))
-        s = tc.tsum(concat([h, h], axis=1), axis=1, keepdims=True)
-        y = tc.add(tc.reshape(s, (2, 16)), bias)
-        loss = tc.tsum(tc.mul(y, y))
-        assert backward_checking_grad_owners(loss) == 10
+        h = relu(reshape(x, (2, 3, 4, 4)))
+        s = tsum(concat([h, h], axis=1), axis=1, keepdims=True)
+        c = tc.conv2d([h, s], w, b, padding=1)
+        y = add(reshape(c, (2, 16)), bias)
+        loss = tsum(mul(y, y))
+        assert backward_checking_grad_owners(loss) == 13
 
     def test_adam_decreases_quadratic(self):
         w = Tensor(np.array([5.0, -3.0]), requires_grad=True)
@@ -391,12 +410,12 @@ class TestBackwardAndOptimizers:
         first = None
         for _ in range(200):
             opt.zero_grad()
-            loss = tc.tsum(tc.mul(w, w))
+            loss = tsum(mul(w, w))
             if first is None:
                 first = loss.item()
             tc.backward(loss)
             opt.step()
-        assert tc.tsum(tc.mul(w, w)).item() < 1e-3 * first
+        assert tsum(mul(w, w)).item() < 1e-3 * first
 
     def test_forward_is_deterministic(self, rng):
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
@@ -414,9 +433,9 @@ class TestGraphRelease:
     @staticmethod
     def chain(x, w):
         """``sum(relu(x * w)^2)``: mul, relu, mul, tsum."""
-        first = tc.mul(x, w)
+        first = mul(x, w)
         h = relu(first)
-        return first, h, tc.tsum(tc.mul(h, h))
+        return first, h, tsum(mul(h, h))
 
     def test_interior_activations_die_before_the_first_op_backward(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -447,7 +466,7 @@ class TestGraphRelease:
         tc.backward(loss)
         opt.step()
         grads, weights, walks = x.grad.copy(), w.data.copy(), tc._backward_counter
-        for released in (loss, tc.tsum(tc.mul(h, h))):
+        for released in (loss, tsum(mul(h, h))):
             with pytest.raises(RuntimeError, match="released by an earlier backward"):
                 tc.backward(released)
         assert tc._backward_counter == walks and np.array_equal(x.grad, grads)
@@ -477,7 +496,7 @@ class TestStructuralOps:
 
         def loss():
             y = concat([a, b], axis=1)
-            return tc.tsum(tc.mul(y, y))
+            return tsum(mul(y, y))
 
         check_gradients(loss, [a, b], rng, probes=80)
 
@@ -486,31 +505,31 @@ class TestStructuralOps:
         feats = t64(rng.standard_normal((2, 3, 4, 4)))
 
         def loss():
-            vv = tc.reshape(v, (2, 3, 1, 1))
-            return tc.tsum(tc.sigmoid(tc.tsum(tc.mul(vv, feats), axis=1)))
+            vv = reshape(v, (2, 3, 1, 1))
+            return tsum(tc.sigmoid(tsum(mul(vv, feats), axis=1)))
 
         check_gradients(loss, [v, feats], rng, probes=100)
 
     def test_no_grad_suppresses_graph(self):
         w = Tensor(np.ones(3), requires_grad=True)
         with tc.no_grad():
-            y = tc.mul(w, w)
+            y = mul(w, w)
         assert not y.requires_grad and y._backward is None
 
     def test_nested_no_grad_restores_the_outer_state(self):
         w = Tensor(np.ones(3), requires_grad=True)
         with tc.no_grad():
             with tc.no_grad():
-                assert not tc.mul(w, w).requires_grad
-            assert not tc.mul(w, w).requires_grad
-        assert tc.mul(w, w).requires_grad
+                assert not mul(w, w).requires_grad
+            assert not mul(w, w).requires_grad
+        assert mul(w, w).requires_grad
 
     def test_exception_in_no_grad_restores_recording(self):
         w = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(RuntimeError, match="inside"):
             with tc.no_grad():
                 raise RuntimeError("inside")
-        assert tc.mul(w, w).requires_grad
+        assert mul(w, w).requires_grad
 
 
 class TestWeightedChannelSum:
@@ -526,21 +545,21 @@ class TestWeightedChannelSum:
             rng.random((reps * n, k)), rng.standard_normal((n, k, g, t)),
             rng.standard_normal(k), rng.standard_normal(1))]
         v0, f0, w, b = leaves
-        v, feats = tc.reshape(v0, v0.shape), tc.reshape(f0, f0.shape)
+        v, feats = reshape(v0, v0.shape), reshape(f0, f0.shape)
         op = tc.weighted_channel_sum if fused else synthesizer_chain
         y = op(v, feats, w, b)
         weight = Tensor(rng.standard_normal(y.shape).astype(np.float32))
         handed, real_acc = {}, Tensor._acc
 
-        def recording_acc(self, grad, fresh=False):
-            real_acc(self, grad, fresh)
+        def recording_acc(self, grad):
+            real_acc(self, grad)
             if self is v:
                 handed["v"] = self.grad
             elif self is feats:
                 handed["feats"] = self.grad
 
         with mock.patch.object(Tensor, "_acc", recording_acc):
-            tc.backward(tc.tsum(tc.mul(tc.sigmoid(y), weight)))
+            tc.backward(tsum(mul(tc.sigmoid(y), weight)))
         return y.data, handed["v"], handed["feats"], w.grad, b.grad
 
     @pytest.mark.parametrize("reps", [2, 1])
@@ -567,7 +586,7 @@ class TestWeightedChannelSum:
         weight = Tensor(rng.standard_normal((4, 1, 4, 5)), dtype=np.float64)
 
         def loss():
-            return tc.tsum(tc.mul(tc.sigmoid(tc.weighted_channel_sum(v, feats, w, b)), weight))
+            return tsum(mul(tc.sigmoid(tc.weighted_channel_sum(v, feats, w, b)), weight))
 
         check_gradients(loss, [v, feats, w, b], rng, probes=120)
 
@@ -628,7 +647,7 @@ def conv_bytes(n, case, seed=0):
                for shape in ((n, c, 9, 8), (f, c, k, k), (f,)))
     y = tc.conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation)
     g = Tensor(rng.standard_normal(y.shape).astype(np.float32))
-    tc.backward(tc.tsum(tc.mul(y, g)))
+    tc.backward(tsum(mul(y, g)))
     return [t.tobytes() for t in (y.data, x.grad, w.grad, b.grad)]
 
 
@@ -743,7 +762,7 @@ class TestFusedConvBlock:
                   for chans in np.array_split(np.arange(c), n_parts)]
         w = Tensor(rng.standard_normal((f, c, k, k)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.standard_normal(f).astype(np.float32), requires_grad=True)
-        parts = [tc.reshape(leaf, leaf.shape) for leaf in leaves]
+        parts = [reshape(leaf, leaf.shape) for leaf in leaves]
         geom = dict(stride=stride, padding=padding, dilation=dilation)
         if fused:
             y = tc.conv2d(parts if len(parts) > 1 else parts[0], w, b, relu=True, **geom)
@@ -752,14 +771,14 @@ class TestFusedConvBlock:
         weight = Tensor(rng.standard_normal(y.shape).astype(np.float32))
         handed, real_acc = {}, Tensor._acc
 
-        def recording_acc(self, grad, fresh=False):
-            real_acc(self, grad, fresh)
+        def recording_acc(self, grad):
+            real_acc(self, grad)
             for i, part in enumerate(parts):
                 if self is part:
                     handed[i] = self.grad
 
         with mock.patch.object(Tensor, "_acc", recording_acc):
-            tc.backward(tc.tsum(tc.mul(y, weight)))
+            tc.backward(tsum(mul(y, weight)))
         return [y.data, *(handed[i] for i in range(len(parts))), w.grad, b.grad]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -784,10 +803,10 @@ class TestFusedConvBlock:
         for fused in (True, False):
             for t in (x, w, b):
                 t.zero_grad()
-            h = tc.reshape(x, x.shape)
+            h = reshape(x, x.shape)
             y = (tc.conv2d([h, h], w, b, padding=1, relu=True) if fused
                  else relu(tc.conv2d(concat([h, h]), w, b, padding=1)))
-            backward_checking_grad_owners(tc.tsum(tc.mul(y, y)))
+            backward_checking_grad_owners(tsum(mul(y, y)))
             grads.append([t.grad.tobytes() for t in (x, w, b)])
         assert grads[0] == grads[1]
 
@@ -804,7 +823,7 @@ class TestFusedConvBlock:
         assert np.abs(pre).min() > 1e-3 and (pre < 0).any() and (pre > 0).any()
 
         def loss():
-            return tc.tsum(tc.mul(tc.conv2d(parts, w, b, relu=True, **geom), weight))
+            return tsum(mul(tc.conv2d(parts, w, b, relu=True, **geom), weight))
 
         check_gradients(loss, [*parts, w, b], rng, probes=150, h=1e-6)
 

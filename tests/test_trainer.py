@@ -250,9 +250,10 @@ class TestStepBatch:
         assert sum(nodes) == 24
 
     def test_no_two_graph_tensors_share_a_grad_buffer(self, monkeypatch):
-        """Ops hand their fresh gradient buffers over instead of copying
-        them; at every node's backward call of one step, no live grad is a
-        view of another."""
+        """Ops hand over gradient buffers they allocated, and ``conv2d``
+        copies its crops of a padded or multi-part input gradient; at every
+        node's backward call of one step, no live grad is a view of
+        another."""
         counts, real_backward = [], tc.backward
         monkeypatch.setattr(tc, "backward",
                             lambda loss: counts.append(backward_checking_grad_owners(loss, real_backward)))
