@@ -64,8 +64,9 @@ module's docstring).  ``eval`` scores its mixtures, and fits the NMF
 bases, on W worker processes (``checkpoint.map_ordered``), and every
 convolution splits its samples over W threads.  Every output is the
 same at any W; ``threads.report`` records the W of the mixture loop
-under ``workers``, and ``threads.checkpoint`` that of a training batch's
-convolutions.
+under ``workers``, and ``threads.checkpoint`` that of the image net's
+convolutions on a training batch's 2 * ``batch_pairs`` frames, the most
+samples any convolution of a step has.
 
 ``run_manifest.json`` also records, under ``resources``, what each
 command cost: its wall seconds from start to the manifest write
@@ -520,7 +521,7 @@ def cmd_train(cfg: dict, args) -> int:
         log_path=log_path, start_epoch=start, log_head=head,
         config_hash=artifact_hash(cfg, "checkpoint"), quiet=not args.verbose)
     _update_run_manifest(cfg, "checkpoint", run, args.started,
-                         workers=worker_count(cfg["schedule"]["batch_pairs"]))
+                         workers=worker_count(2 * cfg["schedule"]["batch_pairs"]))
     final_t = bundle.temperature if bundle.mode == "softmax" else None
     print(f"trained {len(state.loss_history)} epochs; final loss {state.loss_history[-1]:.4f}"
           + (f"; final temperature {final_t:g}" if final_t is not None else ""))

@@ -10,15 +10,15 @@ entropy, and those are the only ops here.  The elementary nodes that the
 fused ones are checked against, bit for bit, are the reference chain in
 ``tests/oracles.py``.
 
-``conv2d`` picks one of three lowerings from the operand shapes alone.
-A 1x1 kernel at stride 1 multiplies the (padded) input, reshaped to
-[N, C, H*W], as it stands: no buffer is gathered.  A stride-1
-convolution with a wider kernel that narrows the channels (F < C)
-expands the kernel offsets on the F-wide output side: one GEMM of the
-stacked kernels against the padded input, then shifted slice-adds; its
-input gradient is the transposed convolution of the output gradient
-(Dumoulin & Visin 2016).  Every other convolution gathers a C-wide
-im2col buffer.
+``conv2d`` picks one of two lowerings from the operand shapes alone.  A
+stride-1 convolution with a wider kernel that narrows the channels
+(F < C) expands the kernel offsets on the F-wide output side: one GEMM
+of the stacked kernels against the padded input, then shifted
+slice-adds; its input gradient is the transposed convolution of the
+output gradient (Dumoulin & Visin 2016).  Every other convolution is
+im2col: it gathers a C-wide buffer of every kernel offset, except that a
+1x1 kernel at stride 1, whose one offset spans the padded input, reads
+that input in place as [N, C, H*W], with no gather and no scatter.
 
 A conv block is one ``conv2d`` node.  Its input may be a list of parts,
 read as their channel concatenation: each part is copied into its
@@ -390,7 +390,7 @@ def _over_samples(fn, n: int) -> None:
     helper range, is raised.  ``fn`` must write only to samples
     [lo, hi) of buffers allocated before the call."""
     global _helper_count
-    workers = 1 if _forked or n <= 1 else min(_cpus_per_blas_thread(), n)
+    workers = 1 if _forked else worker_count(n)
     if workers == 1:
         fn(0, n)
         return
@@ -426,6 +426,9 @@ def _taps(kh: int, kw: int, dilation: int, stride: int, out_h: int, out_w: int):
 def _conv_im2col(xp, wd, taps, out_h, out_w):
     """C-wide lowering: gather every offset of the padded input into one
     [C*k*k, L] matrix per sample and multiply by the flattened kernels.
+    When the one offset spans the whole padded input (a 1x1 kernel at
+    stride 1), that matrix is ``xp`` itself, read in place, and the
+    input gradient is the buffer of its GEMM, with no scatter.
 
     Returns the output buffer [N, F, out_h, out_w], a function that fills
     samples [lo, hi) of it from the same samples of ``xp``, and a function
@@ -439,22 +442,25 @@ def _conv_im2col(xp, wd, taps, out_h, out_w):
     """
     N, C, Hp, Wp = xp.shape
     F, K, L = wd.shape[0], len(taps), out_h * out_w
-    cols = np.empty((N, C, K, out_h, out_w), dtype=xp.dtype)
-    cols_mat = cols.reshape(N, C * K, L)
+    in_place = K == 1 and (out_h, out_w) == (Hp, Wp)
+    cols = None if in_place else np.empty((N, C, K, out_h, out_w), dtype=xp.dtype)
+    cols_mat = (xp if in_place else cols).reshape(N, C * K, L)
     w_mat = wd.reshape(F, C * K)
     y = np.empty((N, F, L), dtype=np.result_type(w_mat, cols_mat))
 
     def fill(lo, hi):
-        cr, xr = cols[lo:hi], xp[lo:hi]
-        for t, (sy, sx) in enumerate(taps):
-            cr[:, :, t] = xr[:, :, sy, sx]
+        if not in_place:
+            cr, xr = cols[lo:hi], xp[lo:hi]
+            for t, (sy, sx) in enumerate(taps):
+                cr[:, :, t] = xr[:, :, sy, sx]
         np.matmul(w_mat, cols_mat[lo:hi], out=y[lo:hi])
 
     def grads(g, want_x, want_w):
         g_mat = g.reshape(N, F, L)
         gw = np.empty((N, F, C * K), dtype=np.result_type(g_mat, cols_mat)) if want_w else None
         gcols = np.empty((N, C * K, L), dtype=np.result_type(w_mat, g_mat)) if want_x else None
-        gxp = np.empty((N, C, Hp, Wp), dtype=xp.dtype) if want_x else None
+        # in place, gcols is the input gradient; a scatter would copy it, turning -0.0 into +0.0
+        gxp = np.empty((N, C, Hp, Wp), dtype=xp.dtype) if want_x and not in_place else None
 
         def backward(lo, hi):
             if want_w:
@@ -462,13 +468,15 @@ def _conv_im2col(xp, wd, taps, out_h, out_w):
                 np.matmul(g_mat[lo:hi], cols_mat[lo:hi].transpose(0, 2, 1), out=gw[lo:hi])
             if want_x:
                 np.matmul(w_mat.T, g_mat[lo:hi], out=gcols[lo:hi])
+            if gxp is not None:
                 gc, gxr = gcols[lo:hi].reshape(hi - lo, C, K, out_h, out_w), gxp[lo:hi]
                 gxr[...] = 0
                 for t, (sy, sx) in enumerate(taps):
                     gxr[:, :, sy, sx] += gc[:, :, t]
 
         def finish():
-            return gxp, None if gw is None else gw.sum(axis=0).reshape(wd.shape)
+            gx = gcols.reshape(N, C, Hp, Wp) if in_place and want_x else gxp
+            return gx, None if gw is None else gw.sum(axis=0).reshape(wd.shape)
 
         return backward, finish
 
@@ -527,42 +535,6 @@ def _conv_narrow(xp, wd, taps, out_h, out_w):
     return y, fill, grads
 
 
-def _conv_pointwise(xp, wd, taps, out_h, out_w):
-    """1x1 lowering for stride 1: the padded input, reshaped to
-    [N, C, Hp*Wp], is the GEMM operand as it stands, so no buffer is
-    gathered and the input gradient needs no scatter.  The GEMMs are
-    ``_conv_im2col``'s for a single offset, on the same operands; same
-    return contract.
-    """
-    N, C, Hp, Wp = xp.shape
-    F = wd.shape[0]
-    x_mat = xp.reshape(N, C, Hp * Wp)
-    w_mat = wd.reshape(F, C)
-    y = np.empty((N, F, Hp * Wp), dtype=np.result_type(w_mat, x_mat))
-
-    def fill(lo, hi):
-        np.matmul(w_mat, x_mat[lo:hi], out=y[lo:hi])
-
-    def grads(g, want_x, want_w):
-        g_mat = g.reshape(N, F, Hp * Wp)
-        gw = np.empty((N, F, C), dtype=np.result_type(g_mat, x_mat)) if want_w else None
-        gxp = np.empty((N, C, Hp * Wp), dtype=np.result_type(w_mat, g_mat)) if want_x else None
-
-        def backward(lo, hi):
-            if want_w:
-                np.matmul(g_mat[lo:hi], x_mat[lo:hi].transpose(0, 2, 1), out=gw[lo:hi])
-            if want_x:
-                np.matmul(w_mat.T, g_mat[lo:hi], out=gxp[lo:hi])
-
-        def finish():
-            return (None if gxp is None else gxp.reshape(N, C, Hp, Wp),
-                    None if gw is None else gw.sum(axis=0).reshape(wd.shape))
-
-        return backward, finish
-
-    return y.reshape(N, F, out_h, out_w), fill, grads
-
-
 def conv2d(x: Tensor | list[Tensor], w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
            dilation: int = 1, relu: bool = False) -> Tensor:
     """Cross-correlation of NCHW input with FCkk kernels, plus the [F]
@@ -610,12 +582,7 @@ def conv2d(x: Tensor | list[Tensor], w: Tensor, b: Tensor, stride: int = 1, padd
     else:
         shape, dtype = (N, C, H + 2 * padding, W + 2 * padding), np.result_type(*(p.data for p in parts))
         xp = np.zeros(shape, dtype=dtype) if padding else np.empty(shape, dtype=dtype)
-    if stride == 1 and kh * kw == 1:
-        lower = _conv_pointwise
-    elif stride == 1 and F < C:
-        lower = _conv_narrow
-    else:
-        lower = _conv_im2col
+    lower = _conv_narrow if stride == 1 and F < C and kh * kw > 1 else _conv_im2col
     y, fill, grads = lower(xp, w.data, _taps(kh, kw, dilation, stride, out_h, out_w), out_h, out_w)
     bias = b.data.reshape(1, F, 1, 1)
 
@@ -713,9 +680,12 @@ def spatial_max_pool(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------
 
 def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean binary cross entropy; predictions clamped to [eps, 1-eps]."""
+    """Mean binary cross entropy; predictions clamped to [eps, 1-eps].
+    The target is a constant: one that requires grad raises."""
     if pred.data.shape != target.data.shape:
         raise ValueError(f"bce_loss: shape mismatch {pred.data.shape} vs {target.data.shape}")
+    if target.requires_grad:
+        raise ValueError("bce_loss: the target must not require grad")
     eps = pred.dtype.type(BCE_EPS)
     p = np.clip(pred.data, eps, 1 - eps)
     t = target.data
@@ -728,10 +698,8 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
             inside = (pred.data >= eps) & (pred.data <= 1 - eps)
             gp = np.where(inside, (p - t) / (p * (1 - p)), 0) * (g / n)
             pred._acc(gp.astype(pred.dtype, copy=False))
-        if target.requires_grad:
-            target._acc(((np.log1p(-p) - np.log(p)) * (g / n)).astype(target.dtype, copy=False))
 
-    return _make_node(out, (pred, target), _bw)
+    return _make_node(out, (pred,), _bw)
 
 
 # ---------------------------------------------------------------------

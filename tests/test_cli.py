@@ -1093,16 +1093,30 @@ class TestWorkerCountIndependence:
                    for r in runs.values()]
         assert all(o == outputs[0] for o in outputs)
 
-    def test_train_equal_at_one_and_two_workers(self, run_copy):
+    @staticmethod
+    def check_train_probe(run):
+        """Train ``run`` at one and two CPUs: each manifest's W is the count of
+        threads the convolutions ran on, and the files are equal."""
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         env.pop("OMP_NUM_THREADS", None)
-        out = subprocess.run([sys.executable, "-c", TRAIN_PROBE], cwd=run_copy, env=env,
+        out = subprocess.run([sys.executable, "-c", TRAIN_PROBE], cwd=run, env=env,
                              capture_output=True, text=True, check=True).stdout
         runs = json.loads(out.splitlines()[-1])
         assert {n: (r["workers"], r["helpers"]) for n, r in runs.items()} == {"1": (1, 0), "2": (2, 1)}
         assert runs["1"]["files"] == runs["2"]["files"]
+
+    def test_train_equal_at_one_and_two_workers(self, run_copy):
+        self.check_train_probe(run_copy)
+
+    def test_train_manifest_counts_the_image_nets_frames(self, run_copy):
+        """At one pair per step the image net's convolutions still run 2
+        frames, on 2 threads at 2 CPUs; the manifest records that W."""
+        cfg = json.loads((run_copy / "cosep.json").read_text())
+        cfg["schedule"]["batch_pairs"] = 1
+        write_config(run_copy, cfg)
+        self.check_train_probe(run_copy)
 
 
 EVAL_ON_TWO_CPUS = """

@@ -6,6 +6,7 @@ import select
 import signal
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from unittest import mock
@@ -62,7 +63,7 @@ class TestConv2d:
     @example(dict(shape=(1, 5, 6, 4), f=3, k=3, stride=1, padding=2, dilation=2, seed=1))
     @example(dict(shape=(2, 4, 7, 6), f=3, k=5, stride=1, padding=0, dilation=1, seed=2))
     @example(dict(shape=(1, 3, 6, 6), f=4, k=3, stride=2, padding=1, dilation=1, seed=3))
-    # the 1x1 heads' lowering: the unpadded input as the GEMM operand
+    # the 1x1 heads: im2col's one offset, the unpadded input read in place
     @example(dict(shape=(2, 5, 4, 6), f=3, k=1, stride=1, padding=0, dilation=1, seed=4))
     def test_matches_direct_loop_oracle(self, case):
         rng = np.random.default_rng(case["seed"])
@@ -84,22 +85,40 @@ class TestConv2d:
         check_gradients(loss, [x, w, b], rng, probes=150)
 
     @pytest.mark.parametrize("padding", [0, 1])
-    def test_pointwise_lowering_is_bit_identical_to_im2col(self, rng, padding):
-        x = rng.standard_normal((2, 6, 5, 7)).astype(np.float32)
-        w = rng.standard_normal((4, 6, 1, 1)).astype(np.float32)
-        g = rng.standard_normal((2, 4, 5 + 2 * padding, 7 + 2 * padding)).astype(np.float32)
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        out_h, out_w = xp.shape[2:]
-        taps = tc._taps(1, 1, 1, 1, out_h, out_w)
-        runs = []
-        for lower in (tc._conv_pointwise, tc._conv_im2col):
-            y, fill, grads = lower(xp, w, taps, out_h, out_w)
-            fill(0, len(xp))
-            run, finish = grads(g, True, True)
-            run(0, len(xp))
-            runs.append((y, *finish()))
-        for a, b in zip(*runs):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    def test_1x1_is_the_gemms_on_the_input_as_it_stands(self, rng, padding):
+        """A 1x1 conv at stride 1 gives the bytes of its GEMMs spelled out
+        on the (padded) input, reshaped to [N, C, H*W]: the output, and the
+        input, kernel and bias gradients."""
+        x, w, b = (Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+                   for shape in ((2, 6, 5, 7), (4, 6, 1, 1), (4,)))
+        y = tc.conv2d(x, w, b, padding=padding)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        tc.backward(tsum(mul(y, Tensor(g))))
+        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        x_mat, w_mat, g_mat = xp.reshape(2, 6, -1), w.data.reshape(4, 6), g.reshape(2, 4, -1)
+        gx = np.matmul(w_mat.T, g_mat).reshape(xp.shape)
+        expected = [(np.matmul(w_mat, x_mat) + b.data[:, None]).reshape(y.shape),
+                    gx[:, :, padding:padding + 5, padding:padding + 7],
+                    np.matmul(g_mat, x_mat.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape),
+                    g_mat.sum(axis=(0, 2))]
+        for got, want in zip((y.data, x.grad, w.grad, b.grad), expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_1x1_gathers_no_buffer(self, monkeypatch):
+        """The 1x1 forward reads its input in place: its peak allocation
+        stays below the input's size, which a gathered copy would reach."""
+        set_workers(monkeypatch, 1)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 48, 32, 32)).astype(np.float32))
+        w = Tensor(rng.standard_normal((4, 48, 1, 1)).astype(np.float32))
+        b = Tensor(np.zeros(4, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            tc.conv2d(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes, f"peak {peak} B against a {x.data.nbytes} B input"
 
     def test_box_sum_of_ones(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
@@ -149,14 +168,33 @@ class TestConv2d:
 
         check_gradients(loss, [x, w], rng, probes=100)
 
-    def test_dilation_equals_zero_inflated_kernel(self, rng):
-        x = rng.standard_normal((2, 2, 9, 9)).astype(np.float32)
-        w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        zero = Tensor(np.zeros(3, dtype=np.float32))
-        for d in (2, 3):
-            a = tc.conv2d(Tensor(x), Tensor(w), zero, padding=d, dilation=d).data
-            b = tc.conv2d(Tensor(x), Tensor(inflate_kernel(w, d)), zero, padding=d).data
-            np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([1, 3]), dilation=st.integers(1, 3), stride=st.integers(1, 2),
+           padding=st.integers(0, 3), narrowing=st.booleans(), data=st.data())
+    def test_dilation_equals_zero_inflated_kernel(self, k, dilation, stride, padding, narrowing, data):
+        """A dilated kernel and its zero-inflated dense twin give the same
+        output and input gradient, and the twin's kernel gradient at the
+        kernel's taps is the dilated one's.  F < C and F >= C reach both
+        lowerings, and k = 1 at stride 1 the im2col read in place."""
+        c = data.draw(st.integers(2, 5) if narrowing else st.integers(1, 4))
+        f = data.draw(st.integers(1, c - 1) if narrowing else st.integers(c, 5))
+        low = max(1, dilation * (k - 1) + 1 - 2 * padding)
+        h, w_ = data.draw(st.integers(low, low + 5)), data.draw(st.integers(low, low + 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.standard_normal((2, c, h, w_))
+        w = rng.standard_normal((f, c, k, k))
+        bias = rng.standard_normal(f)
+        runs = []
+        for kernel, d in ((w, dilation), (inflate_kernel(w, dilation), 1)):
+            xt, wt = t64(x), t64(kernel)
+            y = tc.conv2d(xt, wt, t64(bias), stride=stride, padding=padding, dilation=d)
+            weight = Tensor(np.cos(np.arange(y.size)).reshape(y.shape), dtype=np.float64)
+            tc.backward(tsum(mul(y, weight)))
+            runs.append((y.data, xt.grad, wt.grad))
+        (ya, gxa, gwa), (yb, gxb, gwb) = runs
+        for a, b in ((ya, yb), (gxa, gxb), (gwa, gwb[:, :, ::dilation, ::dilation])):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 class TestUpsampleBilinear:
@@ -311,6 +349,10 @@ class TestBceLoss:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape"):
             tc.bce_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
+
+    def test_target_requiring_grad_raises(self):
+        with pytest.raises(ValueError, match="target"):
+            tc.bce_loss(Tensor(np.full((2, 2), 0.5)), Tensor(np.zeros((2, 2)), requires_grad=True))
 
     def test_gradients(self, rng):
         logits = t64(rng.standard_normal((3, 5)))
@@ -633,8 +675,8 @@ LOWERINGS = {
     "narrow": (5, 2, 3, 1, 1, 1),
     "narrow-unpadded": (5, 2, 3, 1, 1, 0),
     "narrow-dilation2": (5, 2, 3, 1, 2, 2),
-    "pointwise": (4, 6, 1, 1, 1, 0),
-    "pointwise-narrowing-padded": (4, 2, 1, 1, 1, 1),
+    "im2col-1x1": (4, 6, 1, 1, 1, 0),
+    "im2col-1x1-narrowing-padded": (4, 2, 1, 1, 1, 1),
 }
 
 
