@@ -9,5 +9,5 @@ audio-only source separation.
 
 __version__ = "0.1.0"
 
-from . import avnets, checkpoint, disentangle, dsp, metrics, nmf, tensor, toyworld, trainer  # noqa: F401
+from . import avnets, checkpoint, disentangle, dsp, metrics, nmf, tensor, toyworld, trainer, workers  # noqa: F401
 from .tensor import Tensor  # noqa: F401

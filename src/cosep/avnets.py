@@ -9,14 +9,15 @@ K same-resolution feature planes.  The synthesizer is a single linear
 layer over the visually weighted audio channels.
 
 The paper's networks, after Zhao et al. 2018, put batch norm after each
-convolution.  Here every conv block is ``relu(conv + b)``: no batch
-statistics, so a forward pass does not depend on the batch and is
-bit-reproducible.  Batch norm's per-channel scale and shift exist to undo
-its normalization; without one they would only reparameterize the conv,
-so they are absent too.  Each block is one ``tensor.conv2d`` node, with
-the bias and the ReLU applied inside its sample ranges; a decoder block
-takes the upsampled input and its skip as two parts of that node, so the
-U-Net's skip concatenation is never a tensor of its own.
+convolution.  Here a conv block is ``relu(conv + b)`` (``conv + b`` in
+the 1x1 heads): no batch statistics, so a forward pass does not depend
+on the batch and is bit-reproducible.  Batch norm's per-channel scale
+and shift exist to undo its normalization; without one they would only
+reparameterize the conv, so they are absent too.  Each block is one
+``tensor.conv2d`` node, with the bias and the ReLU applied inside its
+sample ranges; a decoder block takes the upsampled input and its skip as
+two parts of that node, so the U-Net's skip concatenation is never a
+tensor of its own.
 
 Inference runs the image net once per frame: ``infer_images`` is the only
 no-grad image pass, and its maps and vectors feed segmentation, sparsity,
@@ -83,14 +84,9 @@ class AudioNetCfg:
             raise ValueError(f"grid {self.grid} not divisible by 2^{self.depth}")
 
 
-def _he_conv(rng, f, c, k, scale=1.0):
-    std = scale * float(np.sqrt(2.0 / (c * k * k)))
-    return Tensor((rng.standard_normal((f, c, k, k)) * std).astype(np.float32), requires_grad=True)
-
-
 class _ConvBlock:
-    """relu(conv + b), with "same" padding for the dilation, as one
-    ``tensor.conv2d(..., relu=True)`` node.  Called with a list of
+    """relu(conv + b), or conv + b without ``relu``, with "same" padding
+    for the dilation, as one ``tensor.conv2d`` node.  Called with a list of
     tensors, it convolves their channel concatenation without building
     it (the decoder's ``[upsampled, skip]``).
 
@@ -98,16 +94,19 @@ class _ConvBlock:
     in between, s * (W * x + b) + t equals (s W) * x + (s b + t), a conv
     with other weights, so they would add parameters and no function."""
 
-    def __init__(self, rng, c_in, c_out, stride=1, dilation=1, kernel=3):
+    def __init__(self, rng, c_in, c_out, stride=1, dilation=1, kernel=3, relu=True, scale=1.0):
         self.stride = stride
         self.dilation = dilation
         self.padding = dilation * (kernel - 1) // 2
-        self.w = _he_conv(rng, c_out, c_in, kernel)
+        self.relu = relu
+        std = scale * float(np.sqrt(2.0 / (c_in * kernel * kernel)))   # He init, scaled
+        self.w = Tensor((rng.standard_normal((c_out, c_in, kernel, kernel)) * std).astype(np.float32),
+                        requires_grad=True)
         self.b = Tensor(np.zeros(c_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
         return tc.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding,
-                         dilation=self.dilation, relu=True)
+                         dilation=self.dilation, relu=self.relu)
 
     def params(self, prefix):
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -121,8 +120,7 @@ class ImageNet:
         for width, stride, dilation in cfg.stages:
             self.blocks.append(_ConvBlock(rng, c_in, width, stride=stride, dilation=dilation))
             c_in = width
-        self.head_w = _he_conv(rng, cfg.channels, c_in, 1, scale=0.25)
-        self.head_b = Tensor(np.zeros(cfg.channels, dtype=np.float32), requires_grad=True)
+        self.head = _ConvBlock(rng, c_in, cfg.channels, kernel=1, relu=False, scale=0.25)
 
     def maps(self, frames: Tensor) -> Tensor:
         """Pre-activation K channel maps for NCHW float frames in [0,1]."""
@@ -133,14 +131,13 @@ class ImageNet:
         x = frames
         for block in self.blocks:
             x = block(x)
-        return tc.conv2d(x, self.head_w, self.head_b)
+        return self.head(x)
 
     def params(self):
         out = {}
         for i, block in enumerate(self.blocks):
             out.update(block.params(f"img.s{i}"))
-        out["img.head.w"] = self.head_w
-        out["img.head.b"] = self.head_b
+        out.update(self.head.params("img.head"))
         return out
 
 
@@ -151,8 +148,7 @@ class AudioNet:
         self.stem = _ConvBlock(rng, 1, w[0])
         self.down = [_ConvBlock(rng, w[i], w[i + 1], stride=2) for i in range(cfg.depth)]
         self.up = [_ConvBlock(rng, w[i + 1] + w[i], w[i]) for i in range(cfg.depth)]
-        self.head_w = _he_conv(rng, cfg.channels, w[0], 1, scale=0.25)
-        self.head_b = Tensor(np.zeros(cfg.channels, dtype=np.float32), requires_grad=True)
+        self.head = _ConvBlock(rng, w[0], cfg.channels, kernel=1, relu=False, scale=0.25)
 
     def feats(self, spec: Tensor) -> Tensor:
         """K pre-activation feature planes; input magnitudes are
@@ -169,7 +165,7 @@ class AudioNet:
         for i in range(self.cfg.depth - 1, -1, -1):
             size = skips[i].shape[2]
             y = self.up[i]([tc.upsample_bilinear(y, size, size), skips[i]])
-        return tc.conv2d(y, self.head_w, self.head_b)
+        return self.head(y)
 
     def params(self):
         out = self.stem.params("aud.stem")
@@ -177,8 +173,7 @@ class AudioNet:
             out.update(block.params(f"aud.d{i}"))
         for i, block in enumerate(self.up):
             out.update(block.params(f"aud.u{i}"))
-        out["aud.head.w"] = self.head_w
-        out["aud.head.b"] = self.head_b
+        out.update(self.head.params("aud.head"))
         return out
 
 

@@ -57,16 +57,14 @@ after every step (``mallopt``); the other commands keep the allocator's
 defaults.
 
 Trained numbers depend on the BLAS thread count, which the environment
-sets (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``); ``run_manifest.json``
-records both, as each command saw them, under ``threads``.  W follows
-``tensor``'s W rule (``tensor.worker_count``, spelled out in that
-module's docstring).  ``eval`` scores its mixtures, and fits the NMF
-bases, on W worker processes (``checkpoint.map_ordered``), and every
-convolution splits its samples over W threads.  Every output is the
-same at any W; ``threads.report`` records the W of the mixture loop
-under ``workers``, and ``threads.checkpoint`` that of the image net's
-convolutions on a training batch's 2 * ``batch_pairs`` frames, the most
-samples any convolution of a step has.
+sets (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``).  How many CPUs a
+command uses, W, follows the W rule of ``workers``, whose docstring tells
+the whole story: ``eval`` scores its mixtures, and fits the NMF bases, on
+W worker processes, and every convolution splits its samples over W
+threads.  Every output is the same at any W.  ``run_manifest.json``
+records under ``threads``, for each command, what the rule read
+(``workers.rule_inputs``): both variables, as the command saw them, and
+``cpus``; W at any site follows from that and its item count.
 
 ``run_manifest.json`` also records, under ``resources``, what each
 command cost: its wall seconds from start to the manifest write
@@ -93,8 +91,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, avnets, disentangle, dsp, metrics, nmf, toyworld, trainer
-from .checkpoint import WorkerError, write_atomic
-from .tensor import BLAS_THREAD_VARS, worker_count
+from .checkpoint import write_atomic
+from .workers import WorkerError, rule_inputs
 
 EXIT_CODES = {"E_CONFIG": 2, "E_MISSING_ARTIFACT": 3, "E_CONFIG_DRIFT": 4, "E_CORRUPT_ARTIFACT": 5, "E_IO": 6,
               "E_WORKER": 7, "E_DIVERGED": 8}
@@ -419,19 +417,14 @@ def _read_run_manifest(cfg: dict) -> dict:
     return doc
 
 
-def _update_run_manifest(cfg: dict, kind: str, doc: dict, started: float,
-                         workers: int | None = None) -> None:
+def _update_run_manifest(cfg: dict, kind: str, doc: dict, started: float) -> None:
     """Record ``kind`` in ``doc`` (from ``_read_run_manifest``) and write it;
-    ``started`` is the ``time.monotonic()`` at which the command started,
-    and ``workers`` the W its ordered map or convolutions ran on, if it
-    ran either."""
+    ``started`` is the ``time.monotonic()`` at which the command started."""
     doc["version"] = __version__
     doc["artifacts"][kind] = str(artifact_path(cfg, kind))
     doc["hashes"][kind] = artifact_hash(cfg, kind)
     doc["timestamps"][kind] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    doc["threads"][kind] = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
-    if workers is not None:
-        doc["threads"][kind]["workers"] = workers
+    doc["threads"][kind] = rule_inputs()
     peak, workers_peak = (resource.getrusage(who).ru_maxrss / 1024   # KiB on Linux
                           for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     doc["resources"][kind] = {"wall_s": round(time.monotonic() - started, 3), "peak_rss_mb": round(peak, 3),
@@ -520,8 +513,7 @@ def cmd_train(cfg: dict, args) -> int:
         distinct_pairs=cfg["schedule"]["distinct_pairs"],
         log_path=log_path, start_epoch=start, log_head=head,
         config_hash=artifact_hash(cfg, "checkpoint"), quiet=not args.verbose)
-    _update_run_manifest(cfg, "checkpoint", run, args.started,
-                         workers=worker_count(2 * cfg["schedule"]["batch_pairs"]))
+    _update_run_manifest(cfg, "checkpoint", run, args.started)
     final_t = bundle.temperature if bundle.mode == "softmax" else None
     print(f"trained {len(state.loss_history)} epochs; final loss {state.loss_history[-1]:.4f}"
           + (f"; final temperature {final_t:g}" if final_t is not None else ""))
@@ -648,7 +640,7 @@ def cmd_eval(cfg: dict, args) -> int:
     # report.csv last: its hash line is what ``report`` checks
     metrics.write_summary_csv(artifact_path(cfg, "report"), rows,
                               header_comment=f"config {artifact_hash(cfg, 'report')}")
-    _update_run_manifest(cfg, "report", run, args.started, workers=worker_count(e["n_mixtures"]))
+    _update_run_manifest(cfg, "report", run, args.started)
     print(table)
     print(f"mean SDR improvement over mixture: {named_extras[name]['mean_sdr_improvement']:.2f} dB")
     return 0

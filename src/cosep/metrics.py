@@ -22,8 +22,8 @@ built once: the mix and its STFT, the ``References`` (float64 stack and
 Gram matrix) and the mixture SDR.  One ``dsp.istft`` call applies every
 model's masks to the mixture spectrum and inverts them together; each
 estimate is padded or trimmed to the mixture length and scored.  Each
-mixture is one item of ``checkpoint.map_ordered``: W worker processes
-(the rule for W is in the ``checkpoint`` docstring) score whole mixtures
+mixture is one item of ``workers.map_ordered``: W worker processes
+(the rule for W is in the ``workers`` docstring) score whole mixtures
 side by side, and the scores come back in schedule order.  A mixture's
 scores are computed from that mixture alone, by the same calls in the
 same order whichever process runs it, so reports are reproducible byte
@@ -35,9 +35,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import avnets, dsp, nmf as nmf_mod, toyworld
-from .checkpoint import map_ordered, write_atomic
+from .checkpoint import write_atomic
 from .disentangle import Assignment, classification_accuracy, sparsity
 from .tensor import Tensor, no_grad
+from .workers import map_ordered
 
 DB_CAP = 120.0
 

@@ -16,8 +16,8 @@ STFT magnitudes come F-ordered, and a divide across the two orders cost
 more than the rest of a sweep.
 
 ``fit_category_bases`` fits the categories as the items of
-``checkpoint.map_ordered``, on W worker processes (the rule for W is in
-the ``checkpoint`` docstring).  Each item loads only its own category's
+``workers.map_ordered``, on W worker processes (the rule for W is in
+the ``workers`` docstring).  Each item loads only its own category's
 clips and fits with its own seed, so the bases are the same bits at any
 W, and each worker holds the magnitudes of one category at a time.
 """
@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsp, toyworld
-from .checkpoint import load_tensors, map_ordered, save_tensors
+from .checkpoint import load_tensors, save_tensors
+from .workers import map_ordered
 
 EPS = 1e-12
 

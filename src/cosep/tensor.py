@@ -35,26 +35,12 @@ mask and the masked gradient are the same; and each part's gradient is
 the same crop, copied once.  A block keeps one activation instead of
 three.
 
-The W rule: ``worker_count(n)`` for n independent items is this
-process's CPUs (``os.sched_getaffinity``) divided by the BLAS thread
-count, capped at n.  The BLAS thread count is the first variable of
-``BLAS_THREAD_VARS`` (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``)
-that holds a positive integer, as OpenBLAS reads them; without one, BLAS
-already uses every CPU, and W is 1.  ``checkpoint.map_ordered`` runs its
-items on W processes by this rule.
-
-Each lowering's per-sample work runs on W = ``worker_count(N)`` threads
-for its N samples.  The padding copies, gathers, GEMMs, scatters, the
-bias add and the ReLU (forward) or its mask (backward) of samples
-[lo, hi) form one range; the caller runs the first of W contiguous
-ranges and W - 1 persistent helper threads the others, each writing with
-``out=`` into buffers the caller allocated.  The result does not depend
-on W, bit for bit: ``np.matmul`` over an [N, ...] stack is one BLAS call
-per sample, the same call on a slice, and the sums across samples (the
-kernel gradient's sum over the per-sample GEMM stack, the bias gradient)
-run on the caller after every range, in the order they had at W = 1.
-Helpers run in a copy of the caller's ``contextvars`` context, so
-``np.errstate`` holds there; a forked child runs every range itself.
+The per-sample work of a lowering (padding copies, gathers, GEMMs,
+scatters, the bias add and the ReLU or its mask) runs in the W ranges of
+``workers.over_samples``, and the result is the same bits at any W:
+``np.matmul`` over an [N, ...] stack is one BLAS call per sample, the
+same call on a slice, and the sums across samples (the kernel and bias
+gradients) run on the caller after every range, in the order of W = 1.
 
 ``weighted_channel_sum`` is the synthesizer's linear layer as one node,
 ``sum_k w_k v[m, k] feats[m mod N, k] + b``: the M rows of ``v`` share N
@@ -89,17 +75,14 @@ float64 for the audio-only masks; ``_softmax`` serves ``softmax_T`` alone.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import itertools
-import os
-import queue
-import threading
 import warnings
 
 import numpy as np
 
 from .dsp import interp_rows
+from .workers import over_samples
 
 __all__ = [
     "Tensor",
@@ -113,8 +96,6 @@ __all__ = [
     "bce_loss",
     "backward",
     "Adam",
-    "BLAS_THREAD_VARS",
-    "worker_count",
 ]
 
 BCE_EPS = 1e-7
@@ -327,91 +308,6 @@ def weighted_channel_sum(v: Tensor, feats: Tensor, w: Tensor, b: Tensor) -> Tens
 
 
 # ---------------------------------------------------------------------
-# sample ranges on helper threads
-# ---------------------------------------------------------------------
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")   # recorded in run_manifest.json
-
-
-def _cpus_per_blas_thread() -> int:
-    """W before the cap of the W rule (module docstring), at least 1."""
-    for var in BLAS_THREAD_VARS:
-        try:
-            blas = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            return max(1, len(os.sched_getaffinity(0)) // blas)
-    return 1
-
-
-def worker_count(n_items: int) -> int:
-    """W for ``n_items`` items, by the W rule of the module docstring."""
-    return max(1, min(_cpus_per_blas_thread(), n_items))
-
-
-_jobs = queue.SimpleQueue()   # (context, fn, lo, hi, reply queue) for the helper threads
-_helper_count = 0
-_forked = False               # set in a forked child, which runs every range itself
-
-
-def _serve(jobs) -> None:
-    """Body of a helper thread: run each range taken from ``jobs`` in the
-    context it came with and reply (lo, exception or None)."""
-    while True:
-        ctx, fn, lo, hi, reply = jobs.get()
-        failure = None
-        try:
-            ctx.run(fn, lo, hi)
-        except BaseException as exc:   # raised again by the caller, which waits for every reply
-            failure = exc
-        # drop the range's closure, and the buffers it holds, before the caller goes on
-        del ctx, fn
-        reply.put((lo, failure))
-
-
-def _drop_helpers() -> None:
-    """Run in a forked child (``os.register_at_fork``): the helper threads
-    were not copied, so no range may wait for one."""
-    global _jobs, _helper_count, _forked
-    _jobs, _helper_count, _forked = queue.SimpleQueue(), 0, True
-
-
-os.register_at_fork(after_in_child=_drop_helpers)
-
-
-def _over_samples(fn, n: int) -> None:
-    """``fn(lo, hi)`` over the samples [0, n), split into W =
-    ``worker_count(n)`` contiguous ranges (1 in a forked child).  The
-    caller runs the first range and W - 1 persistent helper threads the
-    others, each in a copy of the caller's ``contextvars`` context (so
-    ``np.errstate`` holds there too).  The caller waits for every range;
-    then the exception of its own range, or else of the lowest failing
-    helper range, is raised.  ``fn`` must write only to samples
-    [lo, hi) of buffers allocated before the call."""
-    global _helper_count
-    workers = 1 if _forked else worker_count(n)
-    if workers == 1:
-        fn(0, n)
-        return
-    while _helper_count < workers - 1:
-        threading.Thread(target=_serve, args=(_jobs,), name=f"cosep-samples-{_helper_count + 1}",
-                         daemon=True).start()
-        _helper_count += 1
-    bounds = [n * k // workers for k in range(workers + 1)]
-    reply = queue.SimpleQueue()
-    for lo, hi in zip(bounds[1:-1], bounds[2:]):
-        _jobs.put((contextvars.copy_context(), fn, lo, hi, reply))
-    try:
-        fn(0, bounds[1])
-    finally:
-        answers = [reply.get() for _ in range(workers - 1)]
-    failures = [answer for answer in answers if answer[1] is not None]
-    if failures:
-        raise min(failures, key=lambda answer: answer[0])[1]
-
-
-# ---------------------------------------------------------------------
 # spatial ops
 # ---------------------------------------------------------------------
 
@@ -546,8 +442,8 @@ def conv2d(x: Tensor | list[Tensor], w: Tensor, b: Tensor, stride: int = 1, padd
     own crop of the padded-input gradient.  Odd kernels only.  Output size
     follows the usual (H + 2p - d*(k-1) - 1)/s + 1 arithmetic and must
     come out a positive integer.  The operand shapes pick the lowering,
-    and the samples run in ``worker_count(N)`` ranges (see the module
-    docstring).
+    and the samples run as ranges of ``workers.over_samples`` (see the
+    module docstring).
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     if not parts or any(p.data.ndim != 4 or p.data.shape[0] != parts[0].data.shape[0]
@@ -596,7 +492,7 @@ def conv2d(x: Tensor | list[Tensor], w: Tensor, b: Tensor, stride: int = 1, padd
         if relu:
             np.maximum(yr, 0, out=yr)
 
-    _over_samples(forward, N)
+    over_samples(forward, N)
     out = Tensor(y)
 
     def _bw(g):
@@ -612,7 +508,7 @@ def conv2d(x: Tensor | list[Tensor], w: Tensor, b: Tensor, stride: int = 1, padd
                 np.multiply(gr, y[lo:hi] > 0, out=gr)
             run(lo, hi)
 
-        _over_samples(backward, N)
+        over_samples(backward, N)
         if b.requires_grad:
             b._acc(g.reshape(N, F, -1).sum(axis=(0, 2)).astype(b.dtype, copy=False))
         gxp, gw = finish()

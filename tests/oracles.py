@@ -29,6 +29,9 @@ bit.
 ``sigmoid64`` is the float64 sigmoid written out as one expression; the
 sigmoid paths of ``avnets`` must equal it bit for bit.
 ``deadline`` turns a call that would loop forever into a failure.
+``set_workers`` pins the inputs of the W rule of ``cosep.workers``;
+``LOWERINGS`` names one conv geometry per lowering path, and
+``conv_bytes`` runs one of them forward and backward.
 ``backward_checking_grad_owners`` runs a backward pass and checks, at
 every node's backward call, that every live gradient owns its buffer:
 no two share memory, and none is a view of a larger buffer (a crop kept
@@ -38,6 +41,7 @@ the walk releases interior grads as it passes them.
 
 import contextlib
 import math
+import os
 import signal
 
 import numpy as np
@@ -409,6 +413,45 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def set_workers(monkeypatch, cpus: int, blas: str | None = "1", omp: str | None = None):
+    """Pin the affinity to ``cpus`` CPUs and the two BLAS thread variables
+    (None: unset); the defaults give W = ``cpus`` for that many items."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var, value in zip(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), (blas, omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+
+
+# name -> (C, F, k, stride, dilation, padding), each naming its lowering
+LOWERINGS = {
+    "im2col": (3, 4, 3, 1, 1, 1),
+    "im2col-stride2": (3, 4, 3, 2, 1, 1),
+    "im2col-stride2-narrowing": (5, 2, 3, 2, 1, 1),
+    "im2col-dilation2": (3, 4, 3, 1, 2, 2),
+    "im2col-unpadded": (3, 4, 3, 1, 1, 0),
+    "narrow": (5, 2, 3, 1, 1, 1),
+    "narrow-unpadded": (5, 2, 3, 1, 1, 0),
+    "narrow-dilation2": (5, 2, 3, 1, 2, 2),
+    "im2col-1x1": (4, 6, 1, 1, 1, 0),
+    "im2col-1x1-narrowing-padded": (4, 2, 1, 1, 1, 1),
+}
+
+
+def conv_bytes(n, case, seed=0):
+    """The output and the input, kernel and bias gradients of one float32
+    ``conv2d`` on ``n`` samples, as bytes."""
+    c, f, k, stride, dilation, padding = LOWERINGS[case]
+    rng = np.random.default_rng(seed)
+    x, w, b = (tc.Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+               for shape in ((n, c, 9, 8), (f, c, k, k), (f,)))
+    y = tc.conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation)
+    g = tc.Tensor(rng.standard_normal(y.shape).astype(np.float32))
+    tc.backward(tsum(mul(y, g)))
+    return [t.tobytes() for t in (y.data, x.grad, w.grad, b.grad)]
 
 
 def interp_table(positions, n_src, dtype=np.float32):

@@ -89,16 +89,16 @@ class TestActivationHead:
         frames = toy_frames(rng, n=1)
         _, phi, _ = image_forward(frames, bundle)
         perm = rng.permutation(16)
-        w = bundle.image.head_w.data.copy()
-        b = bundle.image.head_b.data.copy()
+        w = bundle.image.head.w.data.copy()
+        b = bundle.image.head.b.data.copy()
         try:
-            bundle.image.head_w.data[...] = w[perm]
-            bundle.image.head_b.data[...] = b[perm]
+            bundle.image.head.w.data[...] = w[perm]
+            bundle.image.head.b.data[...] = b[perm]
             _, phi_p, _ = image_forward(frames, bundle)
             np.testing.assert_allclose(phi_p.data[0], phi.data[0][perm], atol=1e-6)
         finally:
-            bundle.image.head_w.data[...] = w
-            bundle.image.head_b.data[...] = b
+            bundle.image.head.w.data[...] = w
+            bundle.image.head.b.data[...] = b
 
     def test_invalid_mode_rejected(self, bundle):
         with pytest.raises(ValueError, match="mode"):
@@ -230,7 +230,7 @@ class TestSegment:
         b = ModelBundle(ImageNetCfg(), AudioNetCfg(), seed=2)
         for p in b.image.params().values():
             p.data[...] = 0
-        b.image.head_b.data[...] = 1.0
+        b.image.head.b.data[...] = 1.0
         b.trained = True
         frame = np.random.default_rng(10).integers(0, 255, size=(64, 64, 3), dtype=np.uint8)
         maps, _ = infer_images(frame, b)

@@ -18,7 +18,7 @@ import pytest
 
 from cosep import avnets, checkpoint, cli, disentangle, dsp, metrics, trainer, toyworld as tw
 
-from oracles import per_clip_image_metrics
+from oracles import per_clip_image_metrics, set_workers
 
 
 def tiny_config(tmp_path, **schedule_overrides):
@@ -42,6 +42,21 @@ def tiny_config(tmp_path, **schedule_overrides):
 def dataset_at(tmp_path):
     """The dataset ``make-data`` wrote under ``tmp_path/data``."""
     return tw.Dataset.load(tmp_path / "data" / "manifest.json")[0]
+
+
+def w_from_record(threads: dict, n_items: int) -> int:
+    """W for ``n_items`` items from a ``threads`` record of
+    ``run_manifest.json``, by the W rule written out again: the CPUs over
+    the first BLAS variable that holds a positive integer, capped at the
+    items; 1 without such a variable."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(threads[var])
+        except (TypeError, ValueError):
+            continue
+        if blas > 0:
+            return max(1, min(threads["cpus"] // blas, n_items))
+    return 1
 
 
 def write_config(tmp_path, cfg):
@@ -951,27 +966,23 @@ class TestEvalOutputs:
         assert (art / "report.csv").read_text().splitlines()[2:] == [row]
 
     def test_run_manifest_records_blas_threads(self, run_copy, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        set_workers(monkeypatch, 3, blas="3")
         assert cli.main(["assign", "-c", "cosep.json"]) == 0
         doc = json.loads((run_copy / "artifacts" / "run_manifest.json").read_text())
-        assert doc["threads"]["assignment"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None}
+        assert doc["threads"]["assignment"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "cpus": 3}
         assert set(doc["threads"]) == set(doc["hashes"])
 
     @pytest.mark.parametrize("blas,workers", [(None, 1), ("1", 2)])
     def test_run_manifest_records_train_and_eval_workers(self, run_copy, monkeypatch, blas, workers):
-        monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        if blas is None:
-            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        """Each record holds the W rule's inputs, from which W follows for
+        the 4 mixtures of the mixture loop and the 8-frame convolutions."""
+        set_workers(monkeypatch, 2, blas)
         for cmd in ("train", "eval"):
             assert cli.main([cmd, "-c", "cosep.json"]) == 0
         doc = json.loads((run_copy / "artifacts" / "run_manifest.json").read_text())
         for kind in ("checkpoint", "report"):
-            assert doc["threads"][kind] == {"OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": None,
-                                            "workers": workers}
+            assert doc["threads"][kind] == {"OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": None, "cpus": 2}
+            assert w_from_record(doc["threads"][kind], 4) == w_from_record(doc["threads"][kind], 8) == workers
 
     @pytest.mark.parametrize("blas,workers", [("2", 1), ("1", 2)])
     def test_run_manifest_records_resources(self, run_copy, blas, workers):
@@ -993,7 +1004,7 @@ class TestEvalOutputs:
                        capture_output=True, check=True)
         took = time.monotonic() - started
         doc = json.loads(manifest.read_text())
-        assert doc["threads"]["report"]["workers"] == workers
+        assert doc["threads"]["report"]["cpus"] == 2 and w_from_record(doc["threads"]["report"], 4) == workers
         assert list(doc["resources"]) == ["report"]
         spent = doc["resources"]["report"]
         assert set(spent) == {"wall_s", "peak_rss_mb", "workers_peak_rss_mb"}
@@ -1020,7 +1031,7 @@ class TestEvalOutputs:
 WORKERS_PROBE = """
 import hashlib, json, os, sys
 import numpy as np
-from cosep import checkpoint, cli, metrics, nmf, toyworld
+from cosep import cli, metrics, nmf, toyworld, workers
 
 cfg = cli.load_config("cosep.json")
 dataset, bundle, asg = (cli._require(cfg, kind) for kind in ("dataset", "checkpoint", "assignment"))
@@ -1065,7 +1076,7 @@ for name, cpus, env in (("unset", 2, None), ("w1", 1, blas), ("w2", 2, blas), ("
         left = os.waitpid(-1, os.WNOHANG) != (0, 0)
     except ChildProcessError:
         left = False
-    out[name] = {"workers": checkpoint.worker_count(e["n_mixtures"]), "forks": len(forks),
+    out[name] = {"workers": workers.worker_count(e["n_mixtures"]), "forks": len(forks),
                  "children_left": left, "bases": digest(model.bases),
                  "rows": digest(rows), "extras": digest(extras), "details": digest(details),
                  "figures": digest(figures)}
@@ -1094,29 +1105,36 @@ class TestWorkerCountIndependence:
         assert all(o == outputs[0] for o in outputs)
 
     @staticmethod
-    def check_train_probe(run):
-        """Train ``run`` at one and two CPUs: each manifest's W is the count of
-        threads the convolutions ran on, and the files are equal."""
+    def train_probe(run, *cpus) -> dict:
+        """Train ``run`` at each CPU count of ``cpus`` in turn, in one
+        process at one BLAS thread: CPU count -> the manifest's record,
+        the helper threads started so far, and the trained files."""
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         env.pop("OMP_NUM_THREADS", None)
-        out = subprocess.run([sys.executable, "-c", TRAIN_PROBE], cwd=run, env=env,
+        out = subprocess.run([sys.executable, "-c", TRAIN_PROBE, *map(str, cpus)], cwd=run, env=env,
                              capture_output=True, text=True, check=True).stdout
         runs = json.loads(out.splitlines()[-1])
-        assert {n: (r["workers"], r["helpers"]) for n, r in runs.items()} == {"1": (1, 0), "2": (2, 1)}
-        assert runs["1"]["files"] == runs["2"]["files"]
+        for n, r in runs.items():
+            assert r["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "cpus": int(n)}
+        return runs
 
     def test_train_equal_at_one_and_two_workers(self, run_copy):
-        self.check_train_probe(run_copy)
+        runs = self.train_probe(run_copy, 1, 2)
+        assert {n: r["helpers"] for n, r in runs.items()} == {"1": 0, "2": 1}
+        assert runs["1"]["files"] == runs["2"]["files"]
 
-    def test_train_manifest_counts_the_image_nets_frames(self, run_copy):
-        """At one pair per step the image net's convolutions still run 2
-        frames, on 2 threads at 2 CPUs; the manifest records that W."""
+    def test_train_manifest_gives_the_helper_count(self, run_copy):
+        """At one pair per step on 4 CPUs, the widest convolutions are the
+        validation pass's, on its 8 frames: the helper threads that ran
+        are W - 1 for W worked out from the manifest's record."""
         cfg = json.loads((run_copy / "cosep.json").read_text())
         cfg["schedule"]["batch_pairs"] = 1
         write_config(run_copy, cfg)
-        self.check_train_probe(run_copy)
+        assert cfg["dataset"]["val"] == 8
+        runs = self.train_probe(run_copy, 4)
+        assert runs["4"]["helpers"] == w_from_record(runs["4"]["threads"], 8) - 1 == 3
 
 
 EVAL_ON_TWO_CPUS = """
@@ -1129,15 +1147,15 @@ assert cli.main(["eval", "-c", "cosep.json"]) == 0
 
 
 TRAIN_PROBE = """
-import hashlib, json, os, threading
+import hashlib, json, os, sys, threading
 from cosep import cli
 
 out = {}
-for cpus in (1, 2):
+for cpus in map(int, sys.argv[1:]):
     os.sched_getaffinity = lambda pid, n=cpus: set(range(n))
     assert cli.main(["train", "-c", "cosep.json"]) == 0
     doc = json.load(open("artifacts/run_manifest.json"))
-    out[cpus] = {"workers": doc["threads"]["checkpoint"]["workers"],
+    out[cpus] = {"threads": doc["threads"]["checkpoint"],
                  "helpers": sum(t.name.startswith("cosep-samples") for t in threading.enumerate()),
                  "files": {name: hashlib.sha256(open(f"artifacts/{name}", "rb").read()).hexdigest()
                            for name in ("train_log.csv", "checkpoint_final.ckpt")}}
@@ -1325,13 +1343,6 @@ class TestTrainingDivergence:
         err = one_error_line(capsys, "E_DIVERGED")
         assert "non-finite loss at state {'seed': 0, 'epoch': 0" in err
         assert not (tmp_path / "artifacts" / "checkpoint_final.ckpt").exists()
-
-
-def set_workers(monkeypatch, cpus: int):
-    """W = ``cpus`` for the ordered maps of ``eval``."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setattr(checkpoint.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 class TestDeadWorker:

@@ -18,8 +18,8 @@ _spec.loader.exec_module(quality)
 
 AFFINITY_PROBE = """
 import json, os
-from cosep import tensor
-print(json.dumps([sorted(os.sched_getaffinity(0)), tensor.worker_count(8)]))
+from cosep import workers
+print(json.dumps([sorted(os.sched_getaffinity(0)), workers.worker_count(8)]))
 """
 
 

@@ -1,11 +1,6 @@
 """Tensor core: op values, gradient checks, optimizer behavior."""
 
 import math
-import os
-import select
-import signal
-import threading
-import time
 import tracemalloc
 import warnings
 import weakref
@@ -15,12 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cosep import tensor as tc, trainer
-from cosep.avnets import AudioNetCfg, ImageNetCfg, ModelBundle
+from cosep import tensor as tc
 from cosep.tensor import Tensor
 
-from oracles import (add, backward_checking_grad_owners, check_gradients, concat, direct_conv2d,
-                     inflate_kernel, mul, rel_err, relu, reshape, synthesizer_chain, tsum)
+from oracles import (LOWERINGS, add, backward_checking_grad_owners, check_gradients, concat,
+                     direct_conv2d, inflate_kernel, mul, relu, reshape, set_workers, synthesizer_chain,
+                     tsum)
 
 
 @pytest.fixture
@@ -641,149 +636,6 @@ class TestWeightedChannelSum:
         with pytest.raises(ValueError, match="weighted_channel_sum"):
             tc.weighted_channel_sum(Tensor(np.zeros(v_shape)), Tensor(np.zeros(f_shape)),
                                     Tensor(np.zeros(w_shape)), Tensor(np.zeros(1)))
-
-
-def set_workers(monkeypatch, cpus: int):
-    """W = ``cpus`` for every ``conv2d`` with that many samples: pin the
-    affinity and one BLAS thread."""
-    monkeypatch.setattr(tc.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-
-
-def range_threads(monkeypatch) -> list:
-    """Records the thread that runs each sample range of ``conv2d``."""
-    names, real = [], tc._over_samples
-
-    def recording(fn, n):
-        def named(lo, hi):
-            names.append(threading.current_thread().name)
-            fn(lo, hi)
-        real(named, n)
-
-    monkeypatch.setattr(tc, "_over_samples", recording)
-    return names
-
-
-# name -> (C, F, k, stride, dilation, padding), each naming its lowering
-LOWERINGS = {
-    "im2col": (3, 4, 3, 1, 1, 1),
-    "im2col-stride2": (3, 4, 3, 2, 1, 1),
-    "im2col-stride2-narrowing": (5, 2, 3, 2, 1, 1),
-    "im2col-dilation2": (3, 4, 3, 1, 2, 2),
-    "im2col-unpadded": (3, 4, 3, 1, 1, 0),
-    "narrow": (5, 2, 3, 1, 1, 1),
-    "narrow-unpadded": (5, 2, 3, 1, 1, 0),
-    "narrow-dilation2": (5, 2, 3, 1, 2, 2),
-    "im2col-1x1": (4, 6, 1, 1, 1, 0),
-    "im2col-1x1-narrowing-padded": (4, 2, 1, 1, 1, 1),
-}
-
-
-def conv_bytes(n, case, seed=0):
-    """The output and the input, kernel and bias gradients of one float32
-    ``conv2d`` on ``n`` samples, as bytes."""
-    c, f, k, stride, dilation, padding = LOWERINGS[case]
-    rng = np.random.default_rng(seed)
-    x, w, b = (Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
-               for shape in ((n, c, 9, 8), (f, c, k, k), (f,)))
-    y = tc.conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation)
-    g = Tensor(rng.standard_normal(y.shape).astype(np.float32))
-    tc.backward(tsum(mul(y, g)))
-    return [t.tobytes() for t in (y.data, x.grad, w.grad, b.grad)]
-
-
-class TestSampleRanges:
-    """``conv2d`` splits its samples over W threads; every bit is the same
-    at W = 1 and W = 2."""
-
-    @pytest.mark.parametrize("case", list(LOWERINGS))
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_conv_bytes_equal_at_one_and_two_workers(self, monkeypatch, n, case):
-        set_workers(monkeypatch, 1)
-        alone = conv_bytes(n, case)
-        set_workers(monkeypatch, 2)
-        threads = range_threads(monkeypatch)
-        assert conv_bytes(n, case) == alone
-        # forward and backward: two ranges each once there are two samples
-        assert len(set(threads)) == min(n, 2) and len(threads) == 2 * min(n, 2)
-
-    def test_training_step_equal_at_one_and_two_workers(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        batch = (rng.random((3, 1, 64, 64)).astype(np.float32),
-                 rng.random((6, 3, 64, 64)).astype(np.float32),
-                 (rng.random((6, 1, 64, 64)) > 0.5).astype(np.float32))
-        runs = []
-        for cpus in (1, 2):
-            set_workers(monkeypatch, cpus)
-            bundle = ModelBundle(ImageNetCfg(), AudioNetCfg(), seed=5)
-            opt = tc.Adam(bundle.param_list(), lr=1e-3)
-            losses = [trainer._step_batch(batch, bundle, opt) for _ in range(2)]
-            runs.append((losses, {name: p.data.tobytes() for name, p in bundle.params().items()}))
-        assert runs[0] == runs[1]
-
-    def test_helper_keeps_the_callers_errstate(self, monkeypatch):
-        """Sample 1 runs on the helper, whose overflow the caller's
-        ``np.errstate(over="ignore")`` silences as well."""
-        set_workers(monkeypatch, 2)
-        x = Tensor(np.full((2, 3, 5, 5), 1e30, dtype=np.float32))
-        w = Tensor(np.full((4, 3, 3, 3), 1e30, dtype=np.float32))
-        b = Tensor(np.zeros(4, dtype=np.float32))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(over="ignore"):
-                y = tc.conv2d(x, w, b, padding=1)
-        assert np.isposinf(y.data).all()
-
-    @pytest.mark.parametrize("failing", [0, 1])
-    def test_failure_is_raised_once_every_range_has_finished(self, monkeypatch, failing):
-        """Range ``failing`` (0 on the caller, 1 on the helper) raises at
-        once while the other takes a while: the caller raises that
-        exception, and only after the other range has finished."""
-        set_workers(monkeypatch, 2)
-        finished = []
-
-        def work(lo, hi):
-            if lo == failing:
-                raise KeyError(f"range {lo}")
-            time.sleep(0.3)
-            finished.append(lo)
-
-        with pytest.raises(KeyError, match=f"range {failing}"):
-            tc._over_samples(work, 2)
-        assert finished == [1 - failing]
-
-    def test_forked_child_runs_every_range_itself(self, monkeypatch):
-        """A child forked while a helper thread exists has no helper; its
-        conv with two samples finishes and gives the parent's bytes."""
-        set_workers(monkeypatch, 2)
-        expected = conv_bytes(2, "narrow")
-        assert any(t.name.startswith("cosep-samples") for t in threading.enumerate())
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                os.close(read_fd)
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pipe.write(b"".join(conv_bytes(2, "narrow")))
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        got, ended, deadline = b"", False, time.monotonic() + 60
-        try:
-            while not ended and select.select([read_fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
-                chunk = os.read(read_fd, 1 << 16)
-                got += chunk
-                ended = not chunk
-        finally:
-            os.close(read_fd)
-            if not ended:
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
-        assert ended, "the forked child did not finish its conv within 60 s"
-        assert os.waitstatus_to_exitcode(status) == 0 and got == b"".join(expected)
 
 
 class TestFusedConvBlock:

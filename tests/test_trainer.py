@@ -14,6 +14,7 @@ from cosep import checkpoint
 from cosep import tensor as tc
 from cosep import toyworld as tw
 from cosep import trainer as tr
+from cosep import workers
 from cosep.avnets import AudioNetCfg, ImageNetCfg, ModelBundle
 from cosep.tensor import Adam, Tensor
 
@@ -332,7 +333,7 @@ class TestStepBatch:
         """The traced peak of a steady-state training step: a conv block
         that keeps a second full-size activation, or a gradient buffer the
         walk no longer frees, crosses the bound."""
-        for var in tc.BLAS_THREAD_VARS:
+        for var in workers.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)   # W = 1
         bundle, batch = mini_bundle(seed=2), self.mini_batch()
         opt = Adam(bundle.param_list(), lr=1e-3)

@@ -4,7 +4,7 @@ For each ``model.seed`` (default 0-4; ``schedule.seed`` stays 0) it runs
 ``make-data``, ``train``, ``assign`` and ``eval`` of the default config in
 its own directory, at one BLAS thread, two seeds at a time.  Each seed's
 child processes are pinned to one CPU of their own (``os.sched_setaffinity``),
-so W (``cosep.tensor.worker_count``) is 1 in them and two seeds never run
+so W (``cosep.workers.worker_count``) is 1 in them and two seeds never run
 more compute threads than they have CPUs.  It
 writes the per-seed, mean and range of sparsity, accuracy, SDR, SIR and
 IoU (the network row of ``report.csv``), the channels used and the final
