@@ -15,11 +15,11 @@ model checkpoint holding a NaN or infinite weight or finite weights whose
 forward pass overflows to one, exit 5; run the command that writes it
 again), ``E_IO`` (``E_IO: <path>: <reason>``
 for a file that could not be written, exit 6), ``E_WORKER`` (a worker
-process of ``eval`` could not start or ended without its results, exit
-7), ``E_DIVERGED`` (``train``'s loss or validation maps went non-finite;
-the line dumps the schedule state, exit 8).  Checkpoints, JSON and CSV
-artifacts are written atomically, so an interrupted write leaves the
-previous file in place; ``manifest.json``
+process of ``make-data`` or ``eval`` could not start or ended without its
+results, exit 7), ``E_DIVERGED`` (``train``'s loss or validation maps
+went non-finite; the line dumps the schedule state, exit 8).
+Checkpoints, JSON and CSV artifacts are written atomically, so an
+interrupted write leaves the previous file in place; ``manifest.json``
 has one writer, ``toyworld.generate``, so a failed ``make-data`` leaves
 none.  A command reads ``run_manifest.json`` before it writes.  An
 unreadable ``nmf.ckpt`` is refitted like a stale one; ``eval`` scores
@@ -59,20 +59,24 @@ defaults.
 Trained numbers depend on the BLAS thread count, which the environment
 sets (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``).  How many CPUs a
 command uses, W, follows the W rule of ``workers``, whose docstring tells
-the whole story: ``eval`` scores its mixtures, and fits the NMF bases, on
-W worker processes, and every convolution splits its samples over W
-threads.  Every output is the same at any W.  ``run_manifest.json``
-records under ``threads``, for each command, what the rule read
-(``workers.rule_inputs``): both variables, as the command saw them, and
-``cpus``; W at any site follows from that and its item count.
+the whole story: ``make-data`` writes its clips, and ``eval`` scores its
+mixtures and fits the NMF bases, on W worker processes, and every
+convolution splits its samples over W threads.  Every output is the same
+at any W.  ``run_manifest.json`` records under ``threads``, for each
+command, what the rule read (``workers.rule_inputs``): both variables, as
+the command saw them, and ``cpus``; W at any site follows from that and
+its item count.
 
 ``run_manifest.json`` also records, under ``resources``, what each
 command cost: its wall seconds from start to the manifest write
-(``wall_s``), the peak resident set of its process (``peak_rss_mb``,
-``RUSAGE_SELF``) and the largest peak of the worker processes it forked
-and waited for (``workers_peak_rss_mb``, ``RUSAGE_CHILDREN``).  Both are
-the kernel's figures for the process's whole life; a process that forked
-no worker still reads a few MB under ``RUSAGE_CHILDREN`` on Linux.
+(``wall_s``), the peak resident set of its process (``peak_rss_mb``)
+and the largest peak of the worker processes it forked and waited for
+(``workers_peak_rss_mb``, ``RUSAGE_CHILDREN``).  ``peak_rss_mb`` is
+``VmHWM`` of ``/proc/self/status``, which counts from the command's own
+exec; ``RUSAGE_SELF``, read only where ``/proc`` is absent, also holds
+the peak of the process that exec'd it (its launcher).  Both are the
+kernel's figures; a process that forked no worker still reads a few MB
+under ``RUSAGE_CHILDREN`` on Linux.
 """
 
 from __future__ import annotations
@@ -417,6 +421,19 @@ def _read_run_manifest(cfg: dict) -> dict:
     return doc
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set in MB: ``VmHWM``, or else
+    ``RUSAGE_SELF`` (module docstring)."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024   # kB
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024   # KiB on Linux
+
+
 def _update_run_manifest(cfg: dict, kind: str, doc: dict, started: float) -> None:
     """Record ``kind`` in ``doc`` (from ``_read_run_manifest``) and write it;
     ``started`` is the ``time.monotonic()`` at which the command started."""
@@ -425,9 +442,8 @@ def _update_run_manifest(cfg: dict, kind: str, doc: dict, started: float) -> Non
     doc["hashes"][kind] = artifact_hash(cfg, kind)
     doc["timestamps"][kind] = time.strftime("%Y-%m-%dT%H:%M:%S")
     doc["threads"][kind] = rule_inputs()
-    peak, workers_peak = (resource.getrusage(who).ru_maxrss / 1024   # KiB on Linux
-                          for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-    doc["resources"][kind] = {"wall_s": round(time.monotonic() - started, 3), "peak_rss_mb": round(peak, 3),
+    workers_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024   # KiB on Linux
+    doc["resources"][kind] = {"wall_s": round(time.monotonic() - started, 3), "peak_rss_mb": round(_peak_rss_mb(), 3),
                               "workers_peak_rss_mb": round(workers_peak, 3)}
     path = _artifacts(cfg, "run_manifest.json")
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -6,12 +6,15 @@ amplitude-modulation rate.  A clip renders its shape at a random
 position and scale over a textured gray background and synthesizes its
 tone with per-clip pitch, phase, amplitude-modulation-phase and onset
 jitter.  All per-clip randomness derives from (seed, clip_id), so
-generation is order-independent and regeneration is bit-identical.
+generation is order-independent and regeneration is bit-identical.  So
+``generate`` makes each clip one item of ``workers.map_ordered``: W
+worker processes write the same bytes as one.
 
 Files on disk: binary PPM frames, binary PGM ground-truth masks, 16-bit
 PCM WAV audio, and a JSON manifest tying them together.  ``Dataset`` is
-the manifest's only reader and writer: ``generate`` writes it once, after
-every clip file, and ``Dataset.load`` reads it; other modules take the object.
+the manifest's only reader and writer: ``generate`` writes it once, in
+the caller, after every worker has written its clip files, and
+``Dataset.load`` reads it; other modules take the object.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .dsp import StftConfig, write_wav, read_wav
+from .workers import map_ordered
 
 SHAPES = ("circle", "square", "triangle", "cross", "ring", "diamond", "bars", "wedge")
 
@@ -311,8 +315,10 @@ def generate(root, seed: int, stft_cfg: StftConfig, n_categories: int = 8,
              n_frames: int = 64, config_hash: str = "") -> Dataset:
     """Write the dataset under ``root`` and return it.  Any earlier manifest
     goes first and the new one is written last, atomically, so a failed
-    generation leaves none.  A mask covering under 1% or over 60% of its
-    frame raises ``ValueError``; a failed clip write, ``OSError`` naming it."""
+    generation leaves none.  Each clip is rendered, synthesized and written
+    by one item of ``map_ordered``, so the first failing clip in clip order
+    raises: a mask covering under 1% or over 60% of its frame,
+    ``ValueError``; a failed clip write, ``OSError`` naming the file."""
     cats = default_categories(n_categories, stft_cfg)
     counts = counts or {"train": 400, "val": 80, "test": 80}
     root = Path(root)
@@ -320,29 +326,29 @@ def generate(root, seed: int, stft_cfg: StftConfig, n_categories: int = 8,
     (root / "manifest.json").unlink(missing_ok=True)
     n_samples = stft_cfg.sample_count(n_frames)
 
-    splits: dict = {}
-    for split, count in counts.items():
-        splits[split] = records = []
-        for i in range(count):
-            clip_id = f"{split}_{i:04d}"
-            category = i % n_categories
-            rng = _clip_rng(seed, clip_id)
-            frame, mask = render_frame(cats[category], image_size, rng)
-            if not 0.01 <= (coverage := mask.mean()) <= 0.60:
-                raise ValueError(f"{clip_id}: mask coverage {coverage:.3f} lies outside [0.01, 0.60] "
-                                 f"at image size {image_size}")
-            wave = synth_wave(cats[category], n_samples, stft_cfg.sample_rate, rng)
-            rec = ClipRecord(clip_id, category, f"clips/{clip_id}.ppm", f"clips/{clip_id}_mask.pgm",
-                             f"clips/{clip_id}.wav")
-            path = root / rec.frame
-            try:
-                write_ppm(path, frame)
-                write_pgm(path := root / rec.mask, mask)
-                write_wav(path := root / rec.wav, wave, stft_cfg.sample_rate)
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
-            records.append(rec)
+    def write_clip(item) -> ClipRecord:
+        split, i = item
+        clip_id = f"{split}_{i:04d}"
+        category = i % n_categories
+        rng = _clip_rng(seed, clip_id)
+        frame, mask = render_frame(cats[category], image_size, rng)
+        if not 0.01 <= (coverage := mask.mean()) <= 0.60:
+            raise ValueError(f"{clip_id}: mask coverage {coverage:.3f} lies outside [0.01, 0.60] "
+                             f"at image size {image_size}")
+        wave = synth_wave(cats[category], n_samples, stft_cfg.sample_rate, rng)
+        rec = ClipRecord(clip_id, category, f"clips/{clip_id}.ppm", f"clips/{clip_id}_mask.pgm",
+                         f"clips/{clip_id}.wav")
+        path = root / rec.frame
+        try:
+            write_ppm(path, frame)
+            write_pgm(path := root / rec.mask, mask)
+            write_wav(path := root / rec.wav, wave, stft_cfg.sample_rate)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+        return rec
 
+    records = iter(map_ordered(write_clip, [(split, i) for split, count in counts.items() for i in range(count)]))
+    splits = {split: [next(records) for _ in range(count)] for split, count in counts.items()}
     dataset = Dataset(root, seed, image_size, n_frames, n_samples, stft_cfg, tuple(cats), splits, config_hash)
     write_atomic(root / "manifest.json", json.dumps(dataset.to_json(), sort_keys=True, indent=1))
     return dataset
@@ -384,6 +390,6 @@ def load_split(dataset: Dataset, split: str) -> list[AVClip]:
 
 
 def mix_waves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Half-gain sum; the 0.9 peak headroom guarantees no clipping."""
+    """Half-gain sum; clips peak at ``PEAK_AMPLITUDE`` < 1, so the sum never clips."""
     mix = MIX_GAIN * a.astype(np.float64) + MIX_GAIN * b.astype(np.float64)
     return np.clip(mix, -1.0, 1.0).astype(np.float32)

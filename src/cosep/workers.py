@@ -13,13 +13,15 @@ any site follows from the record and the site's item count.
 ``over_samples`` runs an op's sample ranges on the caller and W - 1
 persistent helper threads; ``tensor.conv2d`` does so, and gains because
 its BLAS calls release the GIL.  ``map_ordered`` runs independent items
-on the caller and W - 1 forked children; ``eval`` scores its mixtures and
-fits the NMF bases so.  A forked child drops the helper threads, which
-fork does not copy (``os.register_at_fork``), and runs every range
-itself, so W workers keep to W CPUs.  No output depends on W: a range
+on the caller and W - 1 forked children; ``make-data`` writes its clips
+(``toyworld.generate``), and ``eval`` scores its mixtures and fits the
+NMF bases, so.  A forked child drops the helper threads, which fork does
+not copy (``os.register_at_fork``), and runs every range itself, so W
+workers keep to W CPUs.  No output depends on W: a range
 writes only its own samples, and ``conv2d`` sums across samples on the
 caller in the order of W = 1 (the ``tensor`` docstring); a mapped item is
-computed alone, and the results come back in item order.
+computed alone, from its own seed where it draws random numbers, and the
+results come back in item order.
 
 Speed was measured at W = 2 only (2 CPUs).  ROADMAP item 15 (closed) ran
 ``map_ordered`` on the helper threads instead: bench ``infer`` ``run_s``

@@ -1012,6 +1012,17 @@ class TestEvalOutputs:
         assert spent["peak_rss_mb"] > 10
         assert (spent["workers_peak_rss_mb"] > 10) == (workers == 2)
 
+    def test_peak_rss_is_the_commands_own(self, tmp_path):
+        """``make-data`` exec'd by a process that held over 200 MB records
+        its own peak; ``RUSAGE_SELF`` keeps the launcher's across exec."""
+        write_config(tmp_path, tiny_config(tmp_path))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", EXEC_AFTER_PEAK], cwd=tmp_path, env=env,
+                       capture_output=True, check=True)
+        doc = json.loads((tmp_path / "artifacts" / "run_manifest.json").read_text())
+        assert 10 < doc["resources"]["dataset"]["peak_rss_mb"] < 150
+
     def test_run_manifest_resources_must_be_an_object(self, run_copy, capsys):
         manifest = run_copy / "artifacts" / "run_manifest.json"
         manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "resources": []}))
@@ -1143,6 +1154,14 @@ from cosep import cli
 
 os.sched_getaffinity = lambda pid: {0, 1}
 assert cli.main(["eval", "-c", "cosep.json"]) == 0
+"""
+
+
+# holds over 200 MB, then execs make-data in its place
+EXEC_AFTER_PEAK = """
+import os, sys
+held = b"\\1" * (224 << 20)
+os.execv(sys.executable, [sys.executable, "-m", "cosep.cli", "make-data", "-c", "cosep.json"])
 """
 
 
@@ -1368,6 +1387,24 @@ class TestDeadWorker:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_make_data_worker_ending_without_results_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        set_workers(monkeypatch, 2)
+        caller, synth_wave = os.getpid(), tw.synth_wave
+
+        def dying_synth(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return synth_wave(*args)
+        monkeypatch.setattr(tw, "synth_wave", dying_synth)
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path))
+        assert cli.main(["make-data", "-c", cfg_path]) == cli.EXIT_CODES["E_WORKER"]
+        err = one_error_line(capsys, "E_WORKER")
+        assert re.fullmatch(r"E_WORKER: worker 1 \(pid \d+\) ended with exit code 3 before returning item 1\n",
+                            err), err
+        assert not (tmp_path / "data" / "manifest.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestAtomicWrites:
     @pytest.mark.parametrize("writer", ["write_atomic", "assignment", "summary_csv"])
@@ -1411,13 +1448,18 @@ class TestMakeDataFailures:
         assert cli.main(["train", "-c", cfg_path]) == cli.EXIT_CODES["E_MISSING_ARTIFACT"]
         assert "manifest.json missing; run make-data" in one_error_line(capsys, "E_MISSING_ARTIFACT")
 
-    def test_image_size_too_small_is_config_error(self, tmp_path, capsys):
-        cfg = tiny_config(tmp_path)
-        cfg["model"]["image_size"] = 2
-        assert cli.main(["make-data", "-c", write_config(tmp_path, cfg)]) == cli.EXIT_CODES["E_CONFIG"]
-        err = one_error_line(capsys, "E_CONFIG")
-        assert err.startswith("E_CONFIG: model.image_size: train_") and "mask coverage 0.000" in err
-        assert not (tmp_path / "data" / "manifest.json").exists()
+    def test_image_size_too_small_is_config_error(self, tmp_path, monkeypatch, capsys):
+        """At W = 2 both workers fail, and the first clip's error is the line."""
+        for workers in (1, 2):
+            set_workers(monkeypatch, workers)
+            run = tmp_path / f"w{workers}"
+            run.mkdir()
+            cfg = tiny_config(run)
+            cfg["model"]["image_size"] = 2
+            assert cli.main(["make-data", "-c", write_config(run, cfg)]) == cli.EXIT_CODES["E_CONFIG"]
+            err = one_error_line(capsys, "E_CONFIG")
+            assert err.startswith("E_CONFIG: model.image_size: train_0000: mask coverage 0.000"), err
+            assert not (run / "data" / "manifest.json").exists()
 
     def test_manifest_has_one_writer(self, tmp_path, monkeypatch):
         writes = []

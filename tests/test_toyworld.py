@@ -1,13 +1,14 @@
 """Dataset generation: determinism, separability, file formats."""
 
 import errno
-import filecmp
 import os
 
 import numpy as np
 import pytest
 
 from cosep import dsp, toyworld as tw
+
+from oracles import set_workers
 
 TOY = dsp.StftConfig(8000, 510, 128)
 
@@ -19,16 +20,24 @@ def dataset(tmp_path_factory):
                        counts={"train": 48, "val": 24, "test": 8})
 
 
+def tree(root) -> dict:
+    """Every file under ``root``, by its path relative to it."""
+    return {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+
+
 class TestGenerate:
-    def test_regeneration_is_bit_identical(self, tmp_path, dataset):
-        other = tmp_path / "again"
-        tw.generate(other, seed=11, stft_cfg=TOY, n_categories=8,
-                    counts={"train": 48, "val": 24, "test": 8})
-        root = dataset.root
-        for rec in dataset.splits["val"][:6] + dataset.splits["train"][:6]:
-            for name in (rec.frame, rec.mask, rec.wav):
-                assert filecmp.cmp(root / name, other / name, shallow=False), name
-        assert filecmp.cmp(f"{root}/manifest.json", other / "manifest.json", shallow=False)
+    def test_regeneration_is_bit_identical(self, tmp_path, monkeypatch):
+        """Every file, the manifest too, is the same at W = 1 and W = 2."""
+        roots = []
+        for workers in (1, 2):
+            set_workers(monkeypatch, workers)
+            roots.append(tmp_path / f"w{workers}")
+            tw.generate(roots[-1], seed=11, stft_cfg=TOY, n_categories=8,
+                        counts={"train": 48, "val": 24, "test": 8})
+        one, two = map(tree, roots)
+        assert len(one) == 3 * 80 + 1
+        assert one.keys() == two.keys()
+        assert [name for name in one if one[name] != two[name]] == []
 
     def test_split_ids_disjoint(self, dataset):
         ids = [r.id for split in dataset.splits.values() for r in split]
@@ -64,22 +73,27 @@ class TestDatasetHandle:
         assert doc == dataset.to_json()
 
     def test_failed_clip_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        """At W = 3 the failing clip, item 2, is written by forked worker 2,
+        and its error comes back over the pipe."""
         counts = {"train": 2, "val": 2, "test": 2}
-        tw.generate(tmp_path, seed=1, stft_cfg=TOY, n_categories=2, counts=counts)
-        real, calls = tw.write_pgm, []
+        real = tw.write_pgm
 
         def write_pgm(path, mask):
-            calls.append(path)
-            if len(calls) == 3:
+            if path.name == "val_0000_mask.pgm":
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             real(path, mask)
 
-        monkeypatch.setattr(tw, "write_pgm", write_pgm)
-        with pytest.raises(OSError) as info:
-            tw.generate(tmp_path, seed=2, stft_cfg=TOY, n_categories=2, counts=counts)
-        assert info.value.errno == errno.ENOSPC
-        assert info.value.filename == str(tmp_path / "clips" / "val_0000_mask.pgm")
-        assert not (tmp_path / "manifest.json").exists()
+        for workers in (1, 3):
+            set_workers(monkeypatch, workers)
+            root = tmp_path / f"w{workers}"
+            tw.generate(root, seed=1, stft_cfg=TOY, n_categories=2, counts=counts)
+            with monkeypatch.context() as m:
+                m.setattr(tw, "write_pgm", write_pgm)
+                with pytest.raises(OSError) as info:
+                    tw.generate(root, seed=2, stft_cfg=TOY, n_categories=2, counts=counts)
+            assert info.value.errno == errno.ENOSPC
+            assert info.value.filename == str(root / "clips" / "val_0000_mask.pgm")
+            assert not (root / "manifest.json").exists()
 
 
 class TestSpectralStructure:
